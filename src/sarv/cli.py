@@ -37,7 +37,7 @@ from sarv.embed import (
     serialize_token_vocab,
 )
 from sarv.errors import ConfigError, DataError, NumericsError, SarvError
-from sarv.metrics import category_stats, confusion, metrics
+from sarv.metrics import category_stats, metrics
 from sarv.models import CHAR_PRESETS, PRESETS, ModelSpec, load_model
 from sarv.textproc import (
     MAX_LEN,
@@ -51,7 +51,7 @@ from sarv.textproc import (
 from sarv.train import (
     ShardManifest,
     TrainConfig,
-    load_shards,
+    _eval_confusion,
     random_undersample,
     split_train_test,
     train_loop,
@@ -396,8 +396,6 @@ def cmd_train(cfg: RunConfig) -> int:
         exp_step_unit=cfg.exp_step_unit,
         batch_size=cfg.batch_size,
         epochs=cfg.epochs,
-        dropout_rate=cfg.dropout,
-        shard_size=cfg.shard_size,
         seed=cfg.seed,
         precision=cfg.precision,
         stop_at_train_accuracy=cfg.stop_at_train_accuracy,
@@ -437,18 +435,7 @@ def cmd_eval(cfg: RunConfig) -> int:
     emb = _embedding_matrix_for(
         cfg, token_vocab, np.float64 if meta.get("precision") == "double" else np.float32
     )
-    scheme = LabelScheme.for_num_classes(model.spec.num_classes)
-    cm = None
-    for chunk in _batched(load_shards(manifest), cfg.batch_size):
-        preds, _ = model.predict(chunk, emb)
-        part = confusion(
-            preds, [r.label for r in chunk],
-            num_classes=model.spec.num_classes, class_names=scheme.classes,
-        )
-        cm = part if cm is None else cm.merged(part)
-    if cm is None:
-        raise DataError("evaluation manifest holds no records")
-    report = metrics(cm)
+    report = metrics(_eval_confusion(model, manifest, emb, cfg.batch_size))
     sys.stdout.write(report.to_text())
     if cfg.out_dir:
         out = Path(cfg.out_dir)
@@ -457,17 +444,6 @@ def cmd_eval(cfg: RunConfig) -> int:
         (out / "metrics.json").write_text(report.to_json() + "\n", encoding="utf-8")
         _write_resolved(cfg)
     return 0
-
-
-def _batched(records, size):
-    buf = []
-    for rec in records:
-        buf.append(rec)
-        if len(buf) == size:
-            yield buf
-            buf = []
-    if buf:
-        yield buf
 
 
 def cmd_predict(cfg: RunConfig) -> int:
@@ -598,8 +574,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", help="train a preset on prepared shards")
     _add_flags(p, "embeddings", "shard_dir", "out_dir", "preset", "classes", "epochs",
                "batch_size", "lr", "lr_schedule", "dropout", "optimizer", "seed",
-               "precision", "shard_size", "exp_step_unit", "plateau_factor",
-               "plateau_patience", "stop_at_train_accuracy")
+               "precision", "exp_step_unit", "plateau_factor", "plateau_patience",
+               "stop_at_train_accuracy")
 
     p = sub.add_parser("eval", help="score a checkpoint against a shard manifest")
     _add_flags(p, "checkpoint", "manifest", "shard_dir", "embeddings", "batch_size",

@@ -329,22 +329,6 @@ def build_model(
     raise ConfigError(f"unknown preset {spec.preset!r}")
 
 
-def forward(
-    model: Model,
-    records: Sequence[EncodedSentence],
-    emb_matrix: np.ndarray,
-    mode: str = "eval",
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    return model.forward(records, emb_matrix, mode=mode, rng=rng)
-
-
-def predict(
-    model: Model, records: Sequence[EncodedSentence], emb_matrix: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    return model.predict(records, emb_matrix)
-
-
 def model_loss_fn(
     model: Model,
     records: Sequence[EncodedSentence],

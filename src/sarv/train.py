@@ -1,8 +1,9 @@
 """Optimizers, LR schedules, rebalancing, disk shards, and the train loop.
 
 Encoded records are stored in fixed-size JSONL shards with per-file
-content hashes; the loader streams them sequentially, prefetching at
-most one shard ahead so no more than two shards are ever resident.
+content hashes; the loader reads and checks one shard at a time, so
+only one shard is ever resident.  Every pass over the records (train,
+frozen train-accuracy, eval) is ``load_shards`` -> ``batches`` -> model.
 Training is single-writer over the model parameters and fully
 deterministic under a fixed seed.
 """
@@ -12,8 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import queue
-import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,13 +20,11 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from sarv.corpus import EncodedSentence
+from sarv.corpus import EncodedSentence, LabelScheme
 from sarv.errors import ConfigError, DataError, NumericsError
 from sarv.metrics import ConfusionMatrix, confusion, metrics
 from sarv.models import Model, ModelSpec, build_model, save_model
 from sarv.nn import Parameter, cross_entropy, one_hot, softmax_xent_grad, zero_grads
-
-DEFAULT_SHARD_SIZE = 200_000
 
 OPTIMIZERS = ("sgd", "adam")
 SCHEDULES = ("constant", "exp", "plateau")
@@ -45,8 +42,6 @@ class TrainConfig:
     exp_step_unit: str = "epoch"
     batch_size: int = 512
     epochs: int = 1
-    dropout_rate: float = 0.0
-    shard_size: int = DEFAULT_SHARD_SIZE
     seed: int = 0
     precision: str = "single"
     stop_at_train_accuracy: float | None = None
@@ -66,10 +61,6 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.shard_size < 1:
-            raise ConfigError(f"shard_size must be >= 1, got {self.shard_size}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if not 0.0 < self.plateau_factor < 1.0:
             raise ConfigError(f"plateau_factor must be in (0, 1), got {self.plateau_factor}")
 
@@ -241,77 +232,25 @@ def _read_shard(manifest: ShardManifest, info: ShardInfo) -> list[EncodedSentenc
 class ShardReader:
     """Sequential record stream over a manifest's shards.
 
-    With prefetch enabled a background thread loads the next shard while
-    the current one is consumed; a two-permit semaphore caps residency
-    at the current shard plus one prefetched shard.  ``max_resident``
-    records the high-water mark for instrumentation.
+    One shard is read and checked at a time, and dropped before the next
+    is read, so a pass holds at most one shard in memory.
+    ``max_resident`` records the high-water mark for instrumentation.
     """
 
-    def __init__(self, manifest: ShardManifest, prefetch: bool = True):
+    def __init__(self, manifest: ShardManifest):
         self.manifest = manifest
-        self.prefetch = prefetch
         self.max_resident = 0
-        self._resident = 0
-        self._lock = threading.Lock()
-
-    def _inc(self) -> None:
-        with self._lock:
-            self._resident += 1
-            self.max_resident = max(self.max_resident, self._resident)
-
-    def _dec(self) -> None:
-        with self._lock:
-            self._resident -= 1
 
     def __iter__(self) -> Iterator[EncodedSentence]:
-        if not self.prefetch:
-            for info in self.manifest.shards:
-                records = _read_shard(self.manifest, info)
-                self._inc()
-                try:
-                    yield from records
-                finally:
-                    del records
-                    self._dec()
-            return
-        yield from self._iter_prefetch()
-
-    def _iter_prefetch(self) -> Iterator[EncodedSentence]:
-        slots = threading.Semaphore(2)
-        out: queue.Queue = queue.Queue(maxsize=1)
-
-        def producer() -> None:
-            try:
-                for info in self.manifest.shards:
-                    slots.acquire()
-                    records = _read_shard(self.manifest, info)
-                    self._inc()
-                    out.put(("shard", records))
-                out.put(("done", None))
-            except BaseException as exc:  # surfaced on the consumer side
-                out.put(("error", exc))
-
-        thread = threading.Thread(target=producer, daemon=True)
-        thread.start()
-        try:
-            while True:
-                kind, payload = out.get()
-                if kind == "done":
-                    break
-                if kind == "error":
-                    raise payload
-                try:
-                    yield from payload
-                finally:
-                    del payload
-                    self._dec()
-                    slots.release()
-        finally:
-            thread.join(timeout=5)
+        for info in self.manifest.shards:
+            records = _read_shard(self.manifest, info)
+            self.max_resident = 1
+            yield from records
+            del records
 
 
-def load_shards(manifest: ShardManifest, prefetch: bool = True) -> ShardReader:
-    return ShardReader(manifest, prefetch=prefetch)
+def load_shards(manifest: ShardManifest) -> ShardReader:
+    return ShardReader(manifest)
 
 
 def batches(records: Iterable, size: int) -> Iterator[list]:
@@ -500,11 +439,13 @@ class TrainReport:
 def _eval_confusion(
     model: Model, manifest: ShardManifest, emb_matrix: np.ndarray, batch_size: int
 ) -> ConfusionMatrix:
+    num_classes = model.spec.num_classes
+    names = LabelScheme.for_num_classes(num_classes).classes
     cm: ConfusionMatrix | None = None
     for chunk in batches(load_shards(manifest), batch_size):
         preds, _ = model.predict(chunk, emb_matrix)
         truth = [r.label for r in chunk]
-        part = confusion(preds, truth, num_classes=model.spec.num_classes)
+        part = confusion(preds, truth, num_classes=num_classes, class_names=names)
         cm = part if cm is None else cm.merged(part)
     if cm is None:
         raise DataError("evaluation manifest holds no records")
@@ -525,7 +466,7 @@ def train_loop(
     under the scheduled lr, then score the train split (frozen pass) and
     the eval split.  The best-by-eval-accuracy checkpoint and the final
     checkpoint are both written.  With no eval manifest the train split
-    doubles as the eval split.
+    doubles as the eval split, and its frozen pass is scored only once.
     """
     t0 = time.perf_counter()
     out_dir = Path(out_dir)
@@ -539,7 +480,6 @@ def train_loop(
     plateau = PlateauScheduler(
         cfg.base_lr, cfg.plateau_factor, cfg.plateau_patience, cfg.plateau_start_epoch
     )
-    scoring = eval_manifest if eval_manifest is not None else train_manifest
     meta = {
         "seed": str(cfg.seed),
         "vocab_hash": train_manifest.vocab_hash,
@@ -578,9 +518,11 @@ def train_loop(
             n_batches += 1
             global_step += 1
 
-        train_cm = _eval_confusion(model, train_manifest, emb_matrix, cfg.batch_size)
-        train_acc = metrics(train_cm).accuracy
-        eval_report = metrics(_eval_confusion(model, scoring, emb_matrix, cfg.batch_size))
+        train_report = metrics(_eval_confusion(model, train_manifest, emb_matrix, cfg.batch_size))
+        train_acc = train_report.accuracy
+        eval_report = train_report if eval_manifest is None else metrics(
+            _eval_confusion(model, eval_manifest, emb_matrix, cfg.batch_size)
+        )
         report.epochs.append(
             EpochStats(
                 epoch=epoch,

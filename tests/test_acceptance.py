@@ -382,7 +382,7 @@ def test_criterion_08_shard_round_trip(tmp_path):
     first = write_shards(records, 1_000, tmp_path / "a", name="data",
                          max_word_chars=TINY_MAX_WORD_CHARS)
     assert len(first.shards) == 10
-    reader = load_shards(first, prefetch=True)
+    reader = load_shards(first)
     reloaded = list(reader)
     assert reloaded == records, "reload is not record-identical"
     assert reader.max_resident <= 2, f"loader held {reader.max_resident} shards"

@@ -8,8 +8,11 @@ mark.
 
 from __future__ import annotations
 
+import json
 import math
 import shutil
+import threading
+import time
 from collections import Counter
 from dataclasses import dataclass
 
@@ -66,8 +69,6 @@ def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(epochs=-1)
     with pytest.raises(ConfigError):
-        TrainConfig(dropout_rate=1.0)
-    with pytest.raises(ConfigError):
         TrainConfig(plateau_factor=1.0)
     assert TrainConfig(precision="double").dtype == np.float64
     assert TrainConfig(precision="single").dtype == np.float32
@@ -123,12 +124,6 @@ def test_write_shards_layout_and_reload(tmp_path):
     assert back == records  # order preserved, values identical
 
 
-def test_shard_reload_without_prefetch(tmp_path):
-    records = tiny_records(seed=1, n=7)
-    manifest = shard(records, shard_size=3, out_dir=tmp_path)
-    assert list(load_shards(manifest, prefetch=False)) == records
-
-
 def test_shard_hash_mismatch_is_fatal(tmp_path):
     records = tiny_records(seed=2, n=6)
     shard(records, shard_size=3, out_dir=tmp_path)
@@ -179,14 +174,26 @@ def test_manifest_load_missing_is_data_error(tmp_path):
         ShardManifest.load(tmp_path / "absent.manifest.json")
 
 
-def test_prefetch_keeps_at_most_two_shards_resident(tmp_path):
+def test_shard_reader_holds_one_shard_at_a_time(tmp_path):
     records = tiny_records(seed=5, n=40)
     manifest = shard(records, shard_size=4, out_dir=tmp_path)
     assert len(manifest.shards) == 10
-    reader = load_shards(manifest, prefetch=True)
+    reader = load_shards(manifest)
     seen = list(reader)
     assert seen == records
-    assert 1 <= reader.max_resident <= 2
+    assert reader.max_resident == 1
+
+
+def test_abandoned_shard_stream_closes_at_once(tmp_path):
+    manifest = shard(tiny_records(seed=6, n=12), shard_size=4, out_dir=tmp_path)
+    assert len(manifest.shards) == 3
+    threads_before = threading.active_count()
+    t0 = time.perf_counter()
+    it = iter(load_shards(manifest))
+    next(it)
+    it.close()
+    assert time.perf_counter() - t0 < 1.0
+    assert threading.active_count() == threads_before
 
 
 def test_batches_chunking():
@@ -486,3 +493,24 @@ def test_train_loop_separate_eval_manifest(tmp_path):
     best = max(report.epochs, key=lambda e: e.eval_accuracy)
     assert report.best_epoch == best.epoch
     assert (tmp_path / "run" / "checkpoint_best.bin").exists()
+
+
+@pytest.mark.parametrize("with_eval, passes_per_epoch", [(False, 2), (True, 3)])
+def test_train_loop_shard_passes_per_epoch(tmp_path, monkeypatch, with_eval, passes_per_epoch):
+    passes = []
+
+    def counting_load_shards(manifest):
+        passes.append(manifest)
+        return load_shards(manifest)
+
+    monkeypatch.setattr("sarv.train.load_shards", counting_load_shards)
+    train_m, emb = loop_fixtures(tmp_path, n=10)
+    eval_m = shard(tiny_records(seed=30, n=6), 5, tmp_path / "ev", name="test") if with_eval else None
+    cfg = TrainConfig(epochs=2, batch_size=4, precision="double")
+    train_loop(tiny_spec("W2V_SOFTMAX"), cfg, train_m, emb, tmp_path / "run", eval_manifest=eval_m)
+    assert len(passes) == 2 * passes_per_epoch
+    report = (tmp_path / "run" / "report.jsonl").read_text("utf-8")
+    rows = [json.loads(ln) for ln in report.splitlines()]
+    assert len(rows) == 2
+    if not with_eval:
+        assert all(row["eval_accuracy"] == row["train_accuracy"] for row in rows)
