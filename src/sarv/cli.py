@@ -20,34 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from sarv.corpus import (
-    LabelScheme,
-    encode_sentence,
-    preprocess_records,
-    read_corpus,
-)
-from sarv.embed import (
-    build_char_vocab,
-    build_token_vocab,
-    embedding_matrix,
-    load_embeddings,
-    parse_char_vocab,
-    parse_token_vocab,
-    serialize_char_vocab,
-    serialize_token_vocab,
-)
+from sarv.corpus import Encoder, LabelScheme, RawRecord, preprocess_records, read_corpus
+from sarv.embed import build_char_vocab, build_token_vocab, embedding_matrix, load_embeddings
 from sarv.errors import ConfigError, DataError, NumericsError, SarvError
 from sarv.metrics import category_stats, metrics
 from sarv.models import CHAR_PRESETS, PRESETS, ModelSpec, load_model
-from sarv.textproc import (
-    MAX_LEN,
-    NormConfig,
-    length_histogram,
-    load_stopwords,
-    normalize,
-    tokenize,
-    unify_length,
-)
+from sarv.textproc import MAX_LEN, NormConfig, length_histogram, load_stopwords
 from sarv.train import (
     ShardManifest,
     TrainConfig,
@@ -253,17 +231,14 @@ def _require(cfg: RunConfig, *names: str) -> None:
             raise ConfigError(f"{name} is required (pass {flag} or set it in the config file)")
 
 
-def _norm_config(cfg: RunConfig) -> NormConfig:
-    if cfg.stopwords:
-        return NormConfig(stopwords=load_stopwords(cfg.stopwords))
-    return NormConfig.default()
-
-
-def _write_resolved(cfg: RunConfig) -> None:
-    if cfg.out_dir:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "resolved.ini").write_text(config_to_ini(cfg), encoding="utf-8")
+def _write_outputs(cfg: RunConfig, files: dict[str, str]) -> None:
+    """Write each named text file, then ``resolved.ini``, into ``out_dir`` if one is set."""
+    if not cfg.out_dir:
+        return
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in {**files, "resolved.ini": config_to_ini(cfg)}.items():
+        (out / name).write_text(text, encoding="utf-8")
 
 
 def _col(value: str) -> str | int:
@@ -283,19 +258,18 @@ def _read_raw(cfg: RunConfig):
 
 
 def _encode_corpus(cfg: RunConfig):
-    """Corpus file -> (encoded records, vocabs, norm config, histogram, skipped)."""
-    norm = _norm_config(cfg)
+    """Corpus file -> (encoded records, encoder, histogram, skipped)."""
+    if cfg.stopwords:
+        norm = NormConfig(stopwords=load_stopwords(cfg.stopwords))
+    else:
+        norm = NormConfig.default()
     raw, skipped = _read_raw(cfg)
     triples = preprocess_records(raw, norm, MAX_LEN)
     seqs = [seq for seq, _, _ in triples]
-    token_vocab = build_token_vocab(seqs)
-    char_vocab = build_char_vocab(seqs)
+    encoder = Encoder(norm, build_token_vocab(seqs), build_char_vocab(seqs))
     scheme = LabelScheme.for_num_classes(cfg.classes)
-    encoded = [
-        encode_sentence(fixed, token_vocab, char_vocab, scheme.label_index(rec.label))
-        for _, fixed, rec in triples
-    ]
-    return encoded, token_vocab, char_vocab, norm, length_histogram(seqs), skipped
+    encoded = [encoder.encode(fixed, scheme.label_index(rec.label)) for _, fixed, rec in triples]
+    return encoded, encoder, length_histogram(seqs), skipped
 
 
 def _report_skipped(skipped) -> None:
@@ -311,17 +285,13 @@ def _histogram_text(hist) -> str:
 
 def cmd_preprocess(cfg: RunConfig) -> int:
     _require(cfg, "corpus", "out_dir")
-    encoded, token_vocab, char_vocab, _, hist, skipped = _encode_corpus(cfg)
+    encoded, encoder, hist, skipped = _encode_corpus(cfg)
     _report_skipped(skipped)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "encoded.jsonl").write_text(
-        "".join(rec.to_json_line() + "\n" for rec in encoded), encoding="utf-8"
-    )
-    (out / "vocab.tsv").write_text(serialize_token_vocab(token_vocab), encoding="utf-8")
-    (out / "chars.tsv").write_text(serialize_char_vocab(char_vocab), encoding="utf-8")
-    (out / "histogram.txt").write_text(_histogram_text(hist), encoding="utf-8")
-    _write_resolved(cfg)
+    encoder.save(cfg.out_dir)
+    _write_outputs(cfg, {
+        "encoded.jsonl": "".join(rec.to_json_line() + "\n" for rec in encoded),
+        "histogram.txt": _histogram_text(hist),
+    })
     if not encoded:
         print("warning: empty corpus, wrote 0 records", file=sys.stderr)
     print(f"records {len(encoded)}")
@@ -331,44 +301,31 @@ def cmd_preprocess(cfg: RunConfig) -> int:
 
 def cmd_shard(cfg: RunConfig) -> int:
     _require(cfg, "corpus", "out_dir")
-    encoded, token_vocab, char_vocab, norm, _, skipped = _encode_corpus(cfg)
+    encoded, encoder, _, skipped = _encode_corpus(cfg)
     _report_skipped(skipped)
     train, test = split_train_test(encoded, cfg.split, cfg.seed)
     if cfg.rus:
         train = random_undersample(train, seed=cfg.seed, num_classes=cfg.classes)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "vocab.tsv").write_text(serialize_token_vocab(token_vocab), encoding="utf-8")
-    (out / "chars.tsv").write_text(serialize_char_vocab(char_vocab), encoding="utf-8")
-    hashes = {
-        "vocab_hash": token_vocab.vocab_hash(),
-        "char_vocab_hash": char_vocab.vocab_hash(),
-        "norm_config_hash": norm.config_hash(),
-    }
+    encoder.save(cfg.out_dir)
     for name, records in (("train", train), ("test", test)):
         manifest = write_shards(
             records,
             cfg.shard_size,
-            out,
+            cfg.out_dir,
             name=name,
-            max_word_chars=char_vocab.max_word_chars,
+            max_word_chars=encoder.char_vocab.max_word_chars,
             split_seed=cfg.seed,
-            **hashes,
+            encoder_hashes=encoder.hashes(),
         )
         print(f"{name}: {manifest.total} records in {len(manifest.shards)} shard(s)")
-    _write_resolved(cfg)
+    _write_outputs(cfg, {})
     return 0
 
 
-def _load_vocabs(shard_dir: Path):
-    try:
-        token_vocab = parse_token_vocab((shard_dir / "vocab.tsv").read_text("utf-8"))
-        char_vocab = parse_char_vocab((shard_dir / "chars.tsv").read_text("utf-8"))
-    except OSError as exc:
-        raise DataError(f"missing vocabulary files in {shard_dir}: {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"corrupt vocabulary file in {shard_dir}: {exc}") from exc
-    return token_vocab, char_vocab
+def _checked_manifest(path: Path, encoder: Encoder) -> ShardManifest:
+    manifest = ShardManifest.load(path)
+    encoder.check(manifest.encoder_hashes, f"manifest {path}")
+    return manifest
 
 
 def _embedding_matrix_for(cfg: RunConfig, token_vocab, dtype):
@@ -379,13 +336,24 @@ def _embedding_matrix_for(cfg: RunConfig, token_vocab, dtype):
     return embedding_matrix(table, token_vocab, dtype=dtype)
 
 
+def _load_checkpoint(cfg: RunConfig, encoder: Encoder):
+    """Checkpoint -> (model, embedding matrix at the checkpoint's precision).
+
+    The checkpoint must have been trained on ``encoder``'s shard directory.
+    """
+    model, meta = load_model(cfg.checkpoint)
+    encoder.check(meta, f"checkpoint {cfg.checkpoint}")
+    dtype = np.float64 if meta.get("precision") == "double" else np.float32
+    return model, _embedding_matrix_for(cfg, encoder.token_vocab, dtype)
+
+
 def cmd_train(cfg: RunConfig) -> int:
     _require(cfg, "embeddings", "out_dir")
     shard_dir = Path(cfg.shard_dir or cfg.out_dir)
-    train_manifest = ShardManifest.load(shard_dir / "train.manifest.json")
+    encoder = Encoder.load(shard_dir)
+    train_manifest = _checked_manifest(shard_dir / "train.manifest.json", encoder)
     test_path = shard_dir / "test.manifest.json"
-    eval_manifest = ShardManifest.load(test_path) if test_path.exists() else None
-    token_vocab, char_vocab = _load_vocabs(shard_dir)
+    eval_manifest = _checked_manifest(test_path, encoder) if test_path.exists() else None
 
     train_cfg = TrainConfig(
         optimizer=cfg.optimizer,
@@ -405,53 +373,33 @@ def cmd_train(cfg: RunConfig) -> int:
         num_classes=cfg.classes,
         dropout_rate=cfg.dropout,
         max_word_chars=train_manifest.max_word_chars,
-        char_vocab_size=len(char_vocab) if cfg.preset in CHAR_PRESETS else 0,
+        char_vocab_size=len(encoder.char_vocab) if cfg.preset in CHAR_PRESETS else 0,
     )
-    emb = _embedding_matrix_for(cfg, token_vocab, train_cfg.dtype)
+    emb = _embedding_matrix_for(cfg, encoder.token_vocab, train_cfg.dtype)
     report, _ = train_loop(spec, train_cfg, train_manifest, emb, cfg.out_dir, eval_manifest)
-    _write_resolved(cfg)
+    _write_outputs(cfg, {})
     sys.stdout.write(report.to_text())
     print(f"wall_time_s {report.wall_time_s:.3f}")
     return 0
 
 
-def _checkpoint_vocab_guard(meta: dict, manifest: ShardManifest) -> None:
-    for key in ("vocab_hash", "char_vocab_hash"):
-        recorded, found = meta.get(key, ""), getattr(manifest, key, "")
-        if recorded and found and recorded != found:
-            raise DataError(
-                f"checkpoint/manifest mismatch: {key} {recorded[:12]}… vs {found[:12]}…"
-            )
-
-
 def cmd_eval(cfg: RunConfig) -> int:
     _require(cfg, "checkpoint", "embeddings")
     shard_dir = Path(cfg.shard_dir or cfg.out_dir or ".")
+    encoder = Encoder.load(shard_dir)
     manifest_path = Path(cfg.manifest) if cfg.manifest else shard_dir / "test.manifest.json"
-    manifest = ShardManifest.load(manifest_path)
-    model, meta = load_model(cfg.checkpoint)
-    _checkpoint_vocab_guard(meta, manifest)
-    token_vocab, _ = _load_vocabs(shard_dir)
-    emb = _embedding_matrix_for(
-        cfg, token_vocab, np.float64 if meta.get("precision") == "double" else np.float32
-    )
+    manifest = _checked_manifest(manifest_path, encoder)
+    model, emb = _load_checkpoint(cfg, encoder)
     report = metrics(_eval_confusion(model, manifest, emb, cfg.batch_size))
     sys.stdout.write(report.to_text())
-    if cfg.out_dir:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "metrics.txt").write_text(report.to_text(), encoding="utf-8")
-        (out / "metrics.json").write_text(report.to_json() + "\n", encoding="utf-8")
-        _write_resolved(cfg)
+    _write_outputs(cfg, {"metrics.txt": report.to_text(), "metrics.json": report.to_json() + "\n"})
     return 0
 
 
 def cmd_predict(cfg: RunConfig) -> int:
     _require(cfg, "checkpoint", "embeddings", "shard_dir")
-    model, _ = load_model(cfg.checkpoint)
-    token_vocab, char_vocab = _load_vocabs(Path(cfg.shard_dir))
-    norm = _norm_config(cfg)
-    emb = _embedding_matrix_for(cfg, token_vocab, np.float32)
+    encoder = Encoder.load(cfg.shard_dir)
+    model, emb = _load_checkpoint(cfg, encoder)
     scheme = LabelScheme.for_num_classes(model.spec.num_classes)
     if cfg.input_path:
         try:
@@ -461,26 +409,20 @@ def cmd_predict(cfg: RunConfig) -> int:
     else:
         lines = sys.stdin.read().splitlines()
     lines = [ln for ln in lines if ln.strip()]
-    out_lines = []
+    text = ""
     if lines:
+        raw = [RawRecord(text=ln, label="") for ln in lines]
         encoded = [
-            encode_sentence(
-                unify_length(tokenize(normalize(ln, norm)), MAX_LEN),
-                token_vocab, char_vocab, label=0,
-            )
-            for ln in lines
+            encoder.encode(fixed, label=0)
+            for _, fixed, _ in preprocess_records(raw, encoder.norm, MAX_LEN)
         ]
         labels, probs = model.predict(encoded, emb)
-        for k, ln in enumerate(lines):
-            cols = [scheme.classes[labels[k]]] + [f"{p:.6f}" for p in probs[k]]
-            out_lines.append("\t".join(cols))
-    text = "".join(line + "\n" for line in out_lines)
+        text = "".join(
+            "\t".join([scheme.classes[y]] + [f"{p:.6f}" for p in row]) + "\n"
+            for y, row in zip(labels, probs)
+        )
     sys.stdout.write(text)
-    if cfg.out_dir:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "predictions.tsv").write_text(text, encoding="utf-8")
-        _write_resolved(cfg)
+    _write_outputs(cfg, {"predictions.tsv": text})
     return 0
 
 
@@ -490,11 +432,7 @@ def cmd_stats(cfg: RunConfig) -> int:
     _report_skipped(skipped)
     stats = category_stats(raw, LabelScheme.for_num_classes(cfg.classes))
     sys.stdout.write(stats.to_text())
-    if cfg.out_dir:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "stats.tsv").write_text(stats.to_text(), encoding="utf-8")
-        _write_resolved(cfg)
+    _write_outputs(cfg, {"stats.tsv": stats.to_text()})
     return 0
 
 
@@ -582,8 +520,7 @@ def build_parser() -> _Parser:
                "out_dir", "seed")
 
     p = sub.add_parser("predict", help="classify raw text lines")
-    _add_flags(p, "checkpoint", "shard_dir", "embeddings", "stopwords", "input_path",
-               "out_dir", "seed")
+    _add_flags(p, "checkpoint", "shard_dir", "embeddings", "input_path", "out_dir", "seed")
 
     p = sub.add_parser("stats", help="per-category label counts for a corpus")
     _add_flags(p, *_CORPUS_FLAGS, "classes", "out_dir", "seed")

@@ -1,9 +1,12 @@
-"""Corpus readers, label schemes, and encoded record serialization.
+"""Corpus readers, label schemes, the encoder, and encoded record serialization.
 
 A corpus is delimited text (CSV/TSV) with a configurable column mapping
 for {text, label, category}, or line-delimited JSON records with those
 keys.  Encoded records are the unit stored in shards: fixed-length
-token ids, per-token char ids, true length, and class label.
+token ids, per-token char ids, true length, and class label.  An
+:class:`Encoder` holds the normaliser and vocabularies a shard directory
+was encoded with, and checks them against what manifests and
+checkpoints recorded.
 """
 
 from __future__ import annotations
@@ -12,13 +15,15 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from sarv.embed import CharVocab, TokenVocab, encode_chars, encode_token_ids
+from sarv.embed import (CharVocab, TokenVocab, encode_chars, encode_token_ids, parse_char_vocab,
+                        parse_token_vocab, serialize_char_vocab, serialize_token_vocab)
 from sarv.errors import ConfigError, DataError
-from sarv.textproc import FixedSentence, NormConfig, TokenSeq, normalize, tokenize, unify_length
+from sarv.textproc import (FixedSentence, NormConfig, TokenSeq, load_stopwords, normalize,
+                           tokenize, unify_length)
 
 BINARY_CLASSES = ("negative", "positive")
 TERNARY_CLASSES = ("negative", "neutral", "positive")
@@ -241,6 +246,72 @@ def encode_sentence(
     return EncodedSentence(
         token_ids=token_ids, char_ids=char_ids, true_length=fixed.true_length, label=label
     )
+
+
+# What shard manifests and checkpoints record of the encoder they were built with.
+ENCODER_HASH_KEYS = ("vocab_hash", "char_vocab_hash", "norm_config_hash")
+
+
+@dataclass(frozen=True)
+class Encoder:
+    """The normaliser and vocabularies one shard directory was encoded with.
+
+    ``encode`` is the one path from a fixed sentence to an
+    :class:`EncodedSentence`.  ``save``/``load`` own the directory's
+    ``vocab.tsv``, ``chars.tsv`` and ``stopwords.txt`` (the folded
+    stopword set, sorted, one per line); ``check`` refuses a manifest or
+    checkpoint recorded against any other encoder.
+    """
+
+    norm: NormConfig
+    token_vocab: TokenVocab
+    char_vocab: CharVocab
+
+    def save(self, out_dir) -> None:
+        out_dir = Path(out_dir)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        files = {
+            "vocab.tsv": serialize_token_vocab(self.token_vocab),
+            "chars.tsv": serialize_char_vocab(self.char_vocab),
+            "stopwords.txt": "".join(w + "\n" for w in sorted(self.norm.stopwords)),
+        }
+        for name, text in files.items():
+            (out_dir / name).write_text(text, encoding="utf-8")
+
+    @classmethod
+    def load(cls, shard_dir) -> "Encoder":
+        shard_dir = Path(shard_dir)
+        try:
+            token_vocab = parse_token_vocab((shard_dir / "vocab.tsv").read_text("utf-8"))
+            char_vocab = parse_char_vocab((shard_dir / "chars.tsv").read_text("utf-8"))
+            stopwords = load_stopwords(shard_dir / "stopwords.txt")
+        except OSError as exc:
+            raise DataError(f"missing encoder file in {shard_dir}: {exc}") from exc
+        except ValueError as exc:  # includes UnicodeDecodeError
+            raise DataError(f"corrupt encoder file in {shard_dir}: {exc}") from exc
+        return cls(NormConfig(stopwords=stopwords), token_vocab, char_vocab)
+
+    def hashes(self) -> dict[str, str]:
+        """This encoder's value for each of ``ENCODER_HASH_KEYS``."""
+        values = (self.token_vocab.vocab_hash(), self.char_vocab.vocab_hash(),
+                  self.norm.config_hash())
+        return dict(zip(ENCODER_HASH_KEYS, values))
+
+    def check(self, recorded: Mapping[str, str], source: str) -> None:
+        """Raise DataError unless ``recorded`` holds all three of this encoder's hashes.
+
+        A missing or empty recorded hash is a mismatch too.
+        """
+        for key, found in self.hashes().items():
+            want = recorded.get(key) or ""
+            if want != found:
+                raise DataError(
+                    f"{source} / shard directory mismatch: {key} "
+                    f"{want[:12] or '(none)'}… recorded vs {found[:12]}… in the shard directory"
+                )
+
+    def encode(self, fixed: FixedSentence, label: int) -> EncodedSentence:
+        return encode_sentence(fixed, self.token_vocab, self.char_vocab, label)
 
 
 def preprocess_records(

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from sarv.corpus import EncodedSentence, LabelScheme
+from sarv.corpus import ENCODER_HASH_KEYS, EncodedSentence, LabelScheme
 from sarv.errors import ConfigError, DataError, NumericsError
 from sarv.metrics import ConfusionMatrix, confusion, metrics
 from sarv.models import Model, ModelSpec, build_model, save_model
@@ -103,9 +103,7 @@ class ShardManifest:
     shard_size: int
     class_histogram: dict[int, int]
     max_word_chars: int
-    vocab_hash: str = ""
-    char_vocab_hash: str = ""
-    norm_config_hash: str = ""
+    encoder_hashes: dict[str, str] = field(default_factory=dict)
     split_seed: int | None = None
     base_dir: Path | None = None  # set on load; not serialized
 
@@ -124,9 +122,7 @@ class ShardManifest:
                 "shard_size": self.shard_size,
                 "max_word_chars": self.max_word_chars,
                 "class_histogram": {str(k): v for k, v in sorted(self.class_histogram.items())},
-                "vocab_hash": self.vocab_hash,
-                "char_vocab_hash": self.char_vocab_hash,
-                "norm_config_hash": self.norm_config_hash,
+                **self.encoder_hashes,
                 "split_seed": self.split_seed,
                 "shards": [
                     {"path": s.path, "count": s.count, "sha256": s.sha256} for s in self.shards
@@ -152,9 +148,7 @@ class ShardManifest:
             shard_size=obj["shard_size"],
             class_histogram={int(k): v for k, v in obj["class_histogram"].items()},
             max_word_chars=obj["max_word_chars"],
-            vocab_hash=obj.get("vocab_hash", ""),
-            char_vocab_hash=obj.get("char_vocab_hash", ""),
-            norm_config_hash=obj.get("norm_config_hash", ""),
+            encoder_hashes={k: obj[k] for k in ENCODER_HASH_KEYS if k in obj},
             split_seed=obj.get("split_seed"),
             base_dir=path.parent,
         )
@@ -168,9 +162,7 @@ def write_shards(
     out_dir,
     name: str = "data",
     max_word_chars: int = 20,
-    vocab_hash: str = "",
-    char_vocab_hash: str = "",
-    norm_config_hash: str = "",
+    encoder_hashes: dict[str, str] | None = None,
     split_seed: int | None = None,
 ) -> ShardManifest:
     """Chunk records into ``shard_size`` JSONL files plus a manifest."""
@@ -205,9 +197,7 @@ def write_shards(
         shard_size=shard_size,
         class_histogram=histogram,
         max_word_chars=max_word_chars,
-        vocab_hash=vocab_hash,
-        char_vocab_hash=char_vocab_hash,
-        norm_config_hash=norm_config_hash,
+        encoder_hashes=dict(encoder_hashes or {}),
         split_seed=split_seed,
         base_dir=out_dir,
     )
@@ -480,12 +470,7 @@ def train_loop(
     plateau = PlateauScheduler(
         cfg.base_lr, cfg.plateau_factor, cfg.plateau_patience, cfg.plateau_start_epoch
     )
-    meta = {
-        "seed": str(cfg.seed),
-        "vocab_hash": train_manifest.vocab_hash,
-        "char_vocab_hash": train_manifest.char_vocab_hash,
-        "norm_config_hash": train_manifest.norm_config_hash,
-    }
+    meta = {"seed": str(cfg.seed), **train_manifest.encoder_hashes}
 
     report = TrainReport()
     best_acc = -math.inf

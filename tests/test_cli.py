@@ -5,10 +5,12 @@ from __future__ import annotations
 import io
 import json
 import re
+import shutil
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sarv.cli import (
@@ -20,11 +22,21 @@ from sarv.cli import (
     main,
     resolve_config,
 )
-from sarv.corpus import RawRecord
+from sarv.corpus import RawRecord, encode_sentence
+from sarv.embed import embedding_matrix, parse_char_vocab, parse_token_vocab
 from sarv.errors import ConfigError
+from sarv.models import load_model
+from sarv.textproc import MAX_LEN, NormConfig, normalize, tokenize, unify_length
 from sarv.train import ShardManifest
 
-from conftest import REVIEWS_TSV, separable_rows, bundled_embedding_path, write_corpus_tsv
+from conftest import (
+    FILLERS,
+    REVIEWS_TSV,
+    bundled_embedding_path,
+    emb_matrix_for,
+    separable_rows,
+    write_corpus_tsv,
+)
 
 
 def invoke(capsys, *argv):
@@ -393,19 +405,121 @@ def test_eval_on_train_split_matches_reported_accuracy(trained, tmp_path, capsys
     assert saved["accuracy"] == pytest.approx(accuracy, abs=1e-6)
 
 
-def test_eval_rejects_checkpoint_from_other_vocab(trained, tmp_path, capsys):
-    _, _, run = trained
+@pytest.fixture(scope="module")
+def other_shards(tmp_path_factory):
+    """Shards of a different corpus than ``trained``'s, so the vocabulary hash differs."""
+    base = tmp_path_factory.mktemp("cli_other")
     rows = separable_rows(20, classes=2, seed=77)
     # different filler usage -> different vocabulary -> different hash
-    other_corpus = write_corpus_tsv(tmp_path / "other.tsv", rows[:10])
-    other_shards = tmp_path / "other_shards"
-    assert invoke(capsys, "shard", "--corpus", other_corpus, "--out-dir", other_shards)[0] == 0
+    other_corpus = write_corpus_tsv(base / "other.tsv", rows[:10])
+    assert main(["shard", "--corpus", str(other_corpus), "--out-dir", str(base / "shards")]) == 0
+    return base / "shards"
+
+
+def test_eval_rejects_checkpoint_from_other_vocab(trained, other_shards, capsys):
+    _, _, run = trained
     code, _, stderr = invoke(
         capsys, "eval", "--checkpoint", run / "checkpoint_final.bin",
         "--shard-dir", other_shards, "--embeddings", bundled_embedding_path(),
     )
     assert code == 2
     assert "mismatch" in stderr
+
+
+@pytest.mark.parametrize("case, word", [
+    ("predict_other_shard_dir", "mismatch"),
+    ("eval_own_manifest_other_shard_dir", "mismatch"),
+    ("train_swapped_vocab", "mismatch"),
+    ("predict_tampered_stopwords", "mismatch"),
+    ("predict_missing_stopwords", "missing"),
+])
+def test_mismatched_shard_dir_exits_two(case, word, trained, other_shards, tmp_path, capsys):
+    _, shards, run = trained
+    ckpt = run / "checkpoint_final.bin"
+    emb = bundled_embedding_path()
+    lines = tmp_path / "lines.txt"
+    lines.write_text("واقعا عالی بود\n", encoding="utf-8")
+    predict = ["predict", "--checkpoint", ckpt, "--embeddings", emb, "--input", lines]
+    tampered = tmp_path / "shards"
+    shutil.copytree(shards, tampered)
+    if case == "predict_other_shard_dir":
+        argv = predict + ["--shard-dir", other_shards]
+    elif case == "eval_own_manifest_other_shard_dir":
+        argv = ["eval", "--checkpoint", ckpt, "--embeddings", emb, "--shard-dir", other_shards,
+                "--manifest", shards / "test.manifest.json"]
+    elif case == "train_swapped_vocab":
+        shutil.copy(other_shards / "vocab.tsv", tampered / "vocab.tsv")
+        argv = ["train", "--shard-dir", tampered, "--out-dir", tmp_path / "run",
+                "--embeddings", emb, "--preset", "W2V_SOFTMAX", "--batch-size", 16]
+    elif case == "predict_tampered_stopwords":
+        with open(tampered / "stopwords.txt", "a", encoding="utf-8") as fh:
+            fh.write(FILLERS[0] + "\n")
+        argv = predict + ["--shard-dir", tampered]
+    else:
+        (tampered / "stopwords.txt").unlink()
+        argv = predict + ["--shard-dir", tampered]
+    code, stdout, stderr = invoke(capsys, *argv)
+    assert code == 2, stdout
+    assert word in stderr
+
+
+def test_predict_normalizes_with_shard_stopwords(tmp_path, capsys):
+    stopwords = frozenset({FILLERS[0], FILLERS[1]})
+    stop_file = tmp_path / "stop.txt"
+    stop_file.write_text("".join(w + "\n" for w in stopwords), encoding="utf-8")
+    corpus = write_corpus_tsv(tmp_path / "c.tsv", separable_rows(60, classes=2, seed=21))
+    shards, run = tmp_path / "shards", tmp_path / "run"
+    assert invoke(capsys, "shard", "--corpus", corpus, "--out-dir", shards,
+                  "--stopwords", stop_file)[0] == 0
+    assert invoke(capsys, "train", "--shard-dir", shards, "--out-dir", run,
+                  "--embeddings", bundled_embedding_path(), "--preset", "W2V_SOFTMAX",
+                  "--epochs", 5, "--batch-size", 16, "--lr", 0.05)[0] == 0
+    lines = [f"{FILLERS[0]} {FILLERS[0]} {FILLERS[1]} عالی", f"{FILLERS[1]} {FILLERS[2]} افتضاح"]
+    inp = tmp_path / "lines.txt"
+    inp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, stdout, _ = invoke(
+        capsys, "predict", "--checkpoint", run / "checkpoint_final.bin", "--shard-dir", shards,
+        "--embeddings", bundled_embedding_path(), "--input", inp,
+    )
+    assert code == 0
+
+    model, _ = load_model(run / "checkpoint_final.bin")
+    token_vocab = parse_token_vocab((shards / "vocab.tsv").read_text("utf-8"))
+    char_vocab = parse_char_vocab((shards / "chars.tsv").read_text("utf-8"))
+    norm = NormConfig(stopwords=stopwords)
+    encoded = [
+        encode_sentence(unify_length(tokenize(normalize(ln, norm)), MAX_LEN),
+                        token_vocab, char_vocab, label=0)
+        for ln in lines
+    ]
+    labels, probs = model.predict(encoded, emb_matrix_for(token_vocab))
+    expected = "".join(
+        "\t".join([("negative", "positive")[y]] + [f"{p:.6f}" for p in row]) + "\n"
+        for y, row in zip(labels, probs)
+    )
+    assert stdout == expected
+    assert (shards / "stopwords.txt").read_text("utf-8").splitlines() == sorted(stopwords)
+
+
+def test_eval_and_predict_embed_at_checkpoint_precision(trained, tmp_path, capsys, monkeypatch):
+    _, shards, _ = trained
+    run = tmp_path / "run"
+    assert invoke(capsys, "train", "--shard-dir", shards, "--out-dir", run,
+                  "--embeddings", bundled_embedding_path(), "--preset", "W2V_SOFTMAX",
+                  "--batch-size", 16, "--precision", "double")[0] == 0
+    dtypes = []
+
+    def spy(table, vocab, dtype=np.float32):
+        dtypes.append(np.dtype(dtype))
+        return embedding_matrix(table, vocab, dtype=dtype)
+
+    monkeypatch.setattr("sarv.cli.embedding_matrix", spy)
+    common = ["--checkpoint", run / "checkpoint_final.bin", "--shard-dir", shards,
+              "--embeddings", bundled_embedding_path()]
+    assert invoke(capsys, "eval", *common)[0] == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO("عالی\n"))
+    assert invoke(capsys, "predict", *common)[0] == 0
+    assert dtypes == [np.dtype(np.float64), np.dtype(np.float64)]
 
 
 def test_predict_from_file_and_stdin(trained, tmp_path, capsys, monkeypatch):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from sarv.corpus import (
     EncodedSentence,
+    Encoder,
     LabelScheme,
     RawRecord,
     encode_sentence,
@@ -220,6 +221,33 @@ def test_from_json_line_rejects_malformed():
     for bad in ("not json", "{}", '{"t": [1], "c": "x", "len": 1, "y": 0}'):
         with pytest.raises(DataError):
             EncodedSentence.from_json_line(bad, max_word_chars=5)
+
+
+def test_encoder_round_trip_and_check(tmp_path):
+    token_vocab, char_vocab = make_vocabs("خوب بد کتاب")
+    norm = NormConfig(stopwords=frozenset({"كتاب", "Very "}))  # Arabic kaf, case, padding
+    encoder = Encoder(norm, token_vocab, char_vocab)
+    encoder.save(tmp_path)
+    assert (tmp_path / "stopwords.txt").read_text("utf-8") == "very\nکتاب\n"
+    back = Encoder.load(tmp_path)
+    hashes = encoder.hashes()
+    assert back == encoder
+    assert back.hashes() == hashes
+    back.check(hashes, "manifest")
+    fixed = unify_length(["خوب", "بد"])
+    assert back.encode(fixed, 1) == encode_sentence(fixed, token_vocab, char_vocab, 1)
+    for key in hashes:
+        empty = {**hashes, key: ""}
+        missing = {k: v for k, v in hashes.items() if k != key}
+        for recorded in (empty, missing):
+            with pytest.raises(DataError, match="mismatch"):
+                back.check(recorded, "manifest")
+    (tmp_path / "chars.tsv").write_text("x\t7\n", encoding="utf-8")
+    with pytest.raises(DataError, match="corrupt"):
+        Encoder.load(tmp_path)
+    (tmp_path / "vocab.tsv").unlink()
+    with pytest.raises(DataError, match="missing"):
+        Encoder.load(tmp_path)
 
 
 # ---------------------------------------------------------------------------
