@@ -260,7 +260,10 @@ def _read_raw(cfg: RunConfig):
 def _encode_corpus(cfg: RunConfig):
     """Corpus file -> (encoded records, encoder, histogram, skipped)."""
     if cfg.stopwords:
-        norm = NormConfig(stopwords=load_stopwords(cfg.stopwords))
+        try:
+            norm = NormConfig(stopwords=load_stopwords(cfg.stopwords))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DataError(f"cannot read stopwords {cfg.stopwords}: {exc}") from exc
     else:
         norm = NormConfig.default()
     raw, skipped = _read_raw(cfg)

@@ -1,9 +1,11 @@
-"""Corpus readers, label schemes, the encoder, and encoded record serialization.
+"""Corpus readers, label schemes, the encoder, and the encoded record layout.
 
 A corpus is delimited text (CSV/TSV) with a configurable column mapping
 for {text, label, category}, or line-delimited JSON records with those
-keys.  Encoded records are the unit stored in shards: fixed-length
-token ids, per-token char ids, true length, and class label.  An
+keys.  An encoded record is fixed-length token ids, per-token char ids,
+true length, and class label.  The encoder returns one
+:class:`EncodedSentence` per review; from shards to the model, records
+are rows of one structured array (:func:`record_dtype`).  An
 :class:`Encoder` holds the normaliser and vocabularies a shard directory
 was encoded with, and checks them against what manifests and
 checkpoints recorded.
@@ -22,8 +24,8 @@ import numpy as np
 from sarv.embed import (CharVocab, TokenVocab, encode_chars, encode_token_ids, parse_char_vocab,
                         parse_token_vocab, serialize_char_vocab, serialize_token_vocab)
 from sarv.errors import ConfigError, DataError
-from sarv.textproc import (FixedSentence, NormConfig, TokenSeq, load_stopwords, normalize,
-                           tokenize, unify_length)
+from sarv.textproc import (MAX_LEN, FixedSentence, NormConfig, TokenSeq, load_stopwords,
+                           normalize, tokenize, unify_length)
 
 BINARY_CLASSES = ("negative", "positive")
 TERNARY_CLASSES = ("negative", "neutral", "positive")
@@ -204,33 +206,40 @@ class EncodedSentence:
     label: int
 
     def to_json_line(self) -> str:
-        chars = [_trim_zeros(row) for row in self.char_ids]
+        """The record as one JSON line, char rows without trailing zeros."""
+        chars = [list(np.trim_zeros(row, "b")) for row in self.char_ids]
         obj = {"t": list(self.token_ids), "c": chars, "len": self.true_length, "y": self.label}
         return json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
 
-    @classmethod
-    def from_json_line(cls, line: str, max_word_chars: int) -> "EncodedSentence":
-        try:
-            obj = json.loads(line)
-            chars = tuple(
-                tuple(int(c) for c in row) + (0,) * (max_word_chars - len(row))
-                for row in obj["c"]
-            )
-            return cls(
-                token_ids=tuple(int(t) for t in obj["t"]),
-                char_ids=chars,
-                true_length=int(obj["len"]),
-                label=int(obj["y"]),
-            )
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"malformed shard record: {exc}") from exc
+
+def record_dtype(max_len: int, max_word_chars: int) -> np.dtype:
+    """One encoded record as a row of a structured array.
+
+    ``y`` label, ``len`` true length, ``t`` token ids, ``c`` char ids per
+    token slot; 668 bytes per record at 15 slots of 20 chars.
+    """
+    return np.dtype([
+        ("y", "<i4"),
+        ("len", "<i4"),
+        ("t", "<i4", (max_len,)),
+        ("c", "<u2", (max_len, max_word_chars)),
+    ])
 
 
-def _trim_zeros(row: Sequence[int]) -> list[int]:
-    out = list(row)
-    while out and out[-1] == 0:
-        out.pop()
-    return out
+def as_records(records: Sequence[EncodedSentence] | np.ndarray, max_word_chars: int) -> np.ndarray:
+    """The encoder's sentences stacked into one record array, in order.
+
+    A record array passes through unchanged.  The slot count is the
+    sentences' own (``MAX_LEN`` when there are none).
+    """
+    if isinstance(records, np.ndarray):
+        return records
+    max_len = len(records[0].token_ids) if records else MAX_LEN
+    rows = [(r.label, r.true_length, r.token_ids, r.char_ids) for r in records]
+    try:
+        return np.array(rows, dtype=record_dtype(max_len, max_word_chars))
+    except (ValueError, OverflowError) as exc:
+        raise DataError(f"records do not fit {max_len} slots x {max_word_chars} chars: {exc}") from exc
 
 
 def encode_sentence(
@@ -323,7 +332,3 @@ def preprocess_records(
         seq = tokenize(normalize(rec.text, cfg), source_id=rec.source_id)
         out.append((seq, unify_length(seq, max_len), rec))
     return out
-
-
-def labels_array(records: Sequence[EncodedSentence]) -> np.ndarray:
-    return np.array([r.label for r in records], dtype=np.int64)

@@ -89,11 +89,6 @@ def lookup(table: EmbeddingTable, token: str) -> np.ndarray:
     return table.entries.get(token, table.zero_vector)
 
 
-def vectorize_sentence(sentence: FixedSentence, table: EmbeddingTable) -> np.ndarray:
-    """Stack per-slot vectors into a ``[max_len, dim]`` matrix."""
-    return np.stack([lookup(table, t) for t in sentence.tokens])
-
-
 @dataclass(frozen=True)
 class CharVocab:
     """Dense character ids starting at 1; id 0 is reserved char-PAD."""

@@ -1,7 +1,8 @@
 """The seven classifier presets and their forward/predict paths.
 
-Every preset consumes a batch of encoded sentences plus a frozen
-embedding matrix and produces per-class probabilities.  Architectures:
+Every preset consumes a batch of records (a structured array, see
+:func:`sarv.corpus.record_dtype`) plus a frozen embedding matrix and
+produces per-class probabilities.  Architectures:
 
 * ``W2V_SOFTMAX``: flatten the 15x50 input and map straight to classes.
 * ``W2V_MLP_*``: flatten, then a dense chain over ``hidden_sizes`` with
@@ -15,12 +16,12 @@ embedding matrix and produces per-class probabilities.  Architectures:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
 
-from sarv.corpus import EncodedSentence
+from sarv.corpus import EncodedSentence, as_records
 from sarv.errors import ConfigError, DataError
 from sarv.nn import (
     ACTIVATIONS,
@@ -97,56 +98,20 @@ class ModelSpec:
             raise ConfigError("char_vocab_size must be >= 0")
 
     def to_meta(self) -> dict[str, str]:
-        return {
-            "preset": self.preset,
-            "num_classes": str(self.num_classes),
-            "hidden_sizes": ",".join(map(str, self.hidden_sizes)),
-            "word_lstm_size": str(self.word_lstm_size),
-            "char_lstm_size": str(self.char_lstm_size),
-            "char_embed_width": str(self.char_embed_width),
-            "dropout_rate": repr(self.dropout_rate),
-            "embed_dim": str(self.embed_dim),
-            "max_len": str(self.max_len),
-            "max_word_chars": str(self.max_word_chars),
-            "char_vocab_size": str(self.char_vocab_size),
-        }
+        """Every field as text: tuples comma-joined, floats by ``repr``."""
+        meta = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, tuple):
+                value = ",".join(map(str, value))
+            meta[f.name] = repr(value) if isinstance(value, float) else str(value)
+        return meta
 
     @classmethod
     def from_meta(cls, meta: dict[str, str]) -> "ModelSpec":
-        return cls(
-            preset=meta["preset"],
-            num_classes=int(meta["num_classes"]),
-            hidden_sizes=tuple(int(s) for s in meta["hidden_sizes"].split(",") if s),
-            word_lstm_size=int(meta["word_lstm_size"]),
-            char_lstm_size=int(meta["char_lstm_size"]),
-            char_embed_width=int(meta["char_embed_width"]),
-            dropout_rate=float(meta["dropout_rate"]),
-            embed_dim=int(meta["embed_dim"]),
-            max_len=int(meta["max_len"]),
-            max_word_chars=int(meta["max_word_chars"]),
-            char_vocab_size=int(meta["char_vocab_size"]),
-        )
-
-
-@dataclass
-class Batch:
-    """Dense arrays assembled from encoded sentences."""
-
-    word_vecs: np.ndarray      # [B, max_len, embed_dim]
-    char_ids: np.ndarray       # [B, max_len, max_word_chars]
-    lengths: np.ndarray        # [B], clamped to >= 1
-    labels: np.ndarray         # [B]
-
-
-def assemble_batch(records: Sequence[EncodedSentence], emb_matrix: np.ndarray) -> Batch:
-    if not records:
-        raise ValueError("empty batch")
-    token_ids = np.array([r.token_ids for r in records], dtype=np.int64)
-    char_ids = np.array([r.char_ids for r in records], dtype=np.int64)
-    # An all-PAD sentence still runs one LSTM step over the zero vector.
-    lengths = np.maximum([r.true_length for r in records], 1).astype(np.int64)
-    labels = np.array([r.label for r in records], dtype=np.int64)
-    return Batch(emb_matrix[token_ids], char_ids, lengths, labels)
+        parse = {"str": str, "int": int, "float": float,
+                 "tuple[int, ...]": lambda s: tuple(int(x) for x in s.split(",") if x)}
+        return cls(**{f.name: parse[f.type](meta[f.name]) for f in fields(cls)})
 
 
 class Model:
@@ -158,7 +123,7 @@ class Model:
     def params(self) -> list[Parameter]:
         raise NotImplementedError
 
-    def _logits(self, batch: Batch, mode: str, rng) -> np.ndarray:
+    def _logits(self, batch: np.ndarray, emb_matrix: np.ndarray, mode: str, rng) -> np.ndarray:
         raise NotImplementedError
 
     def _backward_logits(self, dlogits: np.ndarray) -> None:
@@ -166,31 +131,30 @@ class Model:
 
     def forward(
         self,
-        records: Sequence[EncodedSentence],
+        batch: np.ndarray,
         emb_matrix: np.ndarray,
         mode: str = "eval",
         rng: np.random.Generator | None = None,
-        logit_shift: float = 0.0,
     ) -> np.ndarray:
-        """Probability rows for a batch; ``logit_shift`` is a test hook."""
+        """Probability rows for a record array."""
         if emb_matrix.shape[1] != self.spec.embed_dim:
             raise ConfigError(
                 f"embedding dim {emb_matrix.shape[1]} != spec embed_dim {self.spec.embed_dim}"
             )
-        batch = assemble_batch(records, emb_matrix)
-        logits = self._logits(batch, mode, rng)
-        if logit_shift:
-            logits = logits + logit_shift
-        return softmax(logits)
+        return softmax(self._logits(batch, emb_matrix, mode, rng))
 
     def backward(self, dlogits: np.ndarray) -> None:
         self._backward_logits(dlogits)
 
     def predict(
-        self, records: Sequence[EncodedSentence], emb_matrix: np.ndarray
+        self, records: Sequence[EncodedSentence] | np.ndarray, emb_matrix: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Argmax labels (ties break toward the lowest class index) + probs."""
-        probs = self.forward(records, emb_matrix, mode="eval")
+        """Argmax labels (ties break toward the lowest class index) + probs.
+
+        ``records`` is a record array, or encoded sentences to stack into one.
+        """
+        batch = as_records(records, self.spec.max_word_chars)
+        probs = self.forward(batch, emb_matrix, mode="eval")
         return np.argmax(probs, axis=1), probs
 
     def parameter_count(self) -> int:
@@ -225,8 +189,8 @@ class _FeedForward(Model):
             out.extend(layer.params())
         return out
 
-    def _logits(self, batch: Batch, mode: str, rng) -> np.ndarray:
-        x = batch.word_vecs.reshape(len(batch.labels), -1)
+    def _logits(self, batch: np.ndarray, emb_matrix: np.ndarray, mode: str, rng) -> np.ndarray:
+        x = emb_matrix[batch["t"]].reshape(len(batch), -1)
         for layer in self.layers:
             if isinstance(layer, Dropout):
                 x = layer.forward(x, mode=mode, rng=rng)
@@ -249,8 +213,9 @@ class _WordLstm(Model):
     def params(self) -> list[Parameter]:
         return self.lstm.params() + self.head.params()
 
-    def _logits(self, batch: Batch, mode: str, rng) -> np.ndarray:
-        h = self.lstm.forward(batch.word_vecs, batch.lengths)
+    def _logits(self, batch: np.ndarray, emb_matrix: np.ndarray, mode: str, rng) -> np.ndarray:
+        # An all-PAD sentence still runs one LSTM step over the zero vector.
+        h = self.lstm.forward(emb_matrix[batch["t"]], np.maximum(batch["len"], 1))
         return self.head.forward(h)
 
     def _backward_logits(self, dlogits: np.ndarray) -> None:
@@ -261,9 +226,9 @@ class _WordLstm(Model):
 def _char_lengths(char_ids: np.ndarray) -> np.ndarray:
     """Per-token char count = last nonzero id position + 1, clamped to >= 1.
 
-    The shard format trims trailing zeros, so a token ending in unknown
-    characters is indistinguishable from a shorter one; interior zeros
-    (unknown chars mid-token) keep their step.
+    Char id 0 means both PAD and an unknown character, so a token ending
+    in unknown characters is indistinguishable from a shorter one;
+    interior zeros (unknown chars mid-token) keep their step.
     """
     nz = char_ids != 0
     cap = char_ids.shape[-1]
@@ -292,14 +257,14 @@ class _CharWordLstm(Model):
             + self.word_lstm.params() + self.head.params()
         )
 
-    def _logits(self, batch: Batch, mode: str, rng) -> np.ndarray:
-        b, max_len, cap = batch.char_ids.shape
-        flat_ids = batch.char_ids.reshape(b * max_len, cap)
+    def _logits(self, batch: np.ndarray, emb_matrix: np.ndarray, mode: str, rng) -> np.ndarray:
+        b, max_len, cap = batch["c"].shape
+        flat_ids = batch["c"].reshape(b * max_len, cap)
         char_x = self.char_proj.forward(flat_ids)
         char_h = self.char_lstm.forward(char_x, _char_lengths(flat_ids))
         word_feat = char_h.reshape(b, max_len, self.spec.char_lstm_size)
-        self._word_input = np.concatenate([batch.word_vecs, word_feat], axis=2)
-        h = self.word_lstm.forward(self._word_input, batch.lengths)
+        word_input = np.concatenate([emb_matrix[batch["t"]], word_feat], axis=2)
+        h = self.word_lstm.forward(word_input, np.maximum(batch["len"], 1))
         return self.head.forward(h)
 
     def _backward_logits(self, dlogits: np.ndarray) -> None:
@@ -331,7 +296,7 @@ def build_model(
 
 def model_loss_fn(
     model: Model,
-    records: Sequence[EncodedSentence],
+    records: Sequence[EncodedSentence] | np.ndarray,
     emb_matrix: np.ndarray,
     targets: np.ndarray,
     mode: str = "eval",
@@ -344,10 +309,11 @@ def model_loss_fn(
     the masks are identical across finite-difference evaluations.
     """
     params = model.params()
+    batch = as_records(records, model.spec.max_word_chars)
 
     def fn(arrays, want_grad):
         rng = np.random.default_rng(dropout_seed)
-        probs = model.forward(records, emb_matrix, mode=mode, rng=rng)
+        probs = model.forward(batch, emb_matrix, mode=mode, rng=rng)
         loss = cross_entropy(probs, targets)
         if not want_grad:
             return loss, None

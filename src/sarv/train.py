@@ -1,9 +1,11 @@
 """Optimizers, LR schedules, rebalancing, disk shards, and the train loop.
 
-Encoded records are stored in fixed-size JSONL shards with per-file
-content hashes; the loader reads and checks one shard at a time, so
-only one shard is ever resident.  Every pass over the records (train,
-frozen train-accuracy, eval) is ``load_shards`` -> ``batches`` -> model.
+Encoded records are stored as fixed-size ``.npy`` shards, each one
+structured record array (:func:`sarv.corpus.record_dtype`) with its
+sha256 in a manifest; the loader reads and checks one shard at a time,
+so only one shard is ever resident.  Every pass over the records
+(train, frozen train-accuracy, eval) is ``load_shards`` -> ``batches``
+-> model, and a batch is a slice of a shard array.
 Training is single-writer over the model parameters and fully
 deterministic under a fixed seed.
 """
@@ -11,20 +13,22 @@ deterministic under a fixed seed.
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from sarv.corpus import ENCODER_HASH_KEYS, EncodedSentence, LabelScheme
+from sarv.corpus import ENCODER_HASH_KEYS, EncodedSentence, LabelScheme, as_records, record_dtype
 from sarv.errors import ConfigError, DataError, NumericsError
 from sarv.metrics import ConfusionMatrix, confusion, metrics
 from sarv.models import Model, ModelSpec, build_model, save_model
 from sarv.nn import Parameter, cross_entropy, one_hot, softmax_xent_grad, zero_grads
+from sarv.textproc import MAX_LEN
 
 OPTIMIZERS = ("sgd", "adam")
 SCHEDULES = ("constant", "exp", "plateau")
@@ -38,7 +42,6 @@ class TrainConfig:
     lr_schedule: str = "constant"
     plateau_factor: float = 0.9
     plateau_patience: int = 27
-    plateau_start_epoch: int = 0
     exp_step_unit: str = "epoch"
     batch_size: int = 512
     epochs: int = 1
@@ -89,11 +92,21 @@ def split_train_test(
 # ---------------------------------------------------------------------------
 
 
+MANIFEST_VERSION = 2
+
+
 @dataclass(frozen=True)
 class ShardInfo:
     path: str  # relative to the manifest's directory
     count: int
     sha256: str
+
+
+def _typed(obj: dict, key: str, kind: type):
+    """``obj[key]``, which must have exactly type ``kind`` (a bool is not an int here)."""
+    if type(obj[key]) is not kind:
+        raise TypeError(f"{key} is {obj[key]!r}, not {kind.__name__}")
+    return obj[key]
 
 
 @dataclass
@@ -103,9 +116,15 @@ class ShardManifest:
     shard_size: int
     class_histogram: dict[int, int]
     max_word_chars: int
+    max_len: int = MAX_LEN
     encoder_hashes: dict[str, str] = field(default_factory=dict)
     split_seed: int | None = None
     base_dir: Path | None = None  # set on load; not serialized
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The record layout every shard of this manifest holds."""
+        return record_dtype(self.max_len, self.max_word_chars)
 
     def validate(self) -> None:
         if sum(s.count for s in self.shards) != self.total:
@@ -114,12 +133,13 @@ class ShardManifest:
             if s.count != self.shard_size:
                 raise DataError(f"non-final shard {s.path} holds {s.count} != {self.shard_size}")
 
-    def to_json(self) -> str:
-        return json.dumps(
+    def save(self, path) -> None:
+        text = json.dumps(
             {
-                "version": 1,
+                "version": MANIFEST_VERSION,
                 "total": self.total,
                 "shard_size": self.shard_size,
+                "max_len": self.max_len,
                 "max_word_chars": self.max_word_chars,
                 "class_histogram": {str(k): v for k, v in sorted(self.class_histogram.items())},
                 **self.encoder_hashes,
@@ -131,33 +151,46 @@ class ShardManifest:
             indent=2,
             sort_keys=True,
         )
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
+        Path(path).write_text(text + "\n", encoding="utf-8")
 
     @classmethod
     def load(cls, path) -> "ShardManifest":
+        """Read and check a manifest; anything unreadable or malformed is a DataError."""
         path = Path(path)
         try:
             obj = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
             raise DataError(f"cannot read manifest {path}: {exc}") from exc
-        manifest = cls(
-            shards=[ShardInfo(s["path"], s["count"], s["sha256"]) for s in obj["shards"]],
-            total=obj["total"],
-            shard_size=obj["shard_size"],
-            class_histogram={int(k): v for k, v in obj["class_histogram"].items()},
-            max_word_chars=obj["max_word_chars"],
-            encoder_hashes={k: obj[k] for k in ENCODER_HASH_KEYS if k in obj},
-            split_seed=obj.get("split_seed"),
-            base_dir=path.parent,
-        )
+        version = obj.get("version") if isinstance(obj, dict) else None
+        if version != MANIFEST_VERSION:
+            raise DataError(
+                f"manifest {path} is format version {version}, not {MANIFEST_VERSION}; "
+                "re-run `sarv shard` to rewrite the shard directory"
+            )
+        try:
+            manifest = cls(
+                shards=[ShardInfo(_typed(s, "path", str), _typed(s, "count", int),
+                                  _typed(s, "sha256", str)) for s in obj["shards"]],
+                total=_typed(obj, "total", int),
+                shard_size=_typed(obj, "shard_size", int),
+                class_histogram={int(k): _typed(obj["class_histogram"], k, int)
+                                 for k in obj["class_histogram"]},
+                max_word_chars=_typed(obj, "max_word_chars", int),
+                max_len=_typed(obj, "max_len", int),
+                encoder_hashes={k: _typed(obj, k, str) for k in ENCODER_HASH_KEYS if k in obj},
+                split_seed=obj.get("split_seed"),
+                base_dir=path.parent,
+            )
+        except KeyError as exc:
+            raise DataError(f"malformed manifest {path}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"malformed manifest {path}: {exc}") from exc
         manifest.validate()
         return manifest
 
 
 def write_shards(
-    records: Iterable[EncodedSentence],
+    records: Sequence[EncodedSentence] | np.ndarray,
     shard_size: int,
     out_dir,
     name: str = "data",
@@ -165,38 +198,33 @@ def write_shards(
     encoder_hashes: dict[str, str] | None = None,
     split_seed: int | None = None,
 ) -> ShardManifest:
-    """Chunk records into ``shard_size`` JSONL files plus a manifest."""
+    """Save records as ``shard_size``-row ``.npy`` record arrays plus a manifest.
+
+    ``records`` is a record array, or encoded sentences stacked into one
+    at ``max_word_chars`` chars per token.
+    """
     if shard_size < 1:
         raise ConfigError(f"shard_size must be >= 1, got {shard_size}")
+    records = as_records(records, max_word_chars)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     shards: list[ShardInfo] = []
-    histogram: dict[int, int] = {}
-    total = 0
-    chunk: list[str] = []
-
-    def flush() -> None:
-        if not chunk:
-            return
-        rel = f"{name}-{len(shards):05d}.jsonl"
-        blob = ("\n".join(chunk) + "\n").encode("utf-8")
-        (out_dir / rel).write_bytes(blob)
-        shards.append(ShardInfo(rel, len(chunk), hashlib.sha256(blob).hexdigest()))
-        chunk.clear()
-
-    for rec in records:
-        chunk.append(rec.to_json_line())
-        histogram[rec.label] = histogram.get(rec.label, 0) + 1
-        total += 1
-        if len(chunk) == shard_size:
-            flush()
-    flush()
+    for start in range(0, len(records), shard_size):
+        chunk = records[start:start + shard_size]
+        buf = io.BytesIO()
+        np.save(buf, chunk, allow_pickle=False)
+        rel = f"{name}-{len(shards):05d}.npy"
+        (out_dir / rel).write_bytes(buf.getbuffer())
+        shards.append(ShardInfo(rel, len(chunk), hashlib.sha256(buf.getbuffer()).hexdigest()))
+    labels, counts = np.unique(records["y"], return_counts=True)
+    max_len, max_word_chars = records.dtype["c"].shape
     manifest = ShardManifest(
         shards=shards,
-        total=total,
+        total=len(records),
         shard_size=shard_size,
-        class_histogram=histogram,
+        class_histogram=dict(zip(labels.tolist(), counts.tolist())),
         max_word_chars=max_word_chars,
+        max_len=max_len,
         encoder_hashes=dict(encoder_hashes or {}),
         split_seed=split_seed,
         base_dir=out_dir,
@@ -205,7 +233,7 @@ def write_shards(
     return manifest
 
 
-def _read_shard(manifest: ShardManifest, info: ShardInfo) -> list[EncodedSentence]:
+def _read_shard(manifest: ShardManifest, info: ShardInfo) -> np.ndarray:
     path = (manifest.base_dir or Path(".")) / info.path
     try:
         blob = path.read_bytes()
@@ -213,14 +241,19 @@ def _read_shard(manifest: ShardManifest, info: ShardInfo) -> list[EncodedSentenc
         raise DataError(f"missing shard {path}: {exc}") from exc
     if hashlib.sha256(blob).hexdigest() != info.sha256:
         raise DataError(f"corrupt shard (hash mismatch): {path}")
-    lines = blob.decode("utf-8").splitlines()
-    if len(lines) != info.count:
-        raise DataError(f"shard {path} holds {len(lines)} records, manifest says {info.count}")
-    return [EncodedSentence.from_json_line(ln, manifest.max_word_chars) for ln in lines]
+    try:
+        records = np.load(io.BytesIO(blob), allow_pickle=False)
+    except (ValueError, EOFError) as exc:  # pickled objects, bad header, short data
+        raise DataError(f"unreadable shard {path}: {exc}") from exc
+    layout = (records.shape, records.dtype) if isinstance(records, np.ndarray) else None
+    if layout != ((info.count,), manifest.dtype):
+        raise DataError(f"shard {path} does not hold the {info.count} records of "
+                        f"{manifest.dtype} its manifest lists")
+    return records
 
 
 class ShardReader:
-    """Sequential record stream over a manifest's shards.
+    """Sequential stream of a manifest's shards, one record array each.
 
     One shard is read and checked at a time, and dropped before the next
     is read, so a pass holds at most one shard in memory.
@@ -231,11 +264,11 @@ class ShardReader:
         self.manifest = manifest
         self.max_resident = 0
 
-    def __iter__(self) -> Iterator[EncodedSentence]:
+    def __iter__(self) -> Iterator[np.ndarray]:
         for info in self.manifest.shards:
             records = _read_shard(self.manifest, info)
             self.max_resident = 1
-            yield from records
+            yield records
             del records
 
 
@@ -243,15 +276,28 @@ def load_shards(manifest: ShardManifest) -> ShardReader:
     return ShardReader(manifest)
 
 
-def batches(records: Iterable, size: int) -> Iterator[list]:
-    buf: list = []
-    for rec in records:
-        buf.append(rec)
-        if len(buf) == size:
-            yield buf
-            buf = []
-    if buf:
-        yield buf
+def batches(shards: Iterable[np.ndarray], size: int) -> Iterator[np.ndarray]:
+    """Consecutive ``size``-record slices of a stream of record arrays.
+
+    A batch that crosses a shard boundary is the concatenation of its
+    pieces; a shard's leftover is copied so the shard itself can be
+    dropped.  The last batch may be short.
+    """
+    if size < 1:
+        raise ConfigError(f"batch size must be >= 1, got {size}")
+    pending: list[np.ndarray] = []
+    have = 0
+    for records in shards:
+        while len(records):
+            piece, records = records[:size - have], records[size - have:]
+            have += len(piece)
+            if have < size:
+                pending.append(piece.copy())
+            else:
+                yield np.concatenate(pending + [piece]) if pending else piece
+                pending, have = [], 0
+    if pending:
+        yield np.concatenate(pending)
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +363,10 @@ class PlateauScheduler:
     """Multiply lr by ``factor`` after ``patience`` epochs without improvement.
 
     The staleness counter resets on every improvement and after every
-    decay.  ``start_epoch`` optionally delays decay eligibility (the
-    alternative reading of "after N epochs").
+    decay.
     """
 
-    def __init__(self, base_lr: float, factor: float = 0.9, patience: int = 27,
-                 start_epoch: int = 0):
+    def __init__(self, base_lr: float, factor: float = 0.9, patience: int = 27):
         if not 0.0 < factor < 1.0:
             raise ConfigError(f"plateau factor must be in (0, 1), got {factor}")
         if patience < 1:
@@ -330,20 +374,17 @@ class PlateauScheduler:
         self.lr = base_lr
         self.factor = factor
         self.patience = patience
-        self.start_epoch = start_epoch
         self.best = -math.inf
         self.stale = 0
-        self._epoch = -1
 
     def update(self, eval_accuracy: float) -> float:
         """Record one epoch's eval accuracy; returns the lr for the next epoch."""
-        self._epoch += 1
         if eval_accuracy > self.best:
             self.best = eval_accuracy
             self.stale = 0
         else:
             self.stale += 1
-        if self.stale >= self.patience and self._epoch >= self.start_epoch:
+        if self.stale >= self.patience:
             self.lr *= self.factor
             self.stale = 0
         return self.lr
@@ -386,17 +427,7 @@ class EpochStats:
     lr: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "epoch": self.epoch,
-                "train_loss": self.train_loss,
-                "train_accuracy": self.train_accuracy,
-                "eval_accuracy": self.eval_accuracy,
-                "macro_f1": self.macro_f1,
-                "lr": self.lr,
-            },
-            separators=(",", ":"),
-        )
+        return json.dumps(asdict(self), separators=(",", ":"))
 
 
 @dataclass
@@ -432,10 +463,9 @@ def _eval_confusion(
     num_classes = model.spec.num_classes
     names = LabelScheme.for_num_classes(num_classes).classes
     cm: ConfusionMatrix | None = None
-    for chunk in batches(load_shards(manifest), batch_size):
-        preds, _ = model.predict(chunk, emb_matrix)
-        truth = [r.label for r in chunk]
-        part = confusion(preds, truth, num_classes=num_classes, class_names=names)
+    for batch in batches(load_shards(manifest), batch_size):
+        preds, _ = model.predict(batch, emb_matrix)
+        part = confusion(preds, batch["y"], num_classes=num_classes, class_names=names)
         cm = part if cm is None else cm.merged(part)
     if cm is None:
         raise DataError("evaluation manifest holds no records")
@@ -467,9 +497,7 @@ def train_loop(
     params = model.params()
     emb_matrix = emb_matrix.astype(cfg.dtype, copy=False)
     adam = AdamState()
-    plateau = PlateauScheduler(
-        cfg.base_lr, cfg.plateau_factor, cfg.plateau_patience, cfg.plateau_start_epoch
-    )
+    plateau = PlateauScheduler(cfg.base_lr, cfg.plateau_factor, cfg.plateau_patience)
     meta = {"seed": str(cfg.seed), **train_manifest.encoder_hashes}
 
     report = TrainReport()
@@ -484,13 +512,13 @@ def train_loop(
             lr = plateau.lr
         loss_sum = 0.0
         n_batches = 0
-        for batch_no, chunk in enumerate(batches(load_shards(train_manifest), cfg.batch_size)):
+        for batch_no, batch in enumerate(batches(load_shards(train_manifest), cfg.batch_size)):
             if cfg.lr_schedule == "exp" and cfg.exp_step_unit == "batch":
                 lr = lr_exp_decay(global_step)
             try:
                 zero_grads(params)
-                probs = model.forward(chunk, emb_matrix, mode="train", rng=dropout_rng)
-                targets = one_hot([r.label for r in chunk], model_spec.num_classes, cfg.dtype)
+                probs = model.forward(batch, emb_matrix, mode="train", rng=dropout_rng)
+                targets = one_hot(batch["y"], model_spec.num_classes, cfg.dtype)
                 loss = cross_entropy(probs, targets)
                 model.backward(softmax_xent_grad(probs, targets))
                 if cfg.optimizer == "sgd":

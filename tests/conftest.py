@@ -8,14 +8,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sarv.corpus import EncodedSentence, LabelScheme, RawRecord, encode_sentence, preprocess_records
+from sarv.corpus import (EncodedSentence, LabelScheme, RawRecord, as_records, encode_sentence,
+                         preprocess_records)
 from sarv.embed import (
     build_char_vocab,
     build_token_vocab,
     embedding_matrix,
     load_embeddings,
 )
-from sarv.models import ModelSpec, assemble_batch
+from sarv.models import ModelSpec
 from sarv.nn import Dropout, Relu
 from sarv.textproc import MAX_LEN, NormConfig
 
@@ -163,6 +164,11 @@ def tiny_records(seed: int, n: int = 2, classes: int = 2) -> list[EncodedSentenc
     return records
 
 
+def tiny_batch(seed: int, n: int = 2, classes: int = 2) -> np.ndarray:
+    """``tiny_records`` stacked into one record array."""
+    return as_records(tiny_records(seed, n, classes), TINY_MAX_WORD_CHARS)
+
+
 def tiny_emb(seed: int, dtype=np.float64) -> np.ndarray:
     rng = np.random.default_rng(seed)
     mat = rng.normal(scale=0.5, size=(TINY_VOCAB + 1, TINY_EMBED_DIM)).astype(dtype)
@@ -181,8 +187,8 @@ def relu_margin(model, records, emb_matrix, dropout_seed: int = 0) -> float:
     """
     if not hasattr(model, "layers"):
         return np.inf
-    batch = assemble_batch(records, emb_matrix)
-    x = batch.word_vecs.reshape(len(batch.labels), -1)
+    batch = as_records(records, model.spec.max_word_chars)
+    x = emb_matrix[batch["t"]].reshape(len(batch), -1)
     rng = np.random.default_rng(dropout_seed)
     margin = np.inf
     for layer in model.layers:

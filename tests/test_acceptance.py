@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from sarv.cli import main
-from sarv.corpus import EncodedSentence, RawRecord
+from sarv.corpus import EncodedSentence, RawRecord, as_records
 from sarv.metrics import confusion, metrics
 from sarv.models import (
     CHAR_PRESETS,
@@ -383,8 +383,10 @@ def test_criterion_08_shard_round_trip(tmp_path):
                          max_word_chars=TINY_MAX_WORD_CHARS)
     assert len(first.shards) == 10
     reader = load_shards(first)
-    reloaded = list(reader)
-    assert reloaded == records, "reload is not record-identical"
+    reloaded = np.concatenate(list(reader))
+    assert np.array_equal(reloaded, as_records(records, TINY_MAX_WORD_CHARS)), (
+        "reload is not record-identical"
+    )
     assert reader.max_resident <= 2, f"loader held {reader.max_resident} shards"
     second = write_shards(reloaded, 1_000, tmp_path / "b", name="data",
                           max_word_chars=TINY_MAX_WORD_CHARS)

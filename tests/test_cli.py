@@ -161,7 +161,7 @@ def test_shard_sizes_follow_arithmetic(tmp_path, capsys):
     test = ShardManifest.load(out / "test.manifest.json")
     assert [s.count for s in train.shards] == [2000, 2000]  # 4000 train records
     assert [s.count for s in test.shards] == [1000]
-    assert {s.path for s in train.shards} == {"train-00000.jsonl", "train-00001.jsonl"}
+    assert {s.path for s in train.shards} == {"train-00000.npy", "train-00001.npy"}
 
 
 def test_shard_rus_flag_balances_train_split(tmp_path, capsys):
@@ -334,6 +334,75 @@ def test_missing_manifest_exits_two(tmp_path, capsys):
         bundled_embedding_path(), "--shard-dir", tmp_path,
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["shard", "preprocess"])
+@pytest.mark.parametrize("problem", ["missing", "not_utf8"])
+def test_unreadable_stopwords_exit_two(command, problem, tmp_path, capsys):
+    corpus = write_corpus_tsv(tmp_path / "c.tsv", separable_rows(10, classes=2, seed=3))
+    stop_file = tmp_path / "stop.txt"
+    if problem == "not_utf8":
+        stop_file.write_bytes(b"\xff\xfe\x00bad\n")
+    code, _, stderr = invoke(
+        capsys, command, "--corpus", corpus, "--out-dir", tmp_path / "out",
+        "--stopwords", stop_file,
+    )
+    assert code == 2
+    assert "data error" in stderr and "stopwords" in stderr
+
+
+def _edit_manifests(shard_dir, edit) -> None:
+    for path in shard_dir.glob("*.manifest.json"):
+        path.write_text(json.dumps(edit(json.loads(path.read_text("utf-8")))), encoding="utf-8")
+
+
+def _without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda m: _without(m, "shards"), id="missing_key"),
+    pytest.param(lambda m: {"total": 1}, id="total_only"),
+    pytest.param(lambda m: {**m, "max_word_chars": "20"}, id="wrong_type"),
+    pytest.param(lambda m: {**m, "shards": [{**m["shards"][0], "count": None}]},
+                 id="wrong_shard_type"),
+    pytest.param(lambda m: {**m, "version": 1}, id="old_version"),
+])
+def test_malformed_manifest_exits_two(edit, trained, tmp_path, capsys):
+    _, shards, run = trained
+    tampered = tmp_path / "shards"
+    shutil.copytree(shards, tampered)
+    _edit_manifests(tampered, edit)
+    code, stdout, stderr = invoke(
+        capsys, "eval", "--checkpoint", run / "checkpoint_final.bin",
+        "--shard-dir", tampered, "--embeddings", bundled_embedding_path(),
+    )
+    assert code == 2, stdout
+    assert "manifest" in stderr
+
+
+def test_jsonl_shard_dir_asks_to_reshard(trained, tmp_path, capsys):
+    # The layout before array shards: format version 1, one JSONL file per shard.
+    _, shards, run = trained
+    old = tmp_path / "shards"
+    shutil.copytree(shards, old)
+
+    def as_version_1(m):
+        shard_list = [{**s, "path": s["path"].replace(".npy", ".jsonl")} for s in m["shards"]]
+        return {**_without(m, "max_len"), "version": 1, "shards": shard_list}
+
+    _edit_manifests(old, as_version_1)
+    for npy in old.glob("*.npy"):
+        npy.rename(npy.with_suffix(".jsonl"))
+    emb = bundled_embedding_path()
+    for argv in (
+        ["train", "--shard-dir", old, "--out-dir", tmp_path / "run", "--embeddings", emb],
+        ["eval", "--checkpoint", run / "checkpoint_final.bin", "--shard-dir", old,
+         "--embeddings", emb],
+    ):
+        code, _, stderr = invoke(capsys, *argv)
+        assert code == 2
+        assert "version 1" in stderr and "re-run `sarv shard`" in stderr
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")

@@ -24,7 +24,6 @@ from sarv.embed import (
     parse_token_vocab,
     serialize_char_vocab,
     serialize_token_vocab,
-    vectorize_sentence,
 )
 from sarv.errors import DataError
 from sarv.textproc import tokenize, unify_length
@@ -126,15 +125,6 @@ def test_oov_lookup_is_zero_vector(emb_table):
     assert vec.shape == (50,)
     assert not vec.any()
     assert not vec.flags.writeable
-
-
-def test_vectorize_sentence_shapes(emb_table):
-    fixed = unify_length(["عالی", "ناموجودم", "کتاب"])
-    out = vectorize_sentence(fixed, emb_table)
-    assert out.shape == (15, 50)
-    assert not out[1].any()  # OOV slot
-    assert not out[3:].any()  # PAD slots
-    np.testing.assert_array_equal(out[0], lookup(emb_table, "عالی"))
 
 
 # ---------------------------------------------------------------------------

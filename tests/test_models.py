@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from sarv.corpus import EncodedSentence, as_records
 from sarv.errors import ConfigError, DataError
 from sarv.models import (
     CHAR_PRESETS,
@@ -18,7 +19,6 @@ from sarv.models import (
     REFERENCE_F1,
     ModelSpec,
     _char_lengths,
-    assemble_batch,
     build_model,
     load_model,
     model_loss_fn,
@@ -30,7 +30,9 @@ from sarv.nn import grad_check, one_hot, save_checkpoint, zero_grads
 from conftest import (
     TINY_EMBED_DIM,
     TINY_MAX_LEN,
+    TINY_MAX_WORD_CHARS,
     relu_margin,
+    tiny_batch,
     tiny_emb,
     tiny_records,
     tiny_spec,
@@ -128,36 +130,32 @@ def test_char_preset_requires_vocab_sized_ids():
 
 
 # ---------------------------------------------------------------------------
-# batch assembly
+# record batches
 # ---------------------------------------------------------------------------
 
 
-def test_assemble_batch_gathers_embeddings():
+def test_stacked_records_keep_every_field():
     records = tiny_records(seed=1, n=3)
-    emb = tiny_emb(seed=2)
-    batch = assemble_batch(records, emb)
-    assert batch.word_vecs.shape == (3, TINY_MAX_LEN, TINY_EMBED_DIM)
-    for r, rec in enumerate(records):
-        for t, tid in enumerate(rec.token_ids):
-            np.testing.assert_array_equal(batch.word_vecs[r, t], emb[tid])
-    np.testing.assert_array_equal(batch.labels, [r.label for r in records])
+    batch = tiny_batch(seed=1, n=3)
+    assert batch.dtype.itemsize == 4 + 4 + TINY_MAX_LEN * (4 + 2 * TINY_MAX_WORD_CHARS)
+    for row, rec in zip(batch, records):
+        assert row["t"].tolist() == list(rec.token_ids)
+        assert row["c"].tolist() == [list(c) for c in rec.char_ids]
+        assert (row["len"], row["y"]) == (rec.true_length, rec.label)
 
 
-def test_assemble_batch_clamps_empty_sentences():
-    rec = tiny_records(seed=3, n=1)[0]
-    empty = type(rec)(
+@pytest.mark.parametrize("preset", ["W2V_LSTM", "CHAR_W2V_LSTM"])
+def test_forward_clamps_empty_sentences(preset):
+    # An all-PAD sentence (true length 0) still runs one recurrent step.
+    model = build_model(tiny_spec(preset), rng_seed=0, dtype=np.float64)
+    empty = EncodedSentence(
         token_ids=(0,) * TINY_MAX_LEN,
-        char_ids=((0,) * 5,) * TINY_MAX_LEN,
+        char_ids=((0,) * TINY_MAX_WORD_CHARS,) * TINY_MAX_LEN,
         true_length=0,
         label=0,
     )
-    batch = assemble_batch([empty], tiny_emb(seed=0))
-    assert batch.lengths.tolist() == [1]
-
-
-def test_assemble_batch_rejects_empty():
-    with pytest.raises(ValueError):
-        assemble_batch([], tiny_emb(seed=0))
+    probs = model.forward(as_records([empty], TINY_MAX_WORD_CHARS), tiny_emb(seed=0))
+    assert probs.shape == (1, 2) and np.all(np.isfinite(probs))
 
 
 def test_char_lengths_matches_brute_force():
@@ -179,8 +177,7 @@ def test_char_lengths_matches_brute_force():
 @pytest.mark.parametrize("preset", PRESETS)
 def test_forward_rows_are_probabilities(preset):
     model = build_model(tiny_spec(preset, classes=3), rng_seed=1, dtype=np.float64)
-    records = tiny_records(seed=4, n=5, classes=3)
-    probs = model.forward(records, tiny_emb(seed=5))
+    probs = model.forward(tiny_batch(seed=4, n=5, classes=3), tiny_emb(seed=5))
     assert probs.shape == (5, 3)
     np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(probs >= 0)
@@ -189,27 +186,18 @@ def test_forward_rows_are_probabilities(preset):
 @pytest.mark.parametrize("preset", PRESETS)
 def test_eval_forward_is_deterministic(preset):
     model = build_model(tiny_spec(preset), rng_seed=2, dtype=np.float64)
-    records = tiny_records(seed=6, n=4)
+    batch = tiny_batch(seed=6, n=4)
     emb = tiny_emb(seed=7)
-    a = model.forward(records, emb)
-    b = model.forward(records, emb)
+    a = model.forward(batch, emb)
+    b = model.forward(batch, emb)
     np.testing.assert_array_equal(a, b)
-
-
-def test_logit_shift_does_not_change_probabilities():
-    model = build_model(tiny_spec("W2V_LSTM"), rng_seed=3, dtype=np.float64)
-    records = tiny_records(seed=8, n=3)
-    emb = tiny_emb(seed=9)
-    base = model.forward(records, emb)
-    shifted = model.forward(records, emb, logit_shift=7.5)
-    np.testing.assert_allclose(shifted, base, atol=1e-12)
 
 
 def test_predict_breaks_ties_toward_lowest_class():
     model = build_model(tiny_spec("W2V_SOFTMAX", classes=3), rng_seed=0, dtype=np.float64)
     for p in model.params():
         p.value[...] = 0.0  # all-zero head -> uniform probabilities
-    labels, probs = model.predict(tiny_records(seed=10, n=4, classes=3), tiny_emb(seed=1))
+    labels, probs = model.predict(tiny_batch(seed=10, n=4, classes=3), tiny_emb(seed=1))
     np.testing.assert_allclose(probs, 1.0 / 3.0, atol=1e-15)
     assert labels.tolist() == [0, 0, 0, 0]
 
@@ -218,19 +206,19 @@ def test_forward_rejects_mismatched_embedding_dim():
     model = build_model(tiny_spec("W2V_SOFTMAX"), rng_seed=0)
     bad = np.zeros((13, TINY_EMBED_DIM + 1), dtype=np.float32)
     with pytest.raises(ConfigError):
-        model.forward(tiny_records(seed=0, n=1), bad)
+        model.forward(tiny_batch(seed=0, n=1), bad)
 
 
 def test_dropout_preset_train_mode_is_stochastic_eval_is_not():
     spec = tiny_spec("W2V_MLP_RELU_LRDECAY_DROPOUT")
     model = build_model(spec, rng_seed=4, dtype=np.float64)
-    records = tiny_records(seed=11, n=6)
+    batch = tiny_batch(seed=11, n=6)
     emb = tiny_emb(seed=12)
-    t1 = model.forward(records, emb, mode="train", rng=np.random.default_rng(1))
-    t2 = model.forward(records, emb, mode="train", rng=np.random.default_rng(2))
+    t1 = model.forward(batch, emb, mode="train", rng=np.random.default_rng(1))
+    t2 = model.forward(batch, emb, mode="train", rng=np.random.default_rng(2))
     assert (t1 != t2).any()
-    e1 = model.forward(records, emb)
-    e2 = model.forward(records, emb)
+    e1 = model.forward(batch, emb)
+    e2 = model.forward(batch, emb)
     np.testing.assert_array_equal(e1, e2)
 
 
@@ -308,12 +296,12 @@ def test_load_rejects_mismatched_architecture(tmp_path):
 
 def test_zero_grads_after_backward():
     model = build_model(tiny_spec("W2V_LSTM"), rng_seed=7, dtype=np.float64)
-    records = tiny_records(seed=15, n=2)
+    batch = tiny_batch(seed=15, n=2)
     emb = tiny_emb(seed=16)
-    probs = model.forward(records, emb)
+    probs = model.forward(batch, emb)
     from sarv.nn import softmax_xent_grad
 
-    targets = one_hot(np.array([r.label for r in records]), 2)
+    targets = one_hot(batch["y"], 2)
     model.backward(softmax_xent_grad(probs, targets))
     assert any(p.grad.any() for p in model.params())
     zero_grads(model.params())

@@ -8,17 +8,25 @@ mark.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 import math
 import shutil
+import tempfile
 import threading
 import time
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sarv.corpus import as_records, encode_sentence, record_dtype
+from sarv.embed import build_char_vocab, build_token_vocab
 from sarv.errors import ConfigError, DataError, NumericsError
 from sarv.nn import Parameter
 from sarv.train import (
@@ -38,13 +46,30 @@ from sarv.train import (
     write_shards,
 )
 
-from conftest import TINY_MAX_WORD_CHARS, tiny_emb, tiny_records, tiny_spec
+from sarv.textproc import tokenize, unify_length
+
+from conftest import (TINY_MAX_LEN, TINY_MAX_WORD_CHARS, tiny_batch, tiny_emb, tiny_records,
+                      tiny_spec)
 
 
 def shard(records, shard_size, out_dir, name="data"):
     return write_shards(
         records, shard_size, out_dir, name=name, max_word_chars=TINY_MAX_WORD_CHARS
     )
+
+
+def reload(manifest) -> np.ndarray:
+    return np.concatenate(list(load_shards(manifest)))
+
+
+def replace_shard(manifest, index, array, allow_pickle=False):
+    """Overwrite one shard file with ``array`` and record its new sha256."""
+    info = manifest.shards[index]
+    buf = io.BytesIO()
+    np.save(buf, array, allow_pickle=allow_pickle)
+    (manifest.base_dir / info.path).write_bytes(buf.getvalue())
+    sha = hashlib.sha256(buf.getvalue()).hexdigest()
+    manifest.shards[index] = ShardInfo(info.path, info.count, sha)
 
 
 # ---------------------------------------------------------------------------
@@ -114,21 +139,24 @@ def test_write_shards_layout_and_reload(tmp_path):
     manifest = shard(records, shard_size=5, out_dir=tmp_path, name="train")
     assert [s.count for s in manifest.shards] == [5, 5, 5, 5, 3]
     assert [s.path for s in manifest.shards] == [
-        f"train-{i:05d}.jsonl" for i in range(5)
+        f"train-{i:05d}.npy" for i in range(5)
     ]
     assert manifest.total == 23
     assert manifest.class_histogram == dict(Counter(r.label for r in records))
     assert (tmp_path / "train.manifest.json").exists()
 
-    back = list(load_shards(ShardManifest.load(tmp_path / "train.manifest.json")))
-    assert back == records  # order preserved, values identical
+    back = reload(ShardManifest.load(tmp_path / "train.manifest.json"))
+    assert np.array_equal(back, tiny_batch(seed=0, n=23))  # order preserved, values identical
+    assert back.dtype == record_dtype(TINY_MAX_LEN, TINY_MAX_WORD_CHARS)
 
 
 def test_shard_hash_mismatch_is_fatal(tmp_path):
     records = tiny_records(seed=2, n=6)
     shard(records, shard_size=3, out_dir=tmp_path)
-    victim = tmp_path / "data-00001.jsonl"
-    victim.write_bytes(victim.read_bytes().replace(b'"len"', b'"LEN"', 1))
+    victim = tmp_path / "data-00001.npy"
+    blob = bytearray(victim.read_bytes())
+    blob[-1] ^= 0x01  # one bit of the last record's last char id
+    victim.write_bytes(bytes(blob))
     manifest = ShardManifest.load(tmp_path / "data.manifest.json")
     with pytest.raises(DataError) as exc:
         list(load_shards(manifest))
@@ -138,7 +166,7 @@ def test_shard_hash_mismatch_is_fatal(tmp_path):
 def test_shard_missing_file_is_fatal(tmp_path):
     records = tiny_records(seed=3, n=4)
     shard(records, shard_size=2, out_dir=tmp_path)
-    (tmp_path / "data-00000.jsonl").unlink()
+    (tmp_path / "data-00000.npy").unlink()
     manifest = ShardManifest.load(tmp_path / "data.manifest.json")
     with pytest.raises(DataError):
         list(load_shards(manifest))
@@ -150,18 +178,18 @@ def test_manifest_relocates_with_its_directory(tmp_path):
     shard(records, shard_size=4, out_dir=src)
     shutil.move(str(src), str(dst))
     manifest = ShardManifest.load(dst / "data.manifest.json")
-    assert list(load_shards(manifest)) == records
+    assert np.array_equal(reload(manifest), as_records(records, TINY_MAX_WORD_CHARS))
 
 
 def test_manifest_validation_rejects_bad_counts():
-    good = ShardInfo("x-00000.jsonl", 5, "0" * 64)
+    good = ShardInfo("x-00000.npy", 5, "0" * 64)
     with pytest.raises(DataError):
         ShardManifest(
             shards=[good], total=6, shard_size=5, class_histogram={}, max_word_chars=5
         ).validate()
     with pytest.raises(DataError):
         ShardManifest(
-            shards=[ShardInfo("x-00000.jsonl", 3, "0" * 64), ShardInfo("x-00001.jsonl", 2, "0" * 64)],
+            shards=[ShardInfo("x-00000.npy", 3, "0" * 64), ShardInfo("x-00001.npy", 2, "0" * 64)],
             total=5,
             shard_size=5,  # non-final shard must be full
             class_histogram={},
@@ -180,7 +208,8 @@ def test_shard_reader_holds_one_shard_at_a_time(tmp_path):
     assert len(manifest.shards) == 10
     reader = load_shards(manifest)
     seen = list(reader)
-    assert seen == records
+    assert [len(s) for s in seen] == [4] * 10  # one record array per shard
+    assert np.array_equal(np.concatenate(seen), as_records(records, TINY_MAX_WORD_CHARS))
     assert reader.max_resident == 1
 
 
@@ -196,11 +225,81 @@ def test_abandoned_shard_stream_closes_at_once(tmp_path):
     assert threading.active_count() == threads_before
 
 
-def test_batches_chunking():
-    records = list(range(8))
-    chunks = list(batches(iter(records), 3))
-    assert chunks == [[0, 1, 2], [3, 4, 5], [6, 7]]
+def test_batches_chunking(tmp_path):
+    stacked = tiny_batch(seed=7, n=23)
+    manifest = shard(stacked, shard_size=5, out_dir=tmp_path)
+    for size in (3, 12):  # batches straddle one shard boundary, or several
+        got = list(batches(load_shards(manifest), size))
+        want = [stacked[i:i + size] for i in range(0, len(stacked), size)]
+        assert [len(b) for b in got] == [len(b) for b in want]
+        for b, w in zip(got, want):
+            assert np.array_equal(b, w)
     assert list(batches(iter([]), 3)) == []
+    with pytest.raises(ConfigError):
+        next(batches(load_shards(manifest), 0))
+
+
+def test_shard_with_wrong_layout_is_fatal(tmp_path):
+    # The hash matches the file, but the file is not what the manifest lists.
+    stacked = tiny_batch(seed=8, n=6)
+    wider = np.zeros(3, record_dtype(TINY_MAX_LEN, TINY_MAX_WORD_CHARS + 1))
+    for index, array in ((0, wider), (1, stacked[3:5])):
+        manifest = shard(stacked, shard_size=3, out_dir=tmp_path / str(index))
+        replace_shard(manifest, index, array)
+        with pytest.raises(DataError, match="does not hold the 3 records"):
+            list(load_shards(manifest))
+
+
+class _Tripwire:
+    """Unpickling this object would call ``_trip``."""
+
+    def __reduce__(self):
+        return _trip, ()
+
+
+TRIPPED = []
+
+
+def _trip():
+    TRIPPED.append(True)
+
+
+def test_pickled_shard_is_refused_not_loaded(tmp_path):
+    manifest = shard(tiny_records(seed=9, n=4), shard_size=2, out_dir=tmp_path)
+    replace_shard(manifest, 1, np.array([_Tripwire(), _Tripwire()], dtype=object),
+                  allow_pickle=True)
+    with pytest.raises(DataError, match="unreadable shard"):
+        list(load_shards(manifest))
+    assert TRIPPED == []
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.text(alphabet=st.sampled_from(list("ابپتث")), min_size=1, max_size=7),
+                     max_size=20),
+            st.integers(min_value=0, max_value=2),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+    st.integers(min_value=1, max_value=5),
+)
+@settings(max_examples=100, deadline=None)
+def test_shard_round_trip_fuzz(sentences, shard_size):
+    seqs = [tokenize("ا ب پ ت ث اب پت")]
+    token_vocab, char_vocab = build_token_vocab(seqs), build_char_vocab(seqs, max_word_chars=5)
+    encoded = [encode_sentence(unify_length(words), token_vocab, char_vocab, label)
+               for words, label in sentences]
+    with tempfile.TemporaryDirectory() as out:
+        manifest = write_shards(encoded, shard_size, out, max_word_chars=5)
+        back = reload(ShardManifest.load(Path(out) / "data.manifest.json"))
+    assert len(back) == len(encoded)
+    for row, enc in zip(back, encoded):
+        assert row["t"].tolist() == list(enc.token_ids)
+        assert row["c"].tolist() == [list(c) for c in enc.char_ids]
+        assert (row["len"], row["y"]) == (enc.true_length, enc.label)
+    assert manifest.total == len(encoded)
 
 
 # ---------------------------------------------------------------------------
@@ -324,14 +423,6 @@ def test_plateau_resets_on_improvement():
     assert sched.update(0.6) == 0.01  # improvement resets staleness
     sched.update(0.6)  # stale 1
     assert sched.update(0.6) == 0.01 * 0.9  # stale 2 -> decay
-
-
-def test_plateau_start_epoch_delays_decay():
-    sched = PlateauScheduler(base_lr=0.01, factor=0.9, patience=1, start_epoch=3)
-    assert sched.update(0.5) == 0.01  # epoch 0
-    assert sched.update(0.5) == 0.01  # epoch 1: stale but too early
-    assert sched.update(0.5) == 0.01  # epoch 2
-    assert sched.update(0.5) == 0.01 * 0.9  # epoch 3: eligible
 
 
 def test_plateau_validation():
