@@ -1,22 +1,25 @@
-"""The seven classifier presets and their forward/predict paths.
+"""The seven classifier presets: one model class, one forward/backward path.
 
 Every preset consumes a batch of records (a structured array, see
 :func:`sarv.corpus.record_dtype`) plus a frozen embedding matrix and
-produces per-class probabilities.  Architectures:
+produces per-class probabilities through the same pipeline; a preset
+only chooses which stages it has:
 
-* ``W2V_SOFTMAX``: flatten the 15x50 input and map straight to classes.
-* ``W2V_MLP_*``: flatten, then a dense chain over ``hidden_sizes`` with
-  sigmoid or relu (and optional dropout after every hidden activation).
-* ``W2V_LSTM``: word-level LSTM, last-real-step hidden state to classes.
-* ``CHAR_W2V_LSTM[_RUS]``: a character LSTM turns each token's char ids
-  into a learned word feature, concatenated with the word vector before
-  the word LSTM.  The ``_RUS`` variant shares the architecture; random
-  under-sampling happens at data preparation time.
+1. char channel (``CHAR_W2V_LSTM[_RUS]``): a character LSTM turns each
+   token's char ids into a learned word feature, concatenated with the
+   word vector.  The ``_RUS`` variant shares the architecture; random
+   under-sampling happens at data preparation time.
+2. word LSTM (``W2V_LSTM`` and the char presets), last-real-step hidden
+   state; every other preset flattens the 15x50 input instead.
+3. dense chain: ``W2V_MLP_*`` run ``hidden_sizes`` dense layers with
+   sigmoid or relu (and dropout after every hidden activation in the
+   ``_DROPOUT`` preset); ``W2V_SOFTMAX`` has none.
+4. ``head``: a dense layer to class logits, then softmax.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -114,20 +117,63 @@ class ModelSpec:
         return cls(**{f.name: parse[f.type](meta[f.name]) for f in fields(cls)})
 
 
-class Model:
-    """Shared surface: parameters, forward to probabilities, backward."""
+def _char_lengths(char_ids: np.ndarray) -> np.ndarray:
+    """Per-token char count = last nonzero id position + 1, clamped to >= 1.
 
-    def __init__(self, spec: ModelSpec):
+    Char id 0 means both PAD and an unknown character, so a token ending
+    in unknown characters is indistinguishable from a shorter one;
+    interior zeros (unknown chars mid-token) keep their step.
+    """
+    nz = char_ids != 0
+    cap = char_ids.shape[-1]
+    lengths = np.where(nz.any(axis=-1), cap - np.argmax(nz[..., ::-1], axis=-1), 0)
+    return np.maximum(lengths, 1)
+
+
+class Model:
+    """One preset's layers on the shared pipeline; see the module docstring.
+
+    ``char_proj``/``char_lstm`` and ``word_lstm`` are ``None`` for presets
+    without them.  ``layers`` is the dense chain ending in ``head``.
+    Parameters are listed (and checkpointed) in pipeline order.
+    """
+
+    def __init__(self, spec: ModelSpec, rng: np.random.Generator, dtype=np.float32):
         self.spec = spec
+        self.char_proj: OneHotDense | None = None
+        self.char_lstm: Lstm | None = None
+        self.word_lstm: Lstm | None = None
+        word_dim = spec.embed_dim
+        if spec.preset in CHAR_PRESETS:
+            self.char_proj = OneHotDense(
+                spec.char_vocab_size + 1, spec.char_embed_width, rng, dtype, name="char_proj"
+            )
+            self.char_lstm = Lstm(
+                spec.char_embed_width, spec.char_lstm_size, rng, dtype, name="char_lstm"
+            )
+            word_dim += spec.char_lstm_size
+        if spec.preset == "W2V_LSTM" or self.char_lstm is not None:
+            self.word_lstm = Lstm(word_dim, spec.word_lstm_size, rng, dtype, name="word_lstm")
+            prev = spec.word_lstm_size
+        else:
+            prev = spec.max_len * spec.embed_dim
+        self.layers: list = []
+        if spec.preset in MLP_PRESETS:
+            activation = ACTIVATIONS["sigmoid" if spec.preset == "W2V_MLP_SIGMOID" else "relu"]
+            for i, size in enumerate(spec.hidden_sizes):
+                self.layers.append(Dense(prev, size, rng, dtype, name=f"dense{i}"))
+                self.layers.append(activation())
+                if spec.preset == "W2V_MLP_RELU_LRDECAY_DROPOUT":
+                    self.layers.append(Dropout(spec.dropout_rate))
+                prev = size
+        self.layers.append(Dense(prev, spec.num_classes, rng, dtype, name="head"))
 
     def params(self) -> list[Parameter]:
-        raise NotImplementedError
-
-    def _logits(self, batch: np.ndarray, emb_matrix: np.ndarray, mode: str, rng) -> np.ndarray:
-        raise NotImplementedError
-
-    def _backward_logits(self, dlogits: np.ndarray) -> None:
-        raise NotImplementedError
+        out: list[Parameter] = []
+        for layer in (self.char_proj, self.char_lstm, self.word_lstm, *self.layers):
+            if layer is not None:
+                out.extend(layer.params())
+        return out
 
     def forward(
         self,
@@ -141,10 +187,35 @@ class Model:
             raise ConfigError(
                 f"embedding dim {emb_matrix.shape[1]} != spec embed_dim {self.spec.embed_dim}"
             )
-        return softmax(self._logits(batch, emb_matrix, mode, rng))
+        x = emb_matrix[batch["t"]]
+        if self.char_lstm is not None:
+            b, max_len, cap = batch["c"].shape
+            flat_ids = batch["c"].reshape(b * max_len, cap)
+            char_x = self.char_proj.forward(flat_ids)
+            char_h = self.char_lstm.forward(char_x, _char_lengths(flat_ids))
+            x = np.concatenate([x, char_h.reshape(b, max_len, -1)], axis=2)
+        if self.word_lstm is not None:
+            # An all-PAD sentence still runs one LSTM step over the zero vector.
+            x = self.word_lstm.forward(x, np.maximum(batch["len"], 1))
+        else:
+            x = x.reshape(len(batch), -1)
+        for layer in self.layers:
+            if isinstance(layer, Dropout):
+                x = layer.forward(x, mode=mode, rng=rng)
+            else:
+                x = layer.forward(x)
+        return softmax(x)
 
     def backward(self, dlogits: np.ndarray) -> None:
-        self._backward_logits(dlogits)
+        """Accumulate parameter gradients for the last ``forward``'s logits."""
+        d = dlogits
+        for layer in reversed(self.layers):
+            d = layer.backward(d)
+        if self.word_lstm is not None:
+            d = self.word_lstm.backward(d)
+        if self.char_lstm is not None:
+            dchar_h = d[:, :, self.spec.embed_dim:].reshape(-1, self.spec.char_lstm_size)
+            self.char_proj.backward(self.char_lstm.backward(dchar_h))
 
     def predict(
         self, records: Sequence[EncodedSentence] | np.ndarray, emb_matrix: np.ndarray
@@ -161,121 +232,6 @@ class Model:
         return sum(p.value.size for p in self.params())
 
 
-class _FeedForward(Model):
-    def __init__(self, spec: ModelSpec, rng: np.random.Generator, dtype):
-        super().__init__(spec)
-        flat = spec.max_len * spec.embed_dim
-        self.layers: list = []
-        if spec.preset == "W2V_SOFTMAX":
-            hidden: tuple[int, ...] = ()
-            activation = None
-            use_dropout = False
-        else:
-            hidden = spec.hidden_sizes
-            activation = "sigmoid" if spec.preset == "W2V_MLP_SIGMOID" else "relu"
-            use_dropout = spec.preset == "W2V_MLP_RELU_LRDECAY_DROPOUT"
-        prev = flat
-        for i, size in enumerate(hidden):
-            self.layers.append(Dense(prev, size, rng, dtype, name=f"dense{i}"))
-            self.layers.append(ACTIVATIONS[activation]())
-            if use_dropout:
-                self.layers.append(Dropout(spec.dropout_rate))
-            prev = size
-        self.layers.append(Dense(prev, spec.num_classes, rng, dtype, name="head"))
-
-    def params(self) -> list[Parameter]:
-        out: list[Parameter] = []
-        for layer in self.layers:
-            out.extend(layer.params())
-        return out
-
-    def _logits(self, batch: np.ndarray, emb_matrix: np.ndarray, mode: str, rng) -> np.ndarray:
-        x = emb_matrix[batch["t"]].reshape(len(batch), -1)
-        for layer in self.layers:
-            if isinstance(layer, Dropout):
-                x = layer.forward(x, mode=mode, rng=rng)
-            else:
-                x = layer.forward(x)
-        return x
-
-    def _backward_logits(self, dlogits: np.ndarray) -> None:
-        d = dlogits
-        for layer in reversed(self.layers):
-            d = layer.backward(d)
-
-
-class _WordLstm(Model):
-    def __init__(self, spec: ModelSpec, rng: np.random.Generator, dtype):
-        super().__init__(spec)
-        self.lstm = Lstm(spec.embed_dim, spec.word_lstm_size, rng, dtype, name="word_lstm")
-        self.head = Dense(spec.word_lstm_size, spec.num_classes, rng, dtype, name="head")
-
-    def params(self) -> list[Parameter]:
-        return self.lstm.params() + self.head.params()
-
-    def _logits(self, batch: np.ndarray, emb_matrix: np.ndarray, mode: str, rng) -> np.ndarray:
-        # An all-PAD sentence still runs one LSTM step over the zero vector.
-        h = self.lstm.forward(emb_matrix[batch["t"]], np.maximum(batch["len"], 1))
-        return self.head.forward(h)
-
-    def _backward_logits(self, dlogits: np.ndarray) -> None:
-        dh = self.head.backward(dlogits)
-        self.lstm.backward(dh)
-
-
-def _char_lengths(char_ids: np.ndarray) -> np.ndarray:
-    """Per-token char count = last nonzero id position + 1, clamped to >= 1.
-
-    Char id 0 means both PAD and an unknown character, so a token ending
-    in unknown characters is indistinguishable from a shorter one;
-    interior zeros (unknown chars mid-token) keep their step.
-    """
-    nz = char_ids != 0
-    cap = char_ids.shape[-1]
-    lengths = np.where(nz.any(axis=-1), cap - np.argmax(nz[..., ::-1], axis=-1), 0)
-    return np.maximum(lengths, 1)
-
-
-class _CharWordLstm(Model):
-    def __init__(self, spec: ModelSpec, rng: np.random.Generator, dtype):
-        super().__init__(spec)
-        self.char_proj = OneHotDense(
-            spec.char_vocab_size + 1, spec.char_embed_width, rng, dtype, name="char_proj"
-        )
-        self.char_lstm = Lstm(
-            spec.char_embed_width, spec.char_lstm_size, rng, dtype, name="char_lstm"
-        )
-        self.word_lstm = Lstm(
-            spec.embed_dim + spec.char_lstm_size, spec.word_lstm_size, rng, dtype,
-            name="word_lstm",
-        )
-        self.head = Dense(spec.word_lstm_size, spec.num_classes, rng, dtype, name="head")
-
-    def params(self) -> list[Parameter]:
-        return (
-            self.char_proj.params() + self.char_lstm.params()
-            + self.word_lstm.params() + self.head.params()
-        )
-
-    def _logits(self, batch: np.ndarray, emb_matrix: np.ndarray, mode: str, rng) -> np.ndarray:
-        b, max_len, cap = batch["c"].shape
-        flat_ids = batch["c"].reshape(b * max_len, cap)
-        char_x = self.char_proj.forward(flat_ids)
-        char_h = self.char_lstm.forward(char_x, _char_lengths(flat_ids))
-        word_feat = char_h.reshape(b, max_len, self.spec.char_lstm_size)
-        word_input = np.concatenate([emb_matrix[batch["t"]], word_feat], axis=2)
-        h = self.word_lstm.forward(word_input, np.maximum(batch["len"], 1))
-        return self.head.forward(h)
-
-    def _backward_logits(self, dlogits: np.ndarray) -> None:
-        dh = self.head.backward(dlogits)
-        dxin = self.word_lstm.backward(dh)
-        dim = self.spec.embed_dim
-        dchar_h = dxin[:, :, dim:].reshape(-1, self.spec.char_lstm_size)
-        dchar_x = self.char_lstm.backward(dchar_h)
-        self.char_proj.backward(dchar_x)
-
-
 def build_model(
     spec: ModelSpec, rng_seed: int | np.random.Generator = 0, dtype=np.float32
 ) -> Model:
@@ -285,13 +241,7 @@ def build_model(
         if isinstance(rng_seed, np.random.Generator)
         else np.random.default_rng(rng_seed)
     )
-    if spec.preset in ("W2V_SOFTMAX", *MLP_PRESETS):
-        return _FeedForward(spec, rng, dtype)
-    if spec.preset == "W2V_LSTM":
-        return _WordLstm(spec, rng, dtype)
-    if spec.preset in CHAR_PRESETS:
-        return _CharWordLstm(spec, rng, dtype)
-    raise ConfigError(f"unknown preset {spec.preset!r}")
+    return Model(spec, rng, dtype)
 
 
 def model_loss_fn(
@@ -331,10 +281,13 @@ def save_model(model: Model, path, extra_meta: dict[str, str] | None = None) -> 
     return save_checkpoint(path, model.params(), meta)
 
 
-def load_model(path, verify: bool = True) -> tuple[Model, dict[str, str]]:
-    """Rebuild a model from a checkpoint, validating every parameter shape."""
-    arrays, meta = load_checkpoint(path, verify=verify)
-    spec = ModelSpec.from_meta(meta)
+def load_model(path) -> tuple[Model, dict[str, str]]:
+    """Rebuild a model from a checkpoint, validating its metadata and every parameter shape."""
+    arrays, meta = load_checkpoint(path)
+    try:
+        spec = ModelSpec.from_meta(meta)
+    except (KeyError, ValueError, ConfigError) as exc:
+        raise DataError(f"checkpoint {path} has bad or missing metadata: {exc!r}") from exc
     dtype = np.float64 if meta.get("precision") == "double" else np.float32
     model = build_model(spec, rng_seed=0, dtype=dtype)
     mismatches = []
@@ -355,6 +308,3 @@ def load_model(path, verify: bool = True) -> tuple[Model, dict[str, str]]:
         p.value[...] = arrays[p.name].astype(p.value.dtype)
     return model, meta
 
-
-def with_char_vocab(spec: ModelSpec, char_vocab_size: int) -> ModelSpec:
-    return replace(spec, char_vocab_size=char_vocab_size)

@@ -452,22 +452,28 @@ def save_checkpoint(path, params: Sequence[Parameter], meta: dict[str, str]) -> 
     return digest
 
 
-def load_checkpoint(path, verify: bool = True) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    """Read a checkpoint; verifies the manifest hash unless disabled."""
+def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+    """Read a checkpoint after checking its bytes against the side-car's sha256."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if verify:
-        try:
-            with open(str(path) + ".manifest.txt", "r", encoding="utf-8") as fh:
-                manifest = fh.read()
-        except OSError as exc:
-            raise DataError(f"checkpoint manifest missing for {path}: {exc}") from exc
-        recorded = None
-        for line in manifest.splitlines():
-            if line.startswith("sha256 "):
-                recorded = line.split(" ", 1)[1].strip()
-        if recorded != hashlib.sha256(blob).hexdigest():
-            raise DataError(f"checkpoint hash mismatch for {path}")
+    try:
+        with open(str(path) + ".manifest.txt", "r", encoding="utf-8") as fh:
+            manifest = fh.read()
+    except OSError as exc:
+        raise DataError(f"checkpoint manifest missing for {path}: {exc}") from exc
+    recorded = None
+    for line in manifest.splitlines():
+        if line.startswith("sha256 "):
+            recorded = line.split(" ", 1)[1].strip()
+    if recorded != hashlib.sha256(blob).hexdigest():
+        raise DataError(f"checkpoint hash mismatch for {path}")
+    try:
+        return _parse_checkpoint(path, blob)
+    except (struct.error, ValueError) as exc:  # truncated body, bad UTF-8, short array data
+        raise DataError(f"{path} is a malformed checkpoint: {exc}") from exc
+
+
+def _parse_checkpoint(path, blob: bytes) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     view = memoryview(blob)
     if bytes(view[:8]) != CHECKPOINT_MAGIC:
         raise DataError(f"{path} is not a checkpoint (bad magic)")

@@ -17,6 +17,7 @@ import io
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -200,29 +201,33 @@ def write_shards(
 ) -> ShardManifest:
     """Save records as ``shard_size``-row ``.npy`` record arrays plus a manifest.
 
-    ``records`` is a record array, or encoded sentences stacked into one
-    at ``max_word_chars`` chars per token.
+    ``records`` is a record array, or encoded sentences stacked one shard
+    at a time at ``max_word_chars`` chars per token, so writing holds at
+    most one shard's array beyond the input.
     """
     if shard_size < 1:
         raise ConfigError(f"shard_size must be >= 1, got {shard_size}")
-    records = as_records(records, max_word_chars)
+    layout = as_records(records[:1], max_word_chars).dtype
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     shards: list[ShardInfo] = []
+    histogram: Counter[int] = Counter()
     for start in range(0, len(records), shard_size):
-        chunk = records[start:start + shard_size]
+        chunk = as_records(records[start:start + shard_size], max_word_chars)
+        if chunk.dtype != layout:
+            raise DataError(f"records from {start} on do not fit the first record's layout {layout}")
         buf = io.BytesIO()
         np.save(buf, chunk, allow_pickle=False)
         rel = f"{name}-{len(shards):05d}.npy"
         (out_dir / rel).write_bytes(buf.getbuffer())
         shards.append(ShardInfo(rel, len(chunk), hashlib.sha256(buf.getbuffer()).hexdigest()))
-    labels, counts = np.unique(records["y"], return_counts=True)
-    max_len, max_word_chars = records.dtype["c"].shape
+        histogram.update(chunk["y"].tolist())
+    max_len, max_word_chars = layout["c"].shape
     manifest = ShardManifest(
         shards=shards,
         total=len(records),
         shard_size=shard_size,
-        class_histogram=dict(zip(labels.tolist(), counts.tolist())),
+        class_histogram=dict(sorted(histogram.items())),
         max_word_chars=max_word_chars,
         max_len=max_len,
         encoder_hashes=dict(encoder_hashes or {}),

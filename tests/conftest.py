@@ -185,7 +185,7 @@ def relu_margin(model, records, emb_matrix, dropout_seed: int = 0) -> float:
     rng is seeded exactly as the loss adapter seeds it, keeping masks
     identical.
     """
-    if not hasattr(model, "layers"):
+    if model.word_lstm is not None:
         return np.inf
     batch = as_records(records, model.spec.max_word_chars)
     x = emb_matrix[batch["t"]].reshape(len(batch), -1)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import re
@@ -26,6 +27,7 @@ from sarv.corpus import RawRecord, encode_sentence
 from sarv.embed import embedding_matrix, parse_char_vocab, parse_token_vocab
 from sarv.errors import ConfigError
 from sarv.models import load_model
+from sarv.nn import Parameter, load_checkpoint, save_checkpoint
 from sarv.textproc import MAX_LEN, NormConfig, normalize, tokenize, unify_length
 from sarv.train import ShardManifest
 
@@ -493,6 +495,37 @@ def test_eval_rejects_checkpoint_from_other_vocab(trained, other_shards, capsys)
     )
     assert code == 2
     assert "mismatch" in stderr
+
+
+@pytest.mark.parametrize("case", [
+    "missing_meta_key", "non_integer_classes", "unknown_preset", "truncated_body",
+])
+def test_malformed_checkpoint_exits_two(case, trained, tmp_path, capsys):
+    # Each checkpoint matches its side-car's sha256, so only the parse can refuse it.
+    _, shards, run = trained
+    ckpt = tmp_path / "model.bin"
+    arrays, meta = load_checkpoint(run / "checkpoint_final.bin")
+    if case == "missing_meta_key":
+        del meta["max_len"]
+    elif case == "non_integer_classes":
+        meta["num_classes"] = "two"
+    elif case == "unknown_preset":
+        meta["preset"] = "W2V_TRANSFORMER"
+    save_checkpoint(ckpt, [Parameter(name, value) for name, value in arrays.items()], meta)
+    if case == "truncated_body":
+        body = ckpt.read_bytes()[:-40]
+        ckpt.write_bytes(body)
+        sidecar = tmp_path / "model.bin.manifest.txt"
+        kept = [ln for ln in sidecar.read_text("utf-8").splitlines() if not ln.startswith("sha256 ")]
+        sidecar.write_text("\n".join(kept + [f"sha256 {hashlib.sha256(body).hexdigest()}"]) + "\n",
+                           encoding="utf-8")
+    lines = tmp_path / "lines.txt"
+    lines.write_text("واقعا عالی بود\n", encoding="utf-8")
+    common = ["--checkpoint", ckpt, "--shard-dir", shards, "--embeddings", bundled_embedding_path()]
+    for argv in (["eval", *common], ["predict", *common, "--input", lines]):
+        code, stdout, stderr = invoke(capsys, *argv)
+        assert code == 2, (argv[0], stdout, stderr)
+        assert "data error" in stderr and "checkpoint" in stderr
 
 
 @pytest.mark.parametrize("case, word", [

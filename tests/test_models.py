@@ -23,7 +23,6 @@ from sarv.models import (
     load_model,
     model_loss_fn,
     save_model,
-    with_char_vocab,
 )
 from sarv.nn import grad_check, one_hot, save_checkpoint, zero_grads
 
@@ -75,9 +74,31 @@ def test_spec_meta_round_trip():
     assert ModelSpec.from_meta(spec.to_meta()) == spec
 
 
-def test_with_char_vocab():
-    spec = ModelSpec(preset="CHAR_W2V_LSTM")
-    assert with_char_vocab(spec, 44).char_vocab_size == 44
+WORD_LSTM_NAMES = [
+    "word_lstm.W_i", "word_lstm.W_f", "word_lstm.W_g", "word_lstm.W_o",
+    "word_lstm.b_i", "word_lstm.b_f", "word_lstm.b_g", "word_lstm.b_o",
+]
+CHAR_CHANNEL_NAMES = [
+    "char_proj.W", "char_proj.b",
+    "char_lstm.W_i", "char_lstm.W_f", "char_lstm.W_g", "char_lstm.W_o",
+    "char_lstm.b_i", "char_lstm.b_f", "char_lstm.b_g", "char_lstm.b_o",
+]
+MLP_NAMES = ["dense0.W", "dense0.b", "dense1.W", "dense1.b", "head.W", "head.b"]
+
+
+@pytest.mark.parametrize("preset, names", [
+    ("W2V_SOFTMAX", ["head.W", "head.b"]),
+    ("W2V_MLP_SIGMOID", MLP_NAMES),
+    ("W2V_MLP_RELU_LRDECAY", MLP_NAMES),
+    ("W2V_MLP_RELU_LRDECAY_DROPOUT", MLP_NAMES),
+    ("W2V_LSTM", WORD_LSTM_NAMES + ["head.W", "head.b"]),
+    ("CHAR_W2V_LSTM_RUS", CHAR_CHANNEL_NAMES + WORD_LSTM_NAMES + ["head.W", "head.b"]),
+    ("CHAR_W2V_LSTM", CHAR_CHANNEL_NAMES + WORD_LSTM_NAMES + ["head.W", "head.b"]),
+])
+def test_parameter_names_pin_checkpoint_layout(preset, names):
+    # Checkpoints store parameters in this order; reordering changes their bytes.
+    model = build_model(tiny_spec(preset))
+    assert [p.name for p in model.params()] == names
 
 
 def test_softmax_preset_parameter_count():

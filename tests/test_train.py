@@ -150,6 +150,25 @@ def test_write_shards_layout_and_reload(tmp_path):
     assert back.dtype == record_dtype(TINY_MAX_LEN, TINY_MAX_WORD_CHARS)
 
 
+def test_write_shards_stacks_one_shard_at_a_time(tmp_path, monkeypatch):
+    seen = []
+
+    def spy(records, max_word_chars):
+        seen.append(len(records))
+        return as_records(records, max_word_chars)
+
+    monkeypatch.setattr("sarv.train.as_records", spy)
+    records = tiny_records(seed=1, n=23)
+    shard(records, shard_size=5, out_dir=tmp_path / "list")
+    assert seen and max(seen) <= 5
+    # Writing the same records pre-stacked gives the same shard and manifest bytes.
+    shard(tiny_batch(seed=1, n=23), shard_size=5, out_dir=tmp_path / "array")
+    names = sorted(p.name for p in (tmp_path / "list").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "array").iterdir())
+    for name in names:
+        assert (tmp_path / "list" / name).read_bytes() == (tmp_path / "array" / name).read_bytes()
+
+
 def test_shard_hash_mismatch_is_fatal(tmp_path):
     records = tiny_records(seed=2, n=6)
     shard(records, shard_size=3, out_dir=tmp_path)
