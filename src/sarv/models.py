@@ -130,6 +130,12 @@ def _char_lengths(char_ids: np.ndarray) -> np.ndarray:
     return np.maximum(lengths, 1)
 
 
+def _distinct_rows(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct rows of ``ids``, index of each input row in them)."""
+    rows, inverse = np.unique(ids, axis=0, return_inverse=True)
+    return rows, inverse.reshape(-1)
+
+
 class Model:
     """One preset's layers on the shared pipeline; see the module docstring.
 
@@ -143,6 +149,7 @@ class Model:
         self.char_proj: OneHotDense | None = None
         self.char_lstm: Lstm | None = None
         self.word_lstm: Lstm | None = None
+        self._char_inverse: np.ndarray | None = None  # slot -> distinct char row, last forward
         word_dim = spec.embed_dim
         if spec.preset in CHAR_PRESETS:
             self.char_proj = OneHotDense(
@@ -190,15 +197,17 @@ class Model:
         x = emb_matrix[batch["t"]]
         if self.char_lstm is not None:
             b, max_len, cap = batch["c"].shape
-            flat_ids = batch["c"].reshape(b * max_len, cap)
-            char_x = self.char_proj.forward(flat_ids)
-            char_h = self.char_lstm.forward(char_x, _char_lengths(flat_ids))
-            x = np.concatenate([x, char_h.reshape(b, max_len, -1)], axis=2)
+            # The char channel runs once per distinct char row (PAD included).
+            rows, self._char_inverse = _distinct_rows(batch["c"].reshape(b * max_len, cap))
+            char_x = self.char_proj.forward(rows)
+            char_h = self.char_lstm.forward(char_x, _char_lengths(rows))
+            char_h = char_h[self._char_inverse].reshape(b, max_len, self.spec.char_lstm_size)
+            x = np.concatenate([x, char_h], axis=2)
         if self.word_lstm is not None:
             # An all-PAD sentence still runs one LSTM step over the zero vector.
             x = self.word_lstm.forward(x, np.maximum(batch["len"], 1))
         else:
-            x = x.reshape(len(batch), -1)
+            x = x.reshape(len(batch), x.shape[1] * x.shape[2])
         for layer in self.layers:
             if isinstance(layer, Dropout):
                 x = layer.forward(x, mode=mode, rng=rng)
@@ -215,7 +224,10 @@ class Model:
             d = self.word_lstm.backward(d)
         if self.char_lstm is not None:
             dchar_h = d[:, :, self.spec.embed_dim:].reshape(-1, self.spec.char_lstm_size)
-            self.char_proj.backward(self.char_lstm.backward(dchar_h))
+            inverse = self._char_inverse
+            drows = np.zeros((inverse.max(initial=-1) + 1, dchar_h.shape[1]), dchar_h.dtype)
+            np.add.at(drows, inverse, dchar_h)
+            self.char_proj.backward(self.char_lstm.backward(drows))
 
     def predict(
         self, records: Sequence[EncodedSentence] | np.ndarray, emb_matrix: np.ndarray

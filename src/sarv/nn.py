@@ -61,13 +61,8 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], dtype) -> n
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable elementwise logistic function."""
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """Elementwise logistic function as ``(tanh(x/2) + 1) / 2``: no overflow, keeps the dtype."""
+    return 0.5 * (np.tanh(0.5 * x) + 1.0)
 
 
 class Dense:
@@ -203,13 +198,21 @@ class Lstm:
 
     Gates follow the standard recurrence: ``i, f, o`` sigmoid and
     candidate ``g`` tanh over the concatenated ``[x_t, h_{t-1}]``, with
-    ``c_t = f*c_{t-1} + i*g`` and ``h_t = o*tanh(c_t)``.  Each gate has
-    its own ``[input_size + hidden_size, hidden_size]`` weight matrix.
-    Steps at or beyond a row's length are computed but never read, so
+    ``c_t = f*c_{t-1} + i*g`` and ``h_t = o*tanh(c_t)``.  Each gate keeps
+    its own ``[input_size + hidden_size, hidden_size]`` weight parameter
+    (the checkpoint layout); ``forward`` concatenates them into one fused
+    weight with columns ``i, f, o, g``, so one ``sigmoid`` call covers
+    the three sigmoid gates.  The input projection of every step is one
+    matmul hoisted out of the time loop.
+
+    Rows are packed: sorted by length (stably) once per batch, step ``t``
+    updates only the leading rows whose length exceeds ``t``, and each
+    row reads out its final state.  Padded steps are never computed, so
     padded content cannot influence the output or the gradients.
     """
 
     GATES = ("i", "f", "g", "o")
+    FUSED_ORDER = ("i", "f", "o", "g")
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator,
                  dtype=np.float32, name: str = "lstm", forget_bias: float = 1.0):
@@ -226,9 +229,10 @@ class Lstm:
             for g in self.GATES
         }
         self.b["f"].value += forget_bias
-        self._cache: list[dict[str, np.ndarray]] = []
-        self._lengths: np.ndarray | None = None
-        self._seq_shape: tuple[int, ...] | None = None
+        self._W_fused = [self.W[g] for g in self.FUSED_ORDER]
+        self._b_fused = [self.b[g] for g in self.FUSED_ORDER]
+        self._cache: dict[str, np.ndarray] | None = None
+        self._block: np.ndarray | None = None
 
     def forward(self, seq: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         if seq.ndim != 3 or seq.shape[2] != self.input_size:
@@ -242,66 +246,98 @@ class Lstm:
             raise ValueError(f"{self.name}: lengths shape {lengths.shape} != ({batch},)")
         if np.any(lengths < 1) or np.any(lengths > steps):
             raise ValueError(f"{self.name}: lengths must lie in [1, {steps}]")
+        self._cache = None  # release the previous batch's cache before building this one
 
-        dtype = seq.dtype
-        h = np.zeros((batch, self.hidden_size), dtype=dtype)
-        c = np.zeros((batch, self.hidden_size), dtype=dtype)
-        self._cache = []
-        self._lengths = lengths
-        self._seq_shape = seq.shape
-        h_stack = np.empty((batch, steps, self.hidden_size), dtype=dtype)
-        for t in range(steps):
-            xh = np.concatenate([seq[:, t, :], h], axis=1)
-            i = sigmoid(xh @ self.W["i"].value + self.b["i"].value)
-            f = sigmoid(xh @ self.W["f"].value + self.b["f"].value)
-            g = np.tanh(xh @ self.W["g"].value + self.b["g"].value)
-            o = sigmoid(xh @ self.W["o"].value + self.b["o"].value)
-            c_prev = c
-            c = f * c_prev + i * g
-            tc = np.tanh(c)
-            h = o * tc
-            h_stack[:, t, :] = h
-            self._cache.append(
-                {"xh": xh, "i": i, "f": f, "g": g, "o": o, "c_prev": c_prev, "c": c, "tc": tc}
-            )
-        out = h_stack[np.arange(batch), lengths - 1]
+        n_in, H = self.input_size, self.hidden_size
+        order = np.argsort(-lengths, kind="stable")
+        # active[t] rows still run at step t: the leading rows in sorted order
+        active = np.count_nonzero(lengths > np.arange(lengths.max(initial=0))[:, None], axis=1)
+        offsets = np.concatenate([[0], np.cumsum(active)])
+        W = np.concatenate([p.value for p in self._W_fused], axis=1)
+        b = np.concatenate([p.value for p in self._b_fused])
+        W_h = W[n_in:]
+        dtype = np.result_type(seq.dtype, W.dtype)
+
+        # One block holds, per computed step in step-major order, xh =
+        # [x_t, h_{t-1}], the gate activations and c_t.  It is kept and reused
+        # while it is large enough: the cache must outlive forward anyway, and
+        # reallocating it for every batch size fragments the heap.
+        rows = int(offsets[-1])
+        need = rows * (n_in + 6 * H)
+        if self._block is None or self._block.dtype != dtype or self._block.size < need:
+            self._block = None
+            self._block = np.empty(need, dtype=dtype)
+        xh = self._block[: rows * (n_in + H)].reshape(rows, n_in + H)
+        gates = self._block[rows * (n_in + H): rows * (n_in + 5 * H)].reshape(rows, 4 * H)
+        cell = self._block[rows * (n_in + 5 * H): need].reshape(rows, H)
+        for t, n in enumerate(active):
+            xh[offsets[t]:offsets[t + 1], :n_in] = seq[order[:n], t]
+        if rows:
+            xh[: active[0], n_in:] = 0  # h_{-1}
+        np.matmul(xh[:, :n_in], W[:n_in], out=gates)
+        gates += b
+        out = np.empty((batch, H), dtype=dtype)
+        for t, n in enumerate(active):
+            s, e = offsets[t], offsets[t + 1]
+            a = gates[s:e]
+            if t:
+                a += xh[s:e, n_in:] @ W_h
+            a[:, : 3 * H] = sigmoid(a[:, : 3 * H])
+            np.tanh(a[:, 3 * H:], out=a[:, 3 * H:])
+            i, f, o, g = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
+            c = np.multiply(i, g, out=cell[s:e])
+            if t:
+                c += f * cell[offsets[t - 1]:offsets[t - 1] + n]
+            h = o * np.tanh(c)
+            n_next = active[t + 1] if t + 1 < len(active) else 0
+            xh[e:e + n_next, n_in:] = h[:n_next]
+            out[order[n_next:n]] = h[n_next:]
+        self._cache = {"order": order, "active": active, "offsets": offsets, "W": W,
+                       "xh": xh, "gates": gates, "cell": cell, "seq_shape": seq.shape}
         require_finite(out, self.name)
         return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
-        batch, steps, _ = self._seq_shape
-        lengths = self._lengths
+        cache = self._cache
+        order, active, offsets, W = cache["order"], cache["active"], cache["offsets"], cache["W"]
+        xh, gates, cell = cache["xh"], cache["gates"], cache["cell"]
+        n_in, H = self.input_size, self.hidden_size
         dtype = dout.dtype
-        dseq = np.zeros(self._seq_shape, dtype=dtype)
-        dh = np.zeros((batch, self.hidden_size), dtype=dtype)
-        dc = np.zeros((batch, self.hidden_size), dtype=dtype)
-        for t in range(steps - 1, -1, -1):
-            step = self._cache[t]
-            # Inject the readout gradient exactly at each row's last real step.
-            at_readout = (lengths - 1 == t)[:, None]
-            dh_t = dh + np.where(at_readout, dout, 0)
-            i, f, g, o = step["i"], step["f"], step["g"], step["o"]
-            tc = step["tc"]
-            do = dh_t * tc
-            dc_t = dc + dh_t * o * (1.0 - tc * tc)
-            di = dc_t * g
-            dg = dc_t * i
-            df = dc_t * step["c_prev"]
-            dc = dc_t * f
-            da = {
-                "i": di * i * (1.0 - i),
-                "f": df * f * (1.0 - f),
-                "g": dg * (1.0 - g * g),
-                "o": do * o * (1.0 - o),
-            }
-            xh = step["xh"]
-            dxh = np.zeros_like(xh)
-            for gate in self.GATES:
-                self.W[gate].grad += xh.T @ da[gate]
-                self.b[gate].grad += da[gate].sum(axis=0)
-                dxh += da[gate] @ self.W[gate].value.T
-            dseq[:, t, :] = dxh[:, : self.input_size]
-            dh = dxh[:, self.input_size:]
+        dseq = np.zeros(cache["seq_shape"], dtype=dtype)
+        dW = np.zeros_like(W)
+        db = np.zeros(4 * H, dtype=dtype)
+        # Rows are sorted; a row's readout gradient enters at its last step,
+        # and the recurrent gradients overwrite the leading rows step by step.
+        dh = dout[order]
+        dc = np.zeros_like(dh)
+        dA = np.empty((len(order), 4 * H), dtype=dtype)
+        for t in range(len(active) - 1, -1, -1):
+            n = active[t]
+            s, e = offsets[t], offsets[t + 1]
+            a = gates[s:e]
+            i, f, o, g = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
+            tc = np.tanh(cell[s:e])
+            dh_t = dh[:n]
+            dc_t = dc[:n] + dh_t * o * (1.0 - tc * tc)
+            da = dA[:n]
+            np.multiply(dc_t * g, i * (1.0 - i), out=da[:, :H])
+            if t:
+                np.multiply(dc_t * cell[offsets[t - 1]:offsets[t - 1] + n], f * (1.0 - f),
+                            out=da[:, H:2 * H])
+            else:
+                da[:, H:2 * H] = 0
+            np.multiply(dh_t * tc, o * (1.0 - o), out=da[:, 2 * H:3 * H])
+            np.multiply(dc_t * i, 1.0 - g * g, out=da[:, 3 * H:])
+            dc[:n] = dc_t * f
+            dW += xh[s:e].T @ da
+            db += da.sum(axis=0)
+            dxh = da @ W.T
+            dseq[order[:n], t] = dxh[:, :n_in]
+            dh[:n] = dxh[:, n_in:]
+        for p, grad in zip(self._W_fused, np.split(dW, 4, axis=1)):
+            p.grad += grad
+        for p, grad in zip(self._b_fused, np.split(db, 4)):
+            p.grad += grad
         return dseq
 
     def params(self) -> list[Parameter]:

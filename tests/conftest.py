@@ -176,6 +176,11 @@ def tiny_emb(seed: int, dtype=np.float64) -> np.ndarray:
     return mat
 
 
+def rel_to_max(got: np.ndarray, want: np.ndarray) -> float:
+    """Largest absolute difference relative to ``want``'s largest magnitude."""
+    return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
+
+
 def relu_margin(model, records, emb_matrix, dropout_seed: int = 0) -> float:
     """Smallest |pre-activation| reaching any relu layer for this input.
 

@@ -24,12 +24,13 @@ from sarv.models import (
     model_loss_fn,
     save_model,
 )
-from sarv.nn import grad_check, one_hot, save_checkpoint, zero_grads
+from sarv.nn import grad_check, one_hot, save_checkpoint, softmax_xent_grad, zero_grads
 
 from conftest import (
     TINY_EMBED_DIM,
     TINY_MAX_LEN,
     TINY_MAX_WORD_CHARS,
+    rel_to_max,
     relu_margin,
     tiny_batch,
     tiny_emb,
@@ -179,6 +180,54 @@ def test_forward_clamps_empty_sentences(preset):
     assert probs.shape == (1, 2) and np.all(np.isfinite(probs))
 
 
+@pytest.mark.parametrize("preset", PRESETS)
+def test_predict_on_zero_records_returns_empty_probabilities(preset):
+    model = build_model(tiny_spec(preset, classes=3), rng_seed=0, dtype=np.float64)
+    labels, probs = model.predict(tiny_batch(seed=0, n=1, classes=3)[:0], tiny_emb(seed=0))
+    assert labels.shape == (0,)
+    assert probs.shape == (0, 3)
+
+
+def _dedup_batch() -> np.ndarray:
+    """Tokens repeated within and across sentences, an all-PAD sentence and an unknown char."""
+    pad = (0,) * TINY_MAX_WORD_CHARS
+    a, b, unk = (1, 2, 3, 0, 0), (4, 0, 5, 6, 0), (7, 0, 8, 0, 0)  # unk: id 0 mid-token
+    sentences = [
+        ((1, 2, 1, 0), (a, b, a, pad), 3, 0),
+        ((0, 0, 0, 0), (pad,) * TINY_MAX_LEN, 0, 1),
+        ((3, 1, 3, 3), (unk, a, unk, unk), 4, 1),
+        ((2, 0, 0, 0), (b, pad, pad, pad), 1, 0),
+    ]
+    records = [EncodedSentence(t, c, n, y) for t, c, n, y in sentences]
+    return as_records(records, TINY_MAX_WORD_CHARS)
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_char_dedup_matches_running_every_slot(monkeypatch, dtype, tol):
+    import sarv.models
+
+    model = build_model(tiny_spec("CHAR_W2V_LSTM"), rng_seed=3, dtype=dtype)
+    batch = _dedup_batch()
+    emb = tiny_emb(seed=4, dtype=dtype)
+    targets = one_hot(batch["y"], 2, dtype=dtype)
+
+    def run():
+        zero_grads(model.params())
+        probs = model.forward(batch, emb)
+        model.backward(softmax_xent_grad(probs, targets))
+        return probs, [p.grad.copy() for p in model.params()]
+
+    probs, grads = run()
+    assert len(np.unique(model._char_inverse)) == 4  # PAD, a, b, unk out of 16 slots
+    monkeypatch.setattr(sarv.models, "_distinct_rows", lambda ids: (ids, np.arange(len(ids))))
+    every_probs, every_grads = run()
+    assert len(model._char_inverse) == batch["c"].shape[0] * TINY_MAX_LEN
+    assert rel_to_max(probs, every_probs) <= tol
+    for p, got, want in zip(model.params(), grads, every_grads):
+        assert want.any(), p.name
+        assert rel_to_max(got, want) <= tol, p.name
+
+
 def test_char_lengths_matches_brute_force():
     rng = np.random.default_rng(9)
     ids = rng.integers(0, 4, size=(20, 6))
@@ -320,8 +369,6 @@ def test_zero_grads_after_backward():
     batch = tiny_batch(seed=15, n=2)
     emb = tiny_emb(seed=16)
     probs = model.forward(batch, emb)
-    from sarv.nn import softmax_xent_grad
-
     targets = one_hot(batch["y"], 2)
     model.backward(softmax_xent_grad(probs, targets))
     assert any(p.grad.any() for p in model.params())

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +38,9 @@ from sarv.nn import (
     softmax_xent_grad,
     zero_grads,
 )
+
+from conftest import rel_to_max
+from lstm_reference import ReferenceLstm
 
 RNG = lambda s: np.random.default_rng(s)  # noqa: E731
 
@@ -114,6 +118,15 @@ def test_sigmoid_values_and_stability():
     big = sigmoid(np.array([750.0, -750.0]))
     assert big[0] == 1.0 and big[1] == pytest.approx(0.0, abs=1e-300)
     assert np.all(np.isfinite(big))
+
+
+@pytest.mark.parametrize("dtype, tol", [(np.float64, 3e-16), (np.float32, 1e-7)])
+def test_sigmoid_matches_logistic_formula_on_grid(dtype, tol):
+    x = np.linspace(-40.0, 40.0, 80_001).astype(dtype)
+    want = 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
+    got = sigmoid(x)
+    assert got.dtype == dtype
+    assert float(np.max(np.abs(got - want))) <= tol
 
 
 @pytest.mark.parametrize("name", ["sigmoid", "relu"])
@@ -358,6 +371,96 @@ def test_lstm_validates_lengths_and_shapes():
         lstm.forward(seq, np.array([1]))
     with pytest.raises(ValueError):
         lstm.forward(np.zeros((2, 4, 3), dtype=np.float32), np.array([1, 1]))
+
+
+# Fused, packed LSTM against the per-gate, unpacked float64 oracle; the
+# tolerances are relative to each compared array's largest magnitude.
+ORACLE_TOL = {np.float64: 1e-12, np.float32: 1e-5}
+ORACLE_LENGTHS = {
+    "mixed": [1, 6, 3, 6, 2, 4, 1],
+    "all_equal": [4, 4, 4, 4, 4],
+    "batch_of_one": [5],
+}
+
+
+def _oracle_case(dtype, lengths, seed=70):
+    rng = RNG(seed)
+    lstm = Lstm(5, 4, rng, dtype=dtype)
+    for p in lstm.params():  # well away from the init scale, so every gate matters
+        p.value[...] = rng.normal(scale=0.6, size=p.value.shape)
+    seq = rng.normal(size=(len(lengths), 6, 5)).astype(dtype)
+    dout = rng.normal(size=(len(lengths), 4)).astype(dtype)
+    return lstm, seq, np.array(lengths), dout
+
+
+def _run(lstm, seq, lengths, dout):
+    zero_grads(lstm.params())
+    out = lstm.forward(seq, lengths)
+    dseq = lstm.backward(dout)
+    return out, dseq, {p.name.split(".")[-1]: p.grad.copy() for p in lstm.params()}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("case", sorted(ORACLE_LENGTHS))
+def test_lstm_matches_per_gate_oracle(dtype, case):
+    lstm, seq, lengths, dout = _oracle_case(dtype, ORACLE_LENGTHS[case])
+    ref = ReferenceLstm(lstm)
+    want_out = ref.forward(seq, lengths)
+    want_dseq = ref.backward(dout)
+    out, dseq, grads = _run(lstm, seq, lengths, dout)
+    tol = ORACLE_TOL[dtype]
+    assert out.dtype == dseq.dtype == dtype
+    assert rel_to_max(out, want_out) <= tol
+    assert rel_to_max(dseq, want_dseq) <= tol
+    for name, want in ref.grads().items():
+        assert rel_to_max(grads[name], want) <= tol, name
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_lstm_rows_permute_with_the_batch(dtype):
+    lstm, seq, lengths, dout = _oracle_case(dtype, ORACLE_LENGTHS["mixed"])
+    out, dseq, grads = _run(lstm, seq, lengths, dout)
+    perm = RNG(71).permutation(len(lengths))
+    p_out, p_dseq, p_grads = _run(lstm, seq[perm], lengths[perm], dout[perm])
+    tol = ORACLE_TOL[dtype]
+    assert rel_to_max(p_out, out[perm]) <= tol
+    assert rel_to_max(p_dseq, dseq[perm]) <= tol
+    for name, grad in grads.items():
+        assert rel_to_max(p_grads[name], grad) <= tol, name
+
+
+def test_lstm_backward_twice_gives_identical_results():
+    lstm, seq, lengths, dout = _oracle_case(np.float64, ORACLE_LENGTHS["mixed"])
+    lstm.forward(seq, lengths)
+    zero_grads(lstm.params())
+    first = lstm.backward(dout)
+    first_grads = [p.grad.copy() for p in lstm.params()]
+    zero_grads(lstm.params())
+    second = lstm.backward(dout)
+    np.testing.assert_array_equal(second, first)
+    for p, grad in zip(lstm.params(), first_grads):
+        np.testing.assert_array_equal(p.grad, grad)
+
+
+def test_lstm_does_not_hold_the_previous_batch_while_running_the_next():
+    lstm = Lstm(50, 100, RNG(80), dtype=np.float32)
+    seq = RNG(81).normal(size=(256, 15, 50)).astype(np.float32)
+    lengths = np.full(256, 15)
+    dout = np.ones((256, 100), dtype=np.float32)
+
+    def peak_of_one_pass():
+        tracemalloc.reset_peak()
+        lstm.forward(seq, lengths)
+        lstm.backward(dout)
+        return tracemalloc.get_traced_memory()[1]
+
+    tracemalloc.start()
+    try:
+        first = peak_of_one_pass()
+        second = peak_of_one_pass()  # the first pass's cache is still alive when this starts
+    finally:
+        tracemalloc.stop()
+    assert second <= first + 1_000_000, (first, second)
 
 
 # ---------------------------------------------------------------------------
