@@ -20,7 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
-from sarv.corpus import Encoder, LabelScheme, RawRecord, preprocess_records, read_corpus
+from sarv.corpus import (Encoder, LabelScheme, RawRecord, preprocess_records, read_corpus,
+                         to_json_lines)
 from sarv.embed import build_char_vocab, build_token_vocab, embedding_matrix, load_embeddings
 from sarv.errors import ConfigError, DataError, NumericsError, SarvError
 from sarv.metrics import category_stats, metrics
@@ -271,7 +272,8 @@ def _encode_corpus(cfg: RunConfig):
     seqs = [seq for seq, _, _ in triples]
     encoder = Encoder(norm, build_token_vocab(seqs), build_char_vocab(seqs))
     scheme = LabelScheme.for_num_classes(cfg.classes)
-    encoded = [encoder.encode(fixed, scheme.label_index(rec.label)) for _, fixed, rec in triples]
+    labels = [scheme.label_index(rec.label) for _, _, rec in triples]
+    encoded = encoder.encode_many([fixed for _, fixed, _ in triples], labels)
     return encoded, encoder, length_histogram(seqs), skipped
 
 
@@ -292,10 +294,10 @@ def cmd_preprocess(cfg: RunConfig) -> int:
     _report_skipped(skipped)
     encoder.save(cfg.out_dir)
     _write_outputs(cfg, {
-        "encoded.jsonl": "".join(rec.to_json_line() + "\n" for rec in encoded),
+        "encoded.jsonl": to_json_lines(encoded),
         "histogram.txt": _histogram_text(hist),
     })
-    if not encoded:
+    if not len(encoded):
         print("warning: empty corpus, wrote 0 records", file=sys.stderr)
     print(f"records {len(encoded)}")
     print(f"fraction with <= {MAX_LEN} tokens: {hist.cumulative_fraction(MAX_LEN):.4f}")
@@ -332,7 +334,11 @@ def _checked_manifest(path: Path, encoder: Encoder) -> ShardManifest:
 
 
 def _embedding_matrix_for(cfg: RunConfig, token_vocab, dtype):
-    table = load_embeddings(cfg.embeddings)
+    """``token_vocab``'s rows of the checked embeddings file; no usable line is a DataError."""
+    table = load_embeddings(cfg.embeddings, vocab=token_vocab)
+    if not table.loaded_lines:
+        raise DataError(f"no line of embeddings {cfg.embeddings} is a token followed by "
+                        f"{table.dim} finite components ({table.skipped_lines} malformed)")
     if table.skipped_lines:
         print(f"warning: skipped {table.skipped_lines} malformed embedding line(s)",
               file=sys.stderr)
@@ -415,11 +421,8 @@ def cmd_predict(cfg: RunConfig) -> int:
     text = ""
     if lines:
         raw = [RawRecord(text=ln, label="") for ln in lines]
-        encoded = [
-            encoder.encode(fixed, label=0)
-            for _, fixed, _ in preprocess_records(raw, encoder.norm, MAX_LEN)
-        ]
-        labels, probs = model.predict(encoded, emb)
+        fixed = [f for _, f, _ in preprocess_records(raw, encoder.norm, MAX_LEN)]
+        labels, probs = model.predict(encoder.encode_many(fixed, [0] * len(fixed)), emb)
         text = "".join(
             "\t".join([scheme.classes[y]] + [f"{p:.6f}" for p in row]) + "\n"
             for y, row in zip(labels, probs)

@@ -3,12 +3,13 @@
 A corpus is delimited text (CSV/TSV) with a configurable column mapping
 for {text, label, category}, or line-delimited JSON records with those
 keys.  An encoded record is fixed-length token ids, per-token char ids,
-true length, and class label.  The encoder returns one
-:class:`EncodedSentence` per review; from shards to the model, records
-are rows of one structured array (:func:`record_dtype`).  An
+true length, and class label, stored as one row of a structured array
+(:func:`record_dtype`) from the encoder to the model.  An
 :class:`Encoder` holds the normaliser and vocabularies a shard directory
-was encoded with, and checks them against what manifests and
-checkpoints recorded.
+was encoded with, encodes reviews straight into that record array, and
+checks them against what manifests and checkpoints recorded.
+:func:`encode_sentence` encodes one review as an :class:`EncodedSentence`
+tuple, the reference ``Encoder.encode_many`` is tested against.
 """
 
 from __future__ import annotations
@@ -208,8 +209,27 @@ class EncodedSentence:
     def to_json_line(self) -> str:
         """The record as one JSON line, char rows without trailing zeros."""
         chars = [list(np.trim_zeros(row, "b")) for row in self.char_ids]
-        obj = {"t": list(self.token_ids), "c": chars, "len": self.true_length, "y": self.label}
-        return json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
+        return _json_line(list(self.token_ids), chars, self.true_length, self.label)
+
+
+def _json_line(token_ids: list, char_rows: list, true_length: int, label: int) -> str:
+    obj = {"t": token_ids, "c": char_rows, "len": true_length, "y": label}
+    return json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
+
+
+def to_json_lines(records: np.ndarray) -> str:
+    """A record array as ``EncodedSentence.to_json_line`` lines, one per record."""
+    chars = records["c"]
+    nonzero = chars != 0
+    # Each char row's length up to its last nonzero id (0 for an all-zero row).
+    widths = np.where(nonzero.any(axis=2),
+                      chars.shape[2] - np.argmax(nonzero[..., ::-1], axis=2), 0)
+    lines = []
+    for t, c, w, n, y in zip(records["t"].tolist(), chars.tolist(), widths.tolist(),
+                             records["len"].tolist(), records["y"].tolist()):
+        rows = [row[:k] for row, k in zip(c, w)]
+        lines.append(_json_line(t, rows, n, y) + "\n")
+    return "".join(lines)
 
 
 def record_dtype(max_len: int, max_word_chars: int) -> np.dtype:
@@ -265,8 +285,8 @@ ENCODER_HASH_KEYS = ("vocab_hash", "char_vocab_hash", "norm_config_hash")
 class Encoder:
     """The normaliser and vocabularies one shard directory was encoded with.
 
-    ``encode`` is the one path from a fixed sentence to an
-    :class:`EncodedSentence`.  ``save``/``load`` own the directory's
+    ``encode_many`` is the one path from fixed sentences to a record
+    array.  ``save``/``load`` own the directory's
     ``vocab.tsv``, ``chars.tsv`` and ``stopwords.txt`` (the folded
     stopword set, sorted, one per line); ``check`` refuses a manifest or
     checkpoint recorded against any other encoder.
@@ -319,8 +339,40 @@ class Encoder:
                     f"{want[:12] or '(none)'}… recorded vs {found[:12]}… in the shard directory"
                 )
 
-    def encode(self, fixed: FixedSentence, label: int) -> EncodedSentence:
-        return encode_sentence(fixed, self.token_vocab, self.char_vocab, label)
+    def encode_many(self, fixed: Sequence[FixedSentence], labels: Sequence[int]) -> np.ndarray:
+        """Sentences and their labels as one record array, in order.
+
+        Equal to ``as_records`` of each sentence's ``encode_sentence``, but each
+        distinct token is looked up once: every slot holds the index of its
+        token's row in a table of distinct tokens, and the token ids and
+        char rows are gathered from that table.
+        """
+        width = self.char_vocab.max_word_chars
+        max_len = len(fixed[0].tokens) if fixed else MAX_LEN
+        if any(len(s.tokens) != max_len for s in fixed):
+            raise DataError(f"records do not fit {max_len} slots: sentences differ in length")
+        tokens = [t for s in fixed for t in s.tokens]
+        row_of = {t: i for i, t in enumerate(dict.fromkeys(tokens))}
+        rows = np.fromiter(map(row_of.__getitem__, tokens), dtype=np.intp,
+                            count=len(tokens)).reshape(len(fixed), max_len)
+        token_ids = np.array([self.token_vocab.token_id(t) for t in row_of], dtype=np.int64)
+        char_ids = np.zeros((len(row_of), width), dtype=np.int64)
+        char_id = self.char_vocab.ids.get
+        for row, token in zip(char_ids, row_of):
+            ids = [char_id(ch, 0) for ch in token[:width]]
+            row[:len(ids)] = ids
+        dtype = record_dtype(max_len, width)
+        for name, table in (("t", token_ids), ("c", char_ids)):
+            limit = np.iinfo(dtype[name].base).max
+            if table.size and table.max() > limit:
+                raise DataError(f"records do not fit {max_len} slots x {width} chars: "
+                                f"{name} id {table.max()} exceeds {limit}")
+        out = np.zeros(len(fixed), dtype)
+        out["y"] = labels
+        out["len"] = [s.true_length for s in fixed]
+        out["t"] = token_ids[rows]
+        out["c"] = char_ids.astype(dtype["c"].base)[rows]
+        return out
 
 
 def preprocess_records(

@@ -14,6 +14,7 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
 from typing import Iterable, Sequence
 
@@ -37,17 +38,20 @@ _DIACRITICS_RE = re.compile(r"[ً-ْٰ]")
 _LETTERS_DIGITS_RE = re.compile(r"[A-Za-z0-9٠-٩۰-۹]")
 _WS_RE = re.compile(r"\s+")
 
-# char -> replacement cache for the category-based punctuation test;
-# stdlib re has no \p{P}, so membership is resolved per character once.
-_PUNCT_CACHE: dict[str, bool] = {}
+
+class _PunctToSpace(dict):
+    """``str.translate`` table mapping punctuation (Unicode category P*) to a space.
+
+    stdlib re has no ``\\p{P}``, so each code point is classified with
+    ``unicodedata`` the first time it is looked up, and cached.
+    """
+
+    def __missing__(self, cp: int) -> int:
+        self[cp] = out = 0x20 if unicodedata.category(chr(cp)).startswith("P") else cp
+        return out
 
 
-def _is_punct(ch: str) -> bool:
-    hit = _PUNCT_CACHE.get(ch)
-    if hit is None:
-        hit = unicodedata.category(ch).startswith("P")
-        _PUNCT_CACHE[ch] = hit
-    return hit
+_PUNCT_TO_SPACE = _PunctToSpace()
 
 
 def fold_persian(text: str) -> str:
@@ -62,8 +66,10 @@ def fold_persian(text: str) -> str:
     return _DIACRITICS_RE.sub("", text)
 
 
+@lru_cache(maxsize=1 << 16)
 def _fold_probe(token: str) -> str:
-    # Comparison form used for stopword membership tests.
+    # Comparison form used for stopword membership tests; tokens repeat,
+    # so each distinct one is folded once.
     return fold_persian(token.casefold()).strip()
 
 
@@ -152,7 +158,7 @@ def normalize(raw: str | bytes, cfg: NormConfig) -> str:
         if cfg.punctuation_pattern is not None:
             text = re.sub(cfg.punctuation_pattern, " ", text)
         else:
-            text = "".join(" " if _is_punct(ch) else ch for ch in text)
+            text = text.translate(_PUNCT_TO_SPACE)
     if cfg.strip_digits_and_foreign_letters:
         pattern = cfg.letters_digits_pattern
         if pattern is not None:

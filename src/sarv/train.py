@@ -73,19 +73,25 @@ class TrainConfig:
         return np.float64 if self.precision == "double" else np.float32
 
 
-def split_train_test(
-    records: Sequence, fraction: float = 0.8, seed: int = 0
-) -> tuple[list, list]:
-    """Deterministic shuffled split; train gets ``floor(fraction * N)``."""
+def split_train_test(records: Sequence | np.ndarray, fraction: float = 0.8, seed: int = 0):
+    """Deterministic shuffled split; train gets ``floor(fraction * N)``.
+
+    ``records`` is a record array or a list; both parts are the same kind.
+    """
     if not 0.0 < fraction < 1.0:
         raise ConfigError(f"split fraction must be in (0, 1), got {fraction}")
     if len(records) == 0:
         raise DataError("cannot split an empty corpus")
     perm = np.random.default_rng(seed).permutation(len(records))
     n_train = int(math.floor(fraction * len(records)))
-    train = [records[i] for i in perm[:n_train]]
-    test = [records[i] for i in perm[n_train:]]
-    return train, test
+    return _take(records, perm[:n_train]), _take(records, perm[n_train:])
+
+
+def _take(records: Sequence | np.ndarray, idx: np.ndarray):
+    """``records`` at ``idx``, in that order: a record array, or a list."""
+    if isinstance(records, np.ndarray):
+        return records[idx]
+    return [records[i] for i in idx]
 
 
 # ---------------------------------------------------------------------------
@@ -395,26 +401,27 @@ class PlateauScheduler:
         return self.lr
 
 
-def random_undersample(records: Sequence, seed: int = 0,
-                       num_classes: int | None = None) -> list:
-    """Down-sample every class to the minority count, without replacement."""
+def random_undersample(records: Sequence | np.ndarray, seed: int = 0,
+                       num_classes: int | None = None):
+    """Down-sample every class to the minority count, without replacement.
+
+    ``records`` is a record array or a list of records with a ``label``;
+    the result is the same kind.
+    """
     if len(records) == 0:
         raise DataError("cannot undersample an empty dataset")
-    groups: dict[int, list[int]] = {}
-    for i, rec in enumerate(records):
-        groups.setdefault(rec.label, []).append(i)
+    labels = np.asarray(records["y"] if isinstance(records, np.ndarray)
+                        else [r.label for r in records])
+    groups = {int(c): np.flatnonzero(labels == c) for c in np.unique(labels)}
     if num_classes is not None:
         missing = [c for c in range(num_classes) if c not in groups]
         if missing:
             raise DataError(f"classes with zero records: {missing}")
     rng = np.random.default_rng(seed)
     minority = min(len(v) for v in groups.values())
-    kept: list[int] = []
-    for label in sorted(groups):
-        idx = np.array(groups[label])
-        kept.extend(idx[rng.permutation(len(idx))[:minority]])
-    order = rng.permutation(len(kept))
-    return [records[kept[i]] for i in order]
+    kept = np.concatenate([idx[rng.permutation(len(idx))[:minority]]
+                           for idx in groups.values()])  # in label order
+    return _take(records, kept[rng.permutation(len(kept))])
 
 
 # ---------------------------------------------------------------------------

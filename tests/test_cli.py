@@ -672,3 +672,23 @@ def test_stats_reports_category_table(tmp_path, capsys):
     assert ["Mobile", "546", "107", "92"] in parsed
     assert parsed[-1] == ["total", "546", "107", "92"]
     assert (tmp_path / "out" / "stats.tsv").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "predict"])
+def test_embeddings_of_the_wrong_dimension_exit_two(command, trained, tmp_path, capsys,
+                                                    monkeypatch):
+    _, shards, run = trained
+    wide = tmp_path / "glove_100d.txt"
+    wide.write_text("".join(f"{w} " + " ".join(["0.25"] * 100) + "\n" for w in FILLERS),
+                    encoding="utf-8")
+    argv = {
+        "train": ["train", "--shard-dir", shards, "--out-dir", tmp_path / "run"],
+        "eval": ["eval", "--checkpoint", run / "checkpoint_best.bin", "--shard-dir", shards],
+        "predict": ["predict", "--checkpoint", run / "checkpoint_best.bin", "--shard-dir", shards],
+    }[command]
+    monkeypatch.setattr("sys.stdin", io.StringIO("عالی\n"))
+    code, stdout, err = invoke(capsys, *argv, "--embeddings", wide)
+    assert code == 2
+    assert stdout == ""
+    assert "50 finite components" in err and str(wide) in err
+    assert not (tmp_path / "run" / "report.jsonl").exists()

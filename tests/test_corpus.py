@@ -11,6 +11,7 @@ from sarv.corpus import (
     Encoder,
     LabelScheme,
     RawRecord,
+    as_records,
     encode_sentence,
     preprocess_records,
     read_corpus,
@@ -209,7 +210,9 @@ def test_encoder_round_trip_and_check(tmp_path):
     assert back.hashes() == hashes
     back.check(hashes, "manifest")
     fixed = unify_length(["خوب", "بد"])
-    assert back.encode(fixed, 1) == encode_sentence(fixed, token_vocab, char_vocab, 1)
+    want = as_records([encode_sentence(fixed, token_vocab, char_vocab, 1)],
+                      char_vocab.max_word_chars)
+    assert back.encode_many([fixed], [1]).tobytes() == want.tobytes()
     for key in hashes:
         empty = {**hashes, key: ""}
         missing = {k: v for k, v in hashes.items() if k != key}

@@ -120,6 +120,21 @@ def test_split_is_deterministic_and_seed_sensitive():
     assert a != c
 
 
+def test_split_and_undersample_select_the_same_rows_from_a_record_array():
+    records = tiny_records(seed=3, n=40, classes=3)
+    array = as_records(records, TINY_MAX_WORD_CHARS)
+    for seed in (0, 1, 7):
+        parts = split_train_test(array, 0.8, seed)
+        for got, want in zip(parts, split_train_test(records, 0.8, seed)):
+            assert isinstance(got, np.ndarray)
+            assert got.tobytes() == as_records(want, TINY_MAX_WORD_CHARS).tobytes()
+        got = random_undersample(array, seed=seed, num_classes=3)
+        want = random_undersample(records, seed=seed, num_classes=3)
+        assert got.tobytes() == as_records(want, TINY_MAX_WORD_CHARS).tobytes()
+    with pytest.raises(DataError, match="zero records"):
+        random_undersample(array[array["y"] != 1], seed=0, num_classes=3)
+
+
 def test_split_validation():
     with pytest.raises(ConfigError):
         split_train_test([1, 2], fraction=1.0)
