@@ -15,7 +15,8 @@ import argparse
 import configparser
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +29,9 @@ from sarv.metrics import category_stats, metrics
 from sarv.models import CHAR_PRESETS, PRESETS, ModelSpec, load_model
 from sarv.textproc import MAX_LEN, NormConfig, length_histogram, load_stopwords
 from sarv.train import (
+    OPTIMIZERS,
+    PRECISIONS,
+    SCHEDULES,
     ShardManifest,
     TrainConfig,
     _eval_confusion,
@@ -56,82 +60,67 @@ PRESET_TRAIN_DEFAULTS: dict[str, dict] = {
 }
 
 
+# Field annotation -> parser of a flag or INI value; str fields keep the raw
+# string and bool fields are switches.
+_ARG_TYPES = {"int": int, "float": float, "float | None": float}
+
+
+def _opt(section: str, flag: str, default, *, train_field: str = "", **argparse_kwargs):
+    """A ``RunConfig`` field with its INI section, its flag and the flag's argparse keywords.
+
+    ``train_field`` names the ``TrainConfig`` field it feeds when the names differ.
+    """
+    metadata = {"section": section, "flag": flag, "argparse": argparse_kwargs}
+    if train_field:
+        metadata["train_field"] = train_field
+    return field(default=default, metadata=metadata)
+
+
 @dataclass
 class RunConfig:
-    """Union of pipeline settings; round-trips losslessly through INI."""
+    """Union of pipeline settings; round-trips losslessly through INI.
 
-    seed: int = 0
-    preset: str = "W2V_SOFTMAX"
-    classes: int = 2
-    precision: str = "single"
+    Each field is declared once: its metadata gives its INI section and its
+    flag, and field order is the INI emission order.
+    """
 
-    corpus: str = ""
-    embeddings: str = ""
-    stopwords: str = ""
-    shard_dir: str = ""
-    checkpoint: str = ""
-    manifest: str = ""
-    input_path: str = ""
-    out_dir: str = ""
+    seed: int = _opt("run", "--seed", 0, help=f"rng seed (falls back to ${SEED_ENV_VAR})")
+    preset: str = _opt("run", "--preset", "W2V_SOFTMAX", choices=PRESETS, help="model preset")
+    classes: int = _opt("run", "--classes", 2, choices=(2, 3))
+    precision: str = _opt("run", "--precision", "single", choices=PRECISIONS)
 
-    fmt: str = ""
-    text_col: str = "text"
-    label_col: str = "label"
-    category_col: str = "category"
-    max_bad_rows: int = 100
+    corpus: str = _opt("paths", "--corpus", "", help="corpus file (csv/tsv/jsonl)")
+    embeddings: str = _opt("paths", "--embeddings", "", help="GloVe-format word vector file")
+    stopwords: str = _opt("paths", "--stopwords", "", help="stopword file, one per line")
+    shard_dir: str = _opt("paths", "--shard-dir", "", help="directory holding shards + vocabs")
+    checkpoint: str = _opt("paths", "--checkpoint", "", help="model checkpoint file")
+    manifest: str = _opt("paths", "--manifest", "", help="shard manifest to evaluate")
+    input_path: str = _opt("paths", "--input", "", help="text file, one record per line")
+    out_dir: str = _opt("paths", "--out-dir", "", help="output directory")
 
-    split: float = 0.8
-    shard_size: int = 200000
-    rus: bool = False
+    fmt: str = _opt("preprocess", "--format", "", choices=("csv", "tsv", "jsonl"))
+    text_col: str = _opt("preprocess", "--text-col", "text")
+    label_col: str = _opt("preprocess", "--label-col", "label")
+    category_col: str = _opt("preprocess", "--category-col", "category")
+    max_bad_rows: int = _opt("preprocess", "--max-bad-rows", 100)
 
-    optimizer: str = "adam"
-    lr: float = 0.001
-    lr_schedule: str = "constant"
-    epochs: int = 1
-    batch_size: int = 512
-    dropout: float = 0.0
-    plateau_factor: float = 0.9
-    plateau_patience: int = 27
-    exp_step_unit: str = "epoch"
-    stop_at_train_accuracy: float | None = None
+    split: float = _opt("shard", "--split", 0.8, help="train fraction (default 0.8)")
+    shard_size: int = _opt("shard", "--shard-size", 200000)
+    rus: bool = _opt("shard", "--rus", False, help="random-undersample the train split")
+
+    optimizer: str = _opt("train", "--optimizer", "adam", choices=OPTIMIZERS)
+    lr: float = _opt("train", "--lr", 0.001, train_field="base_lr", help="base learning rate")
+    lr_schedule: str = _opt("train", "--lr-schedule", "constant", choices=SCHEDULES)
+    epochs: int = _opt("train", "--epochs", 1)
+    batch_size: int = _opt("train", "--batch-size", 512)
+    dropout: float = _opt("train", "--dropout", 0.0)
+    plateau_factor: float = _opt("train", "--plateau-factor", 0.9)
+    plateau_patience: int = _opt("train", "--plateau-patience", 27)
+    exp_step_unit: str = _opt("train", "--exp-step-unit", "epoch", choices=("epoch", "batch"))
+    stop_at_train_accuracy: float | None = _opt("train", "--stop-at-train-accuracy", None)
 
 
-# (section, field) pairs define both the INI layout and its canonical
-# emission order.
-_INI_SCHEMA: tuple[tuple[str, str], ...] = (
-    ("run", "seed"),
-    ("run", "preset"),
-    ("run", "classes"),
-    ("run", "precision"),
-    ("paths", "corpus"),
-    ("paths", "embeddings"),
-    ("paths", "stopwords"),
-    ("paths", "shard_dir"),
-    ("paths", "checkpoint"),
-    ("paths", "manifest"),
-    ("paths", "input_path"),
-    ("paths", "out_dir"),
-    ("preprocess", "fmt"),
-    ("preprocess", "text_col"),
-    ("preprocess", "label_col"),
-    ("preprocess", "category_col"),
-    ("preprocess", "max_bad_rows"),
-    ("shard", "split"),
-    ("shard", "shard_size"),
-    ("shard", "rus"),
-    ("train", "optimizer"),
-    ("train", "lr"),
-    ("train", "lr_schedule"),
-    ("train", "epochs"),
-    ("train", "batch_size"),
-    ("train", "dropout"),
-    ("train", "plateau_factor"),
-    ("train", "plateau_patience"),
-    ("train", "exp_step_unit"),
-    ("train", "stop_at_train_accuracy"),
-)
-
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_FIELDS = {f.name: f for f in fields(RunConfig)}
 
 
 def _format_value(value) -> str:
@@ -146,37 +135,28 @@ def _format_value(value) -> str:
 
 def _parse_value(name: str, raw: str):
     raw = raw.strip()
-    ftype = _FIELD_TYPES[name]
+    ftype = _FIELDS[name].type
     try:
-        if ftype == "int":
-            return int(raw)
-        if ftype == "float":
-            return float(raw)
         if ftype == "bool":
             if raw.lower() in ("true", "1", "yes"):
                 return True
             if raw.lower() in ("false", "0", "no", ""):
                 return False
             raise ValueError(f"not a boolean: {raw!r}")
-        if ftype == "float | None":
-            return float(raw) if raw else None
-        return raw
+        if ftype == "float | None" and not raw:
+            return None
+        return _ARG_TYPES.get(ftype, str)(raw)
     except ValueError as exc:
         raise ConfigError(f"bad config value {name} = {raw!r}: {exc}") from exc
 
 
 def config_to_ini(cfg: RunConfig) -> str:
     """Canonical INI text; emitting, parsing, and re-emitting is a fixed point."""
-    lines: list[str] = []
-    current = None
-    for section, name in _INI_SCHEMA:
-        if section != current:
-            if current is not None:
-                lines.append("")
-            lines.append(f"[{section}]")
-            current = section
-        lines.append(f"{name} = {_format_value(getattr(cfg, name))}")
-    return "\n".join(lines) + "\n"
+    blocks = []
+    for section, group in groupby(_FIELDS.values(), key=lambda f: f.metadata["section"]):
+        lines = [f"{f.name} = {_format_value(getattr(cfg, f.name))}" for f in group]
+        blocks.append("\n".join([f"[{section}]", *lines]))
+    return "\n\n".join(blocks) + "\n"
 
 
 def config_from_ini(path) -> dict:
@@ -189,11 +169,10 @@ def config_from_ini(path) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
-    known = {(s, n) for s, n in _INI_SCHEMA}
     values: dict = {}
     for section in parser.sections():
         for key, raw in parser.items(section):
-            if (section, key) not in known:
+            if key not in _FIELDS or _FIELDS[key].metadata["section"] != section:
                 raise ConfigError(f"unknown config entry [{section}] {key}")
             values[key] = _parse_value(key, raw)
     return values
@@ -202,12 +181,10 @@ def config_from_ini(path) -> dict:
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults < preset defaults < config file < env seed < flags."""
     flag_values = {
-        name: getattr(args, name)
-        for _, name in _INI_SCHEMA
-        if getattr(args, name, None) is not None
+        name: getattr(args, name) for name in _FIELDS if getattr(args, name, None) is not None
     }
     file_values = config_from_ini(args.config) if getattr(args, "config", None) else {}
-    merged = {f.name: getattr(RunConfig(), f.name) for f in fields(RunConfig)}
+    merged = {name: f.default for name, f in _FIELDS.items()}
     preset = flag_values.get("preset", file_values.get("preset", merged["preset"]))
     if preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}; choose from {PRESETS}")
@@ -228,7 +205,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 def _require(cfg: RunConfig, *names: str) -> None:
     for name in names:
         if not getattr(cfg, name):
-            flag = "--" + name.replace("_", "-").replace("-path", "")
+            flag = _FIELDS[name].metadata["flag"]
             raise ConfigError(f"{name} is required (pass {flag} or set it in the config file)")
 
 
@@ -327,9 +304,14 @@ def cmd_shard(cfg: RunConfig) -> int:
     return 0
 
 
-def _checked_manifest(path: Path, encoder: Encoder) -> ShardManifest:
+def _checked_manifest(path: Path, encoder: Encoder, num_classes: int) -> ShardManifest:
+    """The manifest at ``path``, written by ``encoder`` with labels below ``num_classes``."""
     manifest = ShardManifest.load(path)
     encoder.check(manifest.encoder_hashes, f"manifest {path}")
+    outside = sorted(k for k in manifest.class_histogram if not 0 <= k < num_classes)
+    if outside:
+        raise DataError(f"manifest {path} holds labels {outside}, but the model has "
+                        f"{num_classes} classes (labels 0..{num_classes - 1})")
     return manifest
 
 
@@ -360,23 +342,13 @@ def cmd_train(cfg: RunConfig) -> int:
     _require(cfg, "embeddings", "out_dir")
     shard_dir = Path(cfg.shard_dir or cfg.out_dir)
     encoder = Encoder.load(shard_dir)
-    train_manifest = _checked_manifest(shard_dir / "train.manifest.json", encoder)
+    train_manifest = _checked_manifest(shard_dir / "train.manifest.json", encoder, cfg.classes)
     test_path = shard_dir / "test.manifest.json"
-    eval_manifest = _checked_manifest(test_path, encoder) if test_path.exists() else None
+    eval_manifest = (_checked_manifest(test_path, encoder, cfg.classes)
+                     if test_path.exists() else None)
 
-    train_cfg = TrainConfig(
-        optimizer=cfg.optimizer,
-        base_lr=cfg.lr,
-        lr_schedule=cfg.lr_schedule,
-        plateau_factor=cfg.plateau_factor,
-        plateau_patience=cfg.plateau_patience,
-        exp_step_unit=cfg.exp_step_unit,
-        batch_size=cfg.batch_size,
-        epochs=cfg.epochs,
-        seed=cfg.seed,
-        precision=cfg.precision,
-        stop_at_train_accuracy=cfg.stop_at_train_accuracy,
-    )
+    source = {f.metadata.get("train_field", name): name for name, f in _FIELDS.items()}
+    train_cfg = TrainConfig(**{f.name: getattr(cfg, source[f.name]) for f in fields(TrainConfig)})
     spec = ModelSpec(
         preset=cfg.preset,
         num_classes=cfg.classes,
@@ -396,9 +368,9 @@ def cmd_eval(cfg: RunConfig) -> int:
     _require(cfg, "checkpoint", "embeddings")
     shard_dir = Path(cfg.shard_dir or cfg.out_dir or ".")
     encoder = Encoder.load(shard_dir)
-    manifest_path = Path(cfg.manifest) if cfg.manifest else shard_dir / "test.manifest.json"
-    manifest = _checked_manifest(manifest_path, encoder)
     model, emb = _load_checkpoint(cfg, encoder)
+    manifest_path = Path(cfg.manifest) if cfg.manifest else shard_dir / "test.manifest.json"
+    manifest = _checked_manifest(manifest_path, encoder, model.spec.num_classes)
     report = metrics(_eval_confusion(model, manifest, emb, cfg.batch_size))
     sys.stdout.write(report.to_text())
     _write_outputs(cfg, {"metrics.txt": report.to_text(), "metrics.json": report.to_json() + "\n"})
@@ -462,43 +434,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_flags(p: _Parser, *names: str) -> None:
-    specs = {
-        "corpus": (["--corpus"], {"help": "corpus file (csv/tsv/jsonl)"}),
-        "embeddings": (["--embeddings"], {"help": "GloVe-format word vector file"}),
-        "stopwords": (["--stopwords"], {"help": "stopword file, one per line"}),
-        "preset": (["--preset"], {"choices": PRESETS, "help": "model preset"}),
-        "classes": (["--classes"], {"type": int, "choices": (2, 3)}),
-        "epochs": (["--epochs"], {"type": int}),
-        "batch_size": (["--batch-size"], {"type": int}),
-        "lr": (["--lr"], {"type": float, "help": "base learning rate"}),
-        "lr_schedule": (["--lr-schedule"], {"choices": ("constant", "exp", "plateau")}),
-        "dropout": (["--dropout"], {"type": float}),
-        "shard_size": (["--shard-size"], {"type": int}),
-        "split": (["--split"], {"type": float, "help": "train fraction (default 0.8)"}),
-        "seed": (["--seed"], {"type": int, "help": f"rng seed (falls back to ${SEED_ENV_VAR})"}),
-        "rus": (["--rus"], {"action": "store_true", "default": None,
-                            "help": "random-undersample the train split"}),
-        "precision": (["--precision"], {"choices": ("single", "double")}),
-        "out_dir": (["--out-dir"], {"help": "output directory"}),
-        "shard_dir": (["--shard-dir"], {"help": "directory holding shards + vocabs"}),
-        "checkpoint": (["--checkpoint"], {"help": "model checkpoint file"}),
-        "manifest": (["--manifest"], {"help": "shard manifest to evaluate"}),
-        "input_path": (["--input"], {"dest": "input_path", "help": "text file, one record per line"}),
-        "fmt": (["--format"], {"dest": "fmt", "choices": ("csv", "tsv", "jsonl")}),
-        "text_col": (["--text-col"], {}),
-        "label_col": (["--label-col"], {}),
-        "category_col": (["--category-col"], {}),
-        "max_bad_rows": (["--max-bad-rows"], {"type": int}),
-        "optimizer": (["--optimizer"], {"choices": ("sgd", "adam")}),
-        "exp_step_unit": (["--exp-step-unit"], {"choices": ("epoch", "batch")}),
-        "plateau_factor": (["--plateau-factor"], {"type": float}),
-        "plateau_patience": (["--plateau-patience"], {"type": int}),
-        "stop_at_train_accuracy": (["--stop-at-train-accuracy"], {"type": float}),
-    }
     p.add_argument("--config", help="INI config file; flags override its values")
     for name in names:
-        flags, kwargs = specs[name]
-        p.add_argument(*flags, **kwargs)
+        f = _FIELDS[name]
+        kwargs = {"dest": name, **f.metadata["argparse"]}
+        if f.type == "bool":
+            kwargs.update(action="store_true", default=None)
+        elif f.type in _ARG_TYPES:
+            kwargs["type"] = _ARG_TYPES[f.type]
+        p.add_argument(f.metadata["flag"], **kwargs)
 
 
 _CORPUS_FLAGS = ("corpus", "fmt", "text_col", "label_col", "category_col", "max_bad_rows")

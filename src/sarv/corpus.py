@@ -104,8 +104,10 @@ def read_corpus(
 
     Column values may be header names (CSV/TSV with a header row) or
     zero-based integer indices (headerless files).  Beyond the skip
-    threshold the whole read fails.
+    threshold the whole read fails; a negative threshold is a ``ConfigError``.
     """
+    if max_bad_rows < 0:
+        raise ConfigError(f"max_bad_rows must be >= 0, got {max_bad_rows}")
     path = Path(path)
     fmt = fmt or _infer_format(path)
     try:

@@ -59,14 +59,17 @@ class TrainConfig:
             raise ConfigError(f"precision must be one of {PRECISIONS}, got {self.precision!r}")
         if self.exp_step_unit not in ("epoch", "batch"):
             raise ConfigError(f"exp_step_unit must be 'epoch' or 'batch', got {self.exp_step_unit!r}")
-        if self.base_lr <= 0:
-            raise ConfigError(f"base_lr must be > 0, got {self.base_lr}")
+        if not (self.base_lr > 0 and math.isfinite(self.base_lr)):
+            raise ConfigError(f"base_lr must be finite and > 0, got {self.base_lr}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if not 0.0 < self.plateau_factor < 1.0:
             raise ConfigError(f"plateau_factor must be in (0, 1), got {self.plateau_factor}")
+        stop = self.stop_at_train_accuracy
+        if stop is not None and not 0.0 <= stop <= 1.0:
+            raise ConfigError(f"stop_at_train_accuracy must be in [0, 1], got {stop}")
 
     @property
     def dtype(self):

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import configparser
 import hashlib
 import io
 import json
 import re
 import shutil
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -288,6 +289,44 @@ def test_invalid_env_seed_is_config_error(monkeypatch, tmp_path, capsys):
     assert "SARV_SEED" in stderr
 
 
+_CORPUS_OPTIONS = {"--corpus", "--format", "--text-col", "--label-col", "--category-col",
+                   "--max-bad-rows"}
+_COMMON_OPTIONS = {"-h", "--help", "--config", "--out-dir", "--seed"}
+CLI_OPTIONS = {
+    "preprocess": _COMMON_OPTIONS | _CORPUS_OPTIONS | {"--stopwords", "--classes"},
+    "shard": _COMMON_OPTIONS | _CORPUS_OPTIONS | {
+        "--stopwords", "--classes", "--split", "--shard-size", "--rus", "--preset"},
+    "train": _COMMON_OPTIONS | {
+        "--embeddings", "--shard-dir", "--preset", "--classes", "--epochs", "--batch-size",
+        "--lr", "--lr-schedule", "--dropout", "--optimizer", "--precision", "--exp-step-unit",
+        "--plateau-factor", "--plateau-patience", "--stop-at-train-accuracy"},
+    "eval": _COMMON_OPTIONS | {
+        "--checkpoint", "--manifest", "--shard-dir", "--embeddings", "--batch-size"},
+    "predict": _COMMON_OPTIONS | {"--checkpoint", "--shard-dir", "--embeddings", "--input"},
+    "stats": _COMMON_OPTIONS | _CORPUS_OPTIONS | {"--classes"},
+}
+
+
+def test_cli_surface_is_pinned():
+    parser = build_parser()
+    (commands,) = [a.choices for a in parser._actions if isinstance(a.choices, dict)]
+    assert set(commands) == set(CLI_OPTIONS)
+    field_names = {f.name for f in fields(RunConfig)}
+    for name, sub in commands.items():
+        assert {s for a in sub._actions for s in a.option_strings} == CLI_OPTIONS[name], name
+        # every setting flag stores under its RunConfig field, which resolve_config reads
+        assert {a.dest for a in sub._actions} - {"help", "config"} <= field_names, name
+
+
+def test_every_config_field_has_one_ini_key():
+    ini = configparser.ConfigParser(interpolation=None)
+    ini.read_string(config_to_ini(RunConfig()))
+    pairs = [(section, key) for section in ini.sections() for key in ini[section]]
+    keys = [key for _, key in pairs]
+    assert sorted(keys) == sorted(f.name for f in fields(RunConfig))
+    assert len(set(keys)) == len(pairs)
+
+
 def test_resolved_ini_round_trips_through_config_flag(tmp_path, capsys, empty_stopwords):
     out = tmp_path / "out"
     code, _, _ = invoke(
@@ -318,6 +357,15 @@ def test_missing_required_setting_exits_one(capsys):
     code, _, stderr = invoke(capsys, "preprocess")
     assert code == 1
     assert "corpus" in stderr
+
+
+def test_negative_max_bad_rows_is_a_config_error(tmp_path, capsys):
+    ini = tmp_path / "run.ini"
+    ini.write_text("[preprocess]\nmax_bad_rows = -1\n", encoding="utf-8")
+    for argv in (["--max-bad-rows", "-1"], ["--config", ini]):
+        code, _, stderr = invoke(capsys, "stats", "--corpus", REVIEWS_TSV, *argv)
+        assert code == 1
+        assert "config error" in stderr and "max_bad_rows" in stderr
 
 
 def test_missing_corpus_file_exits_two(tmp_path, capsys):
@@ -446,6 +494,41 @@ def trained(tmp_path_factory):
         "--stop-at-train-accuracy", "1.0",
     ]) == 0
     return base, shards, run
+
+
+def test_train_with_fewer_classes_than_the_shards_exits_two(tmp_path, capsys):
+    corpus = write_corpus_tsv(tmp_path / "c.tsv", separable_rows(30, classes=3, seed=4))
+    shards = tmp_path / "shards"
+    assert invoke(capsys, "shard", "--corpus", corpus, "--out-dir", shards, "--classes", 3)[0] == 0
+    code, _, stderr = invoke(
+        capsys, "train", "--shard-dir", shards, "--out-dir", tmp_path / "run",
+        "--embeddings", bundled_embedding_path(), "--classes", 2,
+    )
+    assert code == 2
+    assert "data error" in stderr and "train.manifest.json" in stderr and "2 classes" in stderr
+    assert not (tmp_path / "run" / "report.jsonl").exists()
+
+
+def test_eval_of_a_two_class_checkpoint_on_three_class_shards_exits_two(trained, tmp_path,
+                                                                        capsys):
+    base, _, run = trained
+    # Same texts, so the same encoder as the checkpoint's; every third label becomes neutral.
+    lines = (base / "corpus.tsv").read_text("utf-8").splitlines()
+    relabelled = [lines[0]] + [
+        "\t".join([text, "neutral" if i % 3 == 0 else label, cat])
+        for i, (text, label, cat) in enumerate(ln.split("\t") for ln in lines[1:])
+    ]
+    corpus = tmp_path / "three.tsv"
+    corpus.write_text("\n".join(relabelled) + "\n", encoding="utf-8")
+    shards = tmp_path / "shards"
+    assert invoke(capsys, "shard", "--corpus", corpus, "--out-dir", shards, "--classes", 3,
+                  "--seed", 1)[0] == 0
+    code, stdout, stderr = invoke(
+        capsys, "eval", "--checkpoint", run / "checkpoint_final.bin", "--shard-dir", shards,
+        "--manifest", shards / "train.manifest.json", "--embeddings", bundled_embedding_path(),
+    )
+    assert code == 2, stdout
+    assert "data error" in stderr and "train.manifest.json" in stderr and "2 classes" in stderr
 
 
 def test_train_writes_report_and_checkpoints(trained, capsys):

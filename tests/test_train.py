@@ -87,14 +87,20 @@ def test_train_config_validation():
         TrainConfig(precision="half")
     with pytest.raises(ConfigError):
         TrainConfig(exp_step_unit="minute")
-    with pytest.raises(ConfigError):
-        TrainConfig(base_lr=0.0)
+    for lr in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="base_lr"):
+            TrainConfig(base_lr=lr)
     with pytest.raises(ConfigError):
         TrainConfig(batch_size=0)
     with pytest.raises(ConfigError):
         TrainConfig(epochs=-1)
     with pytest.raises(ConfigError):
         TrainConfig(plateau_factor=1.0)
+    for acc in (float("nan"), -0.1, 1.5, 5.0):
+        with pytest.raises(ConfigError, match="stop_at_train_accuracy"):
+            TrainConfig(stop_at_train_accuracy=acc)
+    TrainConfig(stop_at_train_accuracy=0.0)
+    TrainConfig(stop_at_train_accuracy=1.0)
     assert TrainConfig(precision="double").dtype == np.float64
     assert TrainConfig(precision="single").dtype == np.float32
 
