@@ -19,14 +19,13 @@ from dataclasses import dataclass, field, fields
 from itertools import groupby
 from pathlib import Path
 
-import numpy as np
-
 from sarv.corpus import (Encoder, LabelScheme, RawRecord, preprocess_records, read_corpus,
                          to_json_lines)
-from sarv.embed import build_char_vocab, build_token_vocab, embedding_matrix, load_embeddings
+from sarv.embed import (build_char_vocab, build_token_vocab, embedding_matrix, embeddings_sha256,
+                        load_embeddings)
 from sarv.errors import ConfigError, DataError, NumericsError, SarvError
 from sarv.metrics import category_stats, metrics
-from sarv.models import CHAR_PRESETS, PRESETS, ModelSpec, load_model
+from sarv.models import CHAR_PRESETS, EMBEDDINGS_HASH_KEY, PRESETS, ModelSpec, load_model
 from sarv.textproc import MAX_LEN, NormConfig, length_histogram, load_stopwords
 from sarv.train import (
     OPTIMIZERS,
@@ -283,6 +282,8 @@ def cmd_preprocess(cfg: RunConfig) -> int:
 
 def cmd_shard(cfg: RunConfig) -> int:
     _require(cfg, "corpus", "out_dir")
+    if cfg.shard_size < 1:  # refused before anything is read or written
+        raise ConfigError(f"shard_size must be >= 1, got {cfg.shard_size}")
     encoded, encoder, _, skipped = _encode_corpus(cfg)
     _report_skipped(skipped)
     train, test = split_train_test(encoded, cfg.split, cfg.seed)
@@ -316,7 +317,10 @@ def _checked_manifest(path: Path, encoder: Encoder, num_classes: int) -> ShardMa
 
 
 def _embedding_matrix_for(cfg: RunConfig, token_vocab, dtype):
-    """``token_vocab``'s rows of the checked embeddings file; no usable line is a DataError."""
+    """``token_vocab``'s rows of the checked embeddings file; no usable line is a DataError.
+
+    The parsed table is freed on return, so training holds only the matrix.
+    """
     table = load_embeddings(cfg.embeddings, vocab=token_vocab)
     if not table.loaded_lines:
         raise DataError(f"no line of embeddings {cfg.embeddings} is a token followed by "
@@ -328,14 +332,21 @@ def _embedding_matrix_for(cfg: RunConfig, token_vocab, dtype):
 
 
 def _load_checkpoint(cfg: RunConfig, encoder: Encoder):
-    """Checkpoint -> (model, embedding matrix at the checkpoint's precision).
+    """Checkpoint -> (model, the embedding matrix it stores).
 
-    The checkpoint must have been trained on ``encoder``'s shard directory.
+    The checkpoint must have been trained on ``encoder``'s shard directory
+    and on the ``--embeddings`` file, whose bytes are hashed, not parsed.
     """
-    model, meta = load_model(cfg.checkpoint)
+    model, emb, meta = load_model(cfg.checkpoint, len(encoder.token_vocab))
     encoder.check(meta, f"checkpoint {cfg.checkpoint}")
-    dtype = np.float64 if meta.get("precision") == "double" else np.float32
-    return model, _embedding_matrix_for(cfg, encoder.token_vocab, dtype)
+    recorded = meta.get(EMBEDDINGS_HASH_KEY) or ""
+    found = embeddings_sha256(cfg.embeddings)
+    if recorded != found:
+        raise DataError(
+            f"embeddings {cfg.embeddings} / checkpoint {cfg.checkpoint} mismatch: sha256 "
+            f"{found[:12]}… vs {recorded[:12] or '(none)'}… recorded in the checkpoint"
+        )
+    return model, emb
 
 
 def cmd_train(cfg: RunConfig) -> int:
@@ -356,8 +367,10 @@ def cmd_train(cfg: RunConfig) -> int:
         max_word_chars=train_manifest.max_word_chars,
         char_vocab_size=len(encoder.char_vocab) if cfg.preset in CHAR_PRESETS else 0,
     )
+    emb_hash = embeddings_sha256(cfg.embeddings)
     emb = _embedding_matrix_for(cfg, encoder.token_vocab, train_cfg.dtype)
-    report, _ = train_loop(spec, train_cfg, train_manifest, emb, cfg.out_dir, eval_manifest)
+    report, _ = train_loop(spec, train_cfg, train_manifest, emb, cfg.out_dir, eval_manifest,
+                           emb_hash)
     _write_outputs(cfg, {})
     sys.stdout.write(report.to_text())
     print(f"wall_time_s {report.wall_time_s:.3f}")

@@ -85,6 +85,23 @@ def load_embeddings(
     return table
 
 
+# Bytes per read when hashing a file.  Reads below malloc's mmap threshold
+# (128 KiB) hash as fast as 1 MiB reads, which raised `train`'s peak RSS.
+HASH_READ_BYTES = 1 << 16
+
+
+def embeddings_sha256(path) -> str:
+    """sha256 of an embeddings file's bytes; an unreadable file is a DataError."""
+    digest = hashlib.sha256()
+    try:
+        with open(path, "rb") as fh:
+            while chunk := fh.read(HASH_READ_BYTES):
+                digest.update(chunk)
+    except OSError as exc:
+        raise DataError(f"cannot read embeddings {path}: {exc}") from exc
+    return digest.hexdigest()
+
+
 def _load_chunk(table: EmbeddingTable, lines: list[str], keep: dict | None) -> None:
     """Check and store one chunk of lines, with ``np.loadtxt`` parsing the floats."""
     dim = table.dim

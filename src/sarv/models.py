@@ -31,6 +31,7 @@ from sarv.nn import (
     Dense,
     Dropout,
     Lstm,
+    NamedArray,
     OneHotDense,
     Parameter,
     cross_entropy,
@@ -53,6 +54,11 @@ PRESETS = (
 
 MLP_PRESETS = ("W2V_MLP_SIGMOID", "W2V_MLP_RELU_LRDECAY", "W2V_MLP_RELU_LRDECAY_DROPOUT")
 CHAR_PRESETS = ("CHAR_W2V_LSTM_RUS", "CHAR_W2V_LSTM")
+
+# The checkpoint array holding the frozen word-vector matrix, and the
+# metadata key holding the sha256 of the file it was built from.
+EMBEDDINGS_ARRAY = "embeddings"
+EMBEDDINGS_HASH_KEY = "embeddings_sha256"
 
 # F1 reported for these configurations on the full 100k-review corpus.
 # Desk-scale runs will not reproduce them; where two figures were
@@ -286,15 +292,24 @@ def model_loss_fn(
     return fn, [p.value for p in params]
 
 
-def save_model(model: Model, path, extra_meta: dict[str, str] | None = None) -> str:
+def save_model(
+    model: Model, path, embeddings: np.ndarray, extra_meta: dict[str, str] | None = None
+) -> str:
+    """Write the parameters, then the frozen ``embeddings`` matrix at the model's precision."""
+    dtype = model.params()[0].value.dtype
     meta = model.spec.to_meta()
-    meta["precision"] = "double" if model.params()[0].value.dtype == np.float64 else "single"
+    meta["precision"] = "double" if dtype == np.float64 else "single"
     meta.update(extra_meta or {})
-    return save_checkpoint(path, model.params(), meta)
+    frozen = NamedArray(EMBEDDINGS_ARRAY, embeddings.astype(dtype, copy=False))
+    return save_checkpoint(path, [*model.params(), frozen], meta)
 
 
-def load_model(path) -> tuple[Model, dict[str, str]]:
-    """Rebuild a model from a checkpoint, validating its metadata and every parameter shape."""
+def load_model(path, num_tokens: int) -> tuple[Model, np.ndarray, dict[str, str]]:
+    """Rebuild a model and its embedding matrix from a checkpoint.
+
+    Every parameter shape is checked against the metadata's spec, and the
+    ``embeddings`` array must be ``(num_tokens + 1, embed_dim)``.
+    """
     arrays, meta = load_checkpoint(path)
     try:
         spec = ModelSpec.from_meta(meta)
@@ -302,7 +317,14 @@ def load_model(path) -> tuple[Model, dict[str, str]]:
         raise DataError(f"checkpoint {path} has bad or missing metadata: {exc!r}") from exc
     dtype = np.float64 if meta.get("precision") == "double" else np.float32
     model = build_model(spec, rng_seed=0, dtype=dtype)
+    embeddings = arrays.pop(EMBEDDINGS_ARRAY, None)
+    want = (num_tokens + 1, spec.embed_dim)
     mismatches = []
+    if embeddings is None:
+        mismatches.append(f"{EMBEDDINGS_ARRAY}: expected {want}, missing from checkpoint")
+    elif embeddings.shape != want:
+        mismatches.append(f"{EMBEDDINGS_ARRAY}: expected {want} for {num_tokens} tokens, "
+                          f"found {embeddings.shape}")
     params = model.params()
     for p in params:
         found = arrays.get(p.name)
@@ -314,9 +336,10 @@ def load_model(path) -> tuple[Model, dict[str, str]]:
     mismatches.extend(f"{name}: unexpected parameter" for name in sorted(extra))
     if mismatches:
         raise DataError(
-            "checkpoint does not match model spec:\n  " + "\n  ".join(mismatches)
+            f"checkpoint {path} / model spec mismatch:\n  " + "\n  ".join(mismatches)
         )
     for p in params:
         p.value[...] = arrays[p.name].astype(p.value.dtype)
-    return model, meta
-
+    embeddings = embeddings.astype(dtype, copy=False)
+    embeddings.flags.writeable = False
+    return model, embeddings, meta

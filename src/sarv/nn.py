@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -440,11 +440,18 @@ def grad_check(
 #   magic   8 bytes  b"SARVCKP1"
 #   u32     number of metadata entries
 #   entry   u16 key length, key utf-8, u32 value length, value utf-8
-#   u32     number of parameters
-#   param   u16 name length, name utf-8
+#   u32     number of arrays
+#   array   u16 name length, name utf-8
 #           u8  dtype code (4 = little-endian float32, 8 = float64)
 #           u8  ndim, then u32 per dimension
 #           raw row-major little-endian values
+#
+# A model checkpoint (``sarv.models.save_model``) holds the parameters in
+# pipeline order, then one array named ``embeddings``: the frozen
+# ``(vocabulary + 1, embed_dim)`` word-vector matrix training used, at the
+# model's precision, with row 0 the PAD/OOV zero row.  Its metadata
+# records ``embeddings_sha256``, the sha256 of the embeddings file the
+# matrix was built from.
 #
 # The side-car "<file>.manifest.txt" lists names/shapes/dtypes plus the
 # sha256 of the binary file.
@@ -454,38 +461,52 @@ CHECKPOINT_MAGIC = b"SARVCKP1"
 _DTYPE_CODES = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
 
 
-def save_checkpoint(path, params: Sequence[Parameter], meta: dict[str, str]) -> str:
-    """Write parameters and metadata; returns the content hash."""
-    blob = bytearray()
-    blob += CHECKPOINT_MAGIC
-    blob += struct.pack("<I", len(meta))
-    for key in sorted(meta):
-        kb, vb = key.encode("utf-8"), str(meta[key]).encode("utf-8")
-        blob += struct.pack("<H", len(kb)) + kb
-        blob += struct.pack("<I", len(vb)) + vb
-    blob += struct.pack("<I", len(params))
-    for p in params:
-        nb = p.name.encode("utf-8")
-        code = 8 if p.value.dtype == np.float64 else 4
-        blob += struct.pack("<H", len(nb)) + nb
-        blob += struct.pack("<BB", code, p.value.ndim)
-        for dim in p.value.shape:
-            blob += struct.pack("<I", dim)
-        blob += np.ascontiguousarray(p.value, dtype=_DTYPE_CODES[code]).tobytes()
-    digest = hashlib.sha256(bytes(blob)).hexdigest()
+class NamedArray(NamedTuple):
+    """A checkpoint array that is not a trained ``Parameter``."""
+
+    name: str
+    value: np.ndarray
+
+
+def save_checkpoint(path, arrays: Sequence[Parameter | NamedArray], meta: dict[str, str]) -> str:
+    """Write arrays and metadata; returns the content hash.
+
+    Each piece goes straight to the file and into the hash, so no copy of
+    the whole checkpoint is built in memory.
+    """
+    digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(bytes(blob))
+
+        def emit(data) -> None:
+            fh.write(data)
+            digest.update(data)
+
+        emit(CHECKPOINT_MAGIC)
+        emit(struct.pack("<I", len(meta)))
+        for key in sorted(meta):
+            kb, vb = key.encode("utf-8"), str(meta[key]).encode("utf-8")
+            emit(struct.pack("<H", len(kb)) + kb)
+            emit(struct.pack("<I", len(vb)) + vb)
+        emit(struct.pack("<I", len(arrays)))
+        for p in arrays:
+            nb = p.name.encode("utf-8")
+            code = 8 if p.value.dtype == np.float64 else 4
+            emit(struct.pack("<H", len(nb)) + nb)
+            emit(struct.pack(f"<BB{p.value.ndim}I", code, p.value.ndim, *p.value.shape))
+            values = np.ascontiguousarray(p.value, dtype=_DTYPE_CODES[code])
+            emit(values.reshape(-1).view(np.uint8))
+    hexdigest = digest.hexdigest()
     lines = [f"format {CHECKPOINT_MAGIC.decode()}"]
     lines += [f"meta {k}={meta[k]}" for k in sorted(meta)]
     lines += [
         f"param {p.name} shape={','.join(map(str, p.value.shape))} "
         f"dtype=float{64 if p.value.dtype == np.float64 else 32}"
-        for p in params
+        for p in arrays
     ]
-    lines.append(f"sha256 {digest}")
+    lines.append(f"sha256 {hexdigest}")
     with open(str(path) + ".manifest.txt", "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-    return digest
+    return hexdigest
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:

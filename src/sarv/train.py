@@ -27,7 +27,7 @@ import numpy as np
 from sarv.corpus import ENCODER_HASH_KEYS, EncodedSentence, LabelScheme, as_records, record_dtype
 from sarv.errors import ConfigError, DataError, NumericsError
 from sarv.metrics import ConfusionMatrix, confusion, metrics
-from sarv.models import Model, ModelSpec, build_model, save_model
+from sarv.models import EMBEDDINGS_HASH_KEY, Model, ModelSpec, build_model, save_model
 from sarv.nn import Parameter, cross_entropy, one_hot, softmax_xent_grad, zero_grads
 from sarv.textproc import MAX_LEN
 
@@ -494,14 +494,17 @@ def train_loop(
     emb_matrix: np.ndarray,
     out_dir,
     eval_manifest: ShardManifest | None = None,
+    embeddings_sha256: str = "",
 ) -> tuple[TrainReport, Model]:
     """Run the full optimization loop and persist checkpoints + report.
 
     Per epoch: stream train shards into batches, forward/backward/step
     under the scheduled lr, then score the train split (frozen pass) and
     the eval split.  The best-by-eval-accuracy checkpoint and the final
-    checkpoint are both written.  With no eval manifest the train split
-    doubles as the eval split, and its frozen pass is scored only once.
+    checkpoint are both written; each stores ``emb_matrix`` and records
+    ``embeddings_sha256``, the hash of the file it was built from.  With
+    no eval manifest the train split doubles as the eval split, and its
+    frozen pass is scored only once.
     """
     t0 = time.perf_counter()
     out_dir = Path(out_dir)
@@ -513,7 +516,8 @@ def train_loop(
     emb_matrix = emb_matrix.astype(cfg.dtype, copy=False)
     adam = AdamState()
     plateau = PlateauScheduler(cfg.base_lr, cfg.plateau_factor, cfg.plateau_patience)
-    meta = {"seed": str(cfg.seed), **train_manifest.encoder_hashes}
+    meta = {"seed": str(cfg.seed), EMBEDDINGS_HASH_KEY: embeddings_sha256,
+            **train_manifest.encoder_hashes}
 
     report = TrainReport()
     best_acc = -math.inf
@@ -565,7 +569,7 @@ def train_loop(
             best_acc = eval_report.accuracy
             report.best_epoch = epoch
             report.best_checkpoint_hash = save_model(
-                model, out_dir / "checkpoint_best.bin", meta
+                model, out_dir / "checkpoint_best.bin", emb_matrix, meta
             )
         if cfg.lr_schedule == "plateau":
             plateau.update(eval_report.accuracy)
@@ -575,7 +579,9 @@ def train_loop(
         ):
             break
 
-    report.final_checkpoint_hash = save_model(model, out_dir / "checkpoint_final.bin", meta)
+    report.final_checkpoint_hash = save_model(
+        model, out_dir / "checkpoint_final.bin", emb_matrix, meta
+    )
     if report.best_epoch is None:
         report.best_checkpoint_hash = report.final_checkpoint_hash
     (out_dir / "report.jsonl").write_text(report.to_jsonl(), encoding="utf-8")

@@ -25,9 +25,9 @@ from sarv.cli import (
     resolve_config,
 )
 from sarv.corpus import RawRecord, encode_sentence
-from sarv.embed import embedding_matrix, parse_char_vocab, parse_token_vocab
+from sarv.embed import parse_char_vocab, parse_token_vocab
 from sarv.errors import ConfigError
-from sarv.models import load_model
+from sarv.models import Model, load_model
 from sarv.nn import Parameter, load_checkpoint, save_checkpoint
 from sarv.textproc import MAX_LEN, NormConfig, normalize, tokenize, unify_length
 from sarv.train import ShardManifest
@@ -165,6 +165,21 @@ def test_shard_sizes_follow_arithmetic(tmp_path, capsys):
     assert [s.count for s in train.shards] == [2000, 2000]  # 4000 train records
     assert [s.count for s in test.shards] == [1000]
     assert {s.path for s in train.shards} == {"train-00000.npy", "train-00001.npy"}
+
+
+@pytest.mark.parametrize("size", [0, -3])
+def test_shard_size_below_one_writes_nothing(size, tmp_path, capsys):
+    corpus = write_corpus_tsv(tmp_path / "c.tsv", separable_rows(10, classes=2, seed=3))
+    absent, empty = tmp_path / "absent", tmp_path / "empty"
+    empty.mkdir()
+    for out in (absent, empty):
+        code, stdout, stderr = invoke(
+            capsys, "shard", "--corpus", corpus, "--out-dir", out, "--shard-size", size
+        )
+        assert code == 1, stdout
+        assert "config error" in stderr and "shard_size" in stderr
+    assert not absent.exists()
+    assert list(empty.iterdir()) == []
 
 
 def test_shard_rus_flag_balances_train_split(tmp_path, capsys):
@@ -582,6 +597,7 @@ def test_eval_rejects_checkpoint_from_other_vocab(trained, other_shards, capsys)
 
 @pytest.mark.parametrize("case", [
     "missing_meta_key", "non_integer_classes", "unknown_preset", "truncated_body",
+    "missing_embeddings", "missing_embeddings_hash",
 ])
 def test_malformed_checkpoint_exits_two(case, trained, tmp_path, capsys):
     # Each checkpoint matches its side-car's sha256, so only the parse can refuse it.
@@ -594,6 +610,10 @@ def test_malformed_checkpoint_exits_two(case, trained, tmp_path, capsys):
         meta["num_classes"] = "two"
     elif case == "unknown_preset":
         meta["preset"] = "W2V_TRANSFORMER"
+    elif case == "missing_embeddings":
+        del arrays["embeddings"]
+    elif case == "missing_embeddings_hash":
+        del meta["embeddings_sha256"]
     save_checkpoint(ckpt, [Parameter(name, value) for name, value in arrays.items()], meta)
     if case == "truncated_body":
         body = ckpt.read_bytes()[:-40]
@@ -668,8 +688,8 @@ def test_predict_normalizes_with_shard_stopwords(tmp_path, capsys):
     )
     assert code == 0
 
-    model, _ = load_model(run / "checkpoint_final.bin")
     token_vocab = parse_token_vocab((shards / "vocab.tsv").read_text("utf-8"))
+    model, _, _ = load_model(run / "checkpoint_final.bin", len(token_vocab))
     char_vocab = parse_char_vocab((shards / "chars.tsv").read_text("utf-8"))
     norm = NormConfig(stopwords=stopwords)
     encoded = [
@@ -692,19 +712,28 @@ def test_eval_and_predict_embed_at_checkpoint_precision(trained, tmp_path, capsy
     assert invoke(capsys, "train", "--shard-dir", shards, "--out-dir", run,
                   "--embeddings", bundled_embedding_path(), "--preset", "W2V_SOFTMAX",
                   "--batch-size", 16, "--precision", "double")[0] == 0
-    dtypes = []
+    arrays, _ = load_checkpoint(run / "checkpoint_final.bin")
+    stored = arrays["embeddings"]
+    assert stored.dtype == np.float64
+    token_vocab = parse_token_vocab((shards / "vocab.tsv").read_text("utf-8"))
+    np.testing.assert_array_equal(stored, emb_matrix_for(token_vocab, dtype=np.float64))
+    used = []
+    forward = Model.forward
 
-    def spy(table, vocab, dtype=np.float32):
-        dtypes.append(np.dtype(dtype))
-        return embedding_matrix(table, vocab, dtype=dtype)
+    def spy(self, batch, emb_matrix, *args, **kwargs):
+        used.append(emb_matrix)
+        return forward(self, batch, emb_matrix, *args, **kwargs)
 
-    monkeypatch.setattr("sarv.cli.embedding_matrix", spy)
+    monkeypatch.setattr(Model, "forward", spy)
     common = ["--checkpoint", run / "checkpoint_final.bin", "--shard-dir", shards,
               "--embeddings", bundled_embedding_path()]
     assert invoke(capsys, "eval", *common)[0] == 0
     monkeypatch.setattr("sys.stdin", io.StringIO("عالی\n"))
     assert invoke(capsys, "predict", *common)[0] == 0
-    assert dtypes == [np.dtype(np.float64), np.dtype(np.float64)]
+    assert used
+    for emb in used:
+        assert emb.dtype == np.float64
+        np.testing.assert_array_equal(emb, stored)
 
 
 def test_predict_from_file_and_stdin(trained, tmp_path, capsys, monkeypatch):
@@ -773,5 +802,45 @@ def test_embeddings_of_the_wrong_dimension_exit_two(command, trained, tmp_path, 
     code, stdout, err = invoke(capsys, *argv, "--embeddings", wide)
     assert code == 2
     assert stdout == ""
-    assert "50 finite components" in err and str(wide) in err
+    assert str(wide) in err
+    if command == "train":
+        assert "50 finite components" in err
+    else:  # eval and predict read the checkpoint's matrix and check the file's hash
+        assert "mismatch" in err and "sha256" in err
     assert not (tmp_path / "run" / "report.jsonl").exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("problem", ["other_values", "missing"])
+def test_eval_and_predict_refuse_embeddings_the_checkpoint_was_not_trained_on(
+        command, problem, trained, tmp_path, capsys, monkeypatch):
+    _, shards, run = trained
+    vectors = tmp_path / "glove_other_50d.txt"
+    if problem == "other_values":  # the bundled tokens, 50-d, every value changed
+        vectors.write_text("".join(
+            ln.split()[0] + " " + " ".join(f"{float(v) + 0.5:.6f}" for v in ln.split()[1:]) + "\n"
+            for ln in bundled_embedding_path().read_text("utf-8").splitlines() if ln.strip()
+        ), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", io.StringIO("عالی\n"))
+    code, stdout, err = invoke(capsys, command, "--checkpoint", run / "checkpoint_best.bin",
+                               "--shard-dir", shards, "--embeddings", vectors)
+    assert code == 2
+    assert stdout == ""
+    assert "data error" in err and str(vectors) in err
+
+
+def test_eval_and_predict_read_the_stored_matrix_without_parsing(trained, capsys, monkeypatch):
+    _, shards, run = trained
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eval and predict must not parse the embeddings file")
+
+    monkeypatch.setattr("sarv.cli.load_embeddings", refuse)
+    monkeypatch.setattr("sarv.cli.embedding_matrix", refuse)
+    common = ["--checkpoint", run / "checkpoint_best.bin", "--shard-dir", shards,
+              "--embeddings", bundled_embedding_path()]
+    code, stdout, _ = invoke(capsys, "eval", *common)
+    assert code == 0 and "accuracy" in stdout
+    monkeypatch.setattr("sys.stdin", io.StringIO("عالی\n"))
+    code, stdout, _ = invoke(capsys, "predict", *common)
+    assert code == 0 and stdout.split("\t")[0] == "positive"

@@ -7,6 +7,8 @@ files written by the tests themselves.
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +18,7 @@ from sarv.embed import (
     build_char_vocab,
     build_token_vocab,
     embedding_matrix,
+    embeddings_sha256,
     encode_chars,
     encode_token_ids,
     load_embeddings,
@@ -118,6 +121,15 @@ def test_loader_ignores_blank_lines(tmp_path):
 def test_loader_missing_file_is_data_error(tmp_path):
     with pytest.raises(DataError):
         load_embeddings(tmp_path / "absent.txt")
+
+
+def test_embeddings_sha256_hashes_the_file_bytes(tmp_path):
+    p = tmp_path / "vec.txt"
+    data = b"".join(b"w%d 1.0 2.0\n" % i for i in range(200_000))  # spans several read chunks
+    p.write_bytes(data)
+    assert embeddings_sha256(p) == hashlib.sha256(data).hexdigest()
+    with pytest.raises(DataError, match="absent.txt"):
+        embeddings_sha256(tmp_path / "absent.txt")
 
 
 def test_oov_lookup_is_zero_vector(emb_table):

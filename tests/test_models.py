@@ -30,6 +30,7 @@ from conftest import (
     TINY_EMBED_DIM,
     TINY_MAX_LEN,
     TINY_MAX_WORD_CHARS,
+    TINY_VOCAB,
     rel_to_max,
     relu_margin,
     tiny_batch,
@@ -330,15 +331,18 @@ def test_save_load_round_trip(tmp_path):
     want_labels, want_probs = model.predict(records, emb)
 
     path = tmp_path / "model.bin"
-    save_model(model, path, extra_meta={"note": "roundtrip"})
-    back, meta = load_model(path)
+    save_model(model, path, emb, extra_meta={"note": "roundtrip"})
+    back, back_emb, meta = load_model(path, TINY_VOCAB)
     assert meta["preset"] == "CHAR_W2V_LSTM"
     assert meta["precision"] == "double"
     assert meta["note"] == "roundtrip"
     assert back.spec == spec
     for pa, pb in zip(model.params(), back.params()):
         np.testing.assert_array_equal(pa.value, pb.value)
-    got_labels, got_probs = back.predict(records, emb)
+    assert back_emb.dtype == np.float64
+    np.testing.assert_array_equal(back_emb, emb)
+    assert not back_emb.flags.writeable
+    got_labels, got_probs = back.predict(records, back_emb)
     np.testing.assert_array_equal(got_labels, want_labels)
     np.testing.assert_array_equal(got_probs, want_probs)
 
@@ -346,10 +350,31 @@ def test_save_load_round_trip(tmp_path):
 def test_save_load_preserves_single_precision(tmp_path):
     model = build_model(tiny_spec("W2V_SOFTMAX"), rng_seed=0, dtype=np.float32)
     path = tmp_path / "model.bin"
-    save_model(model, path)
-    back, meta = load_model(path)
+    emb = tiny_emb(seed=3)  # float64: stored at the model's precision
+    save_model(model, path, emb)
+    back, back_emb, meta = load_model(path, TINY_VOCAB)
     assert meta["precision"] == "single"
     assert back.params()[0].value.dtype == np.float32
+    assert back_emb.dtype == np.float32
+    np.testing.assert_array_equal(back_emb, emb.astype(np.float32))
+
+
+def test_embeddings_are_stored_after_the_parameters_and_are_not_a_parameter(tmp_path):
+    model = build_model(tiny_spec("W2V_LSTM"), rng_seed=0, dtype=np.float32)
+    path = tmp_path / "model.bin"
+    save_model(model, path, tiny_emb(seed=4))
+    names = [ln.split()[1] for ln in (tmp_path / "model.bin.manifest.txt").read_text(
+        "utf-8").splitlines() if ln.startswith("param ")]
+    assert names == [p.name for p in model.params()] + ["embeddings"]
+    assert "embeddings" not in {p.name for p in model.params()}
+
+
+def test_load_rejects_embeddings_of_another_vocabulary(tmp_path):
+    model = build_model(tiny_spec("W2V_SOFTMAX"), rng_seed=0, dtype=np.float32)
+    path = tmp_path / "model.bin"
+    save_model(model, path, tiny_emb(seed=5))
+    with pytest.raises(DataError, match="embeddings: expected \\(12, 5\\) for 11 tokens"):
+        load_model(path, TINY_VOCAB - 1)
 
 
 def test_load_rejects_mismatched_architecture(tmp_path):
@@ -360,8 +385,9 @@ def test_load_rejects_mismatched_architecture(tmp_path):
     path = tmp_path / "model.bin"
     save_checkpoint(path, donor.params(), meta)
     with pytest.raises(DataError) as exc:
-        load_model(path)
+        load_model(path, TINY_VOCAB)
     assert "head.W" in str(exc.value)
+    assert "embeddings" in str(exc.value) and "missing from checkpoint" in str(exc.value)
 
 
 def test_zero_grads_after_backward():

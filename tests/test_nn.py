@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from sarv.nn import (
     Dropout,
     GradCheckError,
     Lstm,
+    NamedArray,
     OneHotDense,
     Parameter,
     Relu,
@@ -641,3 +643,49 @@ def test_checkpoint_manifest_lists_params(tmp_path):
     assert "param layer0.W shape=3,2 dtype=float32" in manifest
     assert "param layer0.b shape=2 dtype=float64" in manifest
     assert f"sha256 {digest}" in manifest
+
+
+
+def blob_checkpoint(params, meta) -> bytes:
+    """The checkpoint bytes as the whole-blob writer built them: the streaming writer's oracle."""
+    blob = bytearray()
+    blob += CHECKPOINT_MAGIC
+    blob += struct.pack("<I", len(meta))
+    for key in sorted(meta):
+        kb, vb = key.encode("utf-8"), str(meta[key]).encode("utf-8")
+        blob += struct.pack("<H", len(kb)) + kb
+        blob += struct.pack("<I", len(vb)) + vb
+    blob += struct.pack("<I", len(params))
+    for p in params:
+        nb = p.name.encode("utf-8")
+        code = 8 if p.value.dtype == np.float64 else 4
+        blob += struct.pack("<H", len(nb)) + nb
+        blob += struct.pack("<BB", code, p.value.ndim)
+        for dim in p.value.shape:
+            blob += struct.pack("<I", dim)
+        blob += np.ascontiguousarray(p.value, dtype="<f8" if code == 8 else "<f4").tobytes()
+    return bytes(blob)
+
+
+def test_streaming_writer_matches_the_blob_writer(tmp_path):
+    rng = RNG(81)
+    wide = rng.normal(size=(6, 4))
+    params = [
+        *make_params(),
+        Parameter("scalar", np.array(2.5, dtype=np.float32)),
+        Parameter("empty", np.zeros((0, 3), dtype=np.float64)),
+        Parameter("strided", wide[:, ::2].astype(np.float32)),  # a non-contiguous view
+        Parameter("fortran", np.asfortranarray(wide)),
+        Parameter("wide_int", np.arange(6, dtype=np.int64).reshape(2, 3)),  # stored as float32
+        NamedArray("embeddings", wide[::-1].astype(np.float32)),
+    ]
+    meta = {"preset": "W2V_LSTM", "note": "ملاحظه", "empty": ""}
+    path = tmp_path / "model.bin"
+    digest = save_checkpoint(path, params, meta)
+    want = blob_checkpoint(params, meta)
+    assert path.read_bytes() == want
+    assert digest == hashlib.sha256(want).hexdigest()
+    arrays, back_meta = load_checkpoint(path)
+    assert back_meta == meta
+    np.testing.assert_array_equal(arrays["embeddings"], params[-1].value)
+    np.testing.assert_array_equal(arrays["fortran"], wide)
