@@ -34,6 +34,7 @@ from sarv.train import (
     ShardManifest,
     TrainConfig,
     _eval_confusion,
+    batches,
     random_undersample,
     split_train_test,
     train_loop,
@@ -108,7 +109,8 @@ class RunConfig:
     rus: bool = _opt("shard", "--rus", False, help="random-undersample the train split")
 
     optimizer: str = _opt("train", "--optimizer", "adam", choices=OPTIMIZERS)
-    lr: float = _opt("train", "--lr", 0.001, train_field="base_lr", help="base learning rate")
+    lr: float = _opt("train", "--lr", 0.001, train_field="base_lr",
+                     help="base learning rate (ignored by --lr-schedule exp)")
     lr_schedule: str = _opt("train", "--lr-schedule", "constant", choices=SCHEDULES)
     epochs: int = _opt("train", "--epochs", 1)
     batch_size: int = _opt("train", "--batch-size", 512)
@@ -402,16 +404,14 @@ def cmd_predict(cfg: RunConfig) -> int:
             raise DataError(f"cannot read input {cfg.input_path}: {exc}") from exc
     else:
         lines = sys.stdin.read().splitlines()
-    lines = [ln for ln in lines if ln.strip()]
-    text = ""
-    if lines:
-        raw = [RawRecord(text=ln, label="") for ln in lines]
-        fixed = [f for _, f, _ in preprocess_records(raw, encoder.norm, MAX_LEN)]
-        labels, probs = model.predict(encoder.encode_many(fixed, [0] * len(fixed)), emb)
-        text = "".join(
-            "\t".join([scheme.classes[y]] + [f"{p:.6f}" for p in row]) + "\n"
-            for y, row in zip(labels, probs)
-        )
+    raw = [RawRecord(text=ln, label="") for ln in lines if ln.strip()]
+    fixed = [f for _, f, _ in preprocess_records(raw, encoder.norm, MAX_LEN)]
+    records = encoder.encode_many(fixed, [0] * len(fixed))
+    scored = (model.predict(batch, emb) for batch in batches([records], cfg.batch_size))
+    text = "".join(
+        "\t".join([scheme.classes[y]] + [f"{p:.6f}" for p in row]) + "\n"
+        for labels, probs in scored for y, row in zip(labels, probs)
+    )
     sys.stdout.write(text)
     _write_outputs(cfg, {"predictions.tsv": text})
     return 0

@@ -72,7 +72,6 @@ class RawRecord:
     text: str
     label: str
     category: str | None = None
-    source_id: str | int | None = None
 
 
 @dataclass
@@ -149,7 +148,6 @@ def _read_jsonl(text, text_col, label_col, category_col):
                     text=str(obj[text_col]),
                     label=str(obj[label_col]),
                     category=str(obj[category_col]) if category_col and category_col in obj else None,
-                    source_id=line_no,
                 )
             )
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
@@ -191,9 +189,7 @@ def _read_delimited(text, delimiter, text_col, label_col, category_col):
                     category = row[ci]
                 except (KeyError, IndexError):
                     category = None
-            records.append(
-                RawRecord(text=row[ti], label=row[li], category=category, source_id=line_no)
-            )
+            records.append(RawRecord(text=row[ti], label=row[li], category=category))
         except (KeyError, IndexError) as exc:
             skipped.append(SkippedRow(line_no, f"missing column: {exc}"))
     return records, skipped
@@ -219,13 +215,17 @@ def _json_line(token_ids: list, char_rows: list, true_length: int, label: int) -
     return json.dumps(obj, separators=(",", ":"), ensure_ascii=True)
 
 
+def char_widths(char_ids: np.ndarray) -> np.ndarray:
+    """Each char row's length up to its last nonzero id (0 for an all-zero row)."""
+    nonzero = char_ids != 0
+    return np.where(nonzero.any(axis=-1),
+                    char_ids.shape[-1] - np.argmax(nonzero[..., ::-1], axis=-1), 0)
+
+
 def to_json_lines(records: np.ndarray) -> str:
     """A record array as ``EncodedSentence.to_json_line`` lines, one per record."""
     chars = records["c"]
-    nonzero = chars != 0
-    # Each char row's length up to its last nonzero id (0 for an all-zero row).
-    widths = np.where(nonzero.any(axis=2),
-                      chars.shape[2] - np.argmax(nonzero[..., ::-1], axis=2), 0)
+    widths = char_widths(chars)
     lines = []
     for t, c, w, n, y in zip(records["t"].tolist(), chars.tolist(), widths.tolist(),
                              records["len"].tolist(), records["y"].tolist()):
@@ -383,6 +383,6 @@ def preprocess_records(
     """Normalize and tokenize each record, keeping the pre-truncation sequence."""
     out = []
     for rec in records:
-        seq = tokenize(normalize(rec.text, cfg), source_id=rec.source_id)
+        seq = tokenize(normalize(rec.text, cfg))
         out.append((seq, unify_length(seq, max_len), rec))
     return out

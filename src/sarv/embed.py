@@ -25,7 +25,7 @@ DEFAULT_MAX_WORD_CHARS = 20
 class EmbeddingTable:
     """Immutable token -> dense vector map loaded from GloVe text."""
 
-    def __init__(self, dim: int, entries: dict[str, np.ndarray] | None = None):
+    def __init__(self, dim: int):
         if dim < 1:
             raise ValueError(f"embedding dim must be >= 1, got {dim}")
         self.dim = dim
@@ -34,16 +34,6 @@ class EmbeddingTable:
         self.zero_vector.flags.writeable = False
         self.loaded_lines = 0
         self.skipped_lines = 0
-        for token, vec in (entries or {}).items():
-            self.add(token, vec)
-
-    def add(self, token: str, vector) -> None:
-        vec = np.asarray(vector, dtype=np.float32)
-        if vec.shape != (self.dim,):
-            raise ValueError(f"vector for {token!r} has shape {vec.shape}, want ({self.dim},)")
-        vec = vec.copy()
-        vec.flags.writeable = False
-        self.entries[token] = vec
 
     def __len__(self) -> int:
         return len(self.entries)

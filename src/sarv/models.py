@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from sarv.corpus import EncodedSentence, as_records
+from sarv.corpus import EncodedSentence, as_records, char_widths
 from sarv.errors import ConfigError, DataError
 from sarv.nn import (
     ACTIVATIONS,
@@ -130,10 +130,7 @@ def _char_lengths(char_ids: np.ndarray) -> np.ndarray:
     in unknown characters is indistinguishable from a shorter one;
     interior zeros (unknown chars mid-token) keep their step.
     """
-    nz = char_ids != 0
-    cap = char_ids.shape[-1]
-    lengths = np.where(nz.any(axis=-1), cap - np.argmax(nz[..., ::-1], axis=-1), 0)
-    return np.maximum(lengths, 1)
+    return np.maximum(char_widths(char_ids), 1)
 
 
 def _distinct_rows(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -339,7 +336,7 @@ def load_model(path, num_tokens: int) -> tuple[Model, np.ndarray, dict[str, str]
             f"checkpoint {path} / model spec mismatch:\n  " + "\n  ".join(mismatches)
         )
     for p in params:
-        p.value[...] = arrays[p.name].astype(p.value.dtype)
+        p.value[...] = arrays[p.name]
     embeddings = embeddings.astype(dtype, copy=False)
     embeddings.flags.writeable = False
     return model, embeddings, meta

@@ -213,9 +213,10 @@ class Lstm:
 
     GATES = ("i", "f", "g", "o")
     FUSED_ORDER = ("i", "f", "o", "g")
+    FORGET_BIAS = 1.0  # initial forget-gate bias; every other bias starts at 0
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator,
-                 dtype=np.float32, name: str = "lstm", forget_bias: float = 1.0):
+                 dtype=np.float32, name: str = "lstm"):
         self.name = name
         self.input_size = input_size
         self.hidden_size = hidden_size
@@ -228,7 +229,7 @@ class Lstm:
             g: Parameter(f"{name}.b_{g}", np.zeros(hidden_size, dtype=dtype))
             for g in self.GATES
         }
-        self.b["f"].value += forget_bias
+        self.b["f"].value += self.FORGET_BIAS
         self._W_fused = [self.W[g] for g in self.FUSED_ORDER]
         self._b_fused = [self.b[g] for g in self.FUSED_ORDER]
         self._cache: dict[str, np.ndarray] | None = None

@@ -33,7 +33,7 @@ ZWNJ = "‌"
 
 # Arabic diacritics (tashkeel and superscript alef) removed by folding.
 _DIACRITICS_RE = re.compile(r"[ً-ْٰ]")
-# Default "letters and numbers" class: ASCII letters/digits plus
+# The stripped "letters and numbers" class: ASCII letters/digits plus
 # Arabic-Indic and Extended (Persian) Arabic-Indic digits.
 _LETTERS_DIGITS_RE = re.compile(r"[A-Za-z0-9٠-٩۰-۹]")
 _WS_RE = re.compile(r"\s+")
@@ -73,20 +73,23 @@ def _fold_probe(token: str) -> str:
     return fold_persian(token.casefold()).strip()
 
 
+# The normaliser's former switches, at the only values they ever took.
+# Every existing shard manifest and checkpoint recorded a hash of this
+# text, so ``config_hash`` keeps it verbatim.
+_FIXED_SWITCHES = (
+    "strip_punctuation=True\n"
+    "strip_digits_and_foreign_letters=True\n"
+    "unicode_persian_fold=True\n"
+    "punctuation_pattern=None\n"
+    "letters_digits_pattern=None\n"
+)
+
+
 @dataclass(frozen=True)
 class NormConfig:
-    """Normalization switches; immutable once a corpus run starts.
+    """The stopword set ``normalize`` drops; immutable once a corpus run starts."""
 
-    ``punctuation_pattern`` / ``letters_digits_pattern`` override the
-    default stripped character classes with custom regexes.
-    """
-
-    strip_punctuation: bool = True
-    strip_digits_and_foreign_letters: bool = True
-    unicode_persian_fold: bool = True
     stopwords: frozenset[str] = field(default_factory=frozenset)
-    punctuation_pattern: str | None = None
-    letters_digits_pattern: str | None = None
 
     def __post_init__(self) -> None:
         folded = frozenset(_fold_probe(w) for w in self.stopwords) - {""}
@@ -94,20 +97,13 @@ class NormConfig:
 
     @classmethod
     def default(cls) -> "NormConfig":
-        """All stripping enabled, bundled Persian stopword list."""
+        """The bundled Persian stopword list."""
         return cls(stopwords=bundled_stopwords())
 
     def config_hash(self) -> str:
         """Stable hash recorded in shard manifests."""
-        parts = [
-            f"strip_punctuation={self.strip_punctuation}",
-            f"strip_digits_and_foreign_letters={self.strip_digits_and_foreign_letters}",
-            f"unicode_persian_fold={self.unicode_persian_fold}",
-            f"punctuation_pattern={self.punctuation_pattern!r}",
-            f"letters_digits_pattern={self.letters_digits_pattern!r}",
-            "stopwords=" + ",".join(sorted(self.stopwords)),
-        ]
-        return hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
+        text = _FIXED_SWITCHES + "stopwords=" + ",".join(sorted(self.stopwords))
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -115,7 +111,6 @@ class TokenSeq:
     """Ordered tokens of one normalized record."""
 
     tokens: tuple[str, ...]
-    source_id: str | int | None = None
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -138,48 +133,25 @@ class FixedSentence:
             raise ValueError("PAD slots must be exactly the trailing ones")
 
 
-def normalize(raw: str | bytes, cfg: NormConfig) -> str:
-    """Normalize one raw comment according to ``cfg``.
+def normalize(raw: str, cfg: NormConfig) -> str:
+    """Normalize one raw comment.
 
-    Stripped characters are replaced by spaces (never deleted in place,
-    so punctuation between words cannot glue them together), stopwords
-    are removed as whole tokens, and whitespace is collapsed.  The
-    result is idempotent: normalizing twice changes nothing.
-
-    Bytes input is decoded as UTF-8; invalid bytes raise
-    ``UnicodeDecodeError`` carrying the offending byte offset.
+    Arabic letter variants are folded to Persian, punctuation, digits and
+    Latin letters are replaced by spaces (never deleted in place, so
+    punctuation between words cannot glue them together), ``cfg``'s
+    stopwords are removed as whole tokens, and whitespace is collapsed.
+    The result is idempotent: normalizing twice changes nothing.
     """
-    if isinstance(raw, bytes):
-        raw = raw.decode("utf-8")
-    text = raw
-    if cfg.unicode_persian_fold:
-        text = fold_persian(text)
-    if cfg.strip_punctuation:
-        if cfg.punctuation_pattern is not None:
-            text = re.sub(cfg.punctuation_pattern, " ", text)
-        else:
-            text = text.translate(_PUNCT_TO_SPACE)
-    if cfg.strip_digits_and_foreign_letters:
-        pattern = cfg.letters_digits_pattern
-        if pattern is not None:
-            text = re.sub(pattern, " ", text)
-        else:
-            text = _LETTERS_DIGITS_RE.sub(" ", text)
+    text = fold_persian(raw).translate(_PUNCT_TO_SPACE)
+    text = _LETTERS_DIGITS_RE.sub(" ", text)
     if cfg.stopwords:
-        kept = [t for t in text.split() if _probe(t, cfg) not in cfg.stopwords]
-        text = " ".join(kept)
+        text = " ".join(t for t in text.split() if _fold_probe(t) not in cfg.stopwords)
     return _WS_RE.sub(" ", text).strip()
 
 
-def _probe(token: str, cfg: NormConfig) -> str:
-    if cfg.unicode_persian_fold:
-        return _fold_probe(token)
-    return token.casefold()
-
-
-def tokenize(text: str, source_id: str | int | None = None) -> TokenSeq:
+def tokenize(text: str) -> TokenSeq:
     """Split normalized text into maximal whitespace-delimited tokens."""
-    return TokenSeq(tokens=tuple(text.split()), source_id=source_id)
+    return TokenSeq(tokens=tuple(text.split()))
 
 
 def unify_length(seq: TokenSeq | Sequence[str], max_len: int = MAX_LEN) -> FixedSentence:

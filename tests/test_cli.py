@@ -24,7 +24,7 @@ from sarv.cli import (
     main,
     resolve_config,
 )
-from sarv.corpus import RawRecord, encode_sentence
+from sarv.corpus import Encoder, RawRecord, encode_sentence
 from sarv.embed import parse_char_vocab, parse_token_vocab
 from sarv.errors import ConfigError
 from sarv.models import Model, load_model
@@ -765,6 +765,41 @@ def test_predict_from_file_and_stdin(trained, tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     assert stdout.splitlines()[0].split("\t")[0] == "positive"
+
+
+def test_predict_scores_in_batches_of_the_configured_size(trained, tmp_path, capsys,
+                                                          monkeypatch):
+    _, shards, run = trained
+    words = ["واقعا", "عالی", "بود", "افتضاح", *FILLERS[:3]]
+    lines = [" ".join(words[k % len(words):] + words[:k % 3 + 1]) for k in range(11)]
+    inp = tmp_path / "lines.txt"
+    inp.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ini = tmp_path / "batch.ini"
+    ini.write_text("[train]\nbatch_size = 4\n", encoding="utf-8")
+    ckpt = run / "checkpoint_best.bin"
+    rows = []
+    forward = Model.forward
+
+    def spy(self, batch, *args, **kwargs):
+        rows.append(len(batch))
+        return forward(self, batch, *args, **kwargs)
+
+    monkeypatch.setattr(Model, "forward", spy)
+    code, stdout, _ = invoke(capsys, "predict", "--config", ini, "--checkpoint", ckpt,
+                             "--shard-dir", shards, "--embeddings", bundled_embedding_path(),
+                             "--input", inp)
+    monkeypatch.undo()
+    assert code == 0
+    assert rows == [4, 4, 3]
+
+    encoder = Encoder.load(shards)
+    model, emb, _ = load_model(ckpt, len(encoder.token_vocab))
+    fixed = [unify_length(tokenize(normalize(ln, encoder.norm)), MAX_LEN) for ln in lines]
+    labels, probs = model.predict(encoder.encode_many(fixed, [0] * len(fixed)), emb)
+    assert stdout == "".join(
+        "\t".join([("negative", "positive")[y]] + [f"{p:.6f}" for p in row]) + "\n"
+        for y, row in zip(labels, probs)
+    )
 
 
 def test_stats_reports_category_table(tmp_path, capsys):

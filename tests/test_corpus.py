@@ -83,7 +83,6 @@ def test_read_headerless_with_integer_columns(tmp_path):
     p.write_text("خوب\tpositive\nبد\tnegative\n", encoding="utf-8")
     records, _ = read_corpus(p, text_col=0, label_col=1, category_col=None)
     assert [r.text for r in records] == ["خوب", "بد"]
-    assert records[0].source_id == 1  # rows count from 1 when headerless
 
 
 def test_read_jsonl(tmp_path):
@@ -233,9 +232,8 @@ def test_encoder_round_trip_and_check(tmp_path):
 
 
 def test_preprocess_records_keeps_pretruncation_sequence():
-    raw = [RawRecord(text=" ".join(["خوب"] * 20), label="positive", source_id=7)]
+    raw = [RawRecord(text=" ".join(["خوب"] * 20), label="positive")]
     [(seq, fixed, rec)] = preprocess_records(raw, NormConfig(stopwords=frozenset()), max_len=15)
     assert len(seq.tokens) == 20
     assert fixed.true_length == 15
     assert rec is raw[0]
-    assert seq.source_id == 7
