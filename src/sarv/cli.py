@@ -319,9 +319,10 @@ def _checked_manifest(path: Path, encoder: Encoder, num_classes: int) -> ShardMa
 
 
 def _embedding_matrix_for(cfg: RunConfig, token_vocab, dtype):
-    """``token_vocab``'s rows of the checked embeddings file; no usable line is a DataError.
+    """``token_vocab``'s rows of the checked embeddings file, and the sha256 of its bytes.
 
-    The parsed table is freed on return, so training holds only the matrix.
+    No usable line is a DataError.  The parsed table is freed on return,
+    so training holds only the matrix.
     """
     table = load_embeddings(cfg.embeddings, vocab=token_vocab)
     if not table.loaded_lines:
@@ -330,7 +331,7 @@ def _embedding_matrix_for(cfg: RunConfig, token_vocab, dtype):
     if table.skipped_lines:
         print(f"warning: skipped {table.skipped_lines} malformed embedding line(s)",
               file=sys.stderr)
-    return embedding_matrix(table, token_vocab, dtype=dtype)
+    return embedding_matrix(table, token_vocab, dtype=dtype), table.sha256
 
 
 def _load_checkpoint(cfg: RunConfig, encoder: Encoder):
@@ -369,8 +370,7 @@ def cmd_train(cfg: RunConfig) -> int:
         max_word_chars=train_manifest.max_word_chars,
         char_vocab_size=len(encoder.char_vocab) if cfg.preset in CHAR_PRESETS else 0,
     )
-    emb_hash = embeddings_sha256(cfg.embeddings)
-    emb = _embedding_matrix_for(cfg, encoder.token_vocab, train_cfg.dtype)
+    emb, emb_hash = _embedding_matrix_for(cfg, encoder.token_vocab, train_cfg.dtype)
     report, _ = train_loop(spec, train_cfg, train_manifest, emb, cfg.out_dir, eval_manifest,
                            emb_hash)
     _write_outputs(cfg, {})

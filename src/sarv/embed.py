@@ -9,6 +9,7 @@ for char-level padding and unknown characters.
 from __future__ import annotations
 
 import hashlib
+import io
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable
@@ -34,6 +35,7 @@ class EmbeddingTable:
         self.zero_vector.flags.writeable = False
         self.loaded_lines = 0
         self.skipped_lines = 0
+        self.sha256 = ""  # of the file's bytes, set by load_embeddings
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -62,22 +64,47 @@ def load_embeddings(
     Lines are parsed ``LOAD_CHUNK_LINES`` at a time by ``np.loadtxt``; a
     chunk it rejects is parsed again line by line, so each malformed
     line is found and counted as if the whole file were parsed that way.
+    The same reads feed ``table.sha256``, which equals
+    :func:`embeddings_sha256` of the bytes parsed.
     """
     table = EmbeddingTable(dim)
     keep = None if vocab is None else vocab.ids
     try:
-        fh = open(path, "r", encoding="utf-8")
+        raw = _HashingReader(open(path, "rb", buffering=0))
     except OSError as exc:
         raise DataError(f"cannot read embeddings {path}: {exc}") from exc
+    fh = io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8")
     with fh, np.errstate(over="ignore"):  # out-of-range components become inf, then skipped
         while lines := list(islice(fh, LOAD_CHUNK_LINES)):
             _load_chunk(table, lines, keep)
+        table.sha256 = raw.digest.hexdigest()
     return table
 
 
 # Bytes per read when hashing a file.  Reads below malloc's mmap threshold
 # (128 KiB) hash as fast as 1 MiB reads, which raised `train`'s peak RSS.
 HASH_READ_BYTES = 1 << 16
+
+
+class _HashingReader(io.RawIOBase):
+    """An unbuffered binary file whose reads also feed a sha256, in file order."""
+
+    def __init__(self, fh: io.RawIOBase):
+        self._fh = fh
+        self.digest = hashlib.sha256()
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int | None:
+        n = self._fh.readinto(buffer)
+        if n:
+            self.digest.update(memoryview(buffer)[:n])
+        return n
+
+    def close(self) -> None:
+        self._fh.close()
+        super().close()
 
 
 def embeddings_sha256(path) -> str:

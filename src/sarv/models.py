@@ -134,9 +134,18 @@ def _char_lengths(char_ids: np.ndarray) -> np.ndarray:
 
 
 def _distinct_rows(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct rows of ``ids``, index of each input row in them)."""
-    rows, inverse = np.unique(ids, axis=0, return_inverse=True)
-    return rows, inverse.reshape(-1)
+    """(distinct rows of 2-d unsigned ``ids``, index of each input row in them).
+
+    Equals ``np.unique(ids, axis=0, return_inverse=True)`` with a flat
+    inverse, but sorts once over one byte key per row instead of field by
+    field.  The bytes of big-endian unsigned values compare in the same
+    order as the numbers, so the rows come out in the same order.
+    """
+    big_endian = np.ascontiguousarray(ids, dtype=ids.dtype.newbyteorder(">"))
+    row_bytes = big_endian.shape[1] * big_endian.itemsize
+    keys = big_endian.view(np.dtype((np.void, row_bytes))).reshape(-1)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return ids[first], inverse.reshape(-1)
 
 
 class Model:
@@ -153,6 +162,7 @@ class Model:
         self.char_lstm: Lstm | None = None
         self.word_lstm: Lstm | None = None
         self._char_inverse: np.ndarray | None = None  # slot -> distinct char row, last forward
+        self._char_rows = 0  # distinct char rows in the last forward
         word_dim = spec.embed_dim
         if spec.preset in CHAR_PRESETS:
             self.char_proj = OneHotDense(
@@ -202,6 +212,7 @@ class Model:
             b, max_len, cap = batch["c"].shape
             # The char channel runs once per distinct char row (PAD included).
             rows, self._char_inverse = _distinct_rows(batch["c"].reshape(b * max_len, cap))
+            self._char_rows = len(rows)
             char_x = self.char_proj.forward(rows)
             char_h = self.char_lstm.forward(char_x, _char_lengths(rows))
             char_h = char_h[self._char_inverse].reshape(b, max_len, self.spec.char_lstm_size)
@@ -227,9 +238,8 @@ class Model:
             d = self.word_lstm.backward(d)
         if self.char_lstm is not None:
             dchar_h = d[:, :, self.spec.embed_dim:].reshape(-1, self.spec.char_lstm_size)
-            inverse = self._char_inverse
-            drows = np.zeros((inverse.max(initial=-1) + 1, dchar_h.shape[1]), dchar_h.dtype)
-            np.add.at(drows, inverse, dchar_h)
+            drows = np.zeros((self._char_rows, dchar_h.shape[1]), dchar_h.dtype)
+            np.add.at(drows, self._char_inverse, dchar_h)
             self.char_proj.backward(self.char_lstm.backward(drows))
 
     def predict(

@@ -14,7 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sarv.embed
 from sarv.embed import (
+    HASH_READ_BYTES,
     build_char_vocab,
     build_token_vocab,
     embedding_matrix,
@@ -130,6 +132,22 @@ def test_embeddings_sha256_hashes_the_file_bytes(tmp_path):
     assert embeddings_sha256(p) == hashlib.sha256(data).hexdigest()
     with pytest.raises(DataError, match="absent.txt"):
         embeddings_sha256(tmp_path / "absent.txt")
+
+
+def test_loader_digest_is_the_hash_of_the_bytes_it_parsed(tmp_path, monkeypatch):
+    malformed = tmp_path / "malformed.txt"
+    lines = [f"ک{i} {i}.5 -2e-3" for i in range(30_000)]  # spans many reads
+    lines[7], lines[20_001] = "بد 3.0", "زشت x 1.0"
+    malformed.write_bytes(("\n".join(lines) + "\r\nتند 1 nan\r\n\n").encode("utf-8"))
+    reads = []
+    readinto = sarv.embed._HashingReader.readinto
+    monkeypatch.setattr(sarv.embed._HashingReader, "readinto",
+                        lambda self, buffer: reads.append(len(buffer)) or readinto(self, buffer))
+    for path, dim in ((bundled_embedding_path(), 50), (malformed, 2)):
+        table = load_embeddings(path, dim=dim)
+        assert table.sha256 == embeddings_sha256(path)
+    assert (table.loaded_lines, table.skipped_lines) == (29_998, 3)
+    assert len(reads) > 2 and max(reads) <= HASH_READ_BYTES
 
 
 def test_oov_lookup_is_zero_vector(emb_table):

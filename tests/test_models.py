@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sarv.corpus import EncodedSentence, as_records
+from sarv.corpus import EncodedSentence, as_records, record_dtype
 from sarv.errors import ConfigError, DataError
 from sarv.models import (
     CHAR_PRESETS,
@@ -19,6 +19,7 @@ from sarv.models import (
     REFERENCE_F1,
     ModelSpec,
     _char_lengths,
+    _distinct_rows,
     build_model,
     load_model,
     model_loss_fn,
@@ -227,6 +228,37 @@ def test_char_dedup_matches_running_every_slot(monkeypatch, dtype, tol):
     for p, got, want in zip(model.params(), grads, every_grads):
         assert want.any(), p.name
         assert rel_to_max(got, want) <= tol, p.name
+
+
+def _distinct_rows_cases():
+    rng = np.random.default_rng(11)
+    for n in (1, 7, 300):
+        yield rng.integers(0, 1 << 16, size=(n, 20)).astype("<u2")  # the full id range
+        yield rng.integers(0, 3, size=(n, 20)).astype("<u2")  # many repeats
+    # Little-endian bytes would sort 256 (00 01) before 1 (01 00) and 255 (ff 00).
+    traps = np.zeros((8, 20), "<u2")
+    traps[:, 0] = (256, 1, 255, 0, 256, 65535, 511, 1)
+    traps[3, 19] = 256
+    traps[7, 1] = 256
+    yield traps
+    yield np.zeros((45, 20), "<u2")  # an all-PAD batch
+    records = np.zeros(3, record_dtype(15, 20))
+    records["c"] = rng.integers(0, 300, size=(3, 15, 20))
+    records["c"][:, 10:] = 0
+    yield records["c"].reshape(3 * 15, 20)  # as Model.forward passes a record array's chars
+    yield records["c"][:, 2]  # a strided view: one slot of every record
+
+
+def test_distinct_rows_equals_row_wise_unique():
+    cases = list(_distinct_rows_cases())
+    assert not cases[-1].flags.c_contiguous
+    for ids in cases:
+        rows, inverse = _distinct_rows(ids)
+        want_rows, want_inverse = np.unique(ids, axis=0, return_inverse=True)
+        assert rows.dtype == want_rows.dtype
+        np.testing.assert_array_equal(rows, want_rows)
+        np.testing.assert_array_equal(inverse, want_inverse.reshape(-1))
+        np.testing.assert_array_equal(rows[inverse], ids)
 
 
 def test_char_lengths_matches_brute_force():
