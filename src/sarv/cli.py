@@ -13,20 +13,20 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import io
 import os
 import sys
 from dataclasses import dataclass, field, fields
 from itertools import groupby
 from pathlib import Path
 
-from sarv.corpus import (Encoder, LabelScheme, RawRecord, preprocess_records, read_corpus,
-                         to_json_lines)
+from sarv.corpus import Encoder, LabelScheme, read_corpus, to_json_lines
 from sarv.embed import (build_char_vocab, build_token_vocab, embedding_matrix, embeddings_sha256,
                         load_embeddings)
 from sarv.errors import ConfigError, DataError, NumericsError, SarvError
 from sarv.metrics import category_stats, metrics
 from sarv.models import CHAR_PRESETS, EMBEDDINGS_HASH_KEY, PRESETS, ModelSpec, load_model
-from sarv.textproc import MAX_LEN, NormConfig, length_histogram, load_stopwords
+from sarv.textproc import MAX_LEN, NormConfig, length_histogram, load_stopwords, tokenize_many
 from sarv.train import (
     OPTIMIZERS,
     PRECISIONS,
@@ -246,12 +246,11 @@ def _encode_corpus(cfg: RunConfig):
     else:
         norm = NormConfig.default()
     raw, skipped = _read_raw(cfg)
-    triples = preprocess_records(raw, norm, MAX_LEN)
-    seqs = [seq for seq, _, _ in triples]
+    seqs = tokenize_many([rec.text for rec in raw], norm)
     encoder = Encoder(norm, build_token_vocab(seqs), build_char_vocab(seqs))
     scheme = LabelScheme.for_num_classes(cfg.classes)
-    labels = [scheme.label_index(rec.label) for _, _, rec in triples]
-    encoded = encoder.encode_many([fixed for _, fixed, _ in triples], labels)
+    labels = [scheme.label_index(rec.label) for rec in raw]
+    encoded = encoder.encode_many(seqs, labels, MAX_LEN)
     return encoded, encoder, length_histogram(seqs), skipped
 
 
@@ -399,14 +398,16 @@ def cmd_predict(cfg: RunConfig) -> int:
     scheme = LabelScheme.for_num_classes(model.spec.num_classes)
     if cfg.input_path:
         try:
-            lines = Path(cfg.input_path).read_text("utf-8").splitlines()
+            text = Path(cfg.input_path).read_text("utf-8")
         except OSError as exc:
             raise DataError(f"cannot read input {cfg.input_path}: {exc}") from exc
     else:
-        lines = sys.stdin.read().splitlines()
-    raw = [RawRecord(text=ln, label="") for ln in lines if ln.strip()]
-    fixed = [f for _, f, _ in preprocess_records(raw, encoder.norm, MAX_LEN)]
-    records = encoder.encode_many(fixed, [0] * len(fixed))
+        text = sys.stdin.read()
+    # One record per line, split only at line ends ("\n", "\r\n" or "\r").
+    text = io.StringIO(text, newline=None).read()
+    lines = [ln for ln in text.split("\n") if ln.strip()]
+    seqs = tokenize_many(lines, encoder.norm)
+    records = encoder.encode_many(seqs, [0] * len(seqs), MAX_LEN)
     scored = (model.predict(batch, emb) for batch in batches([records], cfg.batch_size))
     text = "".join(
         "\t".join([scheme.classes[y]] + [f"{p:.6f}" for p in row]) + "\n"

@@ -6,8 +6,8 @@ keys.  An encoded record is fixed-length token ids, per-token char ids,
 true length, and class label, stored as one row of a structured array
 (:func:`record_dtype`) from the encoder to the model.  An
 :class:`Encoder` holds the normaliser and vocabularies a shard directory
-was encoded with, encodes reviews straight into that record array, and
-checks them against what manifests and checkpoints recorded.
+was encoded with, encodes token sequences straight into that record
+array, and checks them against what manifests and checkpoints recorded.
 :func:`encode_sentence` encodes one review as an :class:`EncodedSentence`
 tuple, the reference ``Encoder.encode_many`` is tested against.
 """
@@ -15,18 +15,19 @@ tuple, the reference ``Encoder.encode_many`` is tested against.
 from __future__ import annotations
 
 import csv
+import io
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from sarv.embed import (CharVocab, TokenVocab, encode_chars, encode_token_ids, parse_char_vocab,
                         parse_token_vocab, serialize_char_vocab, serialize_token_vocab)
 from sarv.errors import ConfigError, DataError
-from sarv.textproc import (MAX_LEN, FixedSentence, NormConfig, TokenSeq, load_stopwords,
-                           normalize, tokenize, unify_length)
+from sarv.textproc import MAX_LEN, FixedSentence, NormConfig, load_stopwords
 
 BINARY_CLASSES = ("negative", "positive")
 TERNARY_CLASSES = ("negative", "neutral", "positive")
@@ -102,8 +103,11 @@ def read_corpus(
     """Load raw records, skipping malformed rows up to ``max_bad_rows``.
 
     Column values may be header names (CSV/TSV with a header row) or
-    zero-based integer indices (headerless files).  Beyond the skip
-    threshold the whole read fails; a negative threshold is a ``ConfigError``.
+    zero-based integer indices (headerless files).  Records are split only
+    at line ends ("\n", "\r\n", and for CSV/TSV also "\r"), never at the
+    other separators ``str.splitlines`` breaks at (U+2028, "\x1c", ...),
+    and a quoted CSV/TSV field may span lines.  Beyond the skip threshold
+    the whole read fails; a negative threshold is a ``ConfigError``.
     """
     if max_bad_rows < 0:
         raise ConfigError(f"max_bad_rows must be >= 0, got {max_bad_rows}")
@@ -138,7 +142,7 @@ def read_corpus(
 def _read_jsonl(text, text_col, label_col, category_col):
     records: list[RawRecord] = []
     skipped: list[SkippedRow] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):  # "\r" is JSON whitespace
         if not line.strip():
             continue
         try:
@@ -156,18 +160,22 @@ def _read_jsonl(text, text_col, label_col, category_col):
 
 
 def _read_delimited(text, delimiter, text_col, label_col, category_col):
-    rows = list(csv.reader(text.splitlines(), delimiter=delimiter))
+    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
+    rows, line_no = [], 1  # (the row's first line number, the row)
+    for row in reader:
+        rows.append((line_no, row))
+        line_no = reader.line_num + 1
     records: list[RawRecord] = []
     skipped: list[SkippedRow] = []
     positional = isinstance(text_col, int) and isinstance(label_col, int)
     if positional:
         header_map = None
-        data_rows = list(enumerate(rows, start=1))
+        data_rows = rows
     else:
         if not rows:
             return records, skipped
-        header_map = {name: i for i, name in enumerate(rows[0])}
-        data_rows = list(enumerate(rows[1:], start=2))
+        header_map = {name: i for i, name in enumerate(rows[0][1])}
+        data_rows = rows[1:]
 
     def col_index(col, line_no):
         if isinstance(col, int):
@@ -287,7 +295,7 @@ ENCODER_HASH_KEYS = ("vocab_hash", "char_vocab_hash", "norm_config_hash")
 class Encoder:
     """The normaliser and vocabularies one shard directory was encoded with.
 
-    ``encode_many`` is the one path from fixed sentences to a record
+    ``encode_many`` is the one path from token sequences to a record
     array.  ``save``/``load`` own the directory's
     ``vocab.tsv``, ``chars.tsv`` and ``stopwords.txt`` (the folded
     stopword set, sorted, one per line); ``check`` refuses a manifest or
@@ -324,6 +332,11 @@ class Encoder:
 
     def hashes(self) -> dict[str, str]:
         """This encoder's value for each of ``ENCODER_HASH_KEYS``."""
+        return dict(self._hashes)
+
+    @cached_property
+    def _hashes(self) -> dict[str, str]:
+        # Each hash serialises a vocabulary, so it is computed once per encoder.
         values = (self.token_vocab.vocab_hash(), self.char_vocab.vocab_hash(),
                   self.norm.config_hash())
         return dict(zip(ENCODER_HASH_KEYS, values))
@@ -341,48 +354,41 @@ class Encoder:
                     f"{want[:12] or '(none)'}… recorded vs {found[:12]}… in the shard directory"
                 )
 
-    def encode_many(self, fixed: Sequence[FixedSentence], labels: Sequence[int]) -> np.ndarray:
-        """Sentences and their labels as one record array, in order.
+    def encode_many(self, seqs: Sequence[Sequence[str]], labels: Sequence[int],
+                    max_len: int) -> np.ndarray:
+        """Token sequences and their labels as one record array of ``max_len`` slots, in order.
 
-        Equal to ``as_records`` of each sentence's ``encode_sentence``, but each
-        distinct token is looked up once: every slot holds the index of its
-        token's row in a table of distinct tokens, and the token ids and
-        char rows are gathered from that table.
+        Each sequence keeps its first ``max_len`` tokens and the rest of its
+        slots are PAD, so the result equals ``as_records`` of each sequence's
+        ``encode_sentence(unify_length(seq, max_len), ...)``.  Each distinct
+        token is looked up once: every kept token holds the index of its row
+        in a table of distinct tokens, the token ids and char rows are
+        gathered from that table, and PAD slots stay zero.
         """
+        if max_len < 1:
+            raise ValueError(f"max_len must be >= 1, got {max_len}")
         width = self.char_vocab.max_word_chars
-        max_len = len(fixed[0].tokens) if fixed else MAX_LEN
-        if any(len(s.tokens) != max_len for s in fixed):
-            raise DataError(f"records do not fit {max_len} slots: sentences differ in length")
-        tokens = [t for s in fixed for t in s.tokens]
+        lengths = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
+        tokens = [t for seq in seqs for t in seq[:max_len]]
         row_of = {t: i for i, t in enumerate(dict.fromkeys(tokens))}
-        rows = np.fromiter(map(row_of.__getitem__, tokens), dtype=np.intp,
-                            count=len(tokens)).reshape(len(fixed), max_len)
+        rows = np.fromiter(map(row_of.__getitem__, tokens), dtype=np.intp, count=len(tokens))
         token_ids = np.array([self.token_vocab.token_id(t) for t in row_of], dtype=np.int64)
-        char_ids = np.zeros((len(row_of), width), dtype=np.int64)
         char_id = self.char_vocab.ids.get
-        for row, token in zip(char_ids, row_of):
-            ids = [char_id(ch, 0) for ch in token[:width]]
-            row[:len(ids)] = ids
+        widths = np.fromiter((min(len(t), width) for t in row_of), dtype=np.intp,
+                             count=len(row_of))
+        char_ids = np.zeros((len(row_of), width), dtype=np.int64)
+        char_ids[np.arange(width) < widths[:, None]] = [
+            char_id(ch, 0) for t in row_of for ch in t[:width]]
         dtype = record_dtype(max_len, width)
         for name, table in (("t", token_ids), ("c", char_ids)):
             limit = np.iinfo(dtype[name].base).max
             if table.size and table.max() > limit:
                 raise DataError(f"records do not fit {max_len} slots x {width} chars: "
                                 f"{name} id {table.max()} exceeds {limit}")
-        out = np.zeros(len(fixed), dtype)
+        out = np.zeros(len(seqs), dtype)
         out["y"] = labels
-        out["len"] = [s.true_length for s in fixed]
-        out["t"] = token_ids[rows]
-        out["c"] = char_ids.astype(dtype["c"].base)[rows]
+        out["len"] = np.minimum(lengths, max_len)
+        kept = np.arange(max_len) < out["len"][:, None]  # row-major, like ``tokens``
+        out["t"][kept] = token_ids[rows]
+        out["c"][kept] = char_ids.astype(dtype["c"].base)[rows]
         return out
-
-
-def preprocess_records(
-    records: Iterable[RawRecord], cfg: NormConfig, max_len: int
-) -> list[tuple[TokenSeq, FixedSentence, RawRecord]]:
-    """Normalize and tokenize each record, keeping the pre-truncation sequence."""
-    out = []
-    for rec in records:
-        seq = tokenize(normalize(rec.text, cfg))
-        out.append((seq, unify_length(seq, max_len), rec))
-    return out

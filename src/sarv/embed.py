@@ -12,7 +12,7 @@ import hashlib
 import io
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -201,13 +201,19 @@ class CharVocab:
 
 
 def build_char_vocab(
-    corpus: Iterable[TokenSeq], max_word_chars: int = DEFAULT_MAX_WORD_CHARS
+    corpus: Iterable[TokenSeq | Sequence[str]], max_word_chars: int = DEFAULT_MAX_WORD_CHARS
 ) -> CharVocab:
     """Collect every character seen in corpus tokens, sorted by code point."""
+    seen = set("".join(_distinct_tokens(corpus)))
+    return CharVocab(chars=tuple(sorted(seen)), max_word_chars=max_word_chars)
+
+
+def _distinct_tokens(corpus: Iterable[TokenSeq | Sequence[str]]) -> set[str]:
+    """Every token of the corpus, from ``TokenSeq``s or plain token sequences."""
     seen: set[str] = set()
     for seq in corpus:
-        seen.update("".join(seq.tokens))
-    return CharVocab(chars=tuple(sorted(seen)), max_word_chars=max_word_chars)
+        seen.update(seq.tokens if isinstance(seq, TokenSeq) else seq)
+    return seen
 
 
 def encode_chars(token: str, vocab: CharVocab) -> np.ndarray:
@@ -267,11 +273,9 @@ class TokenVocab:
         return hashlib.sha256(serialize_token_vocab(self).encode("utf-8")).hexdigest()
 
 
-def build_token_vocab(corpus: Iterable[TokenSeq]) -> TokenVocab:
+def build_token_vocab(corpus: Iterable[TokenSeq | Sequence[str]]) -> TokenVocab:
     """All distinct corpus tokens, sorted by code point for stable ids."""
-    seen: set[str] = set()
-    for seq in corpus:
-        seen.update(seq.tokens)
+    seen = _distinct_tokens(corpus)
     seen.discard(PAD)
     return TokenVocab(tokens=tuple(sorted(seen)))
 

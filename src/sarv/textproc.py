@@ -4,7 +4,9 @@ Raw comments pass through three stages before vectorization: character
 normalization (punctuation/digit stripping, Persian unicode folding,
 stopword removal), whitespace tokenization, and truncation/padding to a
 fixed 15-token window.  All functions here are pure and safe to apply
-across records in parallel.
+across records in parallel.  :func:`normalize` is the per-review
+reference; :func:`tokenize_many` gives the same tokens for a whole corpus
+by running the character steps over chunks of reviews at once.
 """
 
 from __future__ import annotations
@@ -19,6 +21,10 @@ from importlib import resources
 from typing import Iterable, Sequence
 
 MAX_LEN = 15
+
+# Reviews per ``tokenize_many`` chunk: the character steps run once over
+# this many reviews joined by "\n".
+TOKENIZE_CHUNK = 1024
 
 # Padding symbol for sentence slots beyond the true length.  The empty
 # string is out-of-band by construction: tokenize() only ever emits
@@ -35,8 +41,11 @@ ZWNJ = "‌"
 _DIACRITICS_RE = re.compile(r"[ً-ْٰ]")
 # The stripped "letters and numbers" class: ASCII letters/digits plus
 # Arabic-Indic and Extended (Persian) Arabic-Indic digits.
-_LETTERS_DIGITS_RE = re.compile(r"[A-Za-z0-9٠-٩۰-۹]")
+_LETTERS_DIGITS = "A-Za-z0-9٠-٩۰-۹"
+_LETTERS_DIGITS_RE = re.compile(f"[{_LETTERS_DIGITS}]")
 _WS_RE = re.compile(r"\s+")
+# Code points from U+0800 on; tokenize_many classifies those a chunk holds.
+_HIGH_RE = re.compile("[^\x00-\u07ff]")
 
 
 class _PunctToSpace(dict):
@@ -133,6 +142,11 @@ class FixedSentence:
             raise ValueError("PAD slots must be exactly the trailing ones")
 
 
+def _strip_chars(text: str) -> str:
+    """``normalize``'s character steps: fold, then punctuation, digits and letters to spaces."""
+    return _LETTERS_DIGITS_RE.sub(" ", fold_persian(text).translate(_PUNCT_TO_SPACE))
+
+
 def normalize(raw: str, cfg: NormConfig) -> str:
     """Normalize one raw comment.
 
@@ -142,8 +156,7 @@ def normalize(raw: str, cfg: NormConfig) -> str:
     stopwords are removed as whole tokens, and whitespace is collapsed.
     The result is idempotent: normalizing twice changes nothing.
     """
-    text = fold_persian(raw).translate(_PUNCT_TO_SPACE)
-    text = _LETTERS_DIGITS_RE.sub(" ", text)
+    text = _strip_chars(raw)
     if cfg.stopwords:
         text = " ".join(t for t in text.split() if _fold_probe(t) not in cfg.stopwords)
     return _WS_RE.sub(" ", text).strip()
@@ -152,6 +165,62 @@ def normalize(raw: str, cfg: NormConfig) -> str:
 def tokenize(text: str) -> TokenSeq:
     """Split normalized text into maximal whitespace-delimited tokens."""
     return TokenSeq(tokens=tuple(text.split()))
+
+
+def tokenize_many(texts: Sequence[str], cfg: NormConfig) -> list[list[str]]:
+    """``list(tokenize(normalize(t, cfg)).tokens)`` for each text, in order.
+
+    The character steps run once per ``TOKENIZE_CHUNK`` texts joined by
+    "\n", and the result is split back on "\n"; a text that itself holds
+    "\n" goes through ``normalize``'s chain on its own.  Each distinct
+    token's stopword status is decided once, and every occurrence of a
+    token is the same ``str`` object, so a corpus holds each token once.
+    """
+    out: list[list[str]] = []
+    first: dict[str, str | None] = {}  # token -> its first instance, None if a stopword
+    for start in range(0, len(texts), TOKENIZE_CHUNK):
+        seqs = [line.split() for line in _strip_lines(texts[start:start + TOKENIZE_CHUNK])]
+        new = list(set().union(*seqs).difference(first))
+        if cfg.stopwords:
+            # _fold_probe of each new token, over all of them joined: casefold
+            # and folding map each character on its own and keep "\n".
+            probes = fold_persian("\n".join(new).casefold()).split("\n")
+            first.update((t, None if p.strip() in cfg.stopwords else t)
+                         for t, p in zip(new, probes))
+        else:
+            first.update(zip(new, new))
+        out += [[t for t in map(first.__getitem__, seq) if t is not None] for seq in seqs]
+    return out
+
+
+def _strip_lines(texts: Sequence[str]) -> list[str]:
+    """``_strip_chars`` of each text; those without "\n" are stripped joined by "\n".
+
+    Every step maps each character on its own and none maps one to or
+    from "\n", so stripping the joined texts and splitting on "\n"
+    strips each text.
+    """
+    plain = iter(_strip_chunk("\n".join(t for t in texts if "\n" not in t)).split("\n"))
+    return [_strip_chars(t) if "\n" in t else next(plain) for t in texts]
+
+
+def _strip_chunk(text: str) -> str:
+    """``_strip_chars`` of a long text, with one regex in place of ``str.translate``.
+
+    ``str.translate`` looks each non-ASCII character up in a dict; a regex
+    class of the punctuation, letters and digits runs in C.  Punctuation
+    above U+07FF joins the class only once ``text`` holds it.
+    """
+    text = fold_persian(text)
+    high = sorted(c for c in set(_HIGH_RE.findall(text)) if _PUNCT_TO_SPACE[ord(c)] == 0x20)
+    return _strip_re("".join(high)).sub(" ", text)
+
+
+@lru_cache(maxsize=256)
+def _strip_re(high_punct: str) -> re.Pattern:
+    """What ``_strip_chars`` turns into spaces, given the punctuation from U+0800 on."""
+    low_punct = "".join(chr(cp) for cp in range(0x800) if _PUNCT_TO_SPACE[cp] == 0x20)
+    return re.compile(f"[{re.escape(low_punct + high_punct)}{_LETTERS_DIGITS}]")
 
 
 def unify_length(seq: TokenSeq | Sequence[str], max_len: int = MAX_LEN) -> FixedSentence:
@@ -186,9 +255,9 @@ class LengthHistogram:
         return f"LengthHistogram({self.counts!r})"
 
 
-def length_histogram(corpus: Iterable[TokenSeq]) -> LengthHistogram:
+def length_histogram(corpus: Iterable[TokenSeq | Sequence[str]]) -> LengthHistogram:
     """Count records by token count before any truncation."""
-    counts: Counter[int] = Counter(len(seq.tokens) for seq in corpus)
+    counts: Counter[int] = Counter(map(len, corpus))
     return LengthHistogram(dict(counts))
 
 

@@ -8,8 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sarv.corpus import (EncodedSentence, LabelScheme, RawRecord, as_records, encode_sentence,
-                         preprocess_records)
+from sarv.corpus import EncodedSentence, LabelScheme, RawRecord, as_records, encode_sentence
 from sarv.embed import (
     build_char_vocab,
     build_token_vocab,
@@ -18,7 +17,7 @@ from sarv.embed import (
 )
 from sarv.models import ModelSpec
 from sarv.nn import Dropout, Relu
-from sarv.textproc import MAX_LEN, NormConfig
+from sarv.textproc import MAX_LEN, NormConfig, normalize, tokenize, unify_length
 
 DATA_DIR = Path(__file__).parent / "data"
 REVIEWS_TSV = DATA_DIR / "persian_reviews.tsv"
@@ -87,14 +86,14 @@ def order_rows(n: int, seed: int) -> list[RawRecord]:
 def encode_rows(rows, classes: int, stopwords=frozenset()):
     """Raw records -> (encoded sentences, token vocab, char vocab)."""
     norm = NormConfig(stopwords=stopwords)
-    triples = preprocess_records(rows, norm, MAX_LEN)
-    seqs = [seq for seq, _, _ in triples]
+    seqs = [tokenize(normalize(rec.text, norm)) for rec in rows]
     token_vocab = build_token_vocab(seqs)
     char_vocab = build_char_vocab(seqs)
     scheme = LabelScheme.for_num_classes(classes)
     encoded = [
-        encode_sentence(fixed, token_vocab, char_vocab, scheme.label_index(rec.label))
-        for _, fixed, rec in triples
+        encode_sentence(unify_length(seq, MAX_LEN), token_vocab, char_vocab,
+                        scheme.label_index(rec.label))
+        for seq, rec in zip(seqs, rows)
     ]
     return encoded, token_vocab, char_vocab
 

@@ -152,6 +152,27 @@ def test_shard_same_seed_reproduces_identical_hashes(tmp_path, capsys):
     assert [s.sha256 for s in outs[0].shards] == [s.sha256 for s in outs[1].shards]
 
 
+def test_shard_serialises_the_token_vocab_once_for_the_file_and_once_for_its_hash(
+        tmp_path, capsys, monkeypatch):
+    import sarv.corpus
+    import sarv.embed
+
+    corpus = write_corpus_tsv(tmp_path / "c.tsv", separable_rows(40, classes=2, seed=8))
+    calls = []
+    serialize = sarv.embed.serialize_token_vocab
+
+    def counted(vocab):
+        calls.append(len(vocab))
+        return serialize(vocab)
+
+    monkeypatch.setattr(sarv.embed, "serialize_token_vocab", counted)
+    monkeypatch.setattr(sarv.corpus, "serialize_token_vocab", counted)
+    code, _, _ = invoke(capsys, "shard", "--corpus", corpus, "--out-dir", tmp_path / "s",
+                        "--seed", 9, "--shard-size", 10)
+    assert code == 0
+    assert len(calls) == 2  # vocab.tsv, then vocab_hash for both manifests
+
+
 def test_shard_sizes_follow_arithmetic(tmp_path, capsys):
     rows = separable_rows(5000, classes=2, seed=2)
     corpus = write_corpus_tsv(tmp_path / "big.tsv", rows)
@@ -767,6 +788,23 @@ def test_predict_from_file_and_stdin(trained, tmp_path, capsys, monkeypatch):
     assert stdout.splitlines()[0].split("\t")[0] == "positive"
 
 
+def test_predict_splits_input_only_at_line_ends(trained, tmp_path, capsys, monkeypatch):
+    _, shards, run = trained
+    argv = ("predict", "--checkpoint", run / "checkpoint_best.bin", "--shard-dir", shards,
+            "--embeddings", bundled_embedding_path())
+    inp = tmp_path / "lines.txt"
+    inp.write_bytes("واقعا عالی\u2028بود\x1cخوب\r\nافتضاح\x85بود\rبد\n".encode("utf-8"))
+    code, from_file, _ = invoke(capsys, *argv, "--input", inp)
+    assert code == 0
+    monkeypatch.setattr("sys.stdin", io.StringIO(inp.read_bytes().decode("utf-8")))
+    code, from_stdin, _ = invoke(capsys, *argv)
+    assert code == 0
+    # Three line ends ("\r\n", "\r", "\n"), so three records, not the six
+    # str.splitlines would make.
+    assert from_file == from_stdin
+    assert len(from_file.splitlines()) == 3
+
+
 def test_predict_scores_in_batches_of_the_configured_size(trained, tmp_path, capsys,
                                                           monkeypatch):
     _, shards, run = trained
@@ -794,8 +832,8 @@ def test_predict_scores_in_batches_of_the_configured_size(trained, tmp_path, cap
 
     encoder = Encoder.load(shards)
     model, emb, _ = load_model(ckpt, len(encoder.token_vocab))
-    fixed = [unify_length(tokenize(normalize(ln, encoder.norm)), MAX_LEN) for ln in lines]
-    labels, probs = model.predict(encoder.encode_many(fixed, [0] * len(fixed)), emb)
+    seqs = [tokenize(normalize(ln, encoder.norm)).tokens for ln in lines]
+    labels, probs = model.predict(encoder.encode_many(seqs, [0] * len(seqs), MAX_LEN), emb)
     assert stdout == "".join(
         "\t".join([("negative", "positive")[y]] + [f"{p:.6f}" for p in row]) + "\n"
         for y, row in zip(labels, probs)

@@ -10,15 +10,14 @@ from sarv.corpus import (
     EncodedSentence,
     Encoder,
     LabelScheme,
-    RawRecord,
     as_records,
     encode_sentence,
-    preprocess_records,
     read_corpus,
 )
 from sarv.embed import build_char_vocab, build_token_vocab
 from sarv.errors import ConfigError, DataError
-from sarv.textproc import NormConfig, tokenize, unify_length
+from sarv.textproc import (MAX_LEN, NormConfig, length_histogram, tokenize, tokenize_many,
+                           unify_length)
 
 from conftest import REVIEWS_TSV
 
@@ -110,6 +109,35 @@ def test_read_jsonl_skips_malformed_lines(tmp_path):
     records, skipped = read_corpus(p)
     assert len(records) == 2
     assert [s.line_no for s in skipped] == [2, 3]
+
+
+def test_jsonl_text_holding_a_line_separator_is_one_record(tmp_path):
+    p = tmp_path / "c.jsonl"
+    rows = [{"text": "خوب\u2028عالی\x85", "label": "positive"}, {"label": "negative"},
+            {"text": "بد", "label": "negative"}]
+    lines = [json.dumps(r, ensure_ascii=False) for r in rows]
+    p.write_bytes(("\r\n".join(lines) + "\nnot json\n").encode("utf-8"))
+    records, skipped = read_corpus(p)
+    assert [r.text for r in records] == ["خوب\u2028عالی\x85", "بد"]
+    assert [s.line_no for s in skipped] == [2, 4]
+
+
+def test_tsv_row_holding_a_file_separator_is_one_record(tmp_path):
+    p = tmp_path / "c.tsv"
+    p.write_text("text\tlabel\nخوب\x1cعالی\tpositive\nبد\x0bزشت\x0c\tnegative\n",
+                 encoding="utf-8")
+    records, skipped = read_corpus(p, category_col=None)
+    assert [(r.text, r.label) for r in records] == [("خوب\x1cعالی", "positive"),
+                                                     ("بد\x0bزشت\x0c", "negative")]
+    assert not skipped
+
+
+def test_quoted_csv_field_keeps_its_line_feed(tmp_path):
+    p = tmp_path / "c.csv"
+    p.write_bytes('text,label\r\n"a\nb",positive\r\nتنها\r\nبد,negative\r\n'.encode("utf-8"))
+    records, skipped = read_corpus(p, category_col=None)
+    assert [(r.text, r.label) for r in records] == [("a\nb", "positive"), ("بد", "negative")]
+    assert [s.line_no for s in skipped] == [4]  # the quoted field spans lines 2 and 3
 
 
 def test_read_fails_past_bad_row_threshold(tmp_path):
@@ -211,7 +239,7 @@ def test_encoder_round_trip_and_check(tmp_path):
     fixed = unify_length(["خوب", "بد"])
     want = as_records([encode_sentence(fixed, token_vocab, char_vocab, 1)],
                       char_vocab.max_word_chars)
-    assert back.encode_many([fixed], [1]).tobytes() == want.tobytes()
+    assert back.encode_many([["خوب", "بد"]], [1], MAX_LEN).tobytes() == want.tobytes()
     for key in hashes:
         empty = {**hashes, key: ""}
         missing = {k: v for k, v in hashes.items() if k != key}
@@ -231,9 +259,10 @@ def test_encoder_round_trip_and_check(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_preprocess_records_keeps_pretruncation_sequence():
-    raw = [RawRecord(text=" ".join(["خوب"] * 20), label="positive")]
-    [(seq, fixed, rec)] = preprocess_records(raw, NormConfig(stopwords=frozenset()), max_len=15)
-    assert len(seq.tokens) == 20
-    assert fixed.true_length == 15
-    assert rec is raw[0]
+def test_tokenize_many_keeps_pretruncation_sequence():
+    norm = NormConfig(stopwords=frozenset())
+    [seq] = tokenize_many([" ".join(["خوب"] * 20)], norm)
+    assert len(seq) == 20
+    assert length_histogram([seq]).counts == {20: 1}
+    [rec] = Encoder(norm, *make_vocabs("خوب")).encode_many([seq], [1], MAX_LEN)
+    assert rec["len"] == MAX_LEN == 15

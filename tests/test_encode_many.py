@@ -1,10 +1,13 @@
-"""``Encoder.encode_many`` and the punctuation table against their slow forms.
+"""The text front end's fast paths against their slow forms.
 
+``tokenize_many`` normalises reviews in chunks joined by "\n"; it must
+give every review the tokens ``tokenize(normalize(...))`` gives it alone.
 ``encode_many`` encodes each distinct token once and gathers the record
-array from that table; it must give the same bytes as stacking one
-``encode_sentence`` per review, and refuse ids the record layout cannot
-hold.  ``normalize`` replaces punctuation through a ``str.translate``
-table that classifies each code point once; its classification must be
+array from that table; from token sequences and a slot count it must
+give the same bytes as stacking one ``encode_sentence(unify_length(...))``
+per review, and refuse ids the record layout cannot hold.  ``normalize``
+replaces punctuation through a ``str.translate`` table that classifies
+each code point once; its classification must be
 ``unicodedata.category(ch).startswith("P")``.
 """
 
@@ -17,38 +20,69 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sarv.textproc
 from sarv.corpus import Encoder, as_records, encode_sentence
 from sarv.embed import CharVocab, TokenVocab
 from sarv.errors import DataError
-from sarv.textproc import _PUNCT_TO_SPACE, MAX_LEN, NormConfig, unify_length
+from sarv.textproc import (_PUNCT_TO_SPACE, MAX_LEN, NormConfig, bundled_stopwords, normalize,
+                           tokenize, tokenize_many, unify_length)
 
 KNOWN = "ابپتثجچ"
 UNKNOWN = "ژکگ"
 words = st.text(alphabet=KNOWN + UNKNOWN, min_size=1, max_size=9)
 
 
+# Everything the normaliser folds, strips or splits at, plus "\n" and "\r".
+NOISE = ("\n\r \t\x0b\x0c\x1c\x1d\x1e\x1f\x85\u2028\u2029\u200c"  # ZWNJ
+         "يكىۀ" "\u064b\u064e\u0650\u0652\u0670"  # Arabic yeh/kaf, tashkeel
+         "09aZ٠٩۰۹" "!.,،؛؟«»-_()[]^\\\"'"  # digits, letters, punctuation below U+0800
+         "…“‹⸮﴾\U00010100"  # punctuation from U+0800 on, one of it astral
+         "ßİΣé\u200f😀")  # letters casefold changes, and other non-punctuation
+STOPWORDS = ("از", "به", "که", "كه", "براي", "Very", "مي")  # folded and unfolded forms
+texts = st.lists(
+    st.one_of(st.just(""), st.lists(st.one_of(st.text(NOISE + KNOWN, max_size=4),
+                                               st.sampled_from(STOPWORDS)),
+                                     max_size=8).map("".join)),
+    max_size=9)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, sarv.textproc.TOKENIZE_CHUNK])
+@given(texts=texts, stopwords=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_tokenize_many_equals_tokenize_normalize(chunk, texts, stopwords):
+    # The bundled list, plus words that only match once casefolded.
+    cfg = NormConfig(stopwords=bundled_stopwords() | {"ß", "σ", "é"}) if stopwords else NormConfig()
+    want = [list(tokenize(normalize(t, cfg)).tokens) for t in texts]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sarv.textproc, "TOKENIZE_CHUNK", chunk)
+        got = tokenize_many(texts, cfg)
+    assert got == want
+    tokens = [t for seq in got for t in seq]
+    assert len({id(t) for t in tokens}) == len(set(tokens))  # one object per distinct token
+
+
 @st.composite
 def corpora(draw):
-    """(encoder, fixed sentences, labels), with words repeated across and within reviews."""
+    """(encoder, token sequences, slot count, labels), with words repeated across and within."""
     width = draw(st.integers(1, 6))  # words are often longer than max_word_chars
     max_len = draw(st.integers(1, MAX_LEN))
     pool = draw(st.lists(words, min_size=1, max_size=12))
     known = draw(st.sets(st.sampled_from(pool)))
-    reviews = draw(st.lists(st.lists(st.sampled_from(pool), max_size=max_len + 3), max_size=12))
+    reviews = draw(st.lists(st.lists(st.sampled_from(pool), max_size=max_len + 3),
+                            min_size=1, max_size=12))
     encoder = Encoder(NormConfig(), TokenVocab(tuple(sorted(known))),
                       CharVocab(tuple(KNOWN), max_word_chars=width))
-    fixed = [unify_length(r, max_len) for r in reviews]  # PAD slots and truncation
-    labels = draw(st.lists(st.integers(0, 2), min_size=len(fixed), max_size=len(fixed)))
-    return encoder, fixed, labels
+    labels = draw(st.lists(st.integers(0, 2), min_size=len(reviews), max_size=len(reviews)))
+    return encoder, reviews, max_len, labels
 
 
 @given(corpora())
 @settings(max_examples=200, deadline=None)
 def test_encode_many_equals_stacked_encode_sentence(case):
-    encoder, fixed, labels = case
-    got = encoder.encode_many(fixed, labels)
-    slow = [encode_sentence(f, encoder.token_vocab, encoder.char_vocab, y)
-            for f, y in zip(fixed, labels)]
+    encoder, reviews, max_len, labels = case
+    got = encoder.encode_many(reviews, labels, max_len)
+    slow = [encode_sentence(unify_length(r, max_len), encoder.token_vocab, encoder.char_vocab, y)
+            for r, y in zip(reviews, labels)]  # PAD slots and truncation
     want = as_records(slow, encoder.char_vocab.max_word_chars)
     assert got.dtype == want.dtype
     assert got.shape == want.shape
@@ -57,7 +91,7 @@ def test_encode_many_equals_stacked_encode_sentence(case):
 
 def test_encode_many_of_nothing_is_an_empty_record_array():
     encoder = Encoder(NormConfig(), TokenVocab(()), CharVocab(()))
-    got = encoder.encode_many([], [])
+    got = encoder.encode_many([], [], MAX_LEN)
     assert got.shape == (0,)
     assert got.dtype == as_records([], encoder.char_vocab.max_word_chars).dtype
 
@@ -66,20 +100,22 @@ def test_encode_many_refuses_char_ids_past_uint16():
     chars = tuple(chr(0x10000 + i) for i in range(70_000))  # ids 1..70000
     encoder = Encoder(NormConfig(), TokenVocab(()), CharVocab(chars, max_word_chars=4))
     small, large = chars[0], chars[66_000]
-    ok = encoder.encode_many([unify_length([small])], [0])
+    ok = encoder.encode_many([[small]], [0], MAX_LEN)
     assert ok["c"][0, 0, 0] == 1
-    fixed = [unify_length([small]), unify_length([small + large])]
     with pytest.raises(DataError, match="do not fit"):
-        encoder.encode_many(fixed, [0, 1])
-    slow = [encode_sentence(f, encoder.token_vocab, encoder.char_vocab, 0) for f in fixed]
+        encoder.encode_many([[small], [small + large]], [0, 1], MAX_LEN)
+    slow = [encode_sentence(unify_length(r), encoder.token_vocab, encoder.char_vocab, 0)
+            for r in ([small], [small + large])]
     with pytest.raises(DataError, match="do not fit"):
         as_records(slow, 4)
 
 
-def test_encode_many_refuses_ragged_sentences():
+def test_encode_many_refuses_fewer_than_one_slot():
     encoder = Encoder(NormConfig(), TokenVocab(("ب",)), CharVocab(tuple(KNOWN)))
-    with pytest.raises(DataError, match="do not fit"):
-        encoder.encode_many([unify_length(["ب"], 3), unify_length(["ب"], 4)], [0, 0])
+    with pytest.raises(ValueError, match="max_len"):
+        encoder.encode_many([["ب"]], [0], 0)
+    with pytest.raises(ValueError, match="max_len"):
+        unify_length(["ب"], 0)
 
 
 @given(st.lists(st.integers(0, 0x10FFFF), min_size=1, max_size=64))
