@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import io
 import os
 import sys
 from dataclasses import dataclass, field, fields
 from itertools import groupby
 from pathlib import Path
 
-from sarv.corpus import Encoder, LabelScheme, read_corpus, to_json_lines
+from sarv.corpus import Encoder, LabelScheme, read_corpus, split_lines, to_json_lines
 from sarv.embed import (build_char_vocab, build_token_vocab, embedding_matrix, embeddings_sha256,
                         load_embeddings)
 from sarv.errors import ConfigError, DataError, NumericsError, SarvError
@@ -291,6 +290,7 @@ def cmd_shard(cfg: RunConfig) -> int:
     if cfg.rus:
         train = random_undersample(train, seed=cfg.seed, num_classes=cfg.classes)
     encoder.save(cfg.out_dir)
+    hashes = encoder.hashes()
     for name, records in (("train", train), ("test", test)):
         manifest = write_shards(
             records,
@@ -299,7 +299,7 @@ def cmd_shard(cfg: RunConfig) -> int:
             name=name,
             max_word_chars=encoder.char_vocab.max_word_chars,
             split_seed=cfg.seed,
-            encoder_hashes=encoder.hashes(),
+            encoder_hashes=hashes,
         )
         print(f"{name}: {manifest.total} records in {len(manifest.shards)} shard(s)")
     _write_outputs(cfg, {})
@@ -403,9 +403,7 @@ def cmd_predict(cfg: RunConfig) -> int:
             raise DataError(f"cannot read input {cfg.input_path}: {exc}") from exc
     else:
         text = sys.stdin.read()
-    # One record per line, split only at line ends ("\n", "\r\n" or "\r").
-    text = io.StringIO(text, newline=None).read()
-    lines = [ln for ln in text.split("\n") if ln.strip()]
+    lines = [ln for ln in split_lines(text) if ln.strip()]
     seqs = tokenize_many(lines, encoder.norm)
     records = encoder.encode_many(seqs, [0] * len(seqs), MAX_LEN)
     scored = (model.predict(batch, emb) for batch in batches([records], cfg.batch_size))

@@ -18,7 +18,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -104,10 +103,10 @@ def read_corpus(
 
     Column values may be header names (CSV/TSV with a header row) or
     zero-based integer indices (headerless files).  Records are split only
-    at line ends ("\n", "\r\n", and for CSV/TSV also "\r"), never at the
-    other separators ``str.splitlines`` breaks at (U+2028, "\x1c", ...),
-    and a quoted CSV/TSV field may span lines.  Beyond the skip threshold
-    the whole read fails; a negative threshold is a ``ConfigError``.
+    at line ends ("\n", "\r\n" and "\r"), never at the other separators
+    ``str.splitlines`` breaks at (U+2028, "\x1c", ...), and a quoted CSV/TSV
+    field may span lines.  Beyond the skip threshold the whole read fails;
+    a negative threshold is a ``ConfigError``.
     """
     if max_bad_rows < 0:
         raise ConfigError(f"max_bad_rows must be >= 0, got {max_bad_rows}")
@@ -139,10 +138,19 @@ def read_corpus(
     return records, skipped
 
 
+def split_lines(text: str) -> list[str]:
+    """``text`` split at line ends only: "\n", "\r\n" and "\r".
+
+    Unlike ``str.splitlines`` it does not break at U+2028/2029, "\x0b",
+    "\x0c", "\x1c"-"\x1e" or "\x85", which may sit inside a record.
+    """
+    return io.StringIO(text, newline=None).read().split("\n")
+
+
 def _read_jsonl(text, text_col, label_col, category_col):
     records: list[RawRecord] = []
     skipped: list[SkippedRow] = []
-    for line_no, line in enumerate(text.split("\n"), start=1):  # "\r" is JSON whitespace
+    for line_no, line in enumerate(split_lines(text), start=1):
         if not line.strip():
             continue
         try:
@@ -332,11 +340,6 @@ class Encoder:
 
     def hashes(self) -> dict[str, str]:
         """This encoder's value for each of ``ENCODER_HASH_KEYS``."""
-        return dict(self._hashes)
-
-    @cached_property
-    def _hashes(self) -> dict[str, str]:
-        # Each hash serialises a vocabulary, so it is computed once per encoder.
         values = (self.token_vocab.vocab_hash(), self.char_vocab.vocab_hash(),
                   self.norm.config_hash())
         return dict(zip(ENCODER_HASH_KEYS, values))

@@ -44,8 +44,6 @@ _DIACRITICS_RE = re.compile(r"[ً-ْٰ]")
 _LETTERS_DIGITS = "A-Za-z0-9٠-٩۰-۹"
 _LETTERS_DIGITS_RE = re.compile(f"[{_LETTERS_DIGITS}]")
 _WS_RE = re.compile(r"\s+")
-# Code points from U+0800 on; tokenize_many classifies those a chunk holds.
-_HIGH_RE = re.compile("[^\x00-\u07ff]")
 
 
 class _PunctToSpace(dict):
@@ -171,15 +169,19 @@ def tokenize_many(texts: Sequence[str], cfg: NormConfig) -> list[list[str]]:
     """``list(tokenize(normalize(t, cfg)).tokens)`` for each text, in order.
 
     The character steps run once per ``TOKENIZE_CHUNK`` texts joined by
-    "\n", and the result is split back on "\n"; a text that itself holds
-    "\n" goes through ``normalize``'s chain on its own.  Each distinct
-    token's stopword status is decided once, and every occurrence of a
-    token is the same ``str`` object, so a corpus holds each token once.
+    "\n" (a text's own "\n" becoming a space), and the result is split
+    back on "\n".  Each distinct token's stopword status is decided once,
+    and every occurrence of a token is the same ``str`` object, so a corpus
+    holds each token once.
     """
     out: list[list[str]] = []
     first: dict[str, str | None] = {}  # token -> its first instance, None if a stopword
     for start in range(0, len(texts), TOKENIZE_CHUNK):
-        seqs = [line.split() for line in _strip_lines(texts[start:start + TOKENIZE_CHUNK])]
+        # Every character step maps one character on its own and keeps "\n"
+        # and " ", both whitespace to split(), so stripping the joined chunk
+        # strips each text once a text's own "\n" is a space.
+        joined = "\n".join(t.replace("\n", " ") for t in texts[start:start + TOKENIZE_CHUNK])
+        seqs = [line.split() for line in _strip_chars(joined).split("\n")]
         new = list(set().union(*seqs).difference(first))
         if cfg.stopwords:
             # _fold_probe of each new token, over all of them joined: casefold
@@ -191,36 +193,6 @@ def tokenize_many(texts: Sequence[str], cfg: NormConfig) -> list[list[str]]:
             first.update(zip(new, new))
         out += [[t for t in map(first.__getitem__, seq) if t is not None] for seq in seqs]
     return out
-
-
-def _strip_lines(texts: Sequence[str]) -> list[str]:
-    """``_strip_chars`` of each text; those without "\n" are stripped joined by "\n".
-
-    Every step maps each character on its own and none maps one to or
-    from "\n", so stripping the joined texts and splitting on "\n"
-    strips each text.
-    """
-    plain = iter(_strip_chunk("\n".join(t for t in texts if "\n" not in t)).split("\n"))
-    return [_strip_chars(t) if "\n" in t else next(plain) for t in texts]
-
-
-def _strip_chunk(text: str) -> str:
-    """``_strip_chars`` of a long text, with one regex in place of ``str.translate``.
-
-    ``str.translate`` looks each non-ASCII character up in a dict; a regex
-    class of the punctuation, letters and digits runs in C.  Punctuation
-    above U+07FF joins the class only once ``text`` holds it.
-    """
-    text = fold_persian(text)
-    high = sorted(c for c in set(_HIGH_RE.findall(text)) if _PUNCT_TO_SPACE[ord(c)] == 0x20)
-    return _strip_re("".join(high)).sub(" ", text)
-
-
-@lru_cache(maxsize=256)
-def _strip_re(high_punct: str) -> re.Pattern:
-    """What ``_strip_chars`` turns into spaces, given the punctuation from U+0800 on."""
-    low_punct = "".join(chr(cp) for cp in range(0x800) if _PUNCT_TO_SPACE[cp] == 0x20)
-    return re.compile(f"[{re.escape(low_punct + high_punct)}{_LETTERS_DIGITS}]")
 
 
 def unify_length(seq: TokenSeq | Sequence[str], max_len: int = MAX_LEN) -> FixedSentence:

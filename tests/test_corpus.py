@@ -116,10 +116,11 @@ def test_jsonl_text_holding_a_line_separator_is_one_record(tmp_path):
     rows = [{"text": "خوب\u2028عالی\x85", "label": "positive"}, {"label": "negative"},
             {"text": "بد", "label": "negative"}]
     lines = [json.dumps(r, ensure_ascii=False) for r in rows]
-    p.write_bytes(("\r\n".join(lines) + "\nnot json\n").encode("utf-8"))
-    records, skipped = read_corpus(p)
-    assert [r.text for r in records] == ["خوب\u2028عالی\x85", "بد"]
-    assert [s.line_no for s in skipped] == [2, 4]
+    for first_ends, last_end in (("\r\n", "\n"), ("\r", "\r")):
+        p.write_bytes((first_ends.join(lines) + last_end + "not json\n").encode("utf-8"))
+        records, skipped = read_corpus(p)
+        assert [r.text for r in records] == ["خوب\u2028عالی\x85", "بد"]
+        assert [s.line_no for s in skipped] == [2, 4]
 
 
 def test_tsv_row_holding_a_file_separator_is_one_record(tmp_path):
