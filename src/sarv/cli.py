@@ -19,13 +19,13 @@ from dataclasses import dataclass, field, fields
 from itertools import groupby
 from pathlib import Path
 
-from sarv.corpus import Encoder, LabelScheme, read_corpus, split_lines, to_json_lines
-from sarv.embed import (build_char_vocab, build_token_vocab, embedding_matrix, embeddings_sha256,
-                        load_embeddings)
+from sarv.corpus import (CorpusReader, Encoder, LabelScheme, check_hashes, encode_corpus,
+                         read_corpus, split_lines, to_json_lines)
+from sarv.embed import embedding_matrix, embeddings_sha256, load_embeddings
 from sarv.errors import ConfigError, DataError, NumericsError, SarvError
 from sarv.metrics import category_stats, metrics
 from sarv.models import CHAR_PRESETS, EMBEDDINGS_HASH_KEY, PRESETS, ModelSpec, load_model
-from sarv.textproc import MAX_LEN, NormConfig, length_histogram, load_stopwords, tokenize_many
+from sarv.textproc import MAX_LEN, TOKENIZE_CHUNK, NormConfig, load_stopwords, tokenize_many
 from sarv.train import (
     OPTIMIZERS,
     PRECISIONS,
@@ -34,9 +34,9 @@ from sarv.train import (
     TrainConfig,
     _eval_confusion,
     batches,
-    random_undersample,
-    split_train_test,
+    split_indices,
     train_loop,
+    undersample_indices,
     write_shards,
 )
 
@@ -224,19 +224,24 @@ def _col(value: str) -> str | int:
     return int(stripped) if stripped.lstrip("-").isdigit() else stripped
 
 
-def _read_raw(cfg: RunConfig):
-    return read_corpus(
-        cfg.corpus,
-        fmt=cfg.fmt or None,
-        text_col=_col(cfg.text_col),
-        label_col=_col(cfg.label_col),
-        category_col=_col(cfg.category_col) if cfg.category_col else None,
-        max_bad_rows=cfg.max_bad_rows,
-    )
+def _corpus_args(cfg: RunConfig) -> dict:
+    """``CorpusReader``/``read_corpus`` keywords for the configured corpus."""
+    return {
+        "path": cfg.corpus,
+        "fmt": cfg.fmt or None,
+        "text_col": _col(cfg.text_col),
+        "label_col": _col(cfg.label_col),
+        "category_col": _col(cfg.category_col) if cfg.category_col else None,
+        "max_bad_rows": cfg.max_bad_rows,
+    }
 
 
 def _encode_corpus(cfg: RunConfig):
-    """Corpus file -> (encoded records, encoder, histogram, skipped)."""
+    """Corpus file -> (encoded records, encoder, histogram, skipped).
+
+    The corpus is read, tokenized and encoded ``TOKENIZE_CHUNK`` reviews at
+    a time (``corpus.encode_corpus``).
+    """
     if cfg.stopwords:
         try:
             norm = NormConfig(stopwords=load_stopwords(cfg.stopwords))
@@ -244,13 +249,9 @@ def _encode_corpus(cfg: RunConfig):
             raise DataError(f"cannot read stopwords {cfg.stopwords}: {exc}") from exc
     else:
         norm = NormConfig.default()
-    raw, skipped = _read_raw(cfg)
-    seqs = tokenize_many([rec.text for rec in raw], norm)
-    encoder = Encoder(norm, build_token_vocab(seqs), build_char_vocab(seqs))
-    scheme = LabelScheme.for_num_classes(cfg.classes)
-    labels = [scheme.label_index(rec.label) for rec in raw]
-    encoded = encoder.encode_many(seqs, labels, MAX_LEN)
-    return encoded, encoder, length_histogram(seqs), skipped
+    reader = CorpusReader(**_corpus_args(cfg))
+    encoded, encoder, hist = encode_corpus(reader, norm, LabelScheme.for_num_classes(cfg.classes))
+    return encoded, encoder, hist, reader.skipped
 
 
 def _report_skipped(skipped) -> None:
@@ -269,10 +270,10 @@ def cmd_preprocess(cfg: RunConfig) -> int:
     encoded, encoder, hist, skipped = _encode_corpus(cfg)
     _report_skipped(skipped)
     encoder.save(cfg.out_dir)
-    _write_outputs(cfg, {
-        "encoded.jsonl": to_json_lines(encoded),
-        "histogram.txt": _histogram_text(hist),
-    })
+    with open(Path(cfg.out_dir) / "encoded.jsonl", "w", encoding="utf-8") as fh:
+        for start in range(0, len(encoded), TOKENIZE_CHUNK):
+            fh.write(to_json_lines(encoded[start:start + TOKENIZE_CHUNK]))
+    _write_outputs(cfg, {"histogram.txt": _histogram_text(hist)})
     if not len(encoded):
         print("warning: empty corpus, wrote 0 records", file=sys.stderr)
     print(f"records {len(encoded)}")
@@ -286,30 +287,33 @@ def cmd_shard(cfg: RunConfig) -> int:
         raise ConfigError(f"shard_size must be >= 1, got {cfg.shard_size}")
     encoded, encoder, _, skipped = _encode_corpus(cfg)
     _report_skipped(skipped)
-    train, test = split_train_test(encoded, cfg.split, cfg.seed)
+    # Both splits are positions into the one record array; each shard is
+    # gathered from it as it is written.
+    train, test = split_indices(len(encoded), cfg.split, cfg.seed)
     if cfg.rus:
-        train = random_undersample(train, seed=cfg.seed, num_classes=cfg.classes)
+        train = train[undersample_indices(encoded["y"][train], cfg.seed, cfg.classes)]
     encoder.save(cfg.out_dir)
     hashes = encoder.hashes()
-    for name, records in (("train", train), ("test", test)):
+    for name, rows in (("train", train), ("test", test)):
         manifest = write_shards(
-            records,
+            encoded,
             cfg.shard_size,
             cfg.out_dir,
             name=name,
             max_word_chars=encoder.char_vocab.max_word_chars,
             split_seed=cfg.seed,
             encoder_hashes=hashes,
+            rows=rows,
         )
         print(f"{name}: {manifest.total} records in {len(manifest.shards)} shard(s)")
     _write_outputs(cfg, {})
     return 0
 
 
-def _checked_manifest(path: Path, encoder: Encoder, num_classes: int) -> ShardManifest:
-    """The manifest at ``path``, written by ``encoder`` with labels below ``num_classes``."""
+def _checked_manifest(path: Path, hashes: dict[str, str], num_classes: int) -> ShardManifest:
+    """The manifest at ``path``, written by the encoder of ``hashes``, labels below ``num_classes``."""
     manifest = ShardManifest.load(path)
-    encoder.check(manifest.encoder_hashes, f"manifest {path}")
+    check_hashes(hashes, manifest.encoder_hashes, f"manifest {path}")
     outside = sorted(k for k in manifest.class_histogram if not 0 <= k < num_classes)
     if outside:
         raise DataError(f"manifest {path} holds labels {outside}, but the model has "
@@ -333,14 +337,15 @@ def _embedding_matrix_for(cfg: RunConfig, token_vocab, dtype):
     return embedding_matrix(table, token_vocab, dtype=dtype), table.sha256
 
 
-def _load_checkpoint(cfg: RunConfig, encoder: Encoder):
+def _load_checkpoint(cfg: RunConfig, encoder: Encoder, hashes: dict[str, str]):
     """Checkpoint -> (model, the embedding matrix it stores).
 
-    The checkpoint must have been trained on ``encoder``'s shard directory
-    and on the ``--embeddings`` file, whose bytes are hashed, not parsed.
+    The checkpoint must have been trained on the shard directory of
+    ``encoder`` (whose ``hashes()`` are ``hashes``) and on the
+    ``--embeddings`` file, whose bytes are hashed, not parsed.
     """
     model, emb, meta = load_model(cfg.checkpoint, len(encoder.token_vocab))
-    encoder.check(meta, f"checkpoint {cfg.checkpoint}")
+    check_hashes(hashes, meta, f"checkpoint {cfg.checkpoint}")
     recorded = meta.get(EMBEDDINGS_HASH_KEY) or ""
     found = embeddings_sha256(cfg.embeddings)
     if recorded != found:
@@ -355,9 +360,10 @@ def cmd_train(cfg: RunConfig) -> int:
     _require(cfg, "embeddings", "out_dir")
     shard_dir = Path(cfg.shard_dir or cfg.out_dir)
     encoder = Encoder.load(shard_dir)
-    train_manifest = _checked_manifest(shard_dir / "train.manifest.json", encoder, cfg.classes)
+    hashes = encoder.hashes()
+    train_manifest = _checked_manifest(shard_dir / "train.manifest.json", hashes, cfg.classes)
     test_path = shard_dir / "test.manifest.json"
-    eval_manifest = (_checked_manifest(test_path, encoder, cfg.classes)
+    eval_manifest = (_checked_manifest(test_path, hashes, cfg.classes)
                      if test_path.exists() else None)
 
     source = {f.metadata.get("train_field", name): name for name, f in _FIELDS.items()}
@@ -382,9 +388,10 @@ def cmd_eval(cfg: RunConfig) -> int:
     _require(cfg, "checkpoint", "embeddings")
     shard_dir = Path(cfg.shard_dir or cfg.out_dir or ".")
     encoder = Encoder.load(shard_dir)
-    model, emb = _load_checkpoint(cfg, encoder)
+    hashes = encoder.hashes()
+    model, emb = _load_checkpoint(cfg, encoder, hashes)
     manifest_path = Path(cfg.manifest) if cfg.manifest else shard_dir / "test.manifest.json"
-    manifest = _checked_manifest(manifest_path, encoder, model.spec.num_classes)
+    manifest = _checked_manifest(manifest_path, hashes, model.spec.num_classes)
     report = metrics(_eval_confusion(model, manifest, emb, cfg.batch_size))
     sys.stdout.write(report.to_text())
     _write_outputs(cfg, {"metrics.txt": report.to_text(), "metrics.json": report.to_json() + "\n"})
@@ -394,7 +401,7 @@ def cmd_eval(cfg: RunConfig) -> int:
 def cmd_predict(cfg: RunConfig) -> int:
     _require(cfg, "checkpoint", "embeddings", "shard_dir")
     encoder = Encoder.load(cfg.shard_dir)
-    model, emb = _load_checkpoint(cfg, encoder)
+    model, emb = _load_checkpoint(cfg, encoder, encoder.hashes())
     scheme = LabelScheme.for_num_classes(model.spec.num_classes)
     if cfg.input_path:
         try:
@@ -418,7 +425,7 @@ def cmd_predict(cfg: RunConfig) -> int:
 
 def cmd_stats(cfg: RunConfig) -> int:
     _require(cfg, "corpus")
-    raw, skipped = _read_raw(cfg)
+    raw, skipped = read_corpus(**_corpus_args(cfg))
     _report_skipped(skipped)
     stats = category_stats(raw, LabelScheme.for_num_classes(cfg.classes))
     sys.stdout.write(stats.to_text())

@@ -6,27 +6,35 @@ keys.  An encoded record is fixed-length token ids, per-token char ids,
 true length, and class label, stored as one row of a structured array
 (:func:`record_dtype`) from the encoder to the model.  An
 :class:`Encoder` holds the normaliser and vocabularies a shard directory
-was encoded with, encodes token sequences straight into that record
-array, and checks them against what manifests and checkpoints recorded.
+was encoded with and encodes token sequences straight into that record
+array; its hashes are checked against what manifests and checkpoints
+recorded.  :class:`CorpusReader` and :func:`encode_corpus` stream a
+corpus file into a record array one chunk of reviews at a time.
 :func:`encode_sentence` encodes one review as an :class:`EncodedSentence`
 tuple, the reference ``Encoder.encode_many`` is tested against.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from itertools import chain, islice
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from sarv.embed import (CharVocab, TokenVocab, encode_chars, encode_token_ids, parse_char_vocab,
-                        parse_token_vocab, serialize_char_vocab, serialize_token_vocab)
+from sarv import textproc
+from sarv.embed import (CharVocab, TokenVocab, build_char_vocab, build_token_vocab, encode_chars,
+                        encode_token_ids, parse_char_vocab, parse_token_vocab,
+                        serialize_char_vocab, serialize_token_vocab)
 from sarv.errors import ConfigError, DataError
-from sarv.textproc import MAX_LEN, FixedSentence, NormConfig, load_stopwords
+from sarv.textproc import (MAX_LEN, PAD, FixedSentence, LengthHistogram, NormConfig, TokenTable,
+                           load_stopwords)
 
 BINARY_CLASSES = ("negative", "positive")
 TERNARY_CLASSES = ("negative", "neutral", "positive")
@@ -91,6 +99,59 @@ def _infer_format(path: Path) -> str:
     raise ConfigError(f"cannot infer corpus format from {path.name!r}; pass fmt explicitly")
 
 
+# Bytes per read of a corpus file.
+READ_BYTES = 1 << 16
+
+
+class CorpusReader:
+    """The raw records of a corpus file, read a block at a time as they are iterated.
+
+    Column values may be header names (CSV/TSV with a header row) or
+    zero-based integer indices (headerless files).  Records are split only
+    at line ends ("\n", "\r\n" and "\r"), never at the other separators
+    ``str.splitlines`` breaks at (U+2028, "\x1c", ...), and a quoted CSV/TSV
+    field may span lines.  Iterating yields the records in file order and
+    fills ``skipped`` with the malformed rows; past ``max_bad_rows`` of them
+    the iteration ends in a DataError naming the first.  Invalid UTF-8 and
+    a field over the ``csv`` module's size limit are DataErrors too.  A bad
+    format or a negative threshold is a ``ConfigError`` on construction.
+    """
+
+    def __init__(self, path, fmt: str | None = None, text_col: str | int = "text",
+                 label_col: str | int = "label", category_col: str | int | None = "category",
+                 max_bad_rows: int = 100):
+        if max_bad_rows < 0:
+            raise ConfigError(f"max_bad_rows must be >= 0, got {max_bad_rows}")
+        self.path = Path(path)
+        self.fmt = fmt or _infer_format(self.path)
+        if self.fmt not in ("jsonl", "csv", "tsv"):
+            raise ConfigError(f"unknown corpus format {self.fmt!r}")
+        self.columns = (text_col, label_col, category_col)
+        self.max_bad_rows = max_bad_rows
+        self.skipped: list[SkippedRow] = []
+
+    def __iter__(self) -> Iterator[RawRecord]:
+        self.skipped = []
+        bad = 0
+        lines = _text_lines(self.path)
+        if self.fmt == "jsonl":
+            rows = _parse_jsonl(lines, *self.columns)
+        else:
+            rows = _parse_delimited(lines, "," if self.fmt == "csv" else "\t", self.path,
+                                    *self.columns)
+        for row in rows:
+            if type(row) is RawRecord:
+                yield row
+                continue
+            bad += 1
+            if bad <= self.max_bad_rows + 1:  # all of them, or enough to name the first
+                self.skipped.append(row)
+        if bad > self.max_bad_rows:
+            first = self.skipped[0]
+            raise DataError(f"{bad} malformed rows exceed threshold {self.max_bad_rows}; "
+                            f"first: line {first.line_no}: {first.reason}")
+
+
 def read_corpus(
     path,
     fmt: str | None = None,
@@ -99,43 +160,49 @@ def read_corpus(
     category_col: str | int | None = "category",
     max_bad_rows: int = 100,
 ) -> tuple[list[RawRecord], list[SkippedRow]]:
-    """Load raw records, skipping malformed rows up to ``max_bad_rows``.
+    """Load every raw record of a corpus file, skipping malformed rows up to ``max_bad_rows``.
 
-    Column values may be header names (CSV/TSV with a header row) or
-    zero-based integer indices (headerless files).  Records are split only
-    at line ends ("\n", "\r\n" and "\r"), never at the other separators
-    ``str.splitlines`` breaks at (U+2028, "\x1c", ...), and a quoted CSV/TSV
-    field may span lines.  Beyond the skip threshold the whole read fails;
-    a negative threshold is a ``ConfigError``.
+    The list form of :class:`CorpusReader`, which documents the columns,
+    the line ends and the errors.
     """
-    if max_bad_rows < 0:
-        raise ConfigError(f"max_bad_rows must be >= 0, got {max_bad_rows}")
-    path = Path(path)
-    fmt = fmt or _infer_format(path)
+    reader = CorpusReader(path, fmt, text_col, label_col, category_col, max_bad_rows)
+    records = list(reader)
+    return records, reader.skipped
+
+
+def _text_lines(path: Path) -> Iterator[str]:
+    """The lines of a UTF-8 file, each with its line end, read ``READ_BYTES`` at a time.
+
+    Lines end at "\n", "\r\n" or "\r", as ``open(newline="")`` splits them.
+    Invalid UTF-8 is a DataError naming the file offset of its first byte.
+    """
     try:
-        data = path.read_bytes()
+        fh = open(path, "rb")
     except OSError as exc:
         raise DataError(f"cannot read corpus {path}: {exc}") from exc
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"corpus {path} is not valid UTF-8 at byte {exc.start}") from exc
-
-    if fmt == "jsonl":
-        records, skipped = _read_jsonl(text, text_col, label_col, category_col)
-    elif fmt in ("csv", "tsv"):
-        records, skipped = _read_delimited(
-            text, "," if fmt == "csv" else "\t", text_col, label_col, category_col
-        )
-    else:
-        raise ConfigError(f"unknown corpus format {fmt!r}")
-
-    if len(skipped) > max_bad_rows:
-        raise DataError(
-            f"{len(skipped)} malformed rows exceed threshold {max_bad_rows}; "
-            f"first: line {skipped[0].line_no}: {skipped[0].reason}"
-        )
-    return records, skipped
+    with fh:
+        offset, pending, tail = 0, b"", []  # bytes decoded, bytes not yet, text after the last "\n"
+        while True:
+            try:
+                block = fh.read(READ_BYTES)
+            except OSError as exc:
+                raise DataError(f"cannot read corpus {path}: {exc}") from exc
+            data = pending + block
+            try:
+                text, used = codecs.utf_8_decode(data, "strict", not block)
+            except UnicodeDecodeError as exc:
+                raise DataError(f"corpus {path} is not valid UTF-8 at byte {offset + exc.start}"
+                                ) from exc
+            offset, pending = offset + used, data[used:]
+            if not block:
+                yield from io.StringIO("".join(tail) + text, newline="")
+                return
+            # Cut after the last "\n", so a "\r\n" is never split between two reads.
+            cut = text.rfind("\n") + 1
+            if cut:
+                yield from io.StringIO("".join(tail) + text[:cut], newline="")
+                tail = []
+            tail.append(text[cut:])
 
 
 def split_lines(text: str) -> list[str]:
@@ -147,68 +214,67 @@ def split_lines(text: str) -> list[str]:
     return io.StringIO(text, newline=None).read().split("\n")
 
 
-def _read_jsonl(text, text_col, label_col, category_col):
-    records: list[RawRecord] = []
-    skipped: list[SkippedRow] = []
-    for line_no, line in enumerate(split_lines(text), start=1):
+def _parse_jsonl(lines, text_col, label_col, category_col) -> Iterator[RawRecord | SkippedRow]:
+    for line_no, line in enumerate(lines, start=1):
+        line = line.rstrip("\r\n")  # a line holds its own line end only, at its end
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-            records.append(
-                RawRecord(
-                    text=str(obj[text_col]),
-                    label=str(obj[label_col]),
-                    category=str(obj[category_col]) if category_col and category_col in obj else None,
-                )
+            yield RawRecord(
+                text=str(obj[text_col]),
+                label=str(obj[label_col]),
+                category=str(obj[category_col]) if category_col and category_col in obj else None,
             )
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            skipped.append(SkippedRow(line_no, f"{type(exc).__name__}: {exc}"))
-    return records, skipped
+            yield SkippedRow(line_no, f"{type(exc).__name__}: {exc}")
 
 
-def _read_delimited(text, delimiter, text_col, label_col, category_col):
-    reader = csv.reader(io.StringIO(text, newline=""), delimiter=delimiter)
-    rows, line_no = [], 1  # (the row's first line number, the row)
-    for row in reader:
-        rows.append((line_no, row))
-        line_no = reader.line_num + 1
-    records: list[RawRecord] = []
-    skipped: list[SkippedRow] = []
+def _parse_delimited(lines, delimiter, path, text_col, label_col,
+                     category_col) -> Iterator[RawRecord | SkippedRow]:
+    reader = csv.reader(lines, delimiter=delimiter)
     positional = isinstance(text_col, int) and isinstance(label_col, int)
-    if positional:
-        header_map = None
-        data_rows = rows
-    else:
-        if not rows:
-            return records, skipped
-        header_map = {name: i for i, name in enumerate(rows[0][1])}
-        data_rows = rows[1:]
 
-    def col_index(col, line_no):
-        if isinstance(col, int):
-            return col
-        if header_map is None or col not in header_map:
-            raise KeyError(col)
-        return header_map[col]
+    def columns(header: list[str]):
+        """Each column's index (None for a name ``header`` lacks), and the skip reason if
+        it lacks the text or label column."""
+        names = {name: i for i, name in enumerate(header)}
+        at = [col if isinstance(col, int) else names.get(col)
+              for col in (text_col, label_col, category_col)]
+        lacking = [col for col, i in zip((text_col, label_col), at) if i is None]
+        return (*at, f"missing column: {KeyError(lacking[0])}" if lacking else None)
 
-    for line_no, row in data_rows:
+    text_at, label_at, category_at, lacking = columns([])
+    need_header = not positional
+    next_line = 1  # the first line of the next row
+    while True:
+        line_no = next_line
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:  # e.g. an unclosed quote running past the field size limit
+            raise DataError(f"corpus {path}: line {line_no}: {exc}") from exc
+        next_line = reader.line_num + 1
+        if need_header:
+            text_at, label_at, category_at, lacking = columns(row)
+            need_header = False
+            continue
         if not row:
             continue
+        if lacking:
+            yield SkippedRow(line_no, lacking)
+            continue
         try:
-            ti = col_index(text_col, line_no)
-            li = col_index(label_col, line_no)
+            text, label = row[text_at], row[label_at]
+        except IndexError as exc:
+            yield SkippedRow(line_no, f"missing column: {exc}")
+            continue
+        try:
+            category = None if category_at is None else row[category_at]
+        except IndexError:
             category = None
-            if category_col is not None:
-                try:
-                    ci = col_index(category_col, line_no)
-                    category = row[ci]
-                except (KeyError, IndexError):
-                    category = None
-            records.append(RawRecord(text=row[ti], label=row[li], category=category))
-        except (KeyError, IndexError) as exc:
-            skipped.append(SkippedRow(line_no, f"missing column: {exc}"))
-    return records, skipped
+        yield RawRecord(text=text, label=label, category=category)
 
 
 @dataclass(frozen=True)
@@ -303,11 +369,13 @@ ENCODER_HASH_KEYS = ("vocab_hash", "char_vocab_hash", "norm_config_hash")
 class Encoder:
     """The normaliser and vocabularies one shard directory was encoded with.
 
-    ``encode_many`` is the one path from token sequences to a record
-    array.  ``save``/``load`` own the directory's
+    ``encode_many`` turns token sequences into a record array, and
+    :func:`encode_corpus` builds an encoder from a corpus and encodes it
+    chunk by chunk.  ``save``/``load`` own the directory's
     ``vocab.tsv``, ``chars.tsv`` and ``stopwords.txt`` (the folded
-    stopword set, sorted, one per line); ``check`` refuses a manifest or
-    checkpoint recorded against any other encoder.
+    stopword set, sorted, one per line); :func:`check_hashes` of
+    ``hashes()`` refuses a manifest or checkpoint recorded against any
+    other encoder.
     """
 
     norm: NormConfig
@@ -344,19 +412,6 @@ class Encoder:
                   self.norm.config_hash())
         return dict(zip(ENCODER_HASH_KEYS, values))
 
-    def check(self, recorded: Mapping[str, str], source: str) -> None:
-        """Raise DataError unless ``recorded`` holds all three of this encoder's hashes.
-
-        A missing or empty recorded hash is a mismatch too.
-        """
-        for key, found in self.hashes().items():
-            want = recorded.get(key) or ""
-            if want != found:
-                raise DataError(
-                    f"{source} / shard directory mismatch: {key} "
-                    f"{want[:12] or '(none)'}… recorded vs {found[:12]}… in the shard directory"
-                )
-
     def encode_many(self, seqs: Sequence[Sequence[str]], labels: Sequence[int],
                     max_len: int) -> np.ndarray:
         """Token sequences and their labels as one record array of ``max_len`` slots, in order.
@@ -364,34 +419,113 @@ class Encoder:
         Each sequence keeps its first ``max_len`` tokens and the rest of its
         slots are PAD, so the result equals ``as_records`` of each sequence's
         ``encode_sentence(unify_length(seq, max_len), ...)``.  Each distinct
-        token is looked up once: every kept token holds the index of its row
-        in a table of distinct tokens, the token ids and char rows are
-        gathered from that table, and PAD slots stay zero.
+        token is looked up once: every kept token becomes the number of its
+        row in a table of distinct tokens, and the token ids and char rows
+        are gathered from that table.
         """
         if max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {max_len}")
+        tokens = [PAD, *dict.fromkeys(chain.from_iterable(seqs))]
+        number = {t: i for i, t in enumerate(tokens)}
+        slots, lengths = _slot_numbers([list(map(number.__getitem__, seq)) for seq in seqs], max_len)
+        out = np.zeros(len(seqs), record_dtype(max_len, self.char_vocab.max_word_chars))
+        _fill(out, slots, lengths, labels, *self._tables(tokens, max_len))
+        return out
+
+    def _tables(self, tokens: Sequence[str], max_len: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each token's id and char row, in the dtypes of ``max_len``-slot records.
+
+        PAD gets id 0 and the all-zero char row.  An id too large for the
+        record layout is a DataError.
+        """
         width = self.char_vocab.max_word_chars
-        lengths = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
-        tokens = [t for seq in seqs for t in seq[:max_len]]
-        row_of = {t: i for i, t in enumerate(dict.fromkeys(tokens))}
-        rows = np.fromiter(map(row_of.__getitem__, tokens), dtype=np.intp, count=len(tokens))
-        token_ids = np.array([self.token_vocab.token_id(t) for t in row_of], dtype=np.int64)
+        token_ids = np.array([self.token_vocab.token_id(t) for t in tokens], dtype=np.int64)
         char_id = self.char_vocab.ids.get
-        widths = np.fromiter((min(len(t), width) for t in row_of), dtype=np.intp,
-                             count=len(row_of))
-        char_ids = np.zeros((len(row_of), width), dtype=np.int64)
+        widths = np.fromiter((min(len(t), width) for t in tokens), dtype=np.intp,
+                             count=len(tokens))
+        char_ids = np.zeros((len(tokens), width), dtype=np.int64)
         char_ids[np.arange(width) < widths[:, None]] = [
-            char_id(ch, 0) for t in row_of for ch in t[:width]]
+            char_id(ch, 0) for t in tokens for ch in t[:width]]
         dtype = record_dtype(max_len, width)
+        tables = []
         for name, table in (("t", token_ids), ("c", char_ids)):
             limit = np.iinfo(dtype[name].base).max
             if table.size and table.max() > limit:
                 raise DataError(f"records do not fit {max_len} slots x {width} chars: "
                                 f"{name} id {table.max()} exceeds {limit}")
-        out = np.zeros(len(seqs), dtype)
-        out["y"] = labels
-        out["len"] = np.minimum(lengths, max_len)
-        kept = np.arange(max_len) < out["len"][:, None]  # row-major, like ``tokens``
-        out["t"][kept] = token_ids[rows]
-        out["c"][kept] = char_ids.astype(dtype["c"].base)[rows]
-        return out
+            tables.append(table.astype(dtype[name].base))
+        return tables[0], tables[1]
+
+
+def check_hashes(found: Mapping[str, str], recorded: Mapping[str, str], source: str) -> None:
+    """Raise DataError unless ``recorded`` holds each of ``found``'s encoder hashes.
+
+    ``found`` is ``Encoder.hashes()`` of the shard directory's encoder,
+    computed once per command; a missing or empty recorded hash is a
+    mismatch too.
+    """
+    for key, value in found.items():
+        want = recorded.get(key) or ""
+        if want != value:
+            raise DataError(
+                f"{source} / shard directory mismatch: {key} "
+                f"{want[:12] or '(none)'}… recorded vs {value[:12]}… in the shard directory"
+            )
+
+
+def _slot_numbers(numbered: Sequence[Sequence[int]], max_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each sequence's first ``max_len`` numbers, 0-padded, and its true length.
+
+    Returns an int32 ``(len(numbered), max_len)`` array and an int32 array
+    of lengths.
+    """
+    lengths = np.fromiter(map(len, numbered), dtype=np.int32, count=len(numbered))
+    kept = np.minimum(lengths, max_len)
+    slots = np.zeros((len(numbered), max_len), dtype=np.int32)
+    slots[np.arange(max_len) < kept[:, None]] = np.fromiter(
+        chain.from_iterable(seq[:max_len] for seq in numbered), dtype=np.int32,
+        count=int(kept.sum()))
+    return slots, lengths
+
+
+def _fill(out: np.ndarray, slots: np.ndarray, lengths: np.ndarray, labels,
+          token_ids: np.ndarray, char_rows: np.ndarray) -> None:
+    """Write records into ``out``: each slot's token id and char row come from its table row."""
+    out["y"] = labels
+    out["len"] = np.minimum(lengths, slots.shape[1])
+    out["t"] = token_ids[slots]
+    out["c"] = char_rows[slots]
+
+
+def encode_corpus(records: Iterable[RawRecord], norm: NormConfig, scheme: LabelScheme,
+                  max_len: int = MAX_LEN) -> tuple[np.ndarray, Encoder, LengthHistogram]:
+    """Raw records -> (record array, the encoder built from them, length histogram).
+
+    The records are taken, tokenized and dropped ``TOKENIZE_CHUNK`` at a
+    time.  Of each review only its label, its true length and the numbers
+    of its first ``max_len`` tokens in one :class:`TokenTable` are kept.
+    Both vocabularies come from that table once the records run out; then
+    one record array is allocated and filled chunk by chunk.  The result
+    equals ``encode_many`` over ``tokenize_many`` of every text, with the
+    vocabularies built from those token lists.
+    """
+    table = TokenTable(norm)
+    chunks = []  # (slot numbers, true lengths, labels) per chunk
+    histogram: Counter[int] = Counter()
+    records = iter(records)
+    while chunk := list(islice(records, textproc.TOKENIZE_CHUNK)):
+        numbered = table.number_many([rec.text for rec in chunk])
+        labels = np.array([scheme.label_index(rec.label) for rec in chunk], dtype=np.int32)
+        slots, lengths = _slot_numbers(numbered, max_len)
+        histogram.update(lengths.tolist())
+        chunks.append((slots, lengths, labels))
+    vocab_tokens = [table.tokens[1:]]
+    encoder = Encoder(norm, build_token_vocab(vocab_tokens), build_char_vocab(vocab_tokens))
+    token_ids, char_rows = encoder._tables(table.tokens, max_len)
+    out = np.zeros(sum(len(labels) for *_, labels in chunks),
+                   record_dtype(max_len, encoder.char_vocab.max_word_chars))
+    start = 0
+    for slots, lengths, labels in chunks:
+        _fill(out[start:start + len(labels)], slots, lengths, labels, token_ids, char_rows)
+        start += len(labels)
+    return out, encoder, LengthHistogram(dict(histogram))

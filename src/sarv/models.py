@@ -153,10 +153,12 @@ class Model:
 
     ``char_proj``/``char_lstm`` and ``word_lstm`` are ``None`` for presets
     without them.  ``layers`` is the dense chain ending in ``head``.
-    Parameters are listed (and checkpointed) in pipeline order.
+    Parameters are listed (and checkpointed) in pipeline order.  With
+    ``rng`` None every weight starts at zero and no generator is made, for
+    ``load_model`` to put the checkpoint's arrays in place.
     """
 
-    def __init__(self, spec: ModelSpec, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, spec: ModelSpec, rng: np.random.Generator | None, dtype=np.float32):
         self.spec = spec
         self.char_proj: OneHotDense | None = None
         self.char_lstm: Lstm | None = None
@@ -315,7 +317,9 @@ def load_model(path, num_tokens: int) -> tuple[Model, np.ndarray, dict[str, str]
     """Rebuild a model and its embedding matrix from a checkpoint.
 
     Every parameter shape is checked against the metadata's spec, and the
-    ``embeddings`` array must be ``(num_tokens + 1, embed_dim)``.
+    ``embeddings`` array must be ``(num_tokens + 1, embed_dim)``.  The
+    parameters are the checkpoint's arrays themselves (cast only if the
+    stored precision differs), and no random initialisation is drawn.
     """
     arrays, meta = load_checkpoint(path)
     try:
@@ -323,7 +327,7 @@ def load_model(path, num_tokens: int) -> tuple[Model, np.ndarray, dict[str, str]
     except (KeyError, ValueError, ConfigError) as exc:
         raise DataError(f"checkpoint {path} has bad or missing metadata: {exc!r}") from exc
     dtype = np.float64 if meta.get("precision") == "double" else np.float32
-    model = build_model(spec, rng_seed=0, dtype=dtype)
+    model = Model(spec, None, dtype)
     embeddings = arrays.pop(EMBEDDINGS_ARRAY, None)
     want = (num_tokens + 1, spec.embed_dim)
     mismatches = []
@@ -346,7 +350,7 @@ def load_model(path, num_tokens: int) -> tuple[Model, np.ndarray, dict[str, str]
             f"checkpoint {path} / model spec mismatch:\n  " + "\n  ".join(mismatches)
         )
     for p in params:
-        p.value[...] = arrays[p.name]
+        p.value = arrays[p.name].astype(dtype, copy=False)
     embeddings = embeddings.astype(dtype, copy=False)
     embeddings.flags.writeable = False
     return model, embeddings, meta

@@ -13,6 +13,7 @@ gradient verification requires float64.
 from __future__ import annotations
 
 import hashlib
+import os
 import struct
 from typing import Callable, NamedTuple, Sequence
 
@@ -54,7 +55,10 @@ def zero_grads(params: Sequence[Parameter]) -> None:
         p.zero_grad()
 
 
-def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], dtype) -> np.ndarray:
+def glorot_uniform(rng: np.random.Generator | None, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """Glorot-uniform weights; zeros when ``rng`` is None, for weights about to be loaded."""
+    if rng is None:
+        return np.zeros(shape, dtype)
     fan_in, fan_out = shape[0], shape[-1]
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape).astype(dtype)
@@ -68,7 +72,7 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 class Dense:
     """Affine map ``x @ W + b`` with row-broadcast bias."""
 
-    def __init__(self, input_size: int, output_size: int, rng: np.random.Generator,
+    def __init__(self, input_size: int, output_size: int, rng: np.random.Generator | None,
                  dtype=np.float32, name: str = "dense"):
         self.name = name
         self.input_size = input_size
@@ -215,7 +219,7 @@ class Lstm:
     FUSED_ORDER = ("i", "f", "o", "g")
     FORGET_BIAS = 1.0  # initial forget-gate bias; every other bias starts at 0
 
-    def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator,
+    def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator | None,
                  dtype=np.float32, name: str = "lstm"):
         self.name = name
         self.input_size = input_size
@@ -353,7 +357,7 @@ class OneHotDense:
     differentiable, so ``backward`` only accumulates parameter grads.
     """
 
-    def __init__(self, num_ids: int, width: int, rng: np.random.Generator,
+    def __init__(self, num_ids: int, width: int, rng: np.random.Generator | None,
                  dtype=np.float32, name: str = "onehot"):
         self.name = name
         self.num_ids = num_ids
@@ -511,9 +515,13 @@ def save_checkpoint(path, arrays: Sequence[Parameter | NamedArray], meta: dict[s
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    """Read a checkpoint after checking its bytes against the side-car's sha256."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    """Read a checkpoint after checking its bytes against the side-car's sha256.
+
+    Each array is read from the file straight into its own buffer, and every
+    byte read also feeds the hash, so the file is never held whole.  A hash
+    mismatch is reported before anything the parse found wrong, and a
+    malformed body is a DataError.
+    """
     try:
         with open(str(path) + ".manifest.txt", "r", encoding="utf-8") as fh:
             manifest = fh.read()
@@ -523,33 +531,69 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     for line in manifest.splitlines():
         if line.startswith("sha256 "):
             recorded = line.split(" ", 1)[1].strip()
-    if recorded != hashlib.sha256(blob).hexdigest():
-        raise DataError(f"checkpoint hash mismatch for {path}")
     try:
-        return _parse_checkpoint(path, blob)
-    except (struct.error, ValueError) as exc:  # truncated body, bad UTF-8, short array data
-        raise DataError(f"{path} is a malformed checkpoint: {exc}") from exc
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
+    with fh:
+        reader = _CheckpointReader(fh)
+        try:
+            parsed, error = _parse_checkpoint(path, reader), None
+        except (DataError, struct.error, ValueError) as exc:  # ValueError: bad UTF-8, short data
+            parsed, error = None, exc
+        reader.read_rest()
+    if recorded != reader.digest.hexdigest():
+        raise DataError(f"checkpoint hash mismatch for {path}")
+    if isinstance(error, DataError):
+        raise error
+    if error is not None:
+        raise DataError(f"{path} is a malformed checkpoint: {error}") from error
+    return parsed
 
 
-def _parse_checkpoint(path, blob: bytes) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    view = memoryview(blob)
-    if bytes(view[:8]) != CHECKPOINT_MAGIC:
+class _CheckpointReader:
+    """Reads a file front to back, feeding every byte read to a sha256."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.left = os.fstat(fh.fileno()).st_size
+        self.digest = hashlib.sha256()
+
+    def read(self, n: int) -> bytes:
+        """Up to ``n`` bytes; fewer only at the end of the file."""
+        data = self._fh.read(min(n, self.left))
+        self.digest.update(data)
+        self.left -= len(data)
+        return data
+
+    def read_array(self, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
+        """The next ``shape`` values of ``dtype``, read into a new array."""
+        out = np.empty(shape, dtype)
+        raw = out.reshape(-1).view(np.uint8)
+        if raw.size > self.left:
+            raise ValueError(f"array of {raw.size} bytes runs past the end ({self.left} left)")
+        n = self._fh.readinto(raw)
+        self.digest.update(raw[:n])
+        self.left -= n
+        if n < raw.size:
+            raise ValueError(f"array data ends after {n} of {raw.size} bytes")
+        return out
+
+    def read_rest(self) -> None:
+        while self.read(1 << 16):
+            pass
+
+
+def _parse_checkpoint(path, reader: _CheckpointReader) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+    if reader.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
         raise DataError(f"{path} is not a checkpoint (bad magic)")
-    off = 8
 
     def take(fmt):
-        nonlocal off
-        size = struct.calcsize(fmt)
-        vals = struct.unpack_from(fmt, view, off)
-        off += size
-        return vals
+        return struct.unpack(fmt, reader.read(struct.calcsize(fmt)))
 
     def take_str(len_fmt):
-        nonlocal off
         (n,) = take(len_fmt)
-        s = bytes(view[off:off + n]).decode("utf-8")
-        off += n
-        return s
+        return reader.read(n).decode("utf-8")
 
     meta: dict[str, str] = {}
     (n_meta,) = take("<I")
@@ -563,11 +607,6 @@ def _parse_checkpoint(path, blob: bytes) -> tuple[dict[str, np.ndarray], dict[st
         code, ndim = take("<BB")
         if code not in _DTYPE_CODES:
             raise DataError(f"{path}: unknown dtype code {code} for {name}")
-        shape = tuple(take("<I")[0] for _ in range(ndim))
-        dtype = _DTYPE_CODES[code]
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * dtype.itemsize
-        arr = np.frombuffer(view[off:off + nbytes], dtype=dtype).reshape(shape).copy()
-        off += nbytes
-        arrays[name] = arr
+        shape = take(f"<{ndim}I")
+        arrays[name] = reader.read_array(shape, _DTYPE_CODES[code])
     return arrays, meta

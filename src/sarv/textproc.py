@@ -5,8 +5,9 @@ normalization (punctuation/digit stripping, Persian unicode folding,
 stopword removal), whitespace tokenization, and truncation/padding to a
 fixed 15-token window.  All functions here are pure and safe to apply
 across records in parallel.  :func:`normalize` is the per-review
-reference; :func:`tokenize_many` gives the same tokens for a whole corpus
-by running the character steps over chunks of reviews at once.
+reference; :class:`TokenTable` gives the same tokens for a corpus, chunk
+by chunk, by running the character steps over many reviews at once, and
+:func:`tokenize_many` is its list-of-tokens form.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ from typing import Iterable, Sequence
 
 MAX_LEN = 15
 
-# Reviews per ``tokenize_many`` chunk: the character steps run once over
-# this many reviews joined by "\n".
+# Reviews per chunk: the character steps run once over this many reviews
+# joined by "\n", and ``shard``/``preprocess`` read, tokenize and encode a
+# corpus this many reviews at a time.
 TOKENIZE_CHUNK = 1024
 
 # Padding symbol for sentence slots beyond the true length.  The empty
@@ -165,34 +167,56 @@ def tokenize(text: str) -> TokenSeq:
     return TokenSeq(tokens=tuple(text.split()))
 
 
+class TokenTable:
+    """The distinct tokens of a stream of texts, numbered in order of first appearance.
+
+    ``number_many`` tokenizes texts as ``tokenize(normalize(t, cfg))`` does
+    and gives each text's tokens as numbers into ``tokens``, where number 0
+    is PAD.  The character steps run once per ``TOKENIZE_CHUNK`` texts joined
+    by "\n" (a text's own "\n" becoming a space), and the result is split
+    back on "\n".  The table lives across calls: each distinct token's
+    stopword status is decided once, and ``tokens`` holds one ``str`` per
+    distinct token, so a corpus tokenized chunk by chunk keeps only numbers
+    per review.
+    """
+
+    def __init__(self, cfg: NormConfig):
+        self.cfg = cfg
+        self.tokens: list[str] = [PAD]
+        self._number: dict[str, int | None] = {}  # token -> its number, None if a stopword
+
+    def number_many(self, texts: Sequence[str]) -> list[list[int]]:
+        """Each text's tokens as numbers into ``tokens``, in order."""
+        out: list[list[int]] = []
+        number, tokens, stopwords = self._number, self.tokens, self.cfg.stopwords
+        for start in range(0, len(texts), TOKENIZE_CHUNK):
+            # Every character step maps one character on its own and keeps "\n"
+            # and " ", both whitespace to split(), so stripping the joined chunk
+            # strips each text once a text's own "\n" is a space.
+            joined = "\n".join(t.replace("\n", " ") for t in texts[start:start + TOKENIZE_CHUNK])
+            seqs = [line.split() for line in _strip_chars(joined).split("\n")]
+            new = list(set().union(*seqs).difference(number))
+            if stopwords:
+                # _fold_probe of each new token, over all of them joined: casefold
+                # and folding map each character on its own and keep "\n".
+                probes = fold_persian("\n".join(new).casefold()).split("\n")
+                number.update((t, None) for t, p in zip(new, probes) if p.strip() in stopwords)
+                new = [t for t in new if t not in number]
+            number.update(zip(new, range(len(tokens), len(tokens) + len(new))))
+            tokens += new
+            out += [[i for i in map(number.__getitem__, seq) if i is not None] for seq in seqs]
+        return out
+
+
 def tokenize_many(texts: Sequence[str], cfg: NormConfig) -> list[list[str]]:
     """``list(tokenize(normalize(t, cfg)).tokens)`` for each text, in order.
 
-    The character steps run once per ``TOKENIZE_CHUNK`` texts joined by
-    "\n" (a text's own "\n" becoming a space), and the result is split
-    back on "\n".  Each distinct token's stopword status is decided once,
-    and every occurrence of a token is the same ``str`` object, so a corpus
-    holds each token once.
+    Runs :class:`TokenTable`'s chunked path, so every occurrence of a token
+    is the same ``str`` object and a corpus holds each token once.
     """
-    out: list[list[str]] = []
-    first: dict[str, str | None] = {}  # token -> its first instance, None if a stopword
-    for start in range(0, len(texts), TOKENIZE_CHUNK):
-        # Every character step maps one character on its own and keeps "\n"
-        # and " ", both whitespace to split(), so stripping the joined chunk
-        # strips each text once a text's own "\n" is a space.
-        joined = "\n".join(t.replace("\n", " ") for t in texts[start:start + TOKENIZE_CHUNK])
-        seqs = [line.split() for line in _strip_chars(joined).split("\n")]
-        new = list(set().union(*seqs).difference(first))
-        if cfg.stopwords:
-            # _fold_probe of each new token, over all of them joined: casefold
-            # and folding map each character on its own and keep "\n".
-            probes = fold_persian("\n".join(new).casefold()).split("\n")
-            first.update((t, None if p.strip() in cfg.stopwords else t)
-                         for t, p in zip(new, probes))
-        else:
-            first.update(zip(new, new))
-        out += [[t for t in map(first.__getitem__, seq) if t is not None] for seq in seqs]
-    return out
+    table = TokenTable(cfg)
+    tokens = table.tokens
+    return [list(map(tokens.__getitem__, seq)) for seq in table.number_many(texts)]
 
 
 def unify_length(seq: TokenSeq | Sequence[str], max_len: int = MAX_LEN) -> FixedSentence:

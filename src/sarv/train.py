@@ -24,6 +24,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from sarv import textproc
 from sarv.corpus import ENCODER_HASH_KEYS, EncodedSentence, LabelScheme, as_records, record_dtype
 from sarv.errors import ConfigError, DataError, NumericsError
 from sarv.metrics import ConfusionMatrix, confusion, metrics
@@ -81,13 +82,18 @@ def split_train_test(records: Sequence | np.ndarray, fraction: float = 0.8, seed
 
     ``records`` is a record array or a list; both parts are the same kind.
     """
+    return tuple(_take(records, idx) for idx in split_indices(len(records), fraction, seed))
+
+
+def split_indices(n: int, fraction: float = 0.8, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The positions ``split_train_test`` puts in train and in test, in order."""
     if not 0.0 < fraction < 1.0:
         raise ConfigError(f"split fraction must be in (0, 1), got {fraction}")
-    if len(records) == 0:
+    if n == 0:
         raise DataError("cannot split an empty corpus")
-    perm = np.random.default_rng(seed).permutation(len(records))
-    n_train = int(math.floor(fraction * len(records)))
-    return _take(records, perm[:n_train]), _take(records, perm[n_train:])
+    perm = np.random.default_rng(seed).permutation(n)
+    n_train = int(math.floor(fraction * n))
+    return perm[:n_train], perm[n_train:]
 
 
 def _take(records: Sequence | np.ndarray, idx: np.ndarray):
@@ -207,34 +213,51 @@ def write_shards(
     max_word_chars: int = 20,
     encoder_hashes: dict[str, str] | None = None,
     split_seed: int | None = None,
+    rows: np.ndarray | None = None,
 ) -> ShardManifest:
     """Save records as ``shard_size``-row ``.npy`` record arrays plus a manifest.
 
-    ``records`` is a record array, or encoded sentences stacked one shard
-    at a time at ``max_word_chars`` chars per token, so writing holds at
-    most one shard's array beyond the input.
+    ``records`` is a record array, or encoded sentences stacked at
+    ``max_word_chars`` chars per token.  With ``rows``, the records at those
+    positions are written, in that order, as if ``records[rows]`` had been
+    passed.  Each shard file holds the bytes ``np.save`` writes.  It is
+    gathered, written and hashed ``TOKENIZE_CHUNK`` records at a time, so
+    writing holds no more than that many records beyond the input.
     """
     if shard_size < 1:
         raise ConfigError(f"shard_size must be >= 1, got {shard_size}")
-    layout = as_records(records[:1], max_word_chars).dtype
+    if rows is None:
+        rows = np.arange(len(records))
+    layout = as_records(_take(records, rows[:1]), max_word_chars).dtype
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     shards: list[ShardInfo] = []
     histogram: Counter[int] = Counter()
-    for start in range(0, len(records), shard_size):
-        chunk = as_records(records[start:start + shard_size], max_word_chars)
-        if chunk.dtype != layout:
-            raise DataError(f"records from {start} on do not fit the first record's layout {layout}")
-        buf = io.BytesIO()
-        np.save(buf, chunk, allow_pickle=False)
+    for start in range(0, len(rows), shard_size):
+        shard_rows = rows[start:start + shard_size]
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(header, {
+            "descr": np.lib.format.dtype_to_descr(layout), "fortran_order": False,
+            "shape": (len(shard_rows),)})
+        digest = hashlib.sha256(header.getvalue())
         rel = f"{name}-{len(shards):05d}.npy"
-        (out_dir / rel).write_bytes(buf.getbuffer())
-        shards.append(ShardInfo(rel, len(chunk), hashlib.sha256(buf.getbuffer()).hexdigest()))
-        histogram.update(chunk["y"].tolist())
+        with open(out_dir / rel, "wb") as fh:
+            fh.write(header.getvalue())
+            for at in range(0, len(shard_rows), textproc.TOKENIZE_CHUNK):
+                chunk = as_records(_take(records, shard_rows[at:at + textproc.TOKENIZE_CHUNK]),
+                                   max_word_chars)
+                if chunk.dtype != layout:
+                    raise DataError(f"records from {start + at} on do not fit the first "
+                                    f"record's layout {layout}")
+                data = chunk.view(np.uint8)  # the gathered rows' own bytes
+                fh.write(data)
+                digest.update(data)
+                histogram.update(chunk["y"].tolist())
+        shards.append(ShardInfo(rel, len(shard_rows), digest.hexdigest()))
     max_len, max_word_chars = layout["c"].shape
     manifest = ShardManifest(
         shards=shards,
-        total=len(records),
+        total=len(rows),
         shard_size=shard_size,
         class_histogram=dict(sorted(histogram.items())),
         max_word_chars=max_word_chars,
@@ -411,10 +434,17 @@ def random_undersample(records: Sequence | np.ndarray, seed: int = 0,
     ``records`` is a record array or a list of records with a ``label``;
     the result is the same kind.
     """
-    if len(records) == 0:
+    labels = (records["y"] if isinstance(records, np.ndarray)
+              else [r.label for r in records])
+    return _take(records, undersample_indices(labels, seed, num_classes))
+
+
+def undersample_indices(labels: Sequence[int] | np.ndarray, seed: int = 0,
+                        num_classes: int | None = None) -> np.ndarray:
+    """The positions ``random_undersample`` keeps of records with these labels, in order."""
+    if len(labels) == 0:
         raise DataError("cannot undersample an empty dataset")
-    labels = np.asarray(records["y"] if isinstance(records, np.ndarray)
-                        else [r.label for r in records])
+    labels = np.asarray(labels)
     groups = {int(c): np.flatnonzero(labels == c) for c in np.unique(labels)}
     if num_classes is not None:
         missing = [c for c in range(num_classes) if c not in groups]
@@ -424,7 +454,7 @@ def random_undersample(records: Sequence | np.ndarray, seed: int = 0,
     minority = min(len(v) for v in groups.values())
     kept = np.concatenate([idx[rng.permutation(len(idx))[:minority]]
                            for idx in groups.values()])  # in label order
-    return _take(records, kept[rng.permutation(len(kept))])
+    return kept[rng.permutation(len(kept))]
 
 
 # ---------------------------------------------------------------------------

@@ -532,6 +532,32 @@ def trained(tmp_path_factory):
     return base, shards, run
 
 
+@pytest.mark.parametrize("command", ["train", "eval", "predict"])
+def test_each_command_hashes_the_encoder_once(command, trained, tmp_path, capsys, monkeypatch):
+    import sarv.embed
+
+    _, shards, run = trained
+    calls = []
+    serialize = sarv.embed.serialize_token_vocab
+
+    def counted(vocab):
+        calls.append(len(vocab))
+        return serialize(vocab)
+
+    monkeypatch.setattr(sarv.embed, "serialize_token_vocab", counted)
+    lines = tmp_path / "lines.txt"
+    lines.write_text("واقعا عالی بود\n", encoding="utf-8")
+    common = ["--shard-dir", shards, "--embeddings", bundled_embedding_path()]
+    argv = {
+        "train": ["--out-dir", tmp_path / "run", "--preset", "W2V_SOFTMAX", "--epochs", 1],
+        "eval": ["--checkpoint", run / "checkpoint_final.bin"],
+        "predict": ["--checkpoint", run / "checkpoint_final.bin", "--input", lines],
+    }[command]
+    code, _, _ = invoke(capsys, command, *common, *argv)
+    assert code == 0
+    assert len(calls) == 1  # train and eval check two artifacts against the one hash
+
+
 def test_train_with_fewer_classes_than_the_shards_exits_two(tmp_path, capsys):
     corpus = write_corpus_tsv(tmp_path / "c.tsv", separable_rows(30, classes=3, seed=4))
     shards = tmp_path / "shards"

@@ -11,6 +11,7 @@ from sarv.corpus import (
     Encoder,
     LabelScheme,
     as_records,
+    check_hashes,
     encode_sentence,
     read_corpus,
 )
@@ -236,7 +237,7 @@ def test_encoder_round_trip_and_check(tmp_path):
     hashes = encoder.hashes()
     assert back == encoder
     assert back.hashes() == hashes
-    back.check(hashes, "manifest")
+    check_hashes(back.hashes(), hashes, "manifest")
     fixed = unify_length(["خوب", "بد"])
     want = as_records([encode_sentence(fixed, token_vocab, char_vocab, 1)],
                       char_vocab.max_word_chars)
@@ -246,7 +247,7 @@ def test_encoder_round_trip_and_check(tmp_path):
         missing = {k: v for k, v in hashes.items() if k != key}
         for recorded in (empty, missing):
             with pytest.raises(DataError, match="mismatch"):
-                back.check(recorded, "manifest")
+                check_hashes(back.hashes(), recorded, "manifest")
     (tmp_path / "chars.tsv").write_text("x\t7\n", encoding="utf-8")
     with pytest.raises(DataError, match="corrupt"):
         Encoder.load(tmp_path)

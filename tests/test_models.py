@@ -379,6 +379,24 @@ def test_save_load_round_trip(tmp_path):
     np.testing.assert_array_equal(got_probs, want_probs)
 
 
+@pytest.mark.parametrize("preset", PRESETS)
+def test_load_draws_no_random_initialisation(preset, tmp_path, monkeypatch):
+    spec = tiny_spec(preset)
+    model = build_model(spec, rng_seed=9, dtype=np.float32)
+    path = tmp_path / "model.bin"
+    save_model(model, path, tiny_emb(seed=15))
+
+    def no_generator(*args, **kwargs):
+        raise AssertionError("load_model made a random generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    back, _, _ = load_model(path, TINY_VOCAB)
+    assert [p.name for p in back.params()] == [p.name for p in model.params()]
+    for pa, pb in zip(model.params(), back.params()):
+        assert pb.value.dtype == pa.value.dtype
+        assert pb.value.tobytes() == pa.value.tobytes()
+
+
 def test_save_load_preserves_single_precision(tmp_path):
     model = build_model(tiny_spec("W2V_SOFTMAX"), rng_seed=0, dtype=np.float32)
     path = tmp_path / "model.bin"

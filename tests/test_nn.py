@@ -623,6 +623,34 @@ def test_checkpoint_missing_manifest(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_hash_mismatch_is_reported_before_a_parse_error(tmp_path):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, make_params(), {"k": "v"})
+    path.write_bytes(path.read_bytes()[:-5])  # the body no longer parses, and the side-car is stale
+    with pytest.raises(DataError, match="hash mismatch"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_missing_file_is_a_data_error(tmp_path):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, make_params(), {})
+    path.unlink()
+    with pytest.raises(DataError, match="cannot read checkpoint"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("cut", [3, 40, 85])
+def test_checkpoint_short_body_with_a_matching_hash_is_malformed(tmp_path, cut):
+    path = tmp_path / "model.bin"
+    save_checkpoint(path, make_params(), {"k": "v"})
+    blob = path.read_bytes()[:-cut]  # inside the last array, the first array, the metadata
+    path.write_bytes(blob)
+    (tmp_path / "model.bin.manifest.txt").write_text(
+        f"sha256 {hashlib.sha256(blob).hexdigest()}\n", encoding="utf-8")
+    with pytest.raises(DataError, match="malformed checkpoint"):
+        load_checkpoint(path)
+
+
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "model.bin"
     blob = b"NOTACKPT" + b"\x00" * 16
