@@ -311,7 +311,7 @@ def cmd_shard(cfg: RunConfig) -> int:
 
 
 def _checked_manifest(path: Path, hashes: dict[str, str], num_classes: int) -> ShardManifest:
-    """The manifest at ``path``, written by the encoder of ``hashes``, labels below ``num_classes``."""
+    """The manifest at ``path``, by the encoder of ``hashes``, with labels below ``num_classes``."""
     manifest = ShardManifest.load(path)
     check_hashes(hashes, manifest.encoder_hashes, f"manifest {path}")
     outside = sorted(k for k in manifest.class_histogram if not 0 <= k < num_classes)

@@ -181,7 +181,7 @@ def _text_lines(path: Path) -> Iterator[str]:
     except OSError as exc:
         raise DataError(f"cannot read corpus {path}: {exc}") from exc
     with fh:
-        offset, pending, tail = 0, b"", []  # bytes decoded, bytes not yet, text after the last "\n"
+        offset, pending, tail = 0, b"", []  # bytes decoded, bytes not yet, text after the cut
         while True:
             try:
                 block = fh.read(READ_BYTES)
@@ -197,8 +197,9 @@ def _text_lines(path: Path) -> Iterator[str]:
             if not block:
                 yield from io.StringIO("".join(tail) + text, newline="")
                 return
-            # Cut after the last "\n", so a "\r\n" is never split between two reads.
-            cut = text.rfind("\n") + 1
+            # Cut after the last line end, but not after a final "\r": the next
+            # read may start with the "\n" of its "\r\n".
+            cut = max(text.rfind("\n"), text.rfind("\r", 0, len(text) - 1)) + 1
             if cut:
                 yield from io.StringIO("".join(tail) + text[:cut], newline="")
                 tail = []
@@ -419,15 +420,16 @@ class Encoder:
         Each sequence keeps its first ``max_len`` tokens and the rest of its
         slots are PAD, so the result equals ``as_records`` of each sequence's
         ``encode_sentence(unify_length(seq, max_len), ...)``.  Each distinct
-        token is looked up once: every kept token becomes the number of its
-        row in a table of distinct tokens, and the token ids and char rows
-        are gathered from that table.
+        token is looked up once: every token becomes the number of its row
+        in a table of distinct tokens (row 0 is PAD), and each slot's token
+        id and char row are gathered from that table.
         """
         if max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {max_len}")
         tokens = [PAD, *dict.fromkeys(chain.from_iterable(seqs))]
         number = {t: i for i, t in enumerate(tokens)}
-        slots, lengths = _slot_numbers([list(map(number.__getitem__, seq)) for seq in seqs], max_len)
+        numbered = [list(map(number.__getitem__, seq)) for seq in seqs]
+        slots, lengths = _slot_numbers(numbered, max_len)
         out = np.zeros(len(seqs), record_dtype(max_len, self.char_vocab.max_word_chars))
         _fill(out, slots, lengths, labels, *self._tables(tokens, max_len))
         return out
@@ -447,14 +449,12 @@ class Encoder:
         char_ids[np.arange(width) < widths[:, None]] = [
             char_id(ch, 0) for t in tokens for ch in t[:width]]
         dtype = record_dtype(max_len, width)
-        tables = []
         for name, table in (("t", token_ids), ("c", char_ids)):
             limit = np.iinfo(dtype[name].base).max
             if table.size and table.max() > limit:
                 raise DataError(f"records do not fit {max_len} slots x {width} chars: "
                                 f"{name} id {table.max()} exceeds {limit}")
-            tables.append(table.astype(dtype[name].base))
-        return tables[0], tables[1]
+        return token_ids.astype(dtype["t"].base), char_ids.astype(dtype["c"].base)
 
 
 def check_hashes(found: Mapping[str, str], recorded: Mapping[str, str], source: str) -> None:

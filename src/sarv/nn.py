@@ -584,7 +584,7 @@ class _CheckpointReader:
             pass
 
 
-def _parse_checkpoint(path, reader: _CheckpointReader) -> tuple[dict[str, np.ndarray], dict[str, str]]:
+def _parse_checkpoint(path, reader: _CheckpointReader) -> tuple[dict, dict]:
     if reader.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
         raise DataError(f"{path} is not a checkpoint (bad magic)")
 

@@ -36,7 +36,7 @@ SIZES = [(1, 5), (2, 64), (3, 1 << 16), (1024, 3)]
 
 
 def corpus_text(fmt: str, n: int = 40) -> str:
-    """``n`` reviews in ``fmt`` with "\r\n" line ends, multi-line texts and malformed rows."""
+    """``n`` reviews in ``fmt`` with "\r\n" (and "\r") line ends, multi-line texts and bad rows."""
     rows = separable_rows(n, classes=2, seed=31)
     lines = []
     if fmt == "jsonl":
@@ -46,7 +46,8 @@ def corpus_text(fmt: str, n: int = 40) -> str:
                                     ensure_ascii=False))
             if k % 9 == 4:
                 lines += ["not json", '{"label": "negative"}', ""]
-        return "\r\n".join(lines) + "\n"
+        ends = ("\r\n", "\r", "\n")  # JSONL lines may end at a lone "\r" too
+        return "".join(line + ends[k % 3] for k, line in enumerate(lines))
     buf = io.StringIO()
     writer = csv.writer(buf, delimiter="," if fmt == "csv" else "\t", lineterminator="\r\n")
     writer.writerow(["text", "label", "category"])
@@ -165,6 +166,8 @@ def test_skip_threshold_names_the_first_skipped_line(chunk, read_bytes, tmp_path
     assert "3 malformed rows exceed threshold 2; first: line 7:" in capsys.readouterr().err
     records, skipped = read_corpus(path, max_bad_rows=3)
     assert len(records) == 11 and [s.line_no for s in skipped] == [7, 12, 14]
+    with pytest.raises(DataError, match="^3 malformed rows exceed threshold 0; first: line 7:"):
+        read_corpus(path, max_bad_rows=0)
 
 
 def test_an_over_long_field_is_a_data_error_naming_its_line(tmp_path, capsys):
