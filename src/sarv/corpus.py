@@ -144,7 +144,7 @@ class CorpusReader:
                 yield row
                 continue
             bad += 1
-            if bad <= self.max_bad_rows + 1:  # all of them, or enough to name the first
+            if bad <= self.max_bad_rows + 1:  # with a threshold of 0 the error still has a first
                 self.skipped.append(row)
         if bad > self.max_bad_rows:
             first = self.skipped[0]
