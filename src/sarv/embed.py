@@ -45,8 +45,8 @@ class EmbeddingTable:
 
 
 # Lines parsed per ``np.loadtxt`` call.  A whole-file parse measured
-# +30 MB RSS; 256-line chunks parse as fast as 1024-line ones and left a
-# lower peak RSS in the benchmark's train and predict steps.
+# +30 MB RSS; 256-line chunks parse as fast as 1024-line ones and load the
+# benchmark's files with a 1.6-1.9 MB lower peak RSS.
 LOAD_CHUNK_LINES = 256
 
 
@@ -61,10 +61,13 @@ def load_embeddings(
     Every line is checked, but with ``vocab`` only its tokens' vectors
     are kept; ``loaded_lines`` still counts every well-formed line.
 
-    Lines are parsed ``LOAD_CHUNK_LINES`` at a time by ``np.loadtxt``; a
-    chunk it rejects is parsed again line by line, so each malformed
-    line is found and counted as if the whole file were parsed that way.
-    The same reads feed ``table.sha256``, which equals
+    Each chunk of ``LOAD_CHUNK_LINES`` lines is parsed by one
+    ``np.loadtxt`` call, which also reads the tokens.  A chunk it
+    rejects, one whose lines all have some other field count, or one
+    whose tokens ``str.split`` would split is parsed again line by line,
+    so each malformed line is found and counted as if the whole file
+    were parsed that way.  Kept rows are read-only views of one compact
+    array per chunk.  The same reads feed ``table.sha256``, which equals
     :func:`embeddings_sha256` of the bytes parsed.
     """
     table = EmbeddingTable(dim)
@@ -120,36 +123,37 @@ def embeddings_sha256(path) -> str:
 
 
 def _load_chunk(table: EmbeddingTable, lines: list[str], keep: dict | None) -> None:
-    """Check and store one chunk of lines, with ``np.loadtxt`` parsing the floats."""
+    """Check and store one chunk of lines, parsed by one ``np.loadtxt`` call."""
+    if all(map(str.isspace, lines)):  # blank lines are not counted as data
+        return
     dim = table.dim
-    tokens, rows, bad_counts = [], [], 0
-    for line in lines:
-        parts = line.split()
-        if len(parts) == dim + 1:
-            tokens.append(parts[0])
-            rows.append(line)
-        elif parts:  # blank lines are not counted as data
-            bad_counts += 1
+    tokens: list[str] = []
     try:
-        # Every row has dim + 1 str.split fields.  loadtxt splits on no
-        # character that str.split keeps, and accepts a subset of what
-        # float() accepts, parsing it to the same double; any row it reads
-        # differently makes it raise.
-        values = np.loadtxt(rows, dtype=np.float64, usecols=range(1, dim + 1),
-                            comments=None, ndmin=2) if rows else np.empty((0, dim))
+        # Column 0 goes to tokens.append (its None reads as nan), so loadtxt
+        # itself raises when a line's field count differs from the first's.
+        # It accepts a subset of what float() accepts, parsing it to the
+        # same double before the float32 cast, and raises on the rest.
+        values = np.loadtxt(lines, dtype=np.float32, converters={0: tokens.append},
+                            comments=None, ndmin=2)
     except ValueError:
         _load_lines(table, lines, keep)
         return
-    values = values.astype(np.float32)
+    # Lines that all have another field count, or a token that str.split
+    # would split, are left to the per-line parse too.
+    if values.shape[1] != dim + 1 or "\n".join(tokens).split() != tokens:
+        _load_lines(table, lines, keep)
+        return
+    values = values[:, 1:]
     finite = np.isfinite(values).all(axis=1)
     loaded = int(finite.sum())
     table.loaded_lines += loaded
-    table.skipped_lines += bad_counts + len(rows) - loaded
-    for token, vec, ok in zip(tokens, values, finite):
-        if ok and (keep is None or token in keep):
-            vec = vec.copy()
-            vec.flags.writeable = False
-            table.entries[token] = vec
+    table.skipped_lines += len(tokens) - loaded
+    if keep is not None:
+        finite &= np.fromiter(map(keep.__contains__, tokens), bool, len(tokens))
+    rows = np.flatnonzero(finite)
+    kept = values[rows]  # one compact copy: entries hold views of its rows
+    kept.flags.writeable = False
+    table.entries.update(zip(map(tokens.__getitem__, rows.tolist()), kept))
 
 
 def _load_lines(table: EmbeddingTable, lines: list[str], keep: dict | None) -> None:
@@ -305,7 +309,9 @@ def embedding_matrix(
 ) -> np.ndarray:
     """Rows aligned with token ids; row 0 (PAD/OOV) is all zeros."""
     mat = np.zeros((len(vocab) + 1, table.dim), dtype=dtype)
-    for i, token in enumerate(vocab.tokens):
-        mat[i + 1] = lookup(table, token)
+    if vocab.tokens:
+        zero = table.zero_vector
+        rows = [table.entries.get(t, zero) for t in vocab.tokens]
+        np.concatenate(rows, out=mat[1:].reshape(-1))  # a view: mat is contiguous
     mat.flags.writeable = False
     return mat

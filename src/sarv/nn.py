@@ -536,7 +536,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     except OSError as exc:
         raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
     with fh:
-        reader = _CheckpointReader(fh)
+        reader = HashingFileReader(fh)
         try:
             parsed, error = _parse_checkpoint(path, reader), None
         except (DataError, struct.error, ValueError) as exc:  # ValueError: bad UTF-8, short data
@@ -551,8 +551,12 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     return parsed
 
 
-class _CheckpointReader:
-    """Reads a file front to back, feeding every byte read to a sha256."""
+class HashingFileReader:
+    """Reads a file front to back, feeding every byte read to a sha256.
+
+    Checkpoints and shards are read through it, so a file is hashed as it
+    is parsed and never held whole.
+    """
 
     def __init__(self, fh):
         self._fh = fh
@@ -584,7 +588,7 @@ class _CheckpointReader:
             pass
 
 
-def _parse_checkpoint(path, reader: _CheckpointReader) -> tuple[dict, dict]:
+def _parse_checkpoint(path, reader: HashingFileReader) -> tuple[dict, dict]:
     if reader.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
         raise DataError(f"{path} is not a checkpoint (bad magic)")
 

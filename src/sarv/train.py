@@ -29,7 +29,8 @@ from sarv.corpus import ENCODER_HASH_KEYS, EncodedSentence, LabelScheme, as_reco
 from sarv.errors import ConfigError, DataError, NumericsError
 from sarv.metrics import ConfusionMatrix, confusion, metrics
 from sarv.models import EMBEDDINGS_HASH_KEY, Model, ModelSpec, build_model, save_model
-from sarv.nn import Parameter, cross_entropy, one_hot, softmax_xent_grad, zero_grads
+from sarv.nn import (HashingFileReader, Parameter, cross_entropy, one_hot, softmax_xent_grad,
+                     zero_grads)
 from sarv.textproc import MAX_LEN
 
 OPTIMIZERS = ("sgd", "adam")
@@ -271,22 +272,49 @@ def write_shards(
 
 
 def _read_shard(manifest: ShardManifest, info: ShardInfo) -> np.ndarray:
+    """A shard's records, read from the file straight into their array.
+
+    The ``.npy`` header's layout is checked against the manifest before the
+    array is allocated, so a pickled shard is refused without being loaded.
+    Every byte read also feeds the hash, and, as for checkpoints, a hash
+    mismatch is reported before anything the parse found wrong.
+    """
     path = (manifest.base_dir or Path(".")) / info.path
     try:
-        blob = path.read_bytes()
+        fh = open(path, "rb")
     except OSError as exc:
         raise DataError(f"missing shard {path}: {exc}") from exc
-    if hashlib.sha256(blob).hexdigest() != info.sha256:
+    with fh:
+        reader = HashingFileReader(fh)
+        try:
+            records, error = _parse_shard(path, reader, (info.count,), manifest.dtype), None
+        except (DataError, ValueError) as exc:  # ValueError: bad magic or header, short data
+            records, error = None, exc
+        reader.read_rest()
+    if reader.digest.hexdigest() != info.sha256:
         raise DataError(f"corrupt shard (hash mismatch): {path}")
-    try:
-        records = np.load(io.BytesIO(blob), allow_pickle=False)
-    except (ValueError, EOFError) as exc:  # pickled objects, bad header, short data
-        raise DataError(f"unreadable shard {path}: {exc}") from exc
-    layout = (records.shape, records.dtype) if isinstance(records, np.ndarray) else None
-    if layout != ((info.count,), manifest.dtype):
-        raise DataError(f"shard {path} does not hold the {info.count} records of "
-                        f"{manifest.dtype} its manifest lists")
+    if isinstance(error, DataError):
+        raise error
+    if error is not None:
+        raise DataError(f"unreadable shard {path}: {error}") from error
     return records
+
+
+_NPY_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                       (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def _parse_shard(path, reader: HashingFileReader, shape: tuple[int], dtype: np.dtype) -> np.ndarray:
+    version = np.lib.format.read_magic(reader)
+    if version not in _NPY_HEADER_READERS:
+        raise ValueError(f"unsupported .npy format version {version}")
+    found_shape, _, found_dtype = _NPY_HEADER_READERS[version](reader)
+    if found_dtype.hasobject:
+        raise ValueError("it holds Python objects, which are never unpickled")
+    if (found_shape, found_dtype) != (shape, dtype):  # fortran_order is moot in 1-D
+        raise DataError(f"shard {path} does not hold the {shape[0]} records of "
+                        f"{dtype} its manifest lists")
+    return reader.read_array(shape, dtype)
 
 
 class ShardReader:

@@ -270,3 +270,30 @@ def test_embedding_matrix_dtype(emb_table):
     vocab = build_token_vocab(seqs("عالی"))
     assert embedding_matrix(emb_table, vocab, dtype=np.float64).dtype == np.float64
     assert embedding_matrix(emb_table, vocab, dtype=np.float32).dtype == np.float32
+
+
+def per_token_matrix(table, vocab, dtype):
+    """The reference fill: row ``i + 1`` is ``lookup`` of token ``i``, row 0 stays zero."""
+    mat = np.zeros((len(vocab) + 1, table.dim), dtype=dtype)
+    for i, token in enumerate(vocab.tokens):
+        mat[i + 1] = lookup(table, token)
+    return mat
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("restrict", [False, True])
+@pytest.mark.parametrize("text", ["", "ناموجودی", "عالی کتاب ناموجودی خوب بد xyz عالی"])
+def test_embedding_matrix_matches_per_token_lookup(emb_path, text, restrict, dtype):
+    vocab = build_token_vocab(seqs(text))
+    table = load_embeddings(emb_path, vocab=vocab if restrict else None)
+    mat = embedding_matrix(table, vocab, dtype=dtype)
+    assert mat.dtype == dtype
+    assert mat.tobytes() == per_token_matrix(table, vocab, dtype).tobytes()
+    assert not mat[0].any()  # PAD
+    for token in vocab.tokens:
+        row = mat[vocab.token_id(token)]
+        if token in table:
+            assert row.tobytes() == table.entries[token].astype(dtype).tobytes()
+        else:
+            assert not row.any()  # OOV
+    assert not mat.flags.writeable

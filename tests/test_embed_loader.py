@@ -1,7 +1,9 @@
 """The chunked embedding loader against the line-by-line oracle.
 
 ``load_embeddings`` parses ``LOAD_CHUNK_LINES`` lines per ``np.loadtxt``
-call and re-parses a rejected chunk line by line.  Whatever the chunk
+call, which also reads each line's token, and re-parses line by line a
+chunk it rejects, one of another width, or one whose tokens ``str.split``
+would split.  Whatever the chunk
 size and however the file is malformed, it must keep the same vectors
 (bit for bit) and count the same loaded and skipped lines as
 ``embed_reference.reference_load``; with a vocabulary it keeps only the
@@ -11,6 +13,7 @@ vocabulary's rows and still counts every line.
 from __future__ import annotations
 
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -29,7 +32,8 @@ TOKENS = ("خوب", "بد", "#x", "a", "عالی", "1.5")
 BAD_NUMBERS = ("x", "1_0", "0x1p3", "", "1e400", "-1e39", "nan", "-inf", "Infinity", "1,5",
                "١", "1e", "--1", "nan(1)", "1.0f")
 GOOD_NUMBERS = ("0", "-0.0", "1.", ".5", "+3", "1e-3", "2E5", "3.4028235e38", "0.30000000000000004")
-SEPARATORS = (" ", "  ", "\t", " \t ", "\xa0", " ")
+SEPARATORS = (" ", "  ", "\t", " \t ", "\xa0", " ",
+              "\x1c", "\x85", "\u2028", "\u3000")
 
 
 def number():
@@ -129,3 +133,62 @@ def test_wrong_dimension_loads_nothing(tmp_path):
     write(path, [f"w{i} " + " ".join(["0.5"] * 100) + "\n" for i in range(5)])
     table = load_embeddings(path)
     assert (table.loaded_lines, table.skipped_lines, len(table)) == (0, 5, 0)
+
+
+def clean_lines(n: int, dim: int, prefix: str = "w") -> list[str]:
+    return [f"{prefix}{i} " + " ".join(f"{i + k / 8}" for k in range(dim)) + "\n"
+            for i in range(n)]
+
+
+def test_a_chunk_of_one_other_width_is_all_skipped(tmp_path):
+    for width in (3, 1):  # every line has dim + 2 fields, or dim
+        path = tmp_path / f"vec{width}.txt"
+        write(path, clean_lines(5, width))
+        assert_matches_reference(path, dim=2)
+        table = load_embeddings(path, dim=2)
+        assert (table.loaded_lines, table.skipped_lines, len(table)) == (0, 5, 0)
+
+
+def test_inner_separator_in_a_token_splits_it_as_str_split_does(tmp_path):
+    path = tmp_path / "vec.txt"
+    write(path, clean_lines(3, 2) + ["a\x1c7 8\n", "b\x1cc 7 8\n"] + clean_lines(3, 2, "v"))
+    assert_matches_reference(path, dim=2)
+    table = load_embeddings(path, dim=2)
+    assert table.entries["a"].tolist() == [7, 8]  # the token is "a", not "a\x1c7"
+    assert "b\x1cc" not in table and "b" not in table
+    assert (table.loaded_lines, table.skipped_lines) == (7, 1)
+
+
+def test_duplicate_token_inside_one_chunk_keeps_the_last(tmp_path):
+    path = tmp_path / "vec.txt"
+    write(path, ["d 1 2\n", "e 3 4\n", "d 5 6\n", "d 7 nan\n"])
+    for vocab in (None, TokenVocab(("d",))):
+        table = load_embeddings(path, dim=2, vocab=vocab)
+        assert table.entries["d"].tolist() == [5, 6]
+        assert (table.loaded_lines, table.skipped_lines) == (3, 1)
+        assert_matches_reference(path, dim=2, vocab=vocab)
+
+
+def test_all_blank_chunk_raises_no_warning(tmp_path):
+    path = tmp_path / "vec.txt"
+    blank = ["\n", "   \n", "\t\n", "\xa0\n", "\x1c\n"]
+    for lines in (blank, blank + clean_lines(2, 2)):
+        write(path, lines)
+        with warnings.catch_warnings(), mock.patch.object(sarv.embed, "LOAD_CHUNK_LINES", 5):
+            warnings.simplefilter("error")
+            table = load_embeddings(path, dim=2)
+        assert (table.loaded_lines, table.skipped_lines) == (len(lines) - 5, 0)
+        assert_matches_reference(path, dim=2)
+
+
+def test_kept_rows_share_a_base_of_kept_rows_only(tmp_path):
+    path = tmp_path / "vec.txt"
+    write(path, clean_lines(sarv.embed.LOAD_CHUNK_LINES, 4))
+    kept = ("w3", "w10", "w200")
+    table = load_embeddings(path, dim=4, vocab=TokenVocab(kept))
+    assert set(table.entries) == set(kept)
+    for vec in table.entries.values():
+        root = vec
+        while root.base is not None:
+            root = root.base
+        assert root.nbytes == len(kept) * vec.nbytes  # never the whole chunk

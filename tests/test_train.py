@@ -16,6 +16,7 @@ import shutil
 import tempfile
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,7 +47,7 @@ from sarv.train import (
     write_shards,
 )
 
-from sarv.textproc import tokenize, unify_length
+from sarv.textproc import MAX_LEN, tokenize, unify_length
 
 from conftest import (TINY_MAX_LEN, TINY_MAX_WORD_CHARS, tiny_batch, tiny_emb, tiny_records,
                       tiny_spec)
@@ -311,6 +312,33 @@ def test_pickled_shard_is_refused_not_loaded(tmp_path):
     with pytest.raises(DataError, match="unreadable shard"):
         list(load_shards(manifest))
     assert TRIPPED == []
+
+
+def test_shard_hash_mismatch_is_reported_before_a_parse_error(tmp_path):
+    pickled = io.BytesIO()
+    np.save(pickled, np.array([_Tripwire(), _Tripwire()], dtype=object), allow_pickle=True)
+    for name, damage in (("short", lambda blob: blob[:-1]),  # the array data ends early
+                         ("pickled", lambda blob: pickled.getvalue())):
+        manifest = shard(tiny_records(seed=10, n=2), shard_size=2, out_dir=tmp_path / name)
+        path = manifest.base_dir / manifest.shards[0].path
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(DataError, match="hash mismatch"):
+            list(load_shards(manifest))
+    assert TRIPPED == []
+
+
+def test_reading_a_shard_holds_its_array_once(tmp_path):
+    records = np.zeros(20_000, record_dtype(MAX_LEN, 20))
+    records["y"] = np.arange(len(records)) % 3
+    manifest = write_shards(records, len(records), tmp_path, max_word_chars=20)
+    tracemalloc.start()
+    try:
+        (got,) = load_shards(manifest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, records)
+    assert peak <= 1.1 * records.nbytes, (peak, records.nbytes)
 
 
 @given(
