@@ -133,8 +133,9 @@ def _load_chunk(table: EmbeddingTable, lines: list[str], keep: dict | None) -> N
         # itself raises when a line's field count differs from the first's.
         # It accepts a subset of what float() accepts, parsing it to the
         # same double before the float32 cast, and raises on the rest.
+        # encoding=None hands the converter str, not numpy 1.x's latin-1 bytes.
         values = np.loadtxt(lines, dtype=np.float32, converters={0: tokens.append},
-                            comments=None, ndmin=2)
+                            comments=None, ndmin=2, encoding=None)
     except ValueError:
         _load_lines(table, lines, keep)
         return

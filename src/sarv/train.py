@@ -300,15 +300,11 @@ def _read_shard(manifest: ShardManifest, info: ShardInfo) -> np.ndarray:
     return records
 
 
-_NPY_HEADER_READERS = {(1, 0): np.lib.format.read_array_header_1_0,
-                       (2, 0): np.lib.format.read_array_header_2_0}
-
-
 def _parse_shard(path, reader: HashingFileReader, shape: tuple[int], dtype: np.dtype) -> np.ndarray:
     version = np.lib.format.read_magic(reader)
-    if version not in _NPY_HEADER_READERS:
+    if version != (1, 0):  # the only version write_shards writes
         raise ValueError(f"unsupported .npy format version {version}")
-    found_shape, _, found_dtype = _NPY_HEADER_READERS[version](reader)
+    found_shape, _, found_dtype = np.lib.format.read_array_header_1_0(reader)
     if found_dtype.hasobject:
         raise ValueError("it holds Python objects, which are never unpickled")
     if (found_shape, found_dtype) != (shape, dtype):  # fortran_order is moot in 1-D

@@ -181,6 +181,25 @@ def test_all_blank_chunk_raises_no_warning(tmp_path):
         assert_matches_reference(path, dim=2)
 
 
+def test_chunk_parse_does_not_rely_on_loadtxts_default_encoding(tmp_path):
+    # numpy < 2.0 defaults to encoding="bytes", which hands converters
+    # latin-1 bytes; the loader must still read str tokens in one call.
+    real_loadtxt = np.loadtxt
+
+    def loadtxt_numpy1(*args, encoding="bytes", **kwargs):
+        return real_loadtxt(*args, encoding=encoding, **kwargs)
+
+    path = tmp_path / "vec.txt"
+    for prefix in ("w", "خوب"):
+        write(path, clean_lines(4, 2, prefix))
+        with mock.patch.object(np, "loadtxt", loadtxt_numpy1), \
+                mock.patch.object(sarv.embed, "_load_lines", side_effect=AssertionError):
+            table = load_embeddings(path, dim=2)
+        assert set(table.entries) == {f"{prefix}{i}" for i in range(4)}
+        assert (table.loaded_lines, table.skipped_lines) == (4, 0)
+        assert_matches_reference(path, dim=2)
+
+
 def test_kept_rows_share_a_base_of_kept_rows_only(tmp_path):
     path = tmp_path / "vec.txt"
     write(path, clean_lines(sarv.embed.LOAD_CHUNK_LINES, 4))
