@@ -20,7 +20,7 @@ from itertools import groupby
 from pathlib import Path
 
 from sarv.corpus import (CorpusReader, Encoder, LabelScheme, check_hashes, encode_corpus,
-                         read_corpus, split_lines, to_json_lines)
+                         split_lines, to_json_lines)
 from sarv.embed import embedding_matrix, embeddings_sha256, load_embeddings
 from sarv.errors import ConfigError, DataError, NumericsError, SarvError
 from sarv.metrics import category_stats, metrics
@@ -225,7 +225,7 @@ def _col(value: str) -> str | int:
 
 
 def _corpus_args(cfg: RunConfig) -> dict:
-    """``CorpusReader``/``read_corpus`` keywords for the configured corpus."""
+    """``CorpusReader`` keywords for the configured corpus."""
     return {
         "path": cfg.corpus,
         "fmt": cfg.fmt or None,
@@ -300,7 +300,6 @@ def cmd_shard(cfg: RunConfig) -> int:
             cfg.shard_size,
             cfg.out_dir,
             name=name,
-            max_word_chars=encoder.char_vocab.max_word_chars,
             split_seed=cfg.seed,
             encoder_hashes=hashes,
             rows=rows,
@@ -425,9 +424,9 @@ def cmd_predict(cfg: RunConfig) -> int:
 
 def cmd_stats(cfg: RunConfig) -> int:
     _require(cfg, "corpus")
-    raw, skipped = read_corpus(**_corpus_args(cfg))
-    _report_skipped(skipped)
-    stats = category_stats(raw, LabelScheme.for_num_classes(cfg.classes))
+    reader = CorpusReader(**_corpus_args(cfg))
+    stats = category_stats(reader, LabelScheme.for_num_classes(cfg.classes))
+    _report_skipped(reader.skipped)
     sys.stdout.write(stats.to_text())
     _write_outputs(cfg, {"stats.tsv": stats.to_text()})
     return 0

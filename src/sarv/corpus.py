@@ -331,22 +331,6 @@ def record_dtype(max_len: int, max_word_chars: int) -> np.dtype:
     ])
 
 
-def as_records(records: Sequence[EncodedSentence] | np.ndarray, max_word_chars: int) -> np.ndarray:
-    """The encoder's sentences stacked into one record array, in order.
-
-    A record array passes through unchanged.  The slot count is the
-    sentences' own (``MAX_LEN`` when there are none).
-    """
-    if isinstance(records, np.ndarray):
-        return records
-    max_len = len(records[0].token_ids) if records else MAX_LEN
-    rows = [(r.label, r.true_length, r.token_ids, r.char_ids) for r in records]
-    try:
-        return np.array(rows, dtype=record_dtype(max_len, max_word_chars))
-    except (ValueError, OverflowError) as exc:
-        raise DataError(f"records do not fit {max_len} slots x {max_word_chars} chars: {exc}") from exc
-
-
 def encode_sentence(
     fixed: FixedSentence,
     token_vocab: TokenVocab,
@@ -418,8 +402,8 @@ class Encoder:
         """Token sequences and their labels as one record array of ``max_len`` slots, in order.
 
         Each sequence keeps its first ``max_len`` tokens and the rest of its
-        slots are PAD, so the result equals ``as_records`` of each sequence's
-        ``encode_sentence(unify_length(seq, max_len), ...)``.  Each distinct
+        slots are PAD, so row ``i`` holds the fields of
+        ``encode_sentence(unify_length(seqs[i], max_len), ...)``.  Each distinct
         token is looked up once: every token becomes the number of its row
         in a table of distinct tokens (row 0 is PAD), and each slot's token
         id and char row are gathered from that table.

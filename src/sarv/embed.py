@@ -17,6 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from sarv.errors import DataError
+from sarv.nn import HashingFileReader
 from sarv.textproc import PAD, FixedSentence, TokenSeq
 
 DEFAULT_DIM = 50
@@ -73,7 +74,7 @@ def load_embeddings(
     table = EmbeddingTable(dim)
     keep = None if vocab is None else vocab.ids
     try:
-        raw = _HashingReader(open(path, "rb", buffering=0))
+        raw = HashingFileReader(open(path, "rb", buffering=0))
     except OSError as exc:
         raise DataError(f"cannot read embeddings {path}: {exc}") from exc
     fh = io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8")
@@ -84,42 +85,14 @@ def load_embeddings(
     return table
 
 
-# Bytes per read when hashing a file.  Reads below malloc's mmap threshold
-# (128 KiB) hash as fast as 1 MiB reads, which raised `train`'s peak RSS.
-HASH_READ_BYTES = 1 << 16
-
-
-class _HashingReader(io.RawIOBase):
-    """An unbuffered binary file whose reads also feed a sha256, in file order."""
-
-    def __init__(self, fh: io.RawIOBase):
-        self._fh = fh
-        self.digest = hashlib.sha256()
-
-    def readable(self) -> bool:
-        return True
-
-    def readinto(self, buffer) -> int | None:
-        n = self._fh.readinto(buffer)
-        if n:
-            self.digest.update(memoryview(buffer)[:n])
-        return n
-
-    def close(self) -> None:
-        self._fh.close()
-        super().close()
-
-
 def embeddings_sha256(path) -> str:
     """sha256 of an embeddings file's bytes; an unreadable file is a DataError."""
-    digest = hashlib.sha256()
     try:
-        with open(path, "rb") as fh:
-            while chunk := fh.read(HASH_READ_BYTES):
-                digest.update(chunk)
+        with HashingFileReader(open(path, "rb", buffering=0)) as reader:
+            reader.read_rest()
     except OSError as exc:
         raise DataError(f"cannot read embeddings {path}: {exc}") from exc
-    return digest.hexdigest()
+    return reader.digest.hexdigest()
 
 
 def _load_chunk(table: EmbeddingTable, lines: list[str], keep: dict | None) -> None:

@@ -20,11 +20,10 @@ only chooses which stages it has:
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Sequence
 
 import numpy as np
 
-from sarv.corpus import EncodedSentence, as_records, char_widths
+from sarv.corpus import char_widths
 from sarv.errors import ConfigError, DataError
 from sarv.nn import (
     ACTIVATIONS,
@@ -244,15 +243,9 @@ class Model:
             np.add.at(drows, self._char_inverse, dchar_h)
             self.char_proj.backward(self.char_lstm.backward(drows))
 
-    def predict(
-        self, records: Sequence[EncodedSentence] | np.ndarray, emb_matrix: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Argmax labels (ties break toward the lowest class index) + probs.
-
-        ``records`` is a record array, or encoded sentences to stack into one.
-        """
-        batch = as_records(records, self.spec.max_word_chars)
-        probs = self.forward(batch, emb_matrix, mode="eval")
+    def predict(self, records: np.ndarray, emb_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Argmax labels (ties break toward the lowest class index) + probs of a record array."""
+        probs = self.forward(records, emb_matrix, mode="eval")
         return np.argmax(probs, axis=1), probs
 
     def parameter_count(self) -> int:
@@ -273,24 +266,23 @@ def build_model(
 
 def model_loss_fn(
     model: Model,
-    records: Sequence[EncodedSentence] | np.ndarray,
+    records: np.ndarray,
     emb_matrix: np.ndarray,
     targets: np.ndarray,
     mode: str = "eval",
     dropout_seed: int = 0,
 ):
-    """Adapter for :func:`sarv.nn.grad_check` over a whole model.
+    """Adapter for :func:`sarv.nn.grad_check` over a whole model on a record array.
 
     Returns ``(fn, arrays)`` where ``arrays`` are the live parameter
     values.  Dropout draws from a freshly seeded rng on every call so
     the masks are identical across finite-difference evaluations.
     """
     params = model.params()
-    batch = as_records(records, model.spec.max_word_chars)
 
     def fn(arrays, want_grad):
         rng = np.random.default_rng(dropout_seed)
-        probs = model.forward(batch, emb_matrix, mode=mode, rng=rng)
+        probs = model.forward(records, emb_matrix, mode=mode, rng=rng)
         loss = cross_entropy(probs, targets)
         if not want_grad:
             return loss, None

@@ -25,7 +25,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from sarv import textproc
-from sarv.corpus import ENCODER_HASH_KEYS, EncodedSentence, LabelScheme, as_records, record_dtype
+from sarv.corpus import ENCODER_HASH_KEYS, LabelScheme, record_dtype
 from sarv.errors import ConfigError, DataError, NumericsError
 from sarv.metrics import ConfusionMatrix, confusion, metrics
 from sarv.models import EMBEDDINGS_HASH_KEY, Model, ModelSpec, build_model, save_model
@@ -78,16 +78,8 @@ class TrainConfig:
         return np.float64 if self.precision == "double" else np.float32
 
 
-def split_train_test(records: Sequence | np.ndarray, fraction: float = 0.8, seed: int = 0):
-    """Deterministic shuffled split; train gets ``floor(fraction * N)``.
-
-    ``records`` is a record array or a list; both parts are the same kind.
-    """
-    return tuple(_take(records, idx) for idx in split_indices(len(records), fraction, seed))
-
-
 def split_indices(n: int, fraction: float = 0.8, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """The positions ``split_train_test`` puts in train and in test, in order."""
+    """A deterministic shuffled split of ``n`` positions; train gets ``floor(fraction * n)``."""
     if not 0.0 < fraction < 1.0:
         raise ConfigError(f"split fraction must be in (0, 1), got {fraction}")
     if n == 0:
@@ -95,13 +87,6 @@ def split_indices(n: int, fraction: float = 0.8, seed: int = 0) -> tuple[np.ndar
     perm = np.random.default_rng(seed).permutation(n)
     n_train = int(math.floor(fraction * n))
     return perm[:n_train], perm[n_train:]
-
-
-def _take(records: Sequence | np.ndarray, idx: np.ndarray):
-    """``records`` at ``idx``, in that order: a record array, or a list."""
-    if isinstance(records, np.ndarray):
-        return records[idx]
-    return [records[i] for i in idx]
 
 
 # ---------------------------------------------------------------------------
@@ -207,29 +192,26 @@ class ShardManifest:
 
 
 def write_shards(
-    records: Sequence[EncodedSentence] | np.ndarray,
+    records: np.ndarray,
     shard_size: int,
     out_dir,
     name: str = "data",
-    max_word_chars: int = 20,
     encoder_hashes: dict[str, str] | None = None,
     split_seed: int | None = None,
     rows: np.ndarray | None = None,
 ) -> ShardManifest:
-    """Save records as ``shard_size``-row ``.npy`` record arrays plus a manifest.
+    """Save a record array as ``shard_size``-row ``.npy`` record arrays plus a manifest.
 
-    ``records`` is a record array, or encoded sentences stacked at
-    ``max_word_chars`` chars per token.  With ``rows``, the records at those
-    positions are written, in that order, as if ``records[rows]`` had been
-    passed.  Each shard file holds the bytes ``np.save`` writes.  It is
-    gathered, written and hashed ``TOKENIZE_CHUNK`` records at a time, so
-    writing holds no more than that many records beyond the input.
+    With ``rows``, the records at those positions are written, in that
+    order, as if ``records[rows]`` had been passed.  Each shard file holds
+    the bytes ``np.save`` writes.  It is gathered, written and hashed
+    ``TOKENIZE_CHUNK`` records at a time, so writing holds no more than
+    that many records beyond the input.
     """
     if shard_size < 1:
         raise ConfigError(f"shard_size must be >= 1, got {shard_size}")
     if rows is None:
         rows = np.arange(len(records))
-    layout = as_records(_take(records, rows[:1]), max_word_chars).dtype
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     shards: list[ShardInfo] = []
@@ -238,24 +220,20 @@ def write_shards(
         shard_rows = rows[start:start + shard_size]
         header = io.BytesIO()
         np.lib.format.write_array_header_1_0(header, {
-            "descr": np.lib.format.dtype_to_descr(layout), "fortran_order": False,
+            "descr": np.lib.format.dtype_to_descr(records.dtype), "fortran_order": False,
             "shape": (len(shard_rows),)})
         digest = hashlib.sha256(header.getvalue())
         rel = f"{name}-{len(shards):05d}.npy"
         with open(out_dir / rel, "wb") as fh:
             fh.write(header.getvalue())
             for at in range(0, len(shard_rows), textproc.TOKENIZE_CHUNK):
-                chunk = as_records(_take(records, shard_rows[at:at + textproc.TOKENIZE_CHUNK]),
-                                   max_word_chars)
-                if chunk.dtype != layout:
-                    raise DataError(f"records from {start + at} on do not fit the first "
-                                    f"record's layout {layout}")
+                chunk = records[shard_rows[at:at + textproc.TOKENIZE_CHUNK]]
                 data = chunk.view(np.uint8)  # the gathered rows' own bytes
                 fh.write(data)
                 digest.update(data)
                 histogram.update(chunk["y"].tolist())
         shards.append(ShardInfo(rel, len(shard_rows), digest.hexdigest()))
-    max_len, max_word_chars = layout["c"].shape
+    max_len, max_word_chars = records.dtype["c"].shape
     manifest = ShardManifest(
         shards=shards,
         total=len(rows),
@@ -281,11 +259,10 @@ def _read_shard(manifest: ShardManifest, info: ShardInfo) -> np.ndarray:
     """
     path = (manifest.base_dir or Path(".")) / info.path
     try:
-        fh = open(path, "rb")
+        reader = HashingFileReader(open(path, "rb"))
     except OSError as exc:
         raise DataError(f"missing shard {path}: {exc}") from exc
-    with fh:
-        reader = HashingFileReader(fh)
+    with reader:
         try:
             records, error = _parse_shard(path, reader, (info.count,), manifest.dtype), None
         except (DataError, ValueError) as exc:  # ValueError: bad magic or header, short data
@@ -451,21 +428,9 @@ class PlateauScheduler:
         return self.lr
 
 
-def random_undersample(records: Sequence | np.ndarray, seed: int = 0,
-                       num_classes: int | None = None):
-    """Down-sample every class to the minority count, without replacement.
-
-    ``records`` is a record array or a list of records with a ``label``;
-    the result is the same kind.
-    """
-    labels = (records["y"] if isinstance(records, np.ndarray)
-              else [r.label for r in records])
-    return _take(records, undersample_indices(labels, seed, num_classes))
-
-
 def undersample_indices(labels: Sequence[int] | np.ndarray, seed: int = 0,
                         num_classes: int | None = None) -> np.ndarray:
-    """The positions ``random_undersample`` keeps of records with these labels, in order."""
+    """Positions keeping the minority count of each class, drawn without replacement, shuffled."""
     if len(labels) == 0:
         raise DataError("cannot undersample an empty dataset")
     labels = np.asarray(labels)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sarv.corpus import EncodedSentence, LabelScheme, RawRecord, as_records, encode_sentence
+from sarv.corpus import EncodedSentence, LabelScheme, RawRecord, encode_sentence, record_dtype
 from sarv.embed import (
     build_char_vocab,
     build_token_vocab,
@@ -83,8 +83,15 @@ def order_rows(n: int, seed: int) -> list[RawRecord]:
     return rows
 
 
+def stack_sentences(sentences, max_word_chars: int) -> np.ndarray:
+    """``encode_sentence`` outputs stacked into one record array (``MAX_LEN`` slots if none)."""
+    max_len = len(sentences[0].token_ids) if sentences else MAX_LEN
+    rows = [(s.label, s.true_length, s.token_ids, s.char_ids) for s in sentences]
+    return np.array(rows, dtype=record_dtype(max_len, max_word_chars))
+
+
 def encode_rows(rows, classes: int, stopwords=frozenset()):
-    """Raw records -> (encoded sentences, token vocab, char vocab)."""
+    """Raw records -> (record array, token vocab, char vocab), one ``encode_sentence`` each."""
     norm = NormConfig(stopwords=stopwords)
     seqs = [tokenize(normalize(rec.text, norm)) for rec in rows]
     token_vocab = build_token_vocab(seqs)
@@ -95,7 +102,7 @@ def encode_rows(rows, classes: int, stopwords=frozenset()):
                         scheme.label_index(rec.label))
         for seq, rec in zip(seqs, rows)
     ]
-    return encoded, token_vocab, char_vocab
+    return stack_sentences(encoded, char_vocab.max_word_chars), token_vocab, char_vocab
 
 
 def emb_matrix_for(token_vocab, dtype=np.float32) -> np.ndarray:
@@ -165,7 +172,7 @@ def tiny_records(seed: int, n: int = 2, classes: int = 2) -> list[EncodedSentenc
 
 def tiny_batch(seed: int, n: int = 2, classes: int = 2) -> np.ndarray:
     """``tiny_records`` stacked into one record array."""
-    return as_records(tiny_records(seed, n, classes), TINY_MAX_WORD_CHARS)
+    return stack_sentences(tiny_records(seed, n, classes), TINY_MAX_WORD_CHARS)
 
 
 def tiny_emb(seed: int, dtype=np.float64) -> np.ndarray:
@@ -180,8 +187,8 @@ def rel_to_max(got: np.ndarray, want: np.ndarray) -> float:
     return float(np.max(np.abs(got - want)) / max(np.max(np.abs(want)), 1e-300))
 
 
-def relu_margin(model, records, emb_matrix, dropout_seed: int = 0) -> float:
-    """Smallest |pre-activation| reaching any relu layer for this input.
+def relu_margin(model, batch, emb_matrix, dropout_seed: int = 0) -> float:
+    """Smallest |pre-activation| reaching any relu layer for this record array.
 
     Finite differences stride across the relu kink whenever a
     pre-activation sits within ``h`` of zero, so relu presets are only
@@ -191,7 +198,6 @@ def relu_margin(model, records, emb_matrix, dropout_seed: int = 0) -> float:
     """
     if model.word_lstm is not None:
         return np.inf
-    batch = as_records(records, model.spec.max_word_chars)
     x = emb_matrix[batch["t"]].reshape(len(batch), -1)
     rng = np.random.default_rng(dropout_seed)
     margin = np.inf

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from sarv.cli import main
-from sarv.corpus import EncodedSentence, RawRecord, as_records
+from sarv.corpus import RawRecord
 from sarv.metrics import confusion, metrics
 from sarv.models import (
     CHAR_PRESETS,
@@ -42,23 +42,22 @@ from sarv.train import (
     TrainConfig,
     load_shards,
     lr_exp_decay,
-    random_undersample,
-    split_train_test,
+    split_indices,
     train_loop,
+    undersample_indices,
     write_shards,
 )
 
 from conftest import (
     REVIEWS_TSV,
-    TINY_MAX_WORD_CHARS,
     bundled_embedding_path,
     emb_matrix_for,
     encode_rows,
     order_rows,
     relu_margin,
     separable_rows,
+    tiny_batch,
     tiny_emb,
-    tiny_records,
     tiny_spec,
     write_corpus_tsv,
 )
@@ -161,12 +160,12 @@ def _preset_case(preset: str, seed: int):
     classes = 3 if preset in CHAR_PRESETS else 2
     needs_margin = "RELU" in preset
     model = build_model(tiny_spec(preset, classes), rng_seed=seed, dtype=np.float64)
-    records = tiny_records(seed=seed + 1000, n=2, classes=classes)
+    records = tiny_batch(seed=seed + 1000, n=2, classes=classes)
     emb = tiny_emb(seed=seed + 2000)
     if needs_margin and relu_margin(model, records, emb, dropout_seed=seed) <= 1e-3:
         return None  # draw near a relu kink: screened, caller picks a new seed
     mode = "train" if preset == "W2V_MLP_RELU_LRDECAY_DROPOUT" else "eval"
-    targets = one_hot(np.array([r.label for r in records]), classes)
+    targets = one_hot(records["y"], classes)
     fn, arrays = model_loss_fn(model, records, emb, targets, mode=mode, dropout_seed=seed)
     return fn, arrays
 
@@ -305,7 +304,7 @@ def test_criterion_05_lstm_beats_softmax_on_token_order(tmp_path):
     rows = order_rows(2000, seed=11)
     encoded, token_vocab, _ = encode_rows(rows, classes=2)
     emb = emb_matrix_for(token_vocab)
-    train, test = split_train_test(encoded, 0.8, seed=0)
+    train, test = (encoded[rows] for rows in split_indices(len(encoded), 0.8, seed=0))
     scores = {}
     for preset in ("W2V_SOFTMAX", "W2V_LSTM"):
         out = tmp_path / preset
@@ -313,7 +312,7 @@ def test_criterion_05_lstm_beats_softmax_on_token_order(tmp_path):
         cfg = TrainConfig(optimizer="adam", base_lr=0.003, batch_size=256, epochs=40, seed=3)
         _, model = train_loop(ModelSpec(preset=preset, num_classes=2), cfg, manifest, emb, out / "run")
         labels, _ = model.predict(test, emb.astype(np.float32))
-        cm = confusion(labels, [r.label for r in test], num_classes=2)
+        cm = confusion(labels, test["y"], num_classes=2)
         scores[preset] = metrics(cm).macro_f1
     gap = scores["W2V_LSTM"] - scores["W2V_SOFTMAX"]
     assert gap >= 0.10, f"macro F1 gap {gap:.4f} < 0.10 ({scores})"
@@ -354,20 +353,12 @@ def test_criterion_06_dropout_statistics():
 
 def test_criterion_07_random_undersampling():
     counts = {0: 546, 1: 107, 2: 92}
-    records = []
-    for label, n in counts.items():
-        batch = tiny_records(seed=label, n=n, classes=3)
-        records.extend(
-            EncodedSentence(r.token_ids, r.char_ids, r.true_length, label) for r in batch
-        )
-    balanced = random_undersample(records, seed=7)
-    histogram = {}
-    for rec in balanced:
-        histogram[rec.label] = histogram.get(rec.label, 0) + 1
+    labels = np.repeat(list(counts), list(counts.values()))
+    kept = undersample_indices(labels, seed=7)
+    histogram = dict(zip(*np.unique(labels[kept], return_counts=True)))
     assert histogram == {0: 92, 1: 92, 2: 92}
-    source_ids = {id(r) for r in records}
-    assert all(id(r) in source_ids for r in balanced), "output record not drawn from input"
-    assert len({id(r) for r in balanced}) == len(balanced), "record sampled twice"
+    assert np.all((kept >= 0) & (kept < len(labels))), "output record not drawn from input"
+    assert len(np.unique(kept)) == len(kept), "record sampled twice"
     _passed(7, "counts {546, 107, 92} -> exactly {92, 92, 92}, all records drawn "
                "from the input without replacement")
 
@@ -378,18 +369,14 @@ def test_criterion_07_random_undersampling():
 
 
 def test_criterion_08_shard_round_trip(tmp_path):
-    records = tiny_records(seed=80, n=10_000, classes=3)
-    first = write_shards(records, 1_000, tmp_path / "a", name="data",
-                         max_word_chars=TINY_MAX_WORD_CHARS)
+    records = tiny_batch(seed=80, n=10_000, classes=3)
+    first = write_shards(records, 1_000, tmp_path / "a", name="data")
     assert len(first.shards) == 10
     reader = load_shards(first)
     reloaded = np.concatenate(list(reader))
-    assert np.array_equal(reloaded, as_records(records, TINY_MAX_WORD_CHARS)), (
-        "reload is not record-identical"
-    )
+    assert np.array_equal(reloaded, records), "reload is not record-identical"
     assert reader.max_resident <= 2, f"loader held {reader.max_resident} shards"
-    second = write_shards(reloaded, 1_000, tmp_path / "b", name="data",
-                          max_word_chars=TINY_MAX_WORD_CHARS)
+    second = write_shards(reloaded, 1_000, tmp_path / "b", name="data")
     assert [s.sha256 for s in first.shards] == [s.sha256 for s in second.shards]
     _passed(
         8,

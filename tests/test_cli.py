@@ -38,6 +38,7 @@ from conftest import (
     bundled_embedding_path,
     emb_matrix_for,
     separable_rows,
+    stack_sentences,
     write_corpus_tsv,
 )
 
@@ -744,7 +745,8 @@ def test_predict_normalizes_with_shard_stopwords(tmp_path, capsys):
                         token_vocab, char_vocab, label=0)
         for ln in lines
     ]
-    labels, probs = model.predict(encoded, emb_matrix_for(token_vocab))
+    labels, probs = model.predict(stack_sentences(encoded, char_vocab.max_word_chars),
+                                  emb_matrix_for(token_vocab))
     expected = "".join(
         "\t".join([("negative", "positive")[y]] + [f"{p:.6f}" for p in row]) + "\n"
         for y, row in zip(labels, probs)
@@ -883,6 +885,21 @@ def test_stats_reports_category_table(tmp_path, capsys):
     assert ["Mobile", "546", "107", "92"] in parsed
     assert parsed[-1] == ["total", "546", "107", "92"]
     assert (tmp_path / "out" / "stats.tsv").exists()
+
+
+def test_stats_reports_a_malformed_row_and_exits_two_past_the_threshold(tmp_path, capsys):
+    corpus = tmp_path / "bad.tsv"
+    corpus.write_text("text\tlabel\tcategory\nخوب\tpositive\tMobile\nبد\n"
+                      "بد\tnegative\tBook\nعالی\t1\n", encoding="utf-8")
+    code, stdout, stderr = invoke(capsys, "stats", "--corpus", corpus, "--classes", "2")
+    assert code == 0
+    assert stderr == "warning: skipped line 3: missing column: list index out of range\n"
+    assert stdout == ("category\tpositive\tnegative\n(none)  \t1\t0\nBook    \t0\t1\n"
+                      "Mobile  \t1\t0\ntotal   \t2\t1\n")
+    code, stdout, stderr = invoke(capsys, "stats", "--corpus", corpus, "--max-bad-rows", 0)
+    assert (code, stdout) == (2, "")
+    assert stderr == ("sarv: data error: 1 malformed rows exceed threshold 0; first: line 3: "
+                      "missing column: list index out of range\n")
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "predict"])

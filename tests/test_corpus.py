@@ -10,7 +10,6 @@ from sarv.corpus import (
     EncodedSentence,
     Encoder,
     LabelScheme,
-    as_records,
     check_hashes,
     encode_sentence,
     read_corpus,
@@ -20,7 +19,7 @@ from sarv.errors import ConfigError, DataError
 from sarv.textproc import (MAX_LEN, NormConfig, length_histogram, tokenize, tokenize_many,
                            unify_length)
 
-from conftest import REVIEWS_TSV
+from conftest import REVIEWS_TSV, stack_sentences
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +238,8 @@ def test_encoder_round_trip_and_check(tmp_path):
     assert back.hashes() == hashes
     check_hashes(back.hashes(), hashes, "manifest")
     fixed = unify_length(["خوب", "بد"])
-    want = as_records([encode_sentence(fixed, token_vocab, char_vocab, 1)],
-                      char_vocab.max_word_chars)
+    want = stack_sentences([encode_sentence(fixed, token_vocab, char_vocab, 1)],
+                           char_vocab.max_word_chars)
     assert back.encode_many([["خوب", "بد"]], [1], MAX_LEN).tobytes() == want.tobytes()
     for key in hashes:
         empty = {**hashes, key: ""}

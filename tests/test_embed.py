@@ -14,9 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import sarv.embed
+import sarv.nn
 from sarv.embed import (
-    HASH_READ_BYTES,
     build_char_vocab,
     build_token_vocab,
     embedding_matrix,
@@ -140,14 +139,14 @@ def test_loader_digest_is_the_hash_of_the_bytes_it_parsed(tmp_path, monkeypatch)
     lines[7], lines[20_001] = "بد 3.0", "زشت x 1.0"
     malformed.write_bytes(("\n".join(lines) + "\r\nتند 1 nan\r\n\n").encode("utf-8"))
     reads = []
-    readinto = sarv.embed._HashingReader.readinto
-    monkeypatch.setattr(sarv.embed._HashingReader, "readinto",
+    readinto = sarv.nn.HashingFileReader.readinto
+    monkeypatch.setattr(sarv.nn.HashingFileReader, "readinto",
                         lambda self, buffer: reads.append(len(buffer)) or readinto(self, buffer))
     for path, dim in ((bundled_embedding_path(), 50), (malformed, 2)):
         table = load_embeddings(path, dim=dim)
         assert table.sha256 == embeddings_sha256(path)
     assert (table.loaded_lines, table.skipped_lines) == (29_998, 3)
-    assert len(reads) > 2 and max(reads) <= HASH_READ_BYTES
+    assert len(reads) > 2 and max(reads) <= sarv.nn.HASH_READ_BYTES
 
 
 def test_oov_lookup_is_zero_vector(emb_table):

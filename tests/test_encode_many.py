@@ -21,11 +21,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sarv.textproc
-from sarv.corpus import Encoder, as_records, encode_sentence
+from sarv.corpus import Encoder, encode_sentence, record_dtype
 from sarv.embed import CharVocab, TokenVocab
 from sarv.errors import DataError
 from sarv.textproc import (_PUNCT_TO_SPACE, MAX_LEN, NormConfig, bundled_stopwords, normalize,
                            tokenize, tokenize_many, unify_length)
+
+from conftest import stack_sentences
 
 KNOWN = "ابپتثجچ"
 UNKNOWN = "ژکگ"
@@ -83,7 +85,7 @@ def test_encode_many_equals_stacked_encode_sentence(case):
     got = encoder.encode_many(reviews, labels, max_len)
     slow = [encode_sentence(unify_length(r, max_len), encoder.token_vocab, encoder.char_vocab, y)
             for r, y in zip(reviews, labels)]  # PAD slots and truncation
-    want = as_records(slow, encoder.char_vocab.max_word_chars)
+    want = stack_sentences(slow, encoder.char_vocab.max_word_chars)
     assert got.dtype == want.dtype
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
@@ -93,7 +95,7 @@ def test_encode_many_of_nothing_is_an_empty_record_array():
     encoder = Encoder(NormConfig(), TokenVocab(()), CharVocab(()))
     got = encoder.encode_many([], [], MAX_LEN)
     assert got.shape == (0,)
-    assert got.dtype == as_records([], encoder.char_vocab.max_word_chars).dtype
+    assert got.dtype == record_dtype(MAX_LEN, encoder.char_vocab.max_word_chars)
 
 
 def test_encode_many_refuses_char_ids_past_uint16():
@@ -104,10 +106,6 @@ def test_encode_many_refuses_char_ids_past_uint16():
     assert ok["c"][0, 0, 0] == 1
     with pytest.raises(DataError, match="do not fit"):
         encoder.encode_many([[small], [small + large]], [0, 1], MAX_LEN)
-    slow = [encode_sentence(unify_length(r), encoder.token_vocab, encoder.char_vocab, 0)
-            for r in ([small], [small + large])]
-    with pytest.raises(DataError, match="do not fit"):
-        as_records(slow, 4)
 
 
 def test_encode_many_refuses_fewer_than_one_slot():

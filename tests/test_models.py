@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sarv.corpus import EncodedSentence, as_records, record_dtype
+from sarv.corpus import EncodedSentence, record_dtype
 from sarv.errors import ConfigError, DataError
 from sarv.models import (
     CHAR_PRESETS,
@@ -34,6 +34,7 @@ from conftest import (
     TINY_VOCAB,
     rel_to_max,
     relu_margin,
+    stack_sentences,
     tiny_batch,
     tiny_emb,
     tiny_records,
@@ -178,7 +179,7 @@ def test_forward_clamps_empty_sentences(preset):
         true_length=0,
         label=0,
     )
-    probs = model.forward(as_records([empty], TINY_MAX_WORD_CHARS), tiny_emb(seed=0))
+    probs = model.forward(stack_sentences([empty], TINY_MAX_WORD_CHARS), tiny_emb(seed=0))
     assert probs.shape == (1, 2) and np.all(np.isfinite(probs))
 
 
@@ -201,7 +202,7 @@ def _dedup_batch() -> np.ndarray:
         ((2, 0, 0, 0), (b, pad, pad, pad), 1, 0),
     ]
     records = [EncodedSentence(t, c, n, y) for t, c, n, y in sentences]
-    return as_records(records, TINY_MAX_WORD_CHARS)
+    return stack_sentences(records, TINY_MAX_WORD_CHARS)
 
 
 @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
@@ -338,13 +339,13 @@ def test_preset_gradients_match_finite_differences(preset):
     seed = 0
     while True:
         model = build_model(tiny_spec(preset, classes), rng_seed=seed, dtype=np.float64)
-        records = tiny_records(seed=seed + 1000, n=2, classes=classes)
+        records = tiny_batch(seed=seed + 1000, n=2, classes=classes)
         emb = tiny_emb(seed=seed + 2000)
         if not needs_margin or relu_margin(model, records, emb, dropout_seed=seed) > 1e-3:
             break
         seed += 1
     mode = "train" if preset == "W2V_MLP_RELU_LRDECAY_DROPOUT" else "eval"
-    targets = one_hot(np.array([r.label for r in records]), classes)
+    targets = one_hot(records["y"], classes)
     fn, arrays = model_loss_fn(model, records, emb, targets, mode=mode, dropout_seed=seed)
     err = grad_check(fn, arrays, h=1e-5, sample_per_array=3, seed=seed, floor=1e-6)
     assert err <= 1e-5, f"{preset}: max relative error {err:.3e}"
@@ -358,7 +359,7 @@ def test_preset_gradients_match_finite_differences(preset):
 def test_save_load_round_trip(tmp_path):
     spec = tiny_spec("CHAR_W2V_LSTM", classes=3)
     model = build_model(spec, rng_seed=6, dtype=np.float64)
-    records = tiny_records(seed=13, n=3, classes=3)
+    records = tiny_batch(seed=13, n=3, classes=3)
     emb = tiny_emb(seed=14)
     want_labels, want_probs = model.predict(records, emb)
 

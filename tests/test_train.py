@@ -18,7 +18,6 @@ import threading
 import time
 import tracemalloc
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sarv.corpus import as_records, encode_sentence, record_dtype
+from sarv.corpus import encode_sentence, record_dtype
 from sarv.embed import build_char_vocab, build_token_vocab
 from sarv.errors import ConfigError, DataError, NumericsError
 from sarv.nn import Parameter
@@ -40,23 +39,17 @@ from sarv.train import (
     batches,
     load_shards,
     lr_exp_decay,
-    random_undersample,
     sgd_step,
-    split_train_test,
+    split_indices,
     train_loop,
+    undersample_indices,
     write_shards,
 )
 
-from sarv.textproc import MAX_LEN, tokenize, unify_length
+from sarv.textproc import MAX_LEN, TOKENIZE_CHUNK, tokenize, unify_length
 
-from conftest import (TINY_MAX_LEN, TINY_MAX_WORD_CHARS, tiny_batch, tiny_emb, tiny_records,
+from conftest import (TINY_MAX_LEN, TINY_MAX_WORD_CHARS, stack_sentences, tiny_batch, tiny_emb,
                       tiny_spec)
-
-
-def shard(records, shard_size, out_dir, name="data"):
-    return write_shards(
-        records, shard_size, out_dir, name=name, max_word_chars=TINY_MAX_WORD_CHARS
-    )
 
 
 def reload(manifest) -> np.ndarray:
@@ -107,48 +100,30 @@ def test_train_config_validation():
 
 
 def test_split_eight_two():
-    train, test = split_train_test(list(range(10)), fraction=0.8, seed=0)
+    train, test = split_indices(10, fraction=0.8, seed=0)
     assert len(train) == 8 and len(test) == 2
-    assert sorted(train + test) == list(range(10))
+    assert sorted(np.concatenate([train, test]).tolist()) == list(range(10))
 
 
 def test_split_uses_floor():
-    train, test = split_train_test(list(range(100003)), fraction=0.8, seed=1)
+    train, test = split_indices(100003, fraction=0.8, seed=1)
     assert len(train) == 80002  # floor(0.8 * 100003)
     assert len(test) == 20001
 
 
 def test_split_is_deterministic_and_seed_sensitive():
-    records = list(range(50))
-    a = split_train_test(records, seed=4)
-    b = split_train_test(records, seed=4)
-    c = split_train_test(records, seed=5)
-    assert a == b
-    assert a != c
-
-
-def test_split_and_undersample_select_the_same_rows_from_a_record_array():
-    records = tiny_records(seed=3, n=40, classes=3)
-    array = as_records(records, TINY_MAX_WORD_CHARS)
-    for seed in (0, 1, 7):
-        parts = split_train_test(array, 0.8, seed)
-        for got, want in zip(parts, split_train_test(records, 0.8, seed)):
-            assert isinstance(got, np.ndarray)
-            assert got.tobytes() == as_records(want, TINY_MAX_WORD_CHARS).tobytes()
-        got = random_undersample(array, seed=seed, num_classes=3)
-        want = random_undersample(records, seed=seed, num_classes=3)
-        assert got.tobytes() == as_records(want, TINY_MAX_WORD_CHARS).tobytes()
-    with pytest.raises(DataError, match="zero records"):
-        random_undersample(array[array["y"] != 1], seed=0, num_classes=3)
+    a = np.concatenate(split_indices(50, seed=4))
+    assert np.array_equal(a, np.concatenate(split_indices(50, seed=4)))
+    assert not np.array_equal(a, np.concatenate(split_indices(50, seed=5)))
 
 
 def test_split_validation():
     with pytest.raises(ConfigError):
-        split_train_test([1, 2], fraction=1.0)
+        split_indices(2, fraction=1.0)
     with pytest.raises(ConfigError):
-        split_train_test([1, 2], fraction=0.0)
+        split_indices(2, fraction=0.0)
     with pytest.raises(DataError):
-        split_train_test([], fraction=0.8)
+        split_indices(0, fraction=0.8)
 
 
 # ---------------------------------------------------------------------------
@@ -157,43 +132,38 @@ def test_split_validation():
 
 
 def test_write_shards_layout_and_reload(tmp_path):
-    records = tiny_records(seed=0, n=23)
-    manifest = shard(records, shard_size=5, out_dir=tmp_path, name="train")
+    records = tiny_batch(seed=0, n=23)
+    manifest = write_shards(records, shard_size=5, out_dir=tmp_path, name="train")
     assert [s.count for s in manifest.shards] == [5, 5, 5, 5, 3]
     assert [s.path for s in manifest.shards] == [
         f"train-{i:05d}.npy" for i in range(5)
     ]
     assert manifest.total == 23
-    assert manifest.class_histogram == dict(Counter(r.label for r in records))
+    assert manifest.class_histogram == dict(Counter(records["y"].tolist()))
     assert (tmp_path / "train.manifest.json").exists()
 
     back = reload(ShardManifest.load(tmp_path / "train.manifest.json"))
-    assert np.array_equal(back, tiny_batch(seed=0, n=23))  # order preserved, values identical
+    assert np.array_equal(back, records)  # order preserved, values identical
     assert back.dtype == record_dtype(TINY_MAX_LEN, TINY_MAX_WORD_CHARS)
 
 
-def test_write_shards_stacks_one_shard_at_a_time(tmp_path, monkeypatch):
-    seen = []
-
-    def spy(records, max_word_chars):
-        seen.append(len(records))
-        return as_records(records, max_word_chars)
-
-    monkeypatch.setattr("sarv.train.as_records", spy)
-    records = tiny_records(seed=1, n=23)
-    shard(records, shard_size=5, out_dir=tmp_path / "list")
-    assert seen and max(seen) <= 5
-    # Writing the same records pre-stacked gives the same shard and manifest bytes.
-    shard(tiny_batch(seed=1, n=23), shard_size=5, out_dir=tmp_path / "array")
-    names = sorted(p.name for p in (tmp_path / "list").iterdir())
-    assert names == sorted(p.name for p in (tmp_path / "array").iterdir())
-    for name in names:
-        assert (tmp_path / "list" / name).read_bytes() == (tmp_path / "array" / name).read_bytes()
+def test_write_shards_holds_two_chunks_beyond_its_input(tmp_path):
+    records = np.zeros(20_000, record_dtype(MAX_LEN, 20))
+    records["y"] = np.arange(len(records)) % 3
+    rows = np.random.default_rng(0).permutation(len(records))
+    chunk_bytes = TOKENIZE_CHUNK * records.itemsize
+    tracemalloc.start()
+    try:
+        manifest = write_shards(records, 7_000, tmp_path, rows=rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.1 * chunk_bytes, (peak, chunk_bytes)
+    assert np.array_equal(reload(manifest), records[rows])
 
 
 def test_shard_hash_mismatch_is_fatal(tmp_path):
-    records = tiny_records(seed=2, n=6)
-    shard(records, shard_size=3, out_dir=tmp_path)
+    write_shards(tiny_batch(seed=2, n=6), shard_size=3, out_dir=tmp_path)
     victim = tmp_path / "data-00001.npy"
     blob = bytearray(victim.read_bytes())
     blob[-1] ^= 0x01  # one bit of the last record's last char id
@@ -205,8 +175,7 @@ def test_shard_hash_mismatch_is_fatal(tmp_path):
 
 
 def test_shard_missing_file_is_fatal(tmp_path):
-    records = tiny_records(seed=3, n=4)
-    shard(records, shard_size=2, out_dir=tmp_path)
+    write_shards(tiny_batch(seed=3, n=4), shard_size=2, out_dir=tmp_path)
     (tmp_path / "data-00000.npy").unlink()
     manifest = ShardManifest.load(tmp_path / "data.manifest.json")
     with pytest.raises(DataError):
@@ -214,12 +183,12 @@ def test_shard_missing_file_is_fatal(tmp_path):
 
 
 def test_manifest_relocates_with_its_directory(tmp_path):
-    records = tiny_records(seed=4, n=6)
+    records = tiny_batch(seed=4, n=6)
     src, dst = tmp_path / "a", tmp_path / "b"
-    shard(records, shard_size=4, out_dir=src)
+    write_shards(records, shard_size=4, out_dir=src)
     shutil.move(str(src), str(dst))
     manifest = ShardManifest.load(dst / "data.manifest.json")
-    assert np.array_equal(reload(manifest), as_records(records, TINY_MAX_WORD_CHARS))
+    assert np.array_equal(reload(manifest), records)
 
 
 def test_manifest_validation_rejects_bad_counts():
@@ -244,18 +213,18 @@ def test_manifest_load_missing_is_data_error(tmp_path):
 
 
 def test_shard_reader_holds_one_shard_at_a_time(tmp_path):
-    records = tiny_records(seed=5, n=40)
-    manifest = shard(records, shard_size=4, out_dir=tmp_path)
+    records = tiny_batch(seed=5, n=40)
+    manifest = write_shards(records, shard_size=4, out_dir=tmp_path)
     assert len(manifest.shards) == 10
     reader = load_shards(manifest)
     seen = list(reader)
     assert [len(s) for s in seen] == [4] * 10  # one record array per shard
-    assert np.array_equal(np.concatenate(seen), as_records(records, TINY_MAX_WORD_CHARS))
+    assert np.array_equal(np.concatenate(seen), records)
     assert reader.max_resident == 1
 
 
 def test_abandoned_shard_stream_closes_at_once(tmp_path):
-    manifest = shard(tiny_records(seed=6, n=12), shard_size=4, out_dir=tmp_path)
+    manifest = write_shards(tiny_batch(seed=6, n=12), shard_size=4, out_dir=tmp_path)
     assert len(manifest.shards) == 3
     threads_before = threading.active_count()
     t0 = time.perf_counter()
@@ -268,7 +237,7 @@ def test_abandoned_shard_stream_closes_at_once(tmp_path):
 
 def test_batches_chunking(tmp_path):
     stacked = tiny_batch(seed=7, n=23)
-    manifest = shard(stacked, shard_size=5, out_dir=tmp_path)
+    manifest = write_shards(stacked, shard_size=5, out_dir=tmp_path)
     for size in (3, 12):  # batches straddle one shard boundary, or several
         got = list(batches(load_shards(manifest), size))
         want = [stacked[i:i + size] for i in range(0, len(stacked), size)]
@@ -285,7 +254,7 @@ def test_shard_with_wrong_layout_is_fatal(tmp_path):
     stacked = tiny_batch(seed=8, n=6)
     wider = np.zeros(3, record_dtype(TINY_MAX_LEN, TINY_MAX_WORD_CHARS + 1))
     for index, array in ((0, wider), (1, stacked[3:5])):
-        manifest = shard(stacked, shard_size=3, out_dir=tmp_path / str(index))
+        manifest = write_shards(stacked, shard_size=3, out_dir=tmp_path / str(index))
         replace_shard(manifest, index, array)
         with pytest.raises(DataError, match="does not hold the 3 records"):
             list(load_shards(manifest))
@@ -306,7 +275,7 @@ def _trip():
 
 
 def test_pickled_shard_is_refused_not_loaded(tmp_path):
-    manifest = shard(tiny_records(seed=9, n=4), shard_size=2, out_dir=tmp_path)
+    manifest = write_shards(tiny_batch(seed=9, n=4), shard_size=2, out_dir=tmp_path)
     replace_shard(manifest, 1, np.array([_Tripwire(), _Tripwire()], dtype=object),
                   allow_pickle=True)
     with pytest.raises(DataError, match="unreadable shard"):
@@ -319,7 +288,7 @@ def test_shard_hash_mismatch_is_reported_before_a_parse_error(tmp_path):
     np.save(pickled, np.array([_Tripwire(), _Tripwire()], dtype=object), allow_pickle=True)
     for name, damage in (("short", lambda blob: blob[:-1]),  # the array data ends early
                          ("pickled", lambda blob: pickled.getvalue())):
-        manifest = shard(tiny_records(seed=10, n=2), shard_size=2, out_dir=tmp_path / name)
+        manifest = write_shards(tiny_batch(seed=10, n=2), shard_size=2, out_dir=tmp_path / name)
         path = manifest.base_dir / manifest.shards[0].path
         path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(DataError, match="hash mismatch"):
@@ -330,7 +299,7 @@ def test_shard_hash_mismatch_is_reported_before_a_parse_error(tmp_path):
 def test_reading_a_shard_holds_its_array_once(tmp_path):
     records = np.zeros(20_000, record_dtype(MAX_LEN, 20))
     records["y"] = np.arange(len(records)) % 3
-    manifest = write_shards(records, len(records), tmp_path, max_word_chars=20)
+    manifest = write_shards(records, len(records), tmp_path)
     tracemalloc.start()
     try:
         (got,) = load_shards(manifest)
@@ -360,7 +329,7 @@ def test_shard_round_trip_fuzz(sentences, shard_size):
     encoded = [encode_sentence(unify_length(words), token_vocab, char_vocab, label)
                for words, label in sentences]
     with tempfile.TemporaryDirectory() as out:
-        manifest = write_shards(encoded, shard_size, out, max_word_chars=5)
+        manifest = write_shards(stack_sentences(encoded, 5), shard_size, out)
         back = reload(ShardManifest.load(Path(out) / "data.manifest.json"))
     assert len(back) == len(encoded)
     for row, enc in zip(back, encoded):
@@ -505,50 +474,38 @@ def test_plateau_validation():
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Rec:
-    label: int
-    uid: int
-
-
 def imbalanced(counts):
-    out = []
-    uid = 0
-    for label, n in counts.items():
-        for _ in range(n):
-            out.append(Rec(label, uid))
-            uid += 1
-    return out
+    return np.repeat(list(counts), list(counts.values()))
 
 
 def test_undersample_equalizes_to_minority():
-    records = imbalanced({0: 546, 1: 107, 2: 92})
-    out = random_undersample(records, seed=0, num_classes=3)
-    assert Counter(r.label for r in out) == {0: 92, 1: 92, 2: 92}
-    assert set(r.uid for r in out) <= set(r.uid for r in records)
-    assert len({r.uid for r in out}) == len(out)  # sampled without replacement
+    labels = imbalanced({0: 546, 1: 107, 2: 92})
+    kept = undersample_indices(labels, seed=0, num_classes=3)
+    assert Counter(labels[kept].tolist()) == {0: 92, 1: 92, 2: 92}
+    assert kept.min() >= 0 and kept.max() < len(labels)
+    assert len(set(kept.tolist())) == len(kept)  # sampled without replacement
 
 
 def test_undersample_is_deterministic_and_seed_sensitive():
-    records = imbalanced({0: 30, 1: 11})
-    assert random_undersample(records, seed=5) == random_undersample(records, seed=5)
-    assert random_undersample(records, seed=5) != random_undersample(records, seed=6)
+    labels = imbalanced({0: 30, 1: 11})
+    kept = undersample_indices(labels, seed=5)
+    assert np.array_equal(kept, undersample_indices(labels, seed=5))
+    assert not np.array_equal(kept, undersample_indices(labels, seed=6))
 
 
 def test_undersample_no_op_when_balanced():
-    records = imbalanced({0: 10, 1: 10})
-    out = random_undersample(records, seed=1, num_classes=2)
-    assert Counter(r.label for r in out) == {0: 10, 1: 10}
-    assert sorted(r.uid for r in out) == sorted(r.uid for r in records)
+    labels = imbalanced({0: 10, 1: 10})
+    kept = undersample_indices(labels, seed=1, num_classes=2)
+    assert sorted(kept.tolist()) == list(range(20))
 
 
 def test_undersample_missing_class_is_fatal():
-    records = imbalanced({0: 5, 2: 5})
+    labels = imbalanced({0: 5, 2: 5})
     with pytest.raises(DataError) as exc:
-        random_undersample(records, seed=0, num_classes=3)
+        undersample_indices(labels, seed=0, num_classes=3)
     assert "1" in str(exc.value)
     with pytest.raises(DataError):
-        random_undersample([], seed=0)
+        undersample_indices([], seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -557,8 +514,8 @@ def test_undersample_missing_class_is_fatal():
 
 
 def loop_fixtures(tmp_path, n=12, seed=0):
-    records = tiny_records(seed=seed, n=n)
-    manifest = shard(records, shard_size=5, out_dir=tmp_path / "shards", name="train")
+    records = tiny_batch(seed=seed, n=n)
+    manifest = write_shards(records, shard_size=5, out_dir=tmp_path / "shards", name="train")
     return manifest, tiny_emb(seed=seed + 100, dtype=np.float64)
 
 
@@ -640,10 +597,10 @@ def test_train_loop_numerics_error_names_epoch_and_batch(tmp_path):
 
 
 def test_train_loop_separate_eval_manifest(tmp_path):
-    train_records = tiny_records(seed=20, n=10)
-    eval_records = tiny_records(seed=21, n=6)
-    train_m = shard(train_records, 5, tmp_path / "tr", name="train")
-    eval_m = shard(eval_records, 5, tmp_path / "ev", name="test")
+    train_records = tiny_batch(seed=20, n=10)
+    eval_records = tiny_batch(seed=21, n=6)
+    train_m = write_shards(train_records, 5, tmp_path / "tr", name="train")
+    eval_m = write_shards(eval_records, 5, tmp_path / "ev", name="test")
     emb = tiny_emb(seed=22, dtype=np.float64)
     cfg = TrainConfig(epochs=2, batch_size=4, precision="double")
     report, model = train_loop(
@@ -664,7 +621,8 @@ def test_train_loop_shard_passes_per_epoch(tmp_path, monkeypatch, with_eval, pas
 
     monkeypatch.setattr("sarv.train.load_shards", counting_load_shards)
     train_m, emb = loop_fixtures(tmp_path, n=10)
-    eval_m = shard(tiny_records(seed=30, n=6), 5, tmp_path / "ev", name="test") if with_eval else None
+    eval_m = (write_shards(tiny_batch(seed=30, n=6), 5, tmp_path / "ev", name="test")
+              if with_eval else None)
     cfg = TrainConfig(epochs=2, batch_size=4, precision="double")
     train_loop(tiny_spec("W2V_SOFTMAX"), cfg, train_m, emb, tmp_path / "run", eval_manifest=eval_m)
     assert len(passes) == 2 * passes_per_epoch
