@@ -33,7 +33,7 @@ from sarv.train import (
     ShardManifest,
     TrainConfig,
     _eval_confusion,
-    batches,
+    scored_batches,
     split_indices,
     train_loop,
     undersample_indices,
@@ -412,10 +412,10 @@ def cmd_predict(cfg: RunConfig) -> int:
     lines = [ln for ln in split_lines(text) if ln.strip()]
     seqs = tokenize_many(lines, encoder.norm)
     records = encoder.encode_many(seqs, [0] * len(seqs), MAX_LEN)
-    scored = (model.predict(batch, emb) for batch in batches([records], cfg.batch_size))
+    scored = scored_batches(model, [records], emb, cfg.batch_size, "predict")
     text = "".join(
         "\t".join([scheme.classes[y]] + [f"{p:.6f}" for p in row]) + "\n"
-        for labels, probs in scored for y, row in zip(labels, probs)
+        for _, labels, probs in scored for y, row in zip(labels, probs)
     )
     sys.stdout.write(text)
     _write_outputs(cfg, {"predictions.tsv": text})

@@ -164,6 +164,9 @@ class Model:
         self.word_lstm: Lstm | None = None
         self._char_inverse: np.ndarray | None = None  # slot -> distinct char row, last forward
         self._char_rows = 0  # distinct char rows in the last forward
+        # Nothing reads the gradient of the frozen word vectors, so the first
+        # layer over them returns none.  The char presets' word LSTM returns
+        # its whole input gradient, whose char columns feed the char channel.
         word_dim = spec.embed_dim
         if spec.preset in CHAR_PRESETS:
             self.char_proj = OneHotDense(
@@ -174,20 +177,25 @@ class Model:
             )
             word_dim += spec.char_lstm_size
         if spec.preset == "W2V_LSTM" or self.char_lstm is not None:
-            self.word_lstm = Lstm(word_dim, spec.word_lstm_size, rng, dtype, name="word_lstm")
+            self.word_lstm = Lstm(word_dim, spec.word_lstm_size, rng, dtype, name="word_lstm",
+                                  input_grad=self.char_lstm is not None)
             prev = spec.word_lstm_size
         else:
             prev = spec.max_len * spec.embed_dim
         self.layers: list = []
+        grad_below = self.word_lstm is not None  # a layer below the next dense reads its input grad
         if spec.preset in MLP_PRESETS:
             activation = ACTIVATIONS["sigmoid" if spec.preset == "W2V_MLP_SIGMOID" else "relu"]
             for i, size in enumerate(spec.hidden_sizes):
-                self.layers.append(Dense(prev, size, rng, dtype, name=f"dense{i}"))
+                self.layers.append(Dense(prev, size, rng, dtype, name=f"dense{i}",
+                                         input_grad=grad_below))
+                grad_below = True
                 self.layers.append(activation())
                 if spec.preset == "W2V_MLP_RELU_LRDECAY_DROPOUT":
                     self.layers.append(Dropout(spec.dropout_rate))
                 prev = size
-        self.layers.append(Dense(prev, spec.num_classes, rng, dtype, name="head"))
+        self.layers.append(Dense(prev, spec.num_classes, rng, dtype, name="head",
+                                 input_grad=grad_below))
 
     def params(self) -> list[Parameter]:
         out: list[Parameter] = []
@@ -202,8 +210,13 @@ class Model:
         emb_matrix: np.ndarray,
         mode: str = "eval",
         rng: np.random.Generator | None = None,
+        cache: bool = True,
     ) -> np.ndarray:
-        """Probability rows for a record array."""
+        """Probability rows for a record array.
+
+        With ``cache`` False the LSTMs keep no state for ``backward``; only
+        :meth:`predict` passes it.
+        """
         if emb_matrix.shape[1] != self.spec.embed_dim:
             raise ConfigError(
                 f"embedding dim {emb_matrix.shape[1]} != spec embed_dim {self.spec.embed_dim}"
@@ -215,12 +228,12 @@ class Model:
             rows, self._char_inverse = _distinct_rows(batch["c"].reshape(b * max_len, cap))
             self._char_rows = len(rows)
             char_x = self.char_proj.forward(rows)
-            char_h = self.char_lstm.forward(char_x, _char_lengths(rows))
+            char_h = self.char_lstm.forward(char_x, _char_lengths(rows), cache=cache)
             char_h = char_h[self._char_inverse].reshape(b, max_len, self.spec.char_lstm_size)
             x = np.concatenate([x, char_h], axis=2)
         if self.word_lstm is not None:
             # An all-PAD sentence still runs one LSTM step over the zero vector.
-            x = self.word_lstm.forward(x, np.maximum(batch["len"], 1))
+            x = self.word_lstm.forward(x, np.maximum(batch["len"], 1), cache=cache)
         else:
             x = x.reshape(len(batch), x.shape[1] * x.shape[2])
         for layer in self.layers:
@@ -244,8 +257,15 @@ class Model:
             self.char_proj.backward(self.char_lstm.backward(drows))
 
     def predict(self, records: np.ndarray, emb_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Argmax labels (ties break toward the lowest class index) + probs of a record array."""
-        probs = self.forward(records, emb_matrix, mode="eval")
+        """Argmax labels (ties break toward the lowest class index) + probs of a record array.
+
+        The one inference entry point: an eval-mode forward whose LSTMs keep
+        no backward cache, only the packed inputs, the hoisted input
+        projection and one step's ``h`` and ``c``, so ``backward`` cannot
+        follow it.  The probabilities equal ``forward(mode="eval")``'s bit for
+        bit, and peak memory grows with the number of records passed.
+        """
+        probs = self.forward(records, emb_matrix, mode="eval", cache=False)
         return np.argmax(probs, axis=1), probs
 
     def parameter_count(self) -> int:

@@ -71,12 +71,17 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 class Dense:
-    """Affine map ``x @ W + b`` with row-broadcast bias."""
+    """Affine map ``x @ W + b`` with row-broadcast bias.
+
+    With ``input_grad`` False, ``backward`` accumulates the parameter
+    gradients only and returns None, for a first layer whose input is frozen.
+    """
 
     def __init__(self, input_size: int, output_size: int, rng: np.random.Generator | None,
-                 dtype=np.float32, name: str = "dense"):
+                 dtype=np.float32, name: str = "dense", input_grad: bool = True):
         self.name = name
         self.input_size = input_size
+        self.input_grad = input_grad
         self.W = Parameter(f"{name}.W", glorot_uniform(rng, (input_size, output_size), dtype))
         self.b = Parameter(f"{name}.b", np.zeros(output_size, dtype=dtype))
         self._x: np.ndarray | None = None
@@ -92,10 +97,10 @@ class Dense:
         require_finite(out, self.name)
         return out
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def backward(self, dout: np.ndarray) -> np.ndarray | None:
         self.W.grad += self._x.T @ dout
         self.b.grad += dout.sum(axis=0)
-        return dout @ self.W.value.T
+        return dout @ self.W.value.T if self.input_grad else None
 
     def params(self) -> list[Parameter]:
         return [self.W, self.b]
@@ -214,6 +219,24 @@ class Lstm:
     updates only the leading rows whose length exceeds ``t``, and each
     row reads out its final state.  Padded steps are never computed, so
     padded content cannot influence the output or the gradients.
+
+    A training forward (``cache=True``) keeps ``[x_t, h_{t-1}]``, the gate
+    activations and ``c_t`` of every computed step for ``backward``:
+    ``rows * (input_size + 6 * hidden_size)`` values, where ``rows`` is the
+    number of computed steps summed over the batch.  An inference forward
+    (``cache=False``) keeps the packed inputs and the hoisted input
+    projection, ``rows * (input_size + 4 * hidden_size)`` values, plus one
+    step's ``h`` and ``c``, and leaves nothing for ``backward``; it never
+    needs more than a training forward of the same batch.  Both take their
+    memory from one block that the layer keeps and only ever grows, and
+    both give the same output bits.
+
+    With ``input_grad`` False, ``backward`` returns None and builds no input
+    gradient, for a layer whose input is frozen.  Each step still takes its
+    recurrent gradient from the whole ``da @ W.T``: the product over only the
+    recurrent rows of ``W`` is a differently shaped GEMM, which BLAS may round
+    differently (it does at small row counts), and that would change the
+    parameter gradients' bits.
     """
 
     GATES = ("i", "f", "g", "o")
@@ -221,10 +244,11 @@ class Lstm:
     FORGET_BIAS = 1.0  # initial forget-gate bias; every other bias starts at 0
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator | None,
-                 dtype=np.float32, name: str = "lstm"):
+                 dtype=np.float32, name: str = "lstm", input_grad: bool = True):
         self.name = name
         self.input_size = input_size
         self.hidden_size = hidden_size
+        self.input_grad = input_grad
         concat = input_size + hidden_size
         self.W = {
             g: Parameter(f"{name}.W_{g}", glorot_uniform(rng, (concat, hidden_size), dtype))
@@ -240,7 +264,7 @@ class Lstm:
         self._cache: dict[str, np.ndarray] | None = None
         self._block: np.ndarray | None = None
 
-    def forward(self, seq: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    def forward(self, seq: np.ndarray, lengths: np.ndarray, cache: bool = True) -> np.ndarray:
         if seq.ndim != 3 or seq.shape[2] != self.input_size:
             raise ValueError(
                 f"{self.name}: sequence shape {seq.shape} does not match "
@@ -264,52 +288,75 @@ class Lstm:
         W_h = W[n_in:]
         dtype = np.result_type(seq.dtype, W.dtype)
 
-        # One block holds, per computed step in step-major order, xh =
-        # [x_t, h_{t-1}], the gate activations and c_t.  It is kept and reused
-        # while it is large enough: the cache must outlive forward anyway, and
-        # reallocating it for every batch size fragments the heap.
+        # Step t reads h_{t-1} from, and writes c_t to, the rows of h_store and
+        # cell that start at start[t].  A training forward keeps every step's
+        # rows, step-major, with h_{t-1} beside x_t in xh = [x_t, h_{t-1}]; an
+        # inference forward overwrites one step-sized slot of each.
         rows = int(offsets[-1])
-        need = rows * (n_in + 6 * H)
-        if self._block is None or self._block.dtype != dtype or self._block.size < need:
-            self._block = None
-            self._block = np.empty(need, dtype=dtype)
-        xh = self._block[: rows * (n_in + H)].reshape(rows, n_in + H)
-        gates = self._block[rows * (n_in + H): rows * (n_in + 5 * H)].reshape(rows, 4 * H)
-        cell = self._block[rows * (n_in + 5 * H): need].reshape(rows, H)
+        if cache:
+            start = offsets
+            xh, gates, cell = self._carve(dtype, (rows, n_in + H), (rows, 4 * H), (rows, H))
+            x, h_store = xh[:, :n_in], xh[:, n_in:]
+        else:
+            start = np.zeros_like(offsets)
+            x, gates, h_store, cell = self._carve(
+                dtype, (rows, n_in), (rows, 4 * H), (batch, H), (batch, H))
         for t, n in enumerate(active):
-            xh[offsets[t]:offsets[t + 1], :n_in] = seq[order[:n], t]
+            x[offsets[t]:offsets[t + 1]] = seq[order[:n], t]
         if rows:
-            xh[: active[0], n_in:] = 0  # h_{-1}
-        np.matmul(xh[:, :n_in], W[:n_in], out=gates)
+            h_store[: active[0]] = 0  # h_{-1}
+        np.matmul(x, W[:n_in], out=gates)
         gates += b
         out = np.empty((batch, H), dtype=dtype)
         for t, n in enumerate(active):
-            s, e = offsets[t], offsets[t + 1]
-            a = gates[s:e]
+            a = gates[offsets[t]:offsets[t + 1]]
             if t:
-                a += xh[s:e, n_in:] @ W_h
+                a += h_store[start[t]:start[t] + n] @ W_h
             a[:, : 3 * H] = sigmoid(a[:, : 3 * H])
             np.tanh(a[:, 3 * H:], out=a[:, 3 * H:])
             i, f, o, g = a[:, :H], a[:, H:2 * H], a[:, 2 * H:3 * H], a[:, 3 * H:]
-            c = np.multiply(i, g, out=cell[s:e])
             if t:
-                c += f * cell[offsets[t - 1]:offsets[t - 1] + n]
+                kept = f * cell[start[t - 1]:start[t - 1] + n]  # read before c_t can overwrite it
+            c = np.multiply(i, g, out=cell[start[t]:start[t] + n])
+            if t:
+                c += kept
             h = o * np.tanh(c)
             n_next = active[t + 1] if t + 1 < len(active) else 0
-            xh[e:e + n_next, n_in:] = h[:n_next]
+            h_store[start[t + 1]:start[t + 1] + n_next] = h[:n_next]
             out[order[n_next:n]] = h[n_next:]
-        self._cache = {"order": order, "active": active, "offsets": offsets, "W": W,
-                       "xh": xh, "gates": gates, "cell": cell, "seq_shape": seq.shape}
+        if cache:
+            self._cache = {"order": order, "active": active, "offsets": offsets, "W": W,
+                           "xh": xh, "gates": gates, "cell": cell, "seq_shape": seq.shape}
         require_finite(out, self.name)
         return out
 
-    def backward(self, dout: np.ndarray) -> np.ndarray:
+    def _carve(self, dtype, *shapes: tuple[int, int]) -> list[np.ndarray]:
+        """Consecutive 2-d views of ``shapes`` at the start of the layer's block.
+
+        The block is kept and reused while it is large enough: a training
+        cache must outlive ``forward`` anyway, and reallocating it for every
+        batch size fragments the heap.
+        """
+        need = sum(r * c for r, c in shapes)
+        if self._block is None or self._block.dtype != dtype or self._block.size < need:
+            self._block = None
+            self._block = np.empty(need, dtype=dtype)
+        views, at = [], 0
+        for r, c in shapes:
+            views.append(self._block[at:at + r * c].reshape(r, c))
+            at += r * c
+        return views
+
+    def backward(self, dout: np.ndarray) -> np.ndarray | None:
         cache = self._cache
+        if cache is None:
+            raise RuntimeError(f"{self.name}: backward needs the state of a training forward, "
+                               "and the last forward kept none")
         order, active, offsets, W = cache["order"], cache["active"], cache["offsets"], cache["W"]
         xh, gates, cell = cache["xh"], cache["gates"], cache["cell"]
         n_in, H = self.input_size, self.hidden_size
         dtype = dout.dtype
-        dseq = np.zeros(cache["seq_shape"], dtype=dtype)
+        dseq = np.zeros(cache["seq_shape"], dtype=dtype) if self.input_grad else None
         dW = np.zeros_like(W)
         db = np.zeros(4 * H, dtype=dtype)
         # Rows are sorted; a row's readout gradient enters at its last step,
@@ -338,7 +385,8 @@ class Lstm:
             dW += xh[s:e].T @ da
             db += da.sum(axis=0)
             dxh = da @ W.T
-            dseq[order[:n], t] = dxh[:, :n_in]
+            if dseq is not None:
+                dseq[order[:n], t] = dxh[:, :n_in]
             dh[:n] = dxh[:, n_in:]
         for p, grad in zip(self._W_fused, np.split(dW, 4, axis=1)):
             p.grad += grad

@@ -205,13 +205,16 @@ def write_shards(
     With ``rows``, the records at those positions are written, in that
     order, as if ``records[rows]`` had been passed.  Each shard file holds
     the bytes ``np.save`` writes.  It is gathered, written and hashed
-    ``TOKENIZE_CHUNK`` records at a time, so writing holds no more than
-    that many records beyond the input.
+    ``TOKENIZE_CHUNK`` records at a time into one reused buffer, so writing
+    holds no more than that many records beyond the input.
     """
     if shard_size < 1:
         raise ConfigError(f"shard_size must be >= 1, got {shard_size}")
     if rows is None:
         rows = np.arange(len(records))
+    elif len(rows) and not -len(records) <= rows.min() <= rows.max() < len(records):
+        raise IndexError(f"rows must lie in [{-len(records)}, {len(records)})")
+    buffer = np.empty(min(len(rows), textproc.TOKENIZE_CHUNK), records.dtype)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     shards: list[ShardInfo] = []
@@ -227,7 +230,10 @@ def write_shards(
         with open(out_dir / rel, "wb") as fh:
             fh.write(header.getvalue())
             for at in range(0, len(shard_rows), textproc.TOKENIZE_CHUNK):
-                chunk = records[shard_rows[at:at + textproc.TOKENIZE_CHUNK]]
+                idx = shard_rows[at:at + textproc.TOKENIZE_CHUNK]
+                # "wrap" gathers straight into the buffer, where the default "raise"
+                # gathers into a temporary first; the rows were checked above.
+                chunk = np.take(records, idx, out=buffer[:len(idx)], mode="wrap")
                 data = chunk.view(np.uint8)  # the gathered rows' own bytes
                 fh.write(data)
                 digest.update(data)
@@ -491,14 +497,32 @@ class TrainReport:
         return "\n".join(lines) + "\n"
 
 
+def scored_batches(
+    model: Model, shards: Iterable[np.ndarray], emb_matrix: np.ndarray, batch_size: int,
+    where: str,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``(batch, labels, probs)`` for each ``batch_size`` slice, scored by ``Model.predict``.
+
+    A numeric failure is raised again with ``where`` (the pass) and the
+    batch number in front of its message.
+    """
+    for batch_no, batch in enumerate(batches(shards, batch_size)):
+        try:
+            labels, probs = model.predict(batch, emb_matrix)
+        except NumericsError as exc:
+            raise NumericsError(f"{where} batch {batch_no}: {exc}") from exc
+        yield batch, labels, probs
+
+
 def _eval_confusion(
-    model: Model, manifest: ShardManifest, emb_matrix: np.ndarray, batch_size: int
+    model: Model, manifest: ShardManifest, emb_matrix: np.ndarray, batch_size: int,
+    where: str = "eval",
 ) -> ConfusionMatrix:
     num_classes = model.spec.num_classes
     names = LabelScheme.for_num_classes(num_classes).classes
     cm: ConfusionMatrix | None = None
-    for batch in batches(load_shards(manifest), batch_size):
-        preds, _ = model.predict(batch, emb_matrix)
+    for batch, preds, _ in scored_batches(model, load_shards(manifest), emb_matrix, batch_size,
+                                          where):
         part = confusion(preds, batch["y"], num_classes=num_classes, class_names=names)
         cm = part if cm is None else cm.merged(part)
     if cm is None:
@@ -569,10 +593,12 @@ def train_loop(
             n_batches += 1
             global_step += 1
 
-        train_report = metrics(_eval_confusion(model, train_manifest, emb_matrix, cfg.batch_size))
+        train_report = metrics(_eval_confusion(model, train_manifest, emb_matrix, cfg.batch_size,
+                                               f"epoch {epoch} train-accuracy pass"))
         train_acc = train_report.accuracy
         eval_report = train_report if eval_manifest is None else metrics(
-            _eval_confusion(model, eval_manifest, emb_matrix, cfg.batch_size)
+            _eval_confusion(model, eval_manifest, emb_matrix, cfg.batch_size,
+                            f"epoch {epoch} eval pass")
         )
         report.epochs.append(
             EpochStats(

@@ -27,7 +27,7 @@ from sarv.cli import (
 from sarv.corpus import Encoder, RawRecord, encode_sentence
 from sarv.embed import parse_char_vocab, parse_token_vocab
 from sarv.errors import ConfigError
-from sarv.models import Model, load_model
+from sarv.models import Model, load_model, save_model
 from sarv.nn import Parameter, load_checkpoint, save_checkpoint
 from sarv.textproc import MAX_LEN, NormConfig, normalize, tokenize, unify_length
 from sarv.train import ShardManifest
@@ -531,6 +531,60 @@ def trained(tmp_path_factory):
         "--stop-at-train-accuracy", "1.0",
     ]) == 0
     return base, shards, run
+
+
+def _poisoned_checkpoint(trained, path):
+    """The trained checkpoint with one NaN in the head's weights, saved under ``path``."""
+    _, shards, run = trained
+    model, emb, meta = load_model(run / "checkpoint_final.bin", len(Encoder.load(shards).token_vocab))
+    head = model.layers[-1]
+    head.W.value = head.W.value.copy()
+    head.W.value[0, 0] = np.nan
+    save_model(model, path, emb, meta)
+    return path
+
+
+def test_eval_names_the_batch_of_a_numeric_failure(trained, tmp_path, capsys):
+    _, shards, _ = trained
+    ckpt = _poisoned_checkpoint(trained, tmp_path / "poisoned.bin")
+    code, _, stderr = invoke(capsys, "eval", "--checkpoint", ckpt, "--shard-dir", shards,
+                             "--embeddings", bundled_embedding_path(), "--batch-size", 4)
+    assert code == 3
+    assert "sarv: numeric failure: eval batch 0: non-finite values in head" in stderr
+
+
+def test_predict_names_the_batch_of_a_numeric_failure(trained, tmp_path, capsys):
+    _, shards, _ = trained
+    ckpt = _poisoned_checkpoint(trained, tmp_path / "poisoned.bin")
+    inp = tmp_path / "lines.txt"
+    inp.write_text("واقعا عالی بود\n", encoding="utf-8")
+    code, stdout, stderr = invoke(capsys, "predict", "--checkpoint", ckpt, "--shard-dir", shards,
+                                  "--embeddings", bundled_embedding_path(), "--input", inp)
+    assert code == 3
+    assert stdout == ""
+    assert "sarv: numeric failure: predict batch 0: non-finite values in head" in stderr
+
+
+def test_train_names_the_epoch_pass_and_batch_of_a_scoring_failure(trained, tmp_path, capsys,
+                                                                   monkeypatch):
+    import sarv.train
+
+    _, shards, _ = trained
+    step = sarv.train.adam_step
+
+    def poisoning_step(params, lr, state):  # the training step passes, then a weight goes bad
+        step(params, lr, state)
+        params[0].value[0, 0] = np.nan
+
+    monkeypatch.setattr(sarv.train, "adam_step", poisoning_step)
+    code, _, stderr = invoke(
+        capsys, "train", "--shard-dir", shards, "--out-dir", tmp_path / "run",
+        "--embeddings", bundled_embedding_path(), "--preset", "W2V_SOFTMAX",
+        "--optimizer", "adam", "--epochs", 1, "--batch-size", 64,
+    )
+    assert code == 3
+    assert ("sarv: numeric failure: epoch 0 train-accuracy pass batch 0: "
+            "non-finite values in head") in stderr
 
 
 @pytest.mark.parametrize("command", ["train", "eval", "predict"])

@@ -7,6 +7,8 @@ exhaustive multi-seed sweep lives in the acceptance tests).
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,8 @@ from sarv.models import (
     model_loss_fn,
     save_model,
 )
-from sarv.nn import grad_check, one_hot, save_checkpoint, softmax_xent_grad, zero_grads
+from sarv.nn import (Dense, grad_check, one_hot, save_checkpoint, softmax_xent_grad,
+                     zero_grads)
 
 from conftest import (
     TINY_EMBED_DIM,
@@ -295,6 +298,82 @@ def test_eval_forward_is_deterministic(preset):
     a = model.forward(batch, emb)
     b = model.forward(batch, emb)
     np.testing.assert_array_equal(a, b)
+
+
+def _full_size_records(n: int, seed: int, spec: ModelSpec, vocab: int) -> np.ndarray:
+    """Random records in ``spec``'s layout with true lengths 0 to ``max_len``, 0 and 1 included."""
+    rng = np.random.default_rng(seed)
+    records = np.zeros(n, record_dtype(spec.max_len, spec.max_word_chars))
+    records["len"] = rng.integers(0, spec.max_len + 1, size=n)
+    records["len"][:3] = [0, 1, 1]
+    records["y"] = rng.integers(0, spec.num_classes, size=n)
+    for row in records:
+        for slot in range(row["len"]):
+            row["t"][slot] = rng.integers(0, vocab + 1)  # 0: an OOV token
+            row["c"][slot, : rng.integers(1, spec.max_word_chars + 1)] = rng.integers(
+                1, spec.char_vocab_size + 1)
+    return records
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("preset", PRESETS)
+def test_predict_gives_the_eval_forwards_probabilities_bit_for_bit(preset, dtype):
+    spec = ModelSpec(preset=preset, num_classes=3, char_vocab_size=40)
+    model = build_model(spec, rng_seed=5, dtype=dtype)
+    emb = np.random.default_rng(6).normal(size=(300, spec.embed_dim)).astype(dtype)
+    emb[0] = 0.0
+    records = _full_size_records(70, seed=7, spec=spec, vocab=299)
+    for batch in (records, records[1:2], records[:0]):
+        labels, got = model.predict(batch, emb)
+        want = model.forward(batch, emb, mode="eval")
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape == (len(batch), 3)
+        assert got.tobytes() == want.tobytes()
+        assert labels.tolist() == np.argmax(want, axis=1).tolist()
+        assert model.predict(batch, emb)[1].tobytes() == want.tobytes()
+
+
+def test_predict_after_a_training_step_reuses_the_training_block():
+    spec = ModelSpec(preset="W2V_LSTM", char_vocab_size=40)
+    model = build_model(spec, rng_seed=8)
+    emb = np.random.default_rng(9).normal(size=(300, spec.embed_dim)).astype(np.float32)
+    records = _full_size_records(256, seed=10, spec=spec, vocab=299)
+    records["len"] = spec.max_len
+    probs = model.forward(records, emb, mode="train", rng=np.random.default_rng(11))
+    model.backward(softmax_xent_grad(probs, one_hot(records["y"], 2, np.float32)))
+    block = model.word_lstm._block
+    tracemalloc.start()
+    try:
+        model.predict(records, emb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert model.word_lstm._block is block
+    # An inference block of its own would be about 0.7 of the training block.
+    assert peak < 0.3 * block.nbytes, (peak, block.nbytes)
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_backward_after_predict_fails_in_the_first_lstm_it_reaches(preset):
+    model = build_model(tiny_spec(preset), rng_seed=12, dtype=np.float64)
+    batch = tiny_batch(seed=13, n=3)
+    _, probs = model.predict(batch, tiny_emb(seed=14))
+    dlogits = softmax_xent_grad(probs, one_hot(batch["y"], 2))
+    if model.word_lstm is None:
+        model.backward(dlogits)  # the dense chain keeps what its backward needs
+    else:
+        with pytest.raises(RuntimeError, match="word_lstm"):
+            model.backward(dlogits)
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_only_the_char_presets_compute_an_input_gradient_below_the_dense_chain(preset):
+    model = build_model(tiny_spec(preset), rng_seed=0)
+    dense = [layer for layer in model.layers if isinstance(layer, Dense)]
+    # The frozen word vectors take no gradient; the char channel takes the word LSTM's.
+    assert [layer.input_grad for layer in dense] == [model.word_lstm is not None] + [True] * (
+        len(dense) - 1)
+    if model.word_lstm is not None:
+        assert model.word_lstm.input_grad == (preset in CHAR_PRESETS)
 
 
 def test_predict_breaks_ties_toward_lowest_class():

@@ -465,6 +465,71 @@ def test_lstm_does_not_hold_the_previous_batch_while_running_the_next():
     assert second <= first + 1_000_000, (first, second)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_lstm_inference_forward_gives_the_training_forwards_bits(dtype):
+    lstm = Lstm(50, 100, RNG(82), dtype=dtype)
+    seq = RNG(83).normal(size=(64, 15, 50)).astype(dtype)
+    lengths = RNG(84).integers(1, 16, size=64)
+    lengths[:5] = 1
+    for rows in (slice(None), slice(0, 1), slice(5, 6), slice(0, 0)):
+        want = lstm.forward(seq[rows], lengths[rows])
+        got = lstm.forward(seq[rows], lengths[rows], cache=False)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def test_lstm_inference_forward_peaks_at_three_quarters_of_a_training_forward():
+    seq = RNG(81).normal(size=(256, 15, 50)).astype(np.float32)
+    lengths = np.full(256, 15)
+
+    def peak(cache):
+        lstm = Lstm(50, 100, RNG(80), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            lstm.forward(seq, lengths, cache=cache)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    training, inference = peak(True), peak(False)
+    assert inference <= 0.75 * training, (inference, training)
+
+
+def test_lstm_backward_without_a_training_forward_names_the_layer():
+    lstm = Lstm(3, 4, RNG(0), dtype=np.float64, name="word_lstm")
+    seq = RNG(1).normal(size=(2, 3, 3))
+    lengths = np.array([3, 1])
+    dout = np.ones((2, 4))
+    with pytest.raises(RuntimeError, match="word_lstm"):
+        lstm.backward(dout)  # no forward yet
+    lstm.forward(seq, lengths)
+    lstm.forward(seq, lengths, cache=False)  # drops the training forward's state
+    with pytest.raises(RuntimeError, match="word_lstm"):
+        lstm.backward(dout)
+    lstm.forward(seq, lengths)
+    assert lstm.backward(dout).shape == seq.shape
+
+
+@pytest.mark.parametrize("make", [
+    lambda input_grad: Dense(6, 3, RNG(90), dtype=np.float64, input_grad=input_grad),
+    lambda input_grad: Lstm(6, 3, RNG(90), dtype=np.float64, input_grad=input_grad),
+], ids=["dense", "lstm"])
+def test_a_layer_without_an_input_gradient_accumulates_the_same_parameter_gradients(make):
+    x = RNG(91).normal(size=(5, 4, 6))
+    lengths = np.array([4, 1, 3, 4, 2])
+    dout = RNG(92).normal(size=(5, 3))
+    grads = {}
+    for input_grad in (True, False):
+        layer = make(input_grad)
+        args = (x[:, 0],) if isinstance(layer, Dense) else (x, lengths)
+        layer.forward(*args)
+        dx = layer.backward(dout)
+        assert (dx is None) == (not input_grad)
+        grads[input_grad] = [p.grad for p in layer.params()]
+    for with_dx, without in zip(grads[True], grads[False]):
+        assert with_dx.tobytes() == without.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # one-hot dense
 # ---------------------------------------------------------------------------

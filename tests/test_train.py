@@ -147,7 +147,7 @@ def test_write_shards_layout_and_reload(tmp_path):
     assert back.dtype == record_dtype(TINY_MAX_LEN, TINY_MAX_WORD_CHARS)
 
 
-def test_write_shards_holds_two_chunks_beyond_its_input(tmp_path):
+def test_write_shards_holds_one_chunk_beyond_its_input(tmp_path):
     records = np.zeros(20_000, record_dtype(MAX_LEN, 20))
     records["y"] = np.arange(len(records)) % 3
     rows = np.random.default_rng(0).permutation(len(records))
@@ -158,8 +158,18 @@ def test_write_shards_holds_two_chunks_beyond_its_input(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.1 * chunk_bytes, (peak, chunk_bytes)
+    assert peak <= 1.1 * chunk_bytes, (peak, chunk_bytes)
     assert np.array_equal(reload(manifest), records[rows])
+
+
+def test_write_shards_picks_the_rows_indexing_picks(tmp_path):
+    records = tiny_batch(seed=5, n=6)
+    rows = np.array([5, -1, 0, -6, 2])  # negative rows count from the end, as in records[rows]
+    manifest = write_shards(records, 2, tmp_path / "ok", rows=rows)
+    assert reload(manifest).tobytes() == records[rows].tobytes()
+    for bad in ([0, 6], [-7, 1]):
+        with pytest.raises(IndexError):
+            write_shards(records, 2, tmp_path / "bad", rows=np.array(bad))
 
 
 def test_shard_hash_mismatch_is_fatal(tmp_path):
