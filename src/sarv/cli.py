@@ -292,8 +292,7 @@ def cmd_shard(cfg: RunConfig) -> int:
     train, test = split_indices(len(encoded), cfg.split, cfg.seed)
     if cfg.rus:
         train = train[undersample_indices(encoded["y"][train], cfg.seed, cfg.classes)]
-    encoder.save(cfg.out_dir)
-    hashes = encoder.hashes()
+    hashes = encoder.save(cfg.out_dir)
     for name, rows in (("train", train), ("test", test)):
         manifest = write_shards(
             encoded,

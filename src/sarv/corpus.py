@@ -31,7 +31,7 @@ import numpy as np
 from sarv import textproc
 from sarv.embed import (CharVocab, TokenVocab, build_char_vocab, build_token_vocab, encode_chars,
                         encode_token_ids, parse_char_vocab, parse_token_vocab,
-                        serialize_char_vocab, serialize_token_vocab)
+                        serialize_char_vocab, serialize_token_vocab, text_hash)
 from sarv.errors import ConfigError, DataError
 from sarv.textproc import (MAX_LEN, PAD, FixedSentence, LengthHistogram, NormConfig, TokenTable,
                            load_stopwords)
@@ -367,7 +367,8 @@ class Encoder:
     token_vocab: TokenVocab
     char_vocab: CharVocab
 
-    def save(self, out_dir) -> None:
+    def save(self, out_dir) -> dict[str, str]:
+        """Write the encoder's files; return ``hashes()``, taken from the texts written."""
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         files = {
@@ -377,6 +378,7 @@ class Encoder:
         }
         for name, text in files.items():
             (out_dir / name).write_text(text, encoding="utf-8")
+        return self._hashes(text_hash(files["vocab.tsv"]), text_hash(files["chars.tsv"]))
 
     @classmethod
     def load(cls, shard_dir) -> "Encoder":
@@ -393,9 +395,10 @@ class Encoder:
 
     def hashes(self) -> dict[str, str]:
         """This encoder's value for each of ``ENCODER_HASH_KEYS``."""
-        values = (self.token_vocab.vocab_hash(), self.char_vocab.vocab_hash(),
-                  self.norm.config_hash())
-        return dict(zip(ENCODER_HASH_KEYS, values))
+        return self._hashes(self.token_vocab.vocab_hash(), self.char_vocab.vocab_hash())
+
+    def _hashes(self, vocab_hash: str, char_vocab_hash: str) -> dict[str, str]:
+        return dict(zip(ENCODER_HASH_KEYS, (vocab_hash, char_vocab_hash, self.norm.config_hash())))
 
     def encode_many(self, seqs: Sequence[Sequence[str]], labels: Sequence[int],
                     max_len: int) -> np.ndarray:

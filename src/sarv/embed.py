@@ -175,7 +175,7 @@ class CharVocab:
         return len(self.chars)
 
     def vocab_hash(self) -> str:
-        return hashlib.sha256(serialize_char_vocab(self).encode("utf-8")).hexdigest()
+        return text_hash(serialize_char_vocab(self))
 
 
 def build_char_vocab(
@@ -203,6 +203,11 @@ def encode_chars(token: str, vocab: CharVocab) -> np.ndarray:
     for i, ch in enumerate(token[: vocab.max_word_chars]):
         out[i] = vocab.ids.get(ch, 0)
     return out
+
+
+def text_hash(text: str) -> str:
+    """sha256 of ``text`` as UTF-8: what manifests and checkpoints record of a vocabulary file."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def serialize_char_vocab(vocab: CharVocab) -> str:
@@ -248,7 +253,7 @@ class TokenVocab:
         return self.ids.get(token, 0)
 
     def vocab_hash(self) -> str:
-        return hashlib.sha256(serialize_token_vocab(self).encode("utf-8")).hexdigest()
+        return text_hash(serialize_token_vocab(self))
 
 
 def build_token_vocab(corpus: Iterable[TokenSeq | Sequence[str]]) -> TokenVocab:

@@ -3,17 +3,23 @@
 Raw comments pass through three stages before vectorization: character
 normalization (punctuation/digit stripping, Persian unicode folding,
 stopword removal), whitespace tokenization, and truncation/padding to a
-fixed 15-token window.  All functions here are pure and safe to apply
-across records in parallel.  :func:`normalize` is the per-review
-reference; :class:`TokenTable` gives the same tokens for a corpus, chunk
-by chunk, by running the character steps over many reviews at once, and
-:func:`tokenize_many` is its list-of-tokens form.
+fixed 15-token window.  The character steps take two regex passes after
+the yeh/kaf fold: one drops the diacritics, and one turns ZWNJ,
+punctuation, digits and Latin letters into spaces.  Merging the spacing
+steps into one pass gives the same string, because each step maps one
+character on its own over disjoint sets (see ``_strip_chars``).  All
+functions here are pure and safe to apply across records in parallel.
+:func:`normalize` is the per-review reference; :class:`TokenTable` gives
+the same tokens for a corpus, chunk by chunk, by running the character
+steps over many reviews at once, and :func:`tokenize_many` is its
+list-of-tokens form.
 """
 
 from __future__ import annotations
 
 import hashlib
 import re
+import threading
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
@@ -44,23 +50,61 @@ _DIACRITICS_RE = re.compile(r"[ً-ْٰ]")
 # The stripped "letters and numbers" class: ASCII letters/digits plus
 # Arabic-Indic and Extended (Persian) Arabic-Indic digits.
 _LETTERS_DIGITS = "A-Za-z0-9٠-٩۰-۹"
-_LETTERS_DIGITS_RE = re.compile(f"[{_LETTERS_DIGITS}]")
 _WS_RE = re.compile(r"\s+")
 
 
-class _PunctToSpace(dict):
-    """``str.translate`` table mapping punctuation (Unicode category P*) to a space.
+def _char_class(starts: Iterable[int], width: int = 1) -> str:
+    """The body of a regex character class matching ``width`` code points from each of ``starts``."""
+    ranges: list[list[int]] = []
+    for cp in sorted(starts):
+        if ranges and cp == ranges[-1][1] + 1:
+            ranges[-1][1] = cp + width - 1
+        else:
+            ranges.append([cp, cp + width - 1])
+    return "".join(f"\\U{a:08x}-\\U{b:08x}" for a, b in ranges)
 
-    stdlib re has no ``\\p{P}``, so each code point is classified with
-    ``unicodedata`` the first time it is looked up, and cached.
+
+class _ToSpace:
+    """Maps ZWNJ, the stripped letters and digits and punctuation (Unicode P*) to spaces.
+
+    stdlib re has no ``\\p{P}``, so punctuation is classified with
+    ``unicodedata``, one block of 4096 code points at a time, as texts hold
+    it.  The first call classifies the blocks of ASCII and Arabic (U+0000)
+    and of ZWNJ (U+2000).  Each call finds the characters in no classified
+    block in one regex pass, classifies their blocks and recompiles both
+    patterns if there are any, then spaces the class in a second pass.
+    Blocks this wide keep the recompiles few: at most 272 in a process.
     """
 
-    def __missing__(self, cp: int) -> int:
-        self[cp] = out = 0x20 if unicodedata.category(chr(cp)).startswith("P") else cp
-        return out
+    BLOCK_BITS = 12
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._blocks: set[int] = set()
+        self._punct: set[int] = set()
+        self._patterns: tuple[re.Pattern, re.Pattern] | None = None  # (unclassified, to space)
+
+    def __call__(self, text: str) -> str:
+        patterns = self._patterns or self._learn("\x00" + ZWNJ)
+        new = patterns[0].findall(text)
+        if new:
+            patterns = self._learn(new)
+        return patterns[1].sub(" ", text)
+
+    def _learn(self, chars: Iterable[str]) -> tuple[re.Pattern, re.Pattern]:
+        bits = self.BLOCK_BITS
+        with self._lock:
+            for block in {ord(ch) >> bits for ch in chars} - self._blocks:
+                self._blocks.add(block)
+                self._punct.update(cp for cp in range(block << bits, (block + 1) << bits)
+                                   if unicodedata.category(chr(cp)).startswith("P"))
+            seen = _char_class((block << bits for block in self._blocks), 1 << bits)
+            self._patterns = (re.compile(f"[^{seen}]"),
+                              re.compile(f"[{ZWNJ}{_LETTERS_DIGITS}{_char_class(self._punct)}]"))
+            return self._patterns
 
 
-_PUNCT_TO_SPACE = _PunctToSpace()
+_TO_SPACE = _ToSpace()
 
 
 def fold_persian(text: str) -> str:
@@ -143,8 +187,18 @@ class FixedSentence:
 
 
 def _strip_chars(text: str) -> str:
-    """``normalize``'s character steps: fold, then punctuation, digits and letters to spaces."""
-    return _LETTERS_DIGITS_RE.sub(" ", fold_persian(text).translate(_PUNCT_TO_SPACE))
+    """``normalize``'s character steps: fold, then punctuation, digits and letters to spaces.
+
+    Arabic yeh and kaf are replaced, diacritics are dropped in one regex
+    pass, and ZWNJ, punctuation, digits and letters become spaces in a
+    second (see ``_ToSpace``).  This is ``fold_persian`` followed by the
+    spacing steps, character for character: each step maps one character
+    on its own, the sets are disjoint (yeh and kaf are Lo, ZWNJ is Cf,
+    the diacritics are Mn and the letters and digits L or Nd, so none is
+    P*), and no replacement (ی, ک or a space) falls in a later set.
+    """
+    text = text.replace(ARABIC_YEH, PERSIAN_YEH).replace(ARABIC_KAF, PERSIAN_KAF)
+    return _TO_SPACE(_DIACRITICS_RE.sub("", text))
 
 
 def normalize(raw: str, cfg: NormConfig) -> str:

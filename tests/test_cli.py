@@ -153,8 +153,7 @@ def test_shard_same_seed_reproduces_identical_hashes(tmp_path, capsys):
     assert [s.sha256 for s in outs[0].shards] == [s.sha256 for s in outs[1].shards]
 
 
-def test_shard_serialises_the_token_vocab_once_for_the_file_and_once_for_its_hash(
-        tmp_path, capsys, monkeypatch):
+def test_shard_serialises_the_token_vocab_once(tmp_path, capsys, monkeypatch):
     import sarv.corpus
     import sarv.embed
 
@@ -171,7 +170,7 @@ def test_shard_serialises_the_token_vocab_once_for_the_file_and_once_for_its_has
     code, _, _ = invoke(capsys, "shard", "--corpus", corpus, "--out-dir", tmp_path / "s",
                         "--seed", 9, "--shard-size", 10)
     assert code == 0
-    assert len(calls) == 2  # vocab.tsv, then vocab_hash for both manifests
+    assert len(calls) == 1  # vocab.tsv, whose text also gives both manifests' vocab_hash
 
 
 def test_shard_sizes_follow_arithmetic(tmp_path, capsys):

@@ -230,10 +230,12 @@ def test_encoder_round_trip_and_check(tmp_path):
     token_vocab, char_vocab = make_vocabs("خوب بد کتاب")
     norm = NormConfig(stopwords=frozenset({"كتاب", "Very "}))  # Arabic kaf, case, padding
     encoder = Encoder(norm, token_vocab, char_vocab)
-    encoder.save(tmp_path)
+    hashes = encoder.save(tmp_path)
     assert (tmp_path / "stopwords.txt").read_text("utf-8") == "very\nکتاب\n"
     back = Encoder.load(tmp_path)
-    hashes = encoder.hashes()
+    assert hashes == encoder.hashes()
+    assert hashes["vocab_hash"] == token_vocab.vocab_hash()
+    assert hashes["char_vocab_hash"] == char_vocab.vocab_hash()
     assert back == encoder
     assert back.hashes() == hashes
     check_hashes(back.hashes(), hashes, "manifest")

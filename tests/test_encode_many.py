@@ -5,14 +5,18 @@ give every review the tokens ``tokenize(normalize(...))`` gives it alone.
 ``encode_many`` encodes each distinct token once and gathers the record
 array from that table; from token sequences and a slot count it must
 give the same bytes as stacking one ``encode_sentence(unify_length(...))``
-per review, and refuse ids the record layout cannot hold.  ``normalize``
-replaces punctuation through a ``str.translate`` table that classifies
-each code point once; its classification must be
-``unicodedata.category(ch).startswith("P")``.
+per review, and refuse ids the record layout cannot hold.  The character
+steps run as two regex passes whose space class learns punctuation as
+texts hold it; they must give what ``text_reference.reference_strip``
+gives one character at a time, on every code point, whatever the order
+the characters are first met in, and must treat exactly
+``unicodedata.category(ch).startswith("P")`` as punctuation.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
 import unicodedata
 
 import numpy as np
@@ -24,10 +28,11 @@ import sarv.textproc
 from sarv.corpus import Encoder, encode_sentence, record_dtype
 from sarv.embed import CharVocab, TokenVocab
 from sarv.errors import DataError
-from sarv.textproc import (_PUNCT_TO_SPACE, MAX_LEN, NormConfig, bundled_stopwords, normalize,
+from sarv.textproc import (MAX_LEN, NormConfig, _strip_chars, bundled_stopwords, normalize,
                            tokenize, tokenize_many, unify_length)
 
 from conftest import stack_sentences
+from text_reference import reference_strip, strip_char
 
 KNOWN = "ابپتثجچ"
 UNKNOWN = "ژکگ"
@@ -118,17 +123,86 @@ def test_encode_many_refuses_fewer_than_one_slot():
 
 @given(st.lists(st.integers(0, 0x10FFFF), min_size=1, max_size=64))
 @settings(max_examples=300, deadline=None)
-def test_translate_table_classifies_punctuation_like_unicodedata(points):
+def test_strip_classifies_punctuation_like_unicodedata(points):
     text = "".join(chr(cp) for cp in points)
-    want = "".join(" " if unicodedata.category(ch).startswith("P") else ch for ch in text)
-    assert text.translate(_PUNCT_TO_SPACE) == want
+    want = "".join(" " if unicodedata.category(ch).startswith("P") else strip_char(ch) for ch in text)
+    assert _strip_chars(text) == want
 
 
-def test_translate_table_on_sampled_bmp_and_astral_points():
+def test_strip_on_sampled_bmp_and_astral_points():
     rng = np.random.default_rng(0)
     points = np.concatenate([rng.integers(0, 0x10000, 4000), rng.integers(0x10000, 0x110000, 4000),
                              np.arange(0x2000, 0x2070), np.arange(0x0600, 0x0700)])
     for cp in points.tolist():
         ch = chr(cp)
-        want = " " if unicodedata.category(ch).startswith("P") else ch
-        assert ch.translate(_PUNCT_TO_SPACE) == want, hex(cp)
+        want = " " if unicodedata.category(ch).startswith("P") else strip_char(ch)
+        assert _strip_chars(ch) == want, hex(cp)
+
+
+@pytest.fixture
+def fresh_strip(monkeypatch):
+    """``_strip_chars`` whose space class has classified no character yet."""
+    monkeypatch.setattr(sarv.textproc, "_TO_SPACE", sarv.textproc._ToSpace())
+    return _strip_chars
+
+
+def test_fresh_strip_on_every_bmp_point_at_once(fresh_strip):
+    text = "".join(map(chr, range(0x10000)))  # lone surrogates included
+    assert fresh_strip(text) == reference_strip(text)
+
+
+def test_fresh_strip_on_every_bmp_point_one_at_a_time(fresh_strip):
+    for cp in range(0x10000):
+        ch = chr(cp)
+        assert fresh_strip(ch) == strip_char(ch), hex(cp)
+
+
+def test_fresh_strip_on_sampled_astral_points_and_noise(fresh_strip):
+    rng = np.random.default_rng(1)
+    astral = "".join(map(chr, rng.integers(0x10000, 0x110000, 8000).tolist()))
+    assert fresh_strip(NOISE) == reference_strip(NOISE)
+    assert fresh_strip(astral) == reference_strip(astral)
+    assert fresh_strip(NOISE + astral + KNOWN) == reference_strip(NOISE + astral + KNOWN)
+
+
+@pytest.mark.parametrize("text", ["]", "\\", "^", "-", "[^]", "]\\^-", "a-z", "[\\]^-]ب"])
+def test_fresh_strip_on_regex_class_metacharacters(fresh_strip, text):
+    assert fresh_strip(text) == reference_strip(text)
+
+
+def test_punctuation_first_met_in_a_later_call_is_spaced(fresh_strip):
+    assert fresh_strip("کتاب خوب") == "کتاب خوب"
+    # U+2E2E, U+FD3E and U+10100 are punctuation on pages the first call did not classify.
+    for _ in range(2):
+        assert fresh_strip("کتاب\u2e2eخوب\ufd3eبد\U00010100😀") == "کتاب خوب بد 😀"
+
+
+def test_fresh_strip_from_many_threads_at_once(monkeypatch):
+    # Every 4096-code-point block outside the first call's that holds punctuation,
+    # each first met by its own thread.  A block taken as classified before its
+    # punctuation is recorded would leave that punctuation unspaced for good.
+    blocks = [1, 3, 10, 15, 16, 17, 18, 22, 27, 29, 30]
+    texts = ["".join(map(chr, range(b << 12, (b + 1) << 12))) + "\n" + KNOWN for b in blocks]
+    want = [reference_strip(t) for t in texts]
+
+    def strip(i):
+        start.wait(timeout=60)
+        got[i] = _strip_chars(texts[i])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            monkeypatch.setattr(sarv.textproc, "_TO_SPACE", sarv.textproc._ToSpace())
+            start = threading.Barrier(len(texts))
+            got = [None] * len(texts)
+            threads = [threading.Thread(target=strip, args=(i,)) for i in range(len(texts))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert got == want
+            assert [_strip_chars(t) for t in texts] == want
+    finally:
+        sys.setswitchinterval(interval)
