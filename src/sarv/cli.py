@@ -12,33 +12,26 @@ error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import configparser
 import os
 import sys
 from dataclasses import dataclass, field, fields
 from itertools import groupby
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from sarv.corpus import (CorpusReader, Encoder, LabelScheme, check_hashes, encode_corpus,
                          split_lines, to_json_lines)
 from sarv.embed import embedding_matrix, embeddings_sha256, load_embeddings
 from sarv.errors import ConfigError, DataError, NumericsError, SarvError
-from sarv.metrics import category_stats, metrics
-from sarv.models import CHAR_PRESETS, EMBEDDINGS_HASH_KEY, PRESETS, ModelSpec, load_model
+from sarv.models import (CHAR_PRESETS, EMBEDDINGS_HASH_KEY, OPTIMIZERS, PRECISIONS, PRESETS,
+                         SCHEDULES, ModelSpec, load_model, scored_batches)
 from sarv.textproc import MAX_LEN, TOKENIZE_CHUNK, NormConfig, load_stopwords, tokenize_many
-from sarv.train import (
-    OPTIMIZERS,
-    PRECISIONS,
-    SCHEDULES,
-    ShardManifest,
-    TrainConfig,
-    _eval_confusion,
-    scored_batches,
-    split_indices,
-    train_loop,
-    undersample_indices,
-    write_shards,
-)
+
+# ``predict`` never trains, scores a manifest or reads an INI file, so the
+# trainer, the metrics and configparser are imported only by the commands
+# that use them; each is a few milliseconds of every process's start-up.
+if TYPE_CHECKING:
+    from sarv.train import ShardManifest
 
 SEED_ENV_VAR = "SARV_SEED"
 
@@ -161,6 +154,8 @@ def config_to_ini(cfg: RunConfig) -> str:
 
 def config_from_ini(path) -> dict:
     """Read an INI file into {field: value}, validating names strictly."""
+    import configparser
+
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -282,6 +277,8 @@ def cmd_preprocess(cfg: RunConfig) -> int:
 
 
 def cmd_shard(cfg: RunConfig) -> int:
+    from sarv.train import split_indices, undersample_indices, write_shards
+
     _require(cfg, "corpus", "out_dir")
     if cfg.shard_size < 1:  # refused before anything is read or written
         raise ConfigError(f"shard_size must be >= 1, got {cfg.shard_size}")
@@ -310,6 +307,8 @@ def cmd_shard(cfg: RunConfig) -> int:
 
 def _checked_manifest(path: Path, hashes: dict[str, str], num_classes: int) -> ShardManifest:
     """The manifest at ``path``, by the encoder of ``hashes``, with labels below ``num_classes``."""
+    from sarv.train import ShardManifest
+
     manifest = ShardManifest.load(path)
     check_hashes(hashes, manifest.encoder_hashes, f"manifest {path}")
     outside = sorted(k for k in manifest.class_histogram if not 0 <= k < num_classes)
@@ -355,6 +354,8 @@ def _load_checkpoint(cfg: RunConfig, encoder: Encoder, hashes: dict[str, str]):
 
 
 def cmd_train(cfg: RunConfig) -> int:
+    from sarv.train import TrainConfig, train_loop
+
     _require(cfg, "embeddings", "out_dir")
     shard_dir = Path(cfg.shard_dir or cfg.out_dir)
     encoder = Encoder.load(shard_dir)
@@ -383,6 +384,9 @@ def cmd_train(cfg: RunConfig) -> int:
 
 
 def cmd_eval(cfg: RunConfig) -> int:
+    from sarv.metrics import metrics
+    from sarv.train import _eval_confusion
+
     _require(cfg, "checkpoint", "embeddings")
     shard_dir = Path(cfg.shard_dir or cfg.out_dir or ".")
     encoder = Encoder.load(shard_dir)
@@ -408,8 +412,16 @@ def cmd_predict(cfg: RunConfig) -> int:
             raise DataError(f"cannot read input {cfg.input_path}: {exc}") from exc
     else:
         text = sys.stdin.read()
-    lines = [ln for ln in split_lines(text) if ln.strip()]
+    given = split_lines(text)
+    if given[-1] == "":  # what follows the last line end (or empty input) is no line
+        given.pop()
+    lines = [ln for ln in given if ln.strip()]
     seqs = tokenize_many(lines, encoder.norm)
+    if len(given) > len(lines):
+        print(f"warning: dropped {len(given) - len(lines)} blank input line(s)", file=sys.stderr)
+    tokenless = sum(not seq for seq in seqs)
+    if tokenless:
+        print(f"warning: {tokenless} input line(s) normalised to no token", file=sys.stderr)
     records = encoder.encode_many(seqs, [0] * len(seqs), MAX_LEN)
     scored = scored_batches(model, [records], emb, cfg.batch_size, "predict")
     text = "".join(
@@ -422,6 +434,8 @@ def cmd_predict(cfg: RunConfig) -> int:
 
 
 def cmd_stats(cfg: RunConfig) -> int:
+    from sarv.metrics import category_stats
+
     _require(cfg, "corpus")
     reader = CorpusReader(**_corpus_args(cfg))
     stats = category_stats(reader, LabelScheme.for_num_classes(cfg.classes))

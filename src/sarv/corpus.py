@@ -12,6 +12,8 @@ recorded.  :class:`CorpusReader` and :func:`encode_corpus` stream a
 corpus file into a record array one chunk of reviews at a time.
 :func:`encode_sentence` encodes one review as an :class:`EncodedSentence`
 tuple, the reference ``Encoder.encode_many`` is tested against.
+:func:`batches` cuts a stream of record arrays (the shards of a manifest,
+or ``predict``'s one array) into fixed-size batches.
 """
 
 from __future__ import annotations
@@ -329,6 +331,30 @@ def record_dtype(max_len: int, max_word_chars: int) -> np.dtype:
         ("t", "<i4", (max_len,)),
         ("c", "<u2", (max_len, max_word_chars)),
     ])
+
+
+def batches(shards: Iterable[np.ndarray], size: int) -> Iterator[np.ndarray]:
+    """Consecutive ``size``-record slices of a stream of record arrays.
+
+    A batch that crosses a shard boundary is the concatenation of its
+    pieces; a shard's leftover is copied so the shard itself can be
+    dropped.  The last batch may be short.
+    """
+    if size < 1:
+        raise ConfigError(f"batch size must be >= 1, got {size}")
+    pending: list[np.ndarray] = []
+    have = 0
+    for records in shards:
+        while len(records):
+            piece, records = records[:size - have], records[size - have:]
+            have += len(piece)
+            if have < size:
+                pending.append(piece.copy())
+            else:
+                yield np.concatenate(pending + [piece]) if pending else piece
+                pending, have = [], 0
+    if pending:
+        yield np.concatenate(pending)
 
 
 def encode_sentence(

@@ -15,16 +15,22 @@ only chooses which stages it has:
    sigmoid or relu (and dropout after every hidden activation in the
    ``_DROPOUT`` preset); ``W2V_SOFTMAX`` has none.
 4. ``head``: a dense layer to class logits, then softmax.
+
+:func:`scored_batches` scores a stream of record arrays batch by batch
+through ``Model.predict``; ``sarv predict`` and the eval passes of
+:mod:`sarv.train` share it.  The training choices (``OPTIMIZERS``,
+``SCHEDULES``, ``PRECISIONS``) sit beside ``PRESETS``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from sarv.corpus import char_widths
-from sarv.errors import ConfigError, DataError
+from sarv.corpus import batches, char_widths
+from sarv.errors import ConfigError, DataError, NumericsError
 from sarv.nn import (
     ACTIVATIONS,
     Dense,
@@ -53,6 +59,12 @@ PRESETS = (
 
 MLP_PRESETS = ("W2V_MLP_SIGMOID", "W2V_MLP_RELU_LRDECAY", "W2V_MLP_RELU_LRDECAY_DROPOUT")
 CHAR_PRESETS = ("CHAR_W2V_LSTM_RUS", "CHAR_W2V_LSTM")
+
+# The training choices ``sarv.train.TrainConfig`` accepts.  They live here
+# so the CLI can offer them as flag choices without importing the trainer.
+OPTIMIZERS = ("sgd", "adam")
+SCHEDULES = ("constant", "exp", "plateau")
+PRECISIONS = ("single", "double")
 
 # The checkpoint array holding the frozen word-vector matrix, and the
 # metadata key holding the sha256 of the file it was built from.
@@ -270,6 +282,23 @@ class Model:
 
     def parameter_count(self) -> int:
         return sum(p.value.size for p in self.params())
+
+
+def scored_batches(
+    model: Model, shards: Iterable[np.ndarray], emb_matrix: np.ndarray, batch_size: int,
+    where: str,
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``(batch, labels, probs)`` for each ``batch_size`` slice, scored by ``Model.predict``.
+
+    A numeric failure is raised again with ``where`` (the pass) and the
+    batch number in front of its message.
+    """
+    for batch_no, batch in enumerate(batches(shards, batch_size)):
+        try:
+            labels, probs = model.predict(batch, emb_matrix)
+        except NumericsError as exc:
+            raise NumericsError(f"{where} batch {batch_no}: {exc}") from exc
+        yield batch, labels, probs
 
 
 def build_model(

@@ -1,11 +1,15 @@
-"""Optimizers, LR schedules, rebalancing, disk shards, and the train loop.
+"""Disk shards, optimizers, LR schedules, rebalancing, and the train loop.
 
 Encoded records are stored as fixed-size ``.npy`` shards, each one
 structured record array (:func:`sarv.corpus.record_dtype`) with its
 sha256 in a manifest; the loader reads and checks one shard at a time,
 so only one shard is ever resident.  Every pass over the records
-(train, frozen train-accuracy, eval) is ``load_shards`` -> ``batches``
--> model, and a batch is a slice of a shard array.
+(train, frozen train-accuracy, eval) is ``load_shards`` ->
+:func:`sarv.corpus.batches` -> model, and a batch is a slice of a shard
+array; the scoring passes go through :func:`sarv.models.scored_batches`.
+The choices :class:`TrainConfig` checks (``OPTIMIZERS``, ``SCHEDULES``,
+``PRECISIONS``) live in :mod:`sarv.models`, so ``sarv predict`` can
+build its flags without importing this module.
 Training is single-writer over the model parameters and fully
 deterministic under a fixed seed.
 """
@@ -20,22 +24,19 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from sarv import textproc
-from sarv.corpus import ENCODER_HASH_KEYS, LabelScheme, record_dtype
+from sarv.corpus import ENCODER_HASH_KEYS, LabelScheme, batches, record_dtype
 from sarv.errors import ConfigError, DataError, NumericsError
 from sarv.metrics import ConfusionMatrix, confusion, metrics
-from sarv.models import EMBEDDINGS_HASH_KEY, Model, ModelSpec, build_model, save_model
+from sarv.models import (EMBEDDINGS_HASH_KEY, OPTIMIZERS, PRECISIONS, SCHEDULES, Model,
+                         ModelSpec, build_model, save_model, scored_batches)
 from sarv.nn import (HashingFileReader, Parameter, cross_entropy, one_hot, softmax_xent_grad,
                      zero_grads)
 from sarv.textproc import MAX_LEN
-
-OPTIMIZERS = ("sgd", "adam")
-SCHEDULES = ("constant", "exp", "plateau")
-PRECISIONS = ("single", "double")
 
 
 @dataclass(frozen=True)
@@ -320,30 +321,6 @@ def load_shards(manifest: ShardManifest) -> ShardReader:
     return ShardReader(manifest)
 
 
-def batches(shards: Iterable[np.ndarray], size: int) -> Iterator[np.ndarray]:
-    """Consecutive ``size``-record slices of a stream of record arrays.
-
-    A batch that crosses a shard boundary is the concatenation of its
-    pieces; a shard's leftover is copied so the shard itself can be
-    dropped.  The last batch may be short.
-    """
-    if size < 1:
-        raise ConfigError(f"batch size must be >= 1, got {size}")
-    pending: list[np.ndarray] = []
-    have = 0
-    for records in shards:
-        while len(records):
-            piece, records = records[:size - have], records[size - have:]
-            have += len(piece)
-            if have < size:
-                pending.append(piece.copy())
-            else:
-                yield np.concatenate(pending + [piece]) if pending else piece
-                pending, have = [], 0
-    if pending:
-        yield np.concatenate(pending)
-
-
 # ---------------------------------------------------------------------------
 # Optimizers and schedules
 # ---------------------------------------------------------------------------
@@ -495,23 +472,6 @@ class TrainReport:
         lines.append(f"best_checkpoint {self.best_checkpoint_hash}")
         lines.append(f"final_checkpoint {self.final_checkpoint_hash}")
         return "\n".join(lines) + "\n"
-
-
-def scored_batches(
-    model: Model, shards: Iterable[np.ndarray], emb_matrix: np.ndarray, batch_size: int,
-    where: str,
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """``(batch, labels, probs)`` for each ``batch_size`` slice, scored by ``Model.predict``.
-
-    A numeric failure is raised again with ``where`` (the pass) and the
-    batch number in front of its message.
-    """
-    for batch_no, batch in enumerate(batches(shards, batch_size)):
-        try:
-            labels, probs = model.predict(batch, emb_matrix)
-        except NumericsError as exc:
-            raise NumericsError(f"{where} batch {batch_no}: {exc}") from exc
-        yield batch, labels, probs
 
 
 def _eval_confusion(

@@ -6,8 +6,11 @@ import configparser
 import hashlib
 import io
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
@@ -15,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import sarv.cli
 from sarv.cli import (
     PRESET_TRAIN_DEFAULTS,
     RunConfig,
@@ -354,6 +358,27 @@ def test_cli_surface_is_pinned():
         assert {a.dest for a in sub._actions} - {"help", "config"} <= field_names, name
 
 
+def test_train_help_lists_the_training_choices(capsys):
+    assert main(["train", "--help"]) == 0
+    out = capsys.readouterr().out
+    for choices in ("{sgd,adam}", "{constant,exp,plateau}", "{single,double}"):
+        assert choices in out
+
+
+@pytest.mark.parametrize("flag", ["--optimizer", "--lr-schedule", "--precision"])
+def test_bad_training_choice_exits_one_before_any_file_is_read(flag, tmp_path, capsys):
+    # Reading the absent shard directory would be a data error (exit 2).
+    out = tmp_path / "out"
+    code, stdout, stderr = invoke(
+        capsys, "train", flag, "bogus", "--shard-dir", tmp_path / "absent",
+        "--embeddings", tmp_path / "absent.txt", "--out-dir", out,
+    )
+    assert code == 1
+    assert stdout == ""
+    assert f"argument {flag}: invalid choice: 'bogus'" in stderr
+    assert not out.exists()
+
+
 def test_every_config_field_has_one_ini_key():
     ini = configparser.ConfigParser(interpolation=None)
     ini.read_string(config_to_ini(RunConfig()))
@@ -374,6 +399,29 @@ def test_resolved_ini_round_trips_through_config_flag(tmp_path, capsys, empty_st
     code, _, _ = invoke(capsys, "preprocess", "--config", out / "resolved.ini")
     assert code == 0
     assert (out / "resolved.ini").read_bytes() == first
+
+
+def test_train_config_file_round_trips(trained, tmp_path, capsys):
+    _, shards, _ = trained
+    ini = tmp_path / "run.ini"
+    ini.write_text("[run]\nprecision = double\n\n"
+                   "[train]\noptimizer = sgd\nlr_schedule = exp\nepochs = 1\nbatch_size = 16\n",
+                   encoding="utf-8")
+    out = tmp_path / "out"
+    code, _, _ = invoke(capsys, "train", "--config", ini, "--shard-dir", shards,
+                        "--embeddings", bundled_embedding_path(), "--out-dir", out)
+    assert code == 0
+    resolved = config_from_ini(out / "resolved.ini")
+    assert {k: resolved[k] for k in ("precision", "optimizer", "lr_schedule", "epochs",
+                                     "batch_size")} == {
+        "precision": "double", "optimizer": "sgd", "lr_schedule": "exp", "epochs": 1,
+        "batch_size": 16}
+    first = (out / "resolved.ini").read_bytes()
+    checkpoint = (out / "checkpoint_final.bin").read_bytes()
+    code, _, _ = invoke(capsys, "train", "--config", out / "resolved.ini")
+    assert code == 0
+    assert (out / "resolved.ini").read_bytes() == first
+    assert (out / "checkpoint_final.bin").read_bytes() == checkpoint
 
 
 # ---------------------------------------------------------------------------
@@ -884,6 +932,72 @@ def test_predict_splits_input_only_at_line_ends(trained, tmp_path, capsys, monke
     # str.splitlines would make.
     assert from_file == from_stdin
     assert len(from_file.splitlines()) == 3
+
+
+def test_predict_counts_blank_and_tokenless_lines_on_stderr(trained, tmp_path, capsys):
+    _, shards, run = trained
+    argv = ("predict", "--checkpoint", run / "checkpoint_best.bin", "--shard-dir", shards,
+            "--embeddings", bundled_embedding_path(), "--input")
+    clean, noisy, kept = tmp_path / "clean.txt", tmp_path / "noisy.txt", tmp_path / "kept.txt"
+    clean.write_text("عالی\nافتضاح\n", encoding="utf-8")
+    # Three blank lines ("", "  \t", ""); "!!!" and "123" keep no token.
+    noisy.write_text("\nعالی\n  \t\n!!!\nافتضاح\n123\n\n", encoding="utf-8")
+    kept.write_text("عالی\n!!!\nافتضاح\n123", encoding="utf-8")
+
+    code, stdout, stderr = invoke(capsys, *argv, clean)
+    assert code == 0 and len(stdout.splitlines()) == 2
+    assert stderr == ""
+    code, from_noisy, stderr = invoke(capsys, *argv, noisy)
+    assert code == 0
+    assert stderr == ("warning: dropped 3 blank input line(s)\n"
+                      "warning: 2 input line(s) normalised to no token\n")
+    code, from_kept, stderr = invoke(capsys, *argv, kept)
+    assert code == 0
+    assert stderr == "warning: 2 input line(s) normalised to no token\n"
+    assert from_noisy == from_kept
+    assert from_noisy.splitlines()[0] == stdout.splitlines()[0]
+    assert from_noisy.splitlines()[2] == stdout.splitlines()[1]
+
+
+# Run in a fresh interpreter: sarv with the given arguments, then the names in
+# sys.modules, one a line, into the file named first.
+_LIST_MODULES = """\
+import sys
+from sarv.cli import main
+code = main(sys.argv[2:])
+with open(sys.argv[1], "w", encoding="utf-8") as fh:
+    fh.write("\\n".join(sorted(sys.modules)))
+sys.exit(code)
+"""
+
+# What only shard, train, eval, stats and a --config file use.
+TRAINING_ONLY_MODULES = {"sarv.train", "sarv.metrics", "configparser"}
+
+
+def modules_loaded_by(tmp_path, *argv) -> set[str]:
+    listing = tmp_path / "modules.txt"
+    src = Path(sarv.cli.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", _LIST_MODULES, str(listing), *map(str, argv)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(listing.read_text("utf-8").split())
+
+
+def test_predict_and_help_load_no_training_code(trained, tmp_path):
+    _, shards, run = trained
+    inp = tmp_path / "lines.txt"
+    inp.write_text("واقعا عالی بود\n", encoding="utf-8")
+    loaded = modules_loaded_by(tmp_path, "predict", "--checkpoint", run / "checkpoint_best.bin",
+                               "--shard-dir", shards, "--embeddings", bundled_embedding_path(),
+                               "--input", inp, "--out-dir", tmp_path / "pred")
+    assert (tmp_path / "pred" / "predictions.tsv").exists()  # a whole predict ran
+    assert {"sarv.cli", "sarv.models", "sarv.corpus"} <= loaded
+    assert not loaded & TRAINING_ONLY_MODULES
+    loaded = modules_loaded_by(tmp_path, "--help")
+    assert "sarv.cli" in loaded
+    assert not loaded & TRAINING_ONLY_MODULES
 
 
 def test_predict_scores_in_batches_of_the_configured_size(trained, tmp_path, capsys,

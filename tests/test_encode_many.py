@@ -28,11 +28,11 @@ import sarv.textproc
 from sarv.corpus import Encoder, encode_sentence, record_dtype
 from sarv.embed import CharVocab, TokenVocab
 from sarv.errors import DataError
-from sarv.textproc import (MAX_LEN, NormConfig, _strip_chars, bundled_stopwords, normalize,
-                           tokenize, tokenize_many, unify_length)
+from sarv.textproc import (MAX_LEN, NormConfig, _strip_chars, bundled_stopwords, fold_persian,
+                           normalize, tokenize, tokenize_many, unify_length)
 
 from conftest import stack_sentences
-from text_reference import reference_strip, strip_char
+from text_reference import FOLDS, ZWNJ, is_diacritic, reference_strip, strip_char
 
 KNOWN = "ابپتثجچ"
 UNKNOWN = "ژکگ"
@@ -163,6 +163,16 @@ def test_fresh_strip_on_sampled_astral_points_and_noise(fresh_strip):
     assert fresh_strip(NOISE) == reference_strip(NOISE)
     assert fresh_strip(astral) == reference_strip(astral)
     assert fresh_strip(NOISE + astral + KNOWN) == reference_strip(NOISE + astral + KNOWN)
+
+
+def test_arabic_kaf_beside_diacritics_and_zwnj_is_folded_not_dropped():
+    # The diacritics class also holds Arabic kaf, which both callers fold first.
+    text = "كَتابٌ\u200cهاي يِكْ\u200cكٰ كً\u064e\u0670ي\u200cك ك"
+    assert _strip_chars(text) == reference_strip(text)
+    folded = "".join(" " if ch == ZWNJ else "" if is_diacritic(ch) else FOLDS.get(ch, ch)
+                     for ch in text)
+    assert fold_persian(text) == folded
+    assert fold_persian(text).count("\u06a9") == text.count("\u0643") == 6
 
 
 @pytest.mark.parametrize("text", ["]", "\\", "^", "-", "[^]", "]\\^-", "a-z", "[\\]^-]ب"])

@@ -25,6 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sarv.models
+import sarv.train
 from sarv.corpus import encode_sentence, record_dtype
 from sarv.embed import build_char_vocab, build_token_vocab
 from sarv.errors import ConfigError, DataError, NumericsError
@@ -97,6 +99,19 @@ def test_train_config_validation():
     TrainConfig(stop_at_train_accuracy=1.0)
     assert TrainConfig(precision="double").dtype == np.float64
     assert TrainConfig(precision="single").dtype == np.float32
+
+
+@pytest.mark.parametrize("name, tuple_name", [
+    ("optimizer", "OPTIMIZERS"), ("lr_schedule", "SCHEDULES"), ("precision", "PRECISIONS")])
+def test_train_config_takes_exactly_its_choice_tuples(name, tuple_name):
+    # The CLI offers the tuples of sarv.models as flag choices; the trainer checks the same ones.
+    choices = getattr(sarv.train, tuple_name)
+    assert choices is getattr(sarv.models, tuple_name)
+    for value in choices:
+        assert getattr(TrainConfig(**{name: value}), name) == value
+    for bad in ("", "bogus", choices[0].upper(), f" {choices[0]}"):
+        with pytest.raises(ConfigError, match=name):
+            TrainConfig(**{name: bad})
 
 
 def test_split_eight_two():
