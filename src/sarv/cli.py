@@ -400,19 +400,37 @@ def cmd_eval(cfg: RunConfig) -> int:
     return 0
 
 
+def _read_input(cfg: RunConfig) -> str:
+    """The text to score: ``--input``, or else stdin, as strict UTF-8.
+
+    Invalid UTF-8 is a DataError naming the input and the offset of its
+    first bad byte.  A stdin with no byte stream under it (a test's
+    ``io.StringIO``) is read as the text it already is.
+    """
+    if cfg.input_path:
+        name = f"input {cfg.input_path}"
+        try:
+            data = Path(cfg.input_path).read_bytes()
+        except OSError as exc:
+            raise DataError(f"cannot read {name}: {exc}") from exc
+    else:
+        name = "standard input"
+        stream = getattr(sys.stdin, "buffer", None)
+        if stream is None:
+            return sys.stdin.read()
+        data = stream.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{name} is not valid UTF-8 at byte {exc.start}") from exc
+
+
 def cmd_predict(cfg: RunConfig) -> int:
     _require(cfg, "checkpoint", "embeddings", "shard_dir")
     encoder = Encoder.load(cfg.shard_dir)
     model, emb = _load_checkpoint(cfg, encoder, encoder.hashes())
     scheme = LabelScheme.for_num_classes(model.spec.num_classes)
-    if cfg.input_path:
-        try:
-            text = Path(cfg.input_path).read_text("utf-8")
-        except OSError as exc:
-            raise DataError(f"cannot read input {cfg.input_path}: {exc}") from exc
-    else:
-        text = sys.stdin.read()
-    given = split_lines(text)
+    given = split_lines(_read_input(cfg))
     if given[-1] == "":  # what follows the last line end (or empty input) is no line
         given.pop()
     lines = [ln for ln in given if ln.strip()]

@@ -58,7 +58,8 @@ def load_embeddings(
 
     Malformed lines (wrong component count, unparsable or non-finite
     floats) are skipped and counted on the returned table; duplicate
-    tokens keep the last occurrence.  An unreadable file is fatal.
+    tokens keep the last occurrence.  An unreadable file, or one that is
+    not valid UTF-8, is a DataError.
     Every line is checked, but with ``vocab`` only its tokens' vectors
     are kept; ``loaded_lines`` still counts every well-formed line.
 
@@ -79,8 +80,11 @@ def load_embeddings(
         raise DataError(f"cannot read embeddings {path}: {exc}") from exc
     fh = io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8")
     with fh, np.errstate(over="ignore"):  # out-of-range components become inf, then skipped
-        while lines := list(islice(fh, LOAD_CHUNK_LINES)):
-            _load_chunk(table, lines, keep)
+        try:
+            while lines := list(islice(fh, LOAD_CHUNK_LINES)):
+                _load_chunk(table, lines, keep)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"embeddings {path} is not valid UTF-8 ({exc.reason})") from exc
         table.sha256 = raw.digest.hexdigest()
     return table
 

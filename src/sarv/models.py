@@ -38,6 +38,7 @@ from sarv.nn import (
     Lstm,
     NamedArray,
     OneHotDense,
+    Packing,
     Parameter,
     cross_entropy,
     load_checkpoint,
@@ -167,6 +168,13 @@ class Model:
     Parameters are listed (and checkpointed) in pipeline order.  With
     ``rng`` None every weight starts at zero and no generator is made, for
     ``load_model`` to put the checkpoint's arrays in place.
+
+    The LSTM presets gather the word vector (and char feature) of each real
+    word slot only, straight into the word LSTM's packed layout
+    (:class:`sarv.nn.Packing`), so no padded ``(batch, max_len, ·)`` array
+    is built.  The char projection covers only each distinct char row's real
+    positions.  Every gradient is summed in the padded layout's order, minus
+    its zero terms, so forward and backward give that layout's bits.
     """
 
     def __init__(self, spec: ModelSpec, rng: np.random.Generator | None, dtype=np.float32):
@@ -174,8 +182,11 @@ class Model:
         self.char_proj: OneHotDense | None = None
         self.char_lstm: Lstm | None = None
         self.word_lstm: Lstm | None = None
-        self._char_inverse: np.ndarray | None = None  # slot -> distinct char row, last forward
-        self._char_rows = 0  # distinct char rows in the last forward
+        # Of the last forward: slot -> distinct char row, the number of distinct
+        # char rows, and the slot (row * max_len + step) of each packed word step.
+        self._char_inverse: np.ndarray | None = None
+        self._char_rows = 0
+        self._word_slots: np.ndarray | None = None
         # Nothing reads the gradient of the frozen word vectors, so the first
         # layer over them returns none.  The char presets' word LSTM returns
         # its whole input gradient, whose char columns feed the char channel.
@@ -233,27 +244,45 @@ class Model:
             raise ConfigError(
                 f"embedding dim {emb_matrix.shape[1]} != spec embed_dim {self.spec.embed_dim}"
             )
-        x = emb_matrix[batch["t"]]
-        if self.char_lstm is not None:
-            b, max_len, cap = batch["c"].shape
-            # The char channel runs once per distinct char row (PAD included).
-            rows, self._char_inverse = _distinct_rows(batch["c"].reshape(b * max_len, cap))
-            self._char_rows = len(rows)
-            char_x = self.char_proj.forward(rows)
-            char_h = self.char_lstm.forward(char_x, _char_lengths(rows), cache=cache)
-            char_h = char_h[self._char_inverse].reshape(b, max_len, self.spec.char_lstm_size)
-            x = np.concatenate([x, char_h], axis=2)
-        if self.word_lstm is not None:
-            # An all-PAD sentence still runs one LSTM step over the zero vector.
-            x = self.word_lstm.forward(x, np.maximum(batch["len"], 1), cache=cache)
-        else:
+        if self.word_lstm is None:
+            x = emb_matrix[batch["t"]]
             x = x.reshape(len(batch), x.shape[1] * x.shape[2])
+        else:
+            # An all-PAD sentence still runs one LSTM step over the zero vector.
+            lengths = np.maximum(batch["len"], 1)
+            rows, steps = Packing.of(lengths).positions()
+            x = emb_matrix[batch["t"][rows, steps]]
+            if self.char_lstm is not None:
+                x = self._append_char_features(x, batch["c"], rows * self.spec.max_len + steps,
+                                               cache)
+            x = self.word_lstm.forward(x, lengths, cache=cache)
         for layer in self.layers:
             if isinstance(layer, Dropout):
                 x = layer.forward(x, mode=mode, rng=rng)
             else:
                 x = layer.forward(x)
         return softmax(x)
+
+    def _append_char_features(self, words: np.ndarray, chars: np.ndarray, slots: np.ndarray,
+                              cache: bool) -> np.ndarray:
+        """The packed word vectors, each beside the char-LSTM feature of its slot.
+
+        ``slots`` holds the ``row * max_len + step`` of each packed word.  The
+        char channel runs once per distinct char row of all the batch's slots
+        (PAD included), over only each row's real positions.
+        """
+        self._word_slots = slots
+        b, max_len, cap = chars.shape
+        distinct, self._char_inverse = _distinct_rows(chars.reshape(b * max_len, cap))
+        self._char_rows = len(distinct)
+        lengths = _char_lengths(distinct)
+        char_x = self.char_proj.forward(distinct, lengths)
+        char_h = self.char_lstm.forward(char_x, lengths, cache=cache)
+        x = np.empty((len(words), words.shape[1] + char_h.shape[1]),
+                     np.result_type(words.dtype, char_h.dtype))
+        x[:, :words.shape[1]] = words
+        x[:, words.shape[1]:] = char_h[self._char_inverse[slots]]
+        return x
 
     def backward(self, dlogits: np.ndarray) -> None:
         """Accumulate parameter gradients for the last ``forward``'s logits."""
@@ -263,9 +292,13 @@ class Model:
         if self.word_lstm is not None:
             d = self.word_lstm.backward(d)
         if self.char_lstm is not None:
-            dchar_h = d[:, :, self.spec.embed_dim:].reshape(-1, self.spec.char_lstm_size)
+            # Only real word slots have a gradient.  They are summed into their
+            # distinct rows in row-major slot order, as over the padded layout,
+            # whose padded slots only add zeros.
+            rowmajor = np.argsort(self._word_slots)
+            dchar_h = d[rowmajor, self.spec.embed_dim:]
             drows = np.zeros((self._char_rows, dchar_h.shape[1]), dchar_h.dtype)
-            np.add.at(drows, self._char_inverse, dchar_h)
+            np.add.at(drows, self._char_inverse[self._word_slots[rowmajor]], dchar_h)
             self.char_proj.backward(self.char_lstm.backward(drows))
 
     def predict(self, records: np.ndarray, emb_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -203,6 +203,33 @@ def softmax_xent_grad(probs: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return (probs - targets) / probs.shape[0]
 
 
+class Packing(NamedTuple):
+    """Where a batch's real steps sit in an LSTM's packed layout.
+
+    Batch rows are sorted stably by descending length (``order``).  Step
+    ``t`` holds the leading ``active[t]`` of them, at packed rows
+    ``offsets[t]:offsets[t + 1]``, so packed row ``offsets[t] + j`` holds
+    step ``t`` of batch row ``order[j]``.  Steps past a row's length have no
+    packed row.
+    """
+
+    order: np.ndarray
+    active: np.ndarray
+    offsets: np.ndarray
+
+    @classmethod
+    def of(cls, lengths: np.ndarray) -> "Packing":
+        lengths = np.asarray(lengths, dtype=np.int64)
+        order = np.argsort(-lengths, kind="stable")
+        active = np.count_nonzero(lengths > np.arange(lengths.max(initial=0))[:, None], axis=1)
+        return cls(order, active, np.concatenate([[0], np.cumsum(active)]))
+
+    def positions(self) -> tuple[np.ndarray, np.ndarray]:
+        """(batch row, step) of every packed row."""
+        steps = np.repeat(np.arange(len(self.active)), self.active)
+        return self.order[np.arange(len(steps)) - self.offsets[steps]], steps
+
+
 class Lstm:
     """Single-layer LSTM reading out the hidden state at each row's last real step.
 
@@ -215,10 +242,16 @@ class Lstm:
     the three sigmoid gates.  The input projection of every step is one
     matmul hoisted out of the time loop.
 
-    Rows are packed: sorted by length (stably) once per batch, step ``t``
-    updates only the leading rows whose length exceeds ``t``, and each
-    row reads out its final state.  Padded steps are never computed, so
-    padded content cannot influence the output or the gradients.
+    Rows are packed (see :class:`Packing`): sorted by length (stably) once
+    per batch, step ``t`` updates only the leading rows whose length
+    exceeds ``t``, and each row reads out its final state.  Padded steps
+    are never computed, so padded content cannot influence the output or
+    the gradients.  ``forward`` takes its input either padded,
+    ``(batch, steps, input_size)``, or already packed, ``(rows,
+    input_size)`` in ``Packing.of(lengths)``'s row order; ``backward``
+    returns the input gradient in the same layout (zero at padded steps).
+    Both layouts run the one recurrence over the same packed values, so
+    they give the same bits.
 
     A training forward (``cache=True``) keeps ``[x_t, h_{t-1}]``, the gate
     activations and ``c_t`` of every computed step for ``backward``:
@@ -229,7 +262,8 @@ class Lstm:
     step's ``h`` and ``c``, and leaves nothing for ``backward``; it never
     needs more than a training forward of the same batch.  Both take their
     memory from one block that the layer keeps and only ever grows, and
-    both give the same output bits.
+    both give the same output bits.  An inference forward over packed input
+    reads it where it is and takes no block space for it.
 
     With ``input_grad`` False, ``backward`` returns None and builds no input
     gradient, for a layer whose input is frozen.  Each step still takes its
@@ -265,24 +299,28 @@ class Lstm:
         self._block: np.ndarray | None = None
 
     def forward(self, seq: np.ndarray, lengths: np.ndarray, cache: bool = True) -> np.ndarray:
-        if seq.ndim != 3 or seq.shape[2] != self.input_size:
+        if seq.ndim not in (2, 3) or seq.shape[-1] != self.input_size:
             raise ValueError(
                 f"{self.name}: sequence shape {seq.shape} does not match "
                 f"input size {self.input_size}"
             )
-        batch, steps, _ = seq.shape
+        packed = seq.ndim == 2
         lengths = np.asarray(lengths, dtype=np.int64)
+        batch = lengths.size if packed else seq.shape[0]
         if lengths.shape != (batch,):
             raise ValueError(f"{self.name}: lengths shape {lengths.shape} != ({batch},)")
-        if np.any(lengths < 1) or np.any(lengths > steps):
-            raise ValueError(f"{self.name}: lengths must lie in [1, {steps}]")
+        if np.any(lengths < 1) or (not packed and np.any(lengths > seq.shape[1])):
+            bound = "be >= 1" if packed else f"lie in [1, {seq.shape[1]}]"
+            raise ValueError(f"{self.name}: lengths must {bound}")
+        packing = Packing.of(lengths)
+        order, active, offsets = packing
+        rows = int(offsets[-1])
+        if packed and seq.shape[0] != rows:
+            raise ValueError(f"{self.name}: packed input has {seq.shape[0]} rows, "
+                             f"but the lengths sum to {rows}")
         self._cache = None  # release the previous batch's cache before building this one
 
         n_in, H = self.input_size, self.hidden_size
-        order = np.argsort(-lengths, kind="stable")
-        # active[t] rows still run at step t: the leading rows in sorted order
-        active = np.count_nonzero(lengths > np.arange(lengths.max(initial=0))[:, None], axis=1)
-        offsets = np.concatenate([[0], np.cumsum(active)])
         W = np.concatenate([p.value for p in self._W_fused], axis=1)
         b = np.concatenate([p.value for p in self._b_fused])
         W_h = W[n_in:]
@@ -292,17 +330,23 @@ class Lstm:
         # cell that start at start[t].  A training forward keeps every step's
         # rows, step-major, with h_{t-1} beside x_t in xh = [x_t, h_{t-1}]; an
         # inference forward overwrites one step-sized slot of each.
-        rows = int(offsets[-1])
         if cache:
             start = offsets
             xh, gates, cell = self._carve(dtype, (rows, n_in + H), (rows, 4 * H), (rows, H))
             x, h_store = xh[:, :n_in], xh[:, n_in:]
         else:
             start = np.zeros_like(offsets)
-            x, gates, h_store, cell = self._carve(
-                dtype, (rows, n_in), (rows, 4 * H), (batch, H), (batch, H))
-        for t, n in enumerate(active):
-            x[offsets[t]:offsets[t + 1]] = seq[order[:n], t]
+            if packed:
+                x = np.ascontiguousarray(seq, dtype)
+                gates, h_store, cell = self._carve(dtype, (rows, 4 * H), (batch, H), (batch, H))
+            else:
+                x, gates, h_store, cell = self._carve(
+                    dtype, (rows, n_in), (rows, 4 * H), (batch, H), (batch, H))
+        if not packed:
+            for t, n in enumerate(active):
+                x[offsets[t]:offsets[t + 1]] = seq[order[:n], t]
+        elif cache:
+            x[...] = seq
         if rows:
             h_store[: active[0]] = 0  # h_{-1}
         np.matmul(x, W[:n_in], out=gates)
@@ -325,8 +369,8 @@ class Lstm:
             h_store[start[t + 1]:start[t + 1] + n_next] = h[:n_next]
             out[order[n_next:n]] = h[n_next:]
         if cache:
-            self._cache = {"order": order, "active": active, "offsets": offsets, "W": W,
-                           "xh": xh, "gates": gates, "cell": cell, "seq_shape": seq.shape}
+            self._cache = {"packing": packing, "W": W, "xh": xh, "gates": gates, "cell": cell,
+                           "seq_shape": seq.shape}
         require_finite(out, self.name)
         return out
 
@@ -352,11 +396,12 @@ class Lstm:
         if cache is None:
             raise RuntimeError(f"{self.name}: backward needs the state of a training forward, "
                                "and the last forward kept none")
-        order, active, offsets, W = cache["order"], cache["active"], cache["offsets"], cache["W"]
+        packing, W = cache["packing"], cache["W"]
+        order, active, offsets = packing
         xh, gates, cell = cache["xh"], cache["gates"], cache["cell"]
         n_in, H = self.input_size, self.hidden_size
         dtype = dout.dtype
-        dseq = np.zeros(cache["seq_shape"], dtype=dtype) if self.input_grad else None
+        dx = np.empty((int(offsets[-1]), n_in), dtype=dtype) if self.input_grad else None
         dW = np.zeros_like(W)
         db = np.zeros(4 * H, dtype=dtype)
         # Rows are sorted; a row's readout gradient enters at its last step,
@@ -385,13 +430,17 @@ class Lstm:
             dW += xh[s:e].T @ da
             db += da.sum(axis=0)
             dxh = da @ W.T
-            if dseq is not None:
-                dseq[order[:n], t] = dxh[:, :n_in]
+            if dx is not None:
+                dx[s:e] = dxh[:, :n_in]
             dh[:n] = dxh[:, n_in:]
         for p, grad in zip(self._W_fused, np.split(dW, 4, axis=1)):
             p.grad += grad
         for p, grad in zip(self._b_fused, np.split(db, 4)):
             p.grad += grad
+        if dx is None or len(cache["seq_shape"]) == 2:
+            return dx
+        dseq = np.zeros(cache["seq_shape"], dtype=dtype)  # zero at padded steps
+        dseq[packing.positions()] = dx
         return dseq
 
     def params(self) -> list[Parameter]:
@@ -404,6 +453,13 @@ class OneHotDense:
     Used as the input projection of the character channel: each char id
     in ``[0, num_ids)`` selects a learned row.  Ids are not
     differentiable, so ``backward`` only accumulates parameter grads.
+
+    ``forward(ids)`` projects every id and keeps its shape.  Given the
+    ``lengths`` of 2-d rows of ids, it projects only each row's first
+    ``length`` ids and returns them packed, ``(rows, width)`` in
+    ``Packing.of(lengths)``'s order, as :class:`Lstm` takes its input.
+    ``backward`` then scatters the gradient in row-major position order, the
+    order the full-width layout sums it in, so both give the same bits.
     """
 
     def __init__(self, num_ids: int, width: int, rng: np.random.Generator | None,
@@ -413,9 +469,15 @@ class OneHotDense:
         self.W = Parameter(f"{name}.W", glorot_uniform(rng, (num_ids, width), dtype))
         self.b = Parameter(f"{name}.b", np.zeros(width, dtype=dtype))
         self._ids: np.ndarray | None = None
+        self._rowmajor: np.ndarray | None = None  # packed rows in row-major position order
 
-    def forward(self, ids: np.ndarray) -> np.ndarray:
+    def forward(self, ids: np.ndarray, lengths: np.ndarray | None = None) -> np.ndarray:
         ids = np.asarray(ids)
+        self._rowmajor = None
+        if lengths is not None:
+            rows, steps = Packing.of(lengths).positions()
+            self._rowmajor = np.argsort(rows * ids.shape[1] + steps)
+            ids = ids[rows, steps]
         if ids.size and (ids.min() < 0 or ids.max() >= self.num_ids):
             raise ValueError(f"{self.name}: ids out of range [0, {self.num_ids})")
         self._ids = ids
@@ -424,7 +486,10 @@ class OneHotDense:
         return out
 
     def backward(self, dout: np.ndarray) -> None:
-        np.add.at(self.W.grad, self._ids, dout)
+        ids = self._ids
+        if self._rowmajor is not None:
+            ids, dout = ids[self._rowmajor], dout[self._rowmajor]
+        np.add.at(self.W.grad, ids, dout)
         self.b.grad += dout.reshape(-1, dout.shape[-1]).sum(axis=0)
         return None
 
@@ -526,40 +591,55 @@ def save_checkpoint(path, arrays: Sequence[Parameter | NamedArray], meta: dict[s
     """Write arrays and metadata; returns the content hash.
 
     Each piece goes straight to the file and into the hash, so no copy of
-    the whole checkpoint is built in memory.
+    the whole checkpoint is built in memory.  The checkpoint and its
+    side-car are written under temporary names (``.tmp`` appended) and
+    then renamed over the old pair, so a save that fails or is killed
+    mid-write leaves the previous checkpoint loadable.  One window remains:
+    between the two renames, the new checkpoint sits beside the old
+    side-car, and loading it then fails on the hash.
     """
+    path = str(path)
+    manifest = path + ".manifest.txt"
     digest = hashlib.sha256()
-    with open(path, "wb") as fh:
+    try:
+        with open(path + ".tmp", "wb") as fh:
 
-        def emit(data) -> None:
-            fh.write(data)
-            digest.update(data)
+            def emit(data) -> None:
+                fh.write(data)
+                digest.update(data)
 
-        emit(CHECKPOINT_MAGIC)
-        emit(struct.pack("<I", len(meta)))
-        for key in sorted(meta):
-            kb, vb = key.encode("utf-8"), str(meta[key]).encode("utf-8")
-            emit(struct.pack("<H", len(kb)) + kb)
-            emit(struct.pack("<I", len(vb)) + vb)
-        emit(struct.pack("<I", len(arrays)))
-        for p in arrays:
-            nb = p.name.encode("utf-8")
-            code = 8 if p.value.dtype == np.float64 else 4
-            emit(struct.pack("<H", len(nb)) + nb)
-            emit(struct.pack(f"<BB{p.value.ndim}I", code, p.value.ndim, *p.value.shape))
-            values = np.ascontiguousarray(p.value, dtype=_DTYPE_CODES[code])
-            emit(values.reshape(-1).view(np.uint8))
-    hexdigest = digest.hexdigest()
-    lines = [f"format {CHECKPOINT_MAGIC.decode()}"]
-    lines += [f"meta {k}={meta[k]}" for k in sorted(meta)]
-    lines += [
-        f"param {p.name} shape={','.join(map(str, p.value.shape))} "
-        f"dtype=float{64 if p.value.dtype == np.float64 else 32}"
-        for p in arrays
-    ]
-    lines.append(f"sha256 {hexdigest}")
-    with open(str(path) + ".manifest.txt", "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+            emit(CHECKPOINT_MAGIC)
+            emit(struct.pack("<I", len(meta)))
+            for key in sorted(meta):
+                kb, vb = key.encode("utf-8"), str(meta[key]).encode("utf-8")
+                emit(struct.pack("<H", len(kb)) + kb)
+                emit(struct.pack("<I", len(vb)) + vb)
+            emit(struct.pack("<I", len(arrays)))
+            for p in arrays:
+                nb = p.name.encode("utf-8")
+                code = 8 if p.value.dtype == np.float64 else 4
+                emit(struct.pack("<H", len(nb)) + nb)
+                emit(struct.pack(f"<BB{p.value.ndim}I", code, p.value.ndim, *p.value.shape))
+                values = np.ascontiguousarray(p.value, dtype=_DTYPE_CODES[code])
+                emit(values.reshape(-1).view(np.uint8))
+        hexdigest = digest.hexdigest()
+        lines = [f"format {CHECKPOINT_MAGIC.decode()}"]
+        lines += [f"meta {k}={meta[k]}" for k in sorted(meta)]
+        lines += [
+            f"param {p.name} shape={','.join(map(str, p.value.shape))} "
+            f"dtype=float{64 if p.value.dtype == np.float64 else 32}"
+            for p in arrays
+        ]
+        lines.append(f"sha256 {hexdigest}")
+        with open(manifest + ".tmp", "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except BaseException:
+        for leftover in (path + ".tmp", manifest + ".tmp"):
+            if os.path.exists(leftover):
+                os.unlink(leftover)
+        raise
+    os.replace(path + ".tmp", path)
+    os.replace(manifest + ".tmp", manifest)
     return hexdigest
 
 

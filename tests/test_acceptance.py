@@ -458,6 +458,31 @@ def test_criterion_10_training_determinism(tmp_path):
                 "byte-identical reports and checkpoints")
 
 
+@pytest.mark.parametrize("preset", ["W2V_LSTM", "CHAR_W2V_LSTM"])
+def test_recurrent_presets_train_byte_deterministically(preset, tmp_path):
+    # Criterion 10's check on the presets that run the packed LSTMs.
+    rows = separable_rows(40, classes=2, seed=101)
+    corpus = write_corpus_tsv(tmp_path / "corpus.tsv", rows)
+    shards = tmp_path / "shards"
+    assert main(["shard", "--corpus", str(corpus), "--out-dir", str(shards),
+                 "--seed", "5"]) == 0
+    outputs = []
+    for name in ("first", "second"):
+        run = tmp_path / name
+        assert main([
+            "train", "--shard-dir", str(shards), "--out-dir", str(run),
+            "--embeddings", str(bundled_embedding_path()), "--preset", preset,
+            "--epochs", "3", "--batch-size", "16", "--seed", "9",
+        ]) == 0
+        outputs.append({
+            rel: (run / rel).read_bytes()
+            for rel in ("report.jsonl", "report.txt",
+                        "checkpoint_final.bin", "checkpoint_best.bin")
+        })
+    for rel in outputs[0]:
+        assert outputs[0][rel] == outputs[1][rel], f"{rel} differs between runs"
+
+
 # ---------------------------------------------------------------------------
 # criterion 11 — preprocessing parity on the bundled review fixtures
 # ---------------------------------------------------------------------------

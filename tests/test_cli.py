@@ -934,6 +934,38 @@ def test_predict_splits_input_only_at_line_ends(trained, tmp_path, capsys, monke
     assert len(from_file.splitlines()) == 3
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_predict_refuses_invalid_utf8_naming_the_input_and_byte(source, trained, tmp_path,
+                                                                capsys, monkeypatch):
+    _, shards, run = trained
+    data = "عالی\n".encode("utf-8") + b"bad \xff byte\n"  # 0xff is byte 13
+    argv = ["predict", "--checkpoint", run / "checkpoint_best.bin", "--shard-dir", shards,
+            "--embeddings", bundled_embedding_path()]
+    if source == "file":
+        inp = tmp_path / "lines.txt"
+        inp.write_bytes(data)
+        argv += ["--input", inp]
+        name = f"input {inp}"
+    else:  # the bytes under a text stdin, as a terminal or pipe gives them
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
+                                                          errors="surrogateescape"))
+        name = "standard input"
+    code, stdout, err = invoke(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    assert err == f"sarv: data error: {name} is not valid UTF-8 at byte 13\n"
+
+
+def test_train_on_embeddings_with_invalid_utf8_exits_two(trained, tmp_path, capsys):
+    _, shards, _ = trained
+    vectors = tmp_path / "glove_50d.txt"
+    vectors.write_bytes(bundled_embedding_path().read_bytes() + b"\xffbad " + b"0.5 " * 50 + b"\n")
+    code, stdout, err = invoke(capsys, "train", "--shard-dir", shards, "--out-dir",
+                               tmp_path / "run", "--embeddings", vectors)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"sarv: data error: embeddings {vectors} is not valid UTF-8")
+    assert not (tmp_path / "run" / "report.jsonl").exists()
+
+
 def test_predict_counts_blank_and_tokenless_lines_on_stderr(trained, tmp_path, capsys):
     _, shards, run = trained
     argv = ("predict", "--checkpoint", run / "checkpoint_best.bin", "--shard-dir", shards,

@@ -27,7 +27,7 @@ from sarv.models import (
     model_loss_fn,
     save_model,
 )
-from sarv.nn import (Dense, grad_check, one_hot, save_checkpoint, softmax_xent_grad,
+from sarv.nn import (Dense, grad_check, one_hot, save_checkpoint, softmax, softmax_xent_grad,
                      zero_grads)
 
 from conftest import (
@@ -330,6 +330,51 @@ def test_predict_gives_the_eval_forwards_probabilities_bit_for_bit(preset, dtype
         assert got.tobytes() == want.tobytes()
         assert labels.tolist() == np.argmax(want, axis=1).tolist()
         assert model.predict(batch, emb)[1].tobytes() == want.tobytes()
+
+
+def _padded_char_preset_pass(model, batch, emb, targets):
+    """A char preset's forward and backward through the padded layouts.
+
+    The char projection runs over every position of each distinct char row,
+    the word LSTM takes the padded ``(batch, max_len, ·)`` concatenation,
+    and the char gradient is summed over every slot of the batch.
+    """
+    spec = model.spec
+    b, max_len, cap = batch["c"].shape
+    rows, inverse = _distinct_rows(batch["c"].reshape(b * max_len, cap))
+    char_h = model.char_lstm.forward(model.char_proj.forward(rows), _char_lengths(rows))
+    x = np.concatenate([emb[batch["t"]], char_h[inverse].reshape(b, max_len, -1)], axis=2)
+    (head,) = model.layers
+    probs = softmax(head.forward(model.word_lstm.forward(x, np.maximum(batch["len"], 1))))
+    d = model.word_lstm.backward(head.backward(softmax_xent_grad(probs, targets)))
+    dchar_h = d[:, :, spec.embed_dim:].reshape(-1, spec.char_lstm_size)
+    drows = np.zeros((len(rows), spec.char_lstm_size), dchar_h.dtype)
+    np.add.at(drows, inverse, dchar_h)
+    model.char_proj.backward(model.char_lstm.backward(drows))
+    return probs
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_char_preset_packed_pass_gives_the_padded_layouts_bits(dtype):
+    spec = ModelSpec(preset="CHAR_W2V_LSTM", char_vocab_size=40)
+    model = build_model(spec, rng_seed=15, dtype=dtype)
+    emb = np.random.default_rng(16).normal(size=(300, spec.embed_dim)).astype(dtype)
+    emb[0] = 0.0
+    records = _full_size_records(256, seed=17, spec=spec, vocab=299)
+    records["c"][5:40] = records["c"][40:75]  # tokens repeated across sentences
+    targets = one_hot(records["y"], 2, dtype)
+    params = model.params()
+
+    zero_grads(params)
+    probs = model.forward(records, emb, mode="train")
+    model.backward(softmax_xent_grad(probs, targets))
+    grads = [p.grad.copy() for p in params]
+    zero_grads(params)
+    want = _padded_char_preset_pass(model, records, emb, targets)
+    assert probs.tobytes() == want.tobytes()
+    for p, got in zip(params, grads):
+        assert p.grad.any(), p.name
+        assert got.tobytes() == p.grad.tobytes(), p.name
 
 
 def test_predict_after_a_training_step_reuses_the_training_block():

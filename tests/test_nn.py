@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import struct
 import tracemalloc
 
@@ -25,6 +26,7 @@ from sarv.nn import (
     Lstm,
     NamedArray,
     OneHotDense,
+    Packing,
     Parameter,
     Relu,
     Sigmoid,
@@ -530,6 +532,67 @@ def test_a_layer_without_an_input_gradient_accumulates_the_same_parameter_gradie
         assert with_dx.tobytes() == without.tobytes()
 
 
+def _packed(seq, lengths):
+    """``seq``'s real steps in the packed layout, gathered one step at a time."""
+    order, active, _ = Packing.of(lengths)
+    return np.concatenate([seq[order[:n], t] for t, n in enumerate(active)])
+
+
+def test_packing_positions_name_each_packed_rows_batch_row_and_step():
+    seq = RNG(95).normal(size=(9, 7, 2))
+    for lengths in ([1, 7, 3, 7, 2, 5, 1, 6, 4], [3] * 9, [1] * 9):
+        rows, steps = Packing.of(lengths).positions()
+        np.testing.assert_array_equal(seq[rows, steps], _packed(seq, np.array(lengths)))
+        assert len(rows) == sum(lengths)
+    rows, steps = Packing.of(np.zeros(0, np.int64)).positions()
+    assert rows.shape == steps.shape == (0,)
+
+
+# A realistic size too, so BLAS takes its blocked paths on both layouts.
+PACKED_CASES = {"small": (5, 4, [1, 6, 3, 6, 2, 4, 1, 5]), "word_lstm": (100, 100, None)}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("input_grad", [True, False])
+@pytest.mark.parametrize("case", sorted(PACKED_CASES))
+def test_lstm_packed_input_gives_the_padded_calls_bits(case, input_grad, dtype):
+    n_in, hidden, lengths = PACKED_CASES[case]
+    rng = RNG(96)
+    if lengths is None:
+        lengths = rng.integers(1, 16, size=256)
+        lengths[:3] = [1, 15, 15]
+    lengths = np.array(lengths)
+    lstm = Lstm(n_in, hidden, rng, dtype=dtype, input_grad=input_grad)
+    seq = rng.normal(size=(len(lengths), lengths.max(), n_in)).astype(dtype)
+    dout = rng.normal(size=(len(lengths), hidden)).astype(dtype)
+    packed = _packed(seq, lengths)
+
+    want_out, want_dseq, want_grads = _run(lstm, seq, lengths, dout)
+    out, dpacked, grads = _run(lstm, packed, lengths, dout)
+    assert out.tobytes() == want_out.tobytes()
+    for name, want in want_grads.items():
+        assert grads[name].tobytes() == want.tobytes(), name
+    if input_grad:
+        assert dpacked.shape == packed.shape and dpacked.dtype == dtype
+        assert dpacked.tobytes() == _packed(want_dseq, lengths).tobytes()
+    else:
+        assert dpacked is None and want_dseq is None
+    for layout in (packed, seq):
+        assert lstm.forward(layout, lengths, cache=False).tobytes() == want_out.tobytes()
+
+
+def test_lstm_packed_input_must_hold_one_row_per_real_step():
+    lstm = Lstm(2, 3, RNG(0))
+    lengths = np.array([2, 1])
+    with pytest.raises(ValueError, match="lengths sum to 3"):
+        lstm.forward(np.zeros((4, 2), np.float32), lengths)
+    with pytest.raises(ValueError, match=">= 1"):
+        lstm.forward(np.zeros((2, 2), np.float32), np.array([2, 0]))
+    with pytest.raises(ValueError):
+        lstm.forward(np.zeros((3, 5), np.float32), lengths)
+    assert lstm.forward(np.zeros((3, 2), np.float32), lengths).shape == (2, 3)
+
+
 # ---------------------------------------------------------------------------
 # one-hot dense
 # ---------------------------------------------------------------------------
@@ -561,6 +624,35 @@ def test_onehot_dense_gradients_accumulate_duplicates():
     assert max_rel_err(layer.b.grad, numeric_grad(loss, layer.b.value)) < 1e-6
     np.testing.assert_allclose(layer.W.grad[1], R[0] + R[1], atol=1e-15)
     assert not layer.W.grad[[0, 2, 3]].any()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_onehot_dense_with_lengths_projects_and_scatters_only_real_positions(dtype):
+    # Distinct char rows at the char channel's scale: ids 1-60 at real
+    # positions, and id 61 only at padded ones, which must never be read.
+    rng = RNG(53)
+    layer = OneHotDense(62, 16, rng, dtype=dtype)
+    lengths = rng.integers(1, 21, size=3000)
+    ids = rng.integers(1, 61, size=(3000, 20)).astype(np.uint16)
+    ids[np.arange(20) >= lengths[:, None]] = 61
+    rows, steps = Packing.of(lengths).positions()
+
+    out = layer.forward(ids, lengths)
+    full = layer.W.value[ids] + layer.b.value
+    assert out.tobytes() == full[rows, steps].tobytes()
+    dout = rng.normal(size=out.shape).astype(dtype)
+    zero_grads(layer.params())
+    assert layer.backward(dout) is None
+    packed_grads = [p.grad.copy() for p in layer.params()]
+    assert not packed_grads[0][61].any()
+
+    dfull = np.zeros(full.shape, dtype)  # the full-width layout: zero at padded positions
+    dfull[rows, steps] = dout
+    layer.forward(ids)
+    zero_grads(layer.params())
+    layer.backward(dfull)
+    for p, got in zip(layer.params(), packed_grads):
+        assert got.tobytes() == p.grad.tobytes(), p.name
 
 
 # ---------------------------------------------------------------------------
@@ -660,6 +752,31 @@ def test_checkpoint_round_trip(tmp_path):
         assert arrays[p.name].dtype == p.value.dtype
     # digest is the sha256 of the file bytes, recomputed independently
     assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class _UnreadableValues:
+    """An array stand-in whose values raise when read, after its header is written."""
+
+    dtype, ndim, shape = np.dtype(np.float32), 1, (3,)
+
+    def __array__(self, *args, **kwargs):
+        raise OSError("No space left on device")
+
+
+def test_a_save_that_fails_mid_write_leaves_the_previous_checkpoint(tmp_path):
+    path = tmp_path / "checkpoint_best.bin"
+    params = make_params()
+    digest = save_checkpoint(path, params, {"epoch": "0"})
+    broken = [*params, NamedArray("broken", _UnreadableValues())]
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(path, broken, {"epoch": "1"})
+    arrays, meta = load_checkpoint(path)
+    assert meta == {"epoch": "0"}
+    for p in params:
+        assert arrays[p.name].tobytes() == p.value.tobytes()
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert sorted(os.listdir(tmp_path)) == ["checkpoint_best.bin",
+                                            "checkpoint_best.bin.manifest.txt"]
 
 
 def test_checkpoint_bytes_do_not_depend_on_meta_insertion_order(tmp_path):
