@@ -173,8 +173,10 @@ class Model:
     word slot only, straight into the word LSTM's packed layout
     (:class:`sarv.nn.Packing`), so no padded ``(batch, max_len, ·)`` array
     is built.  The char projection covers only each distinct char row's real
-    positions.  Every gradient is summed in the padded layout's order, minus
-    its zero terms, so forward and backward give that layout's bits.
+    positions, and both LSTMs take only that packed layout.  Every gradient
+    is summed in row-major slot order, the order a padded layout would sum
+    it in, minus its zero terms, so forward and backward give the padded
+    layout's bits.
     """
 
     def __init__(self, spec: ModelSpec, rng: np.random.Generator | None, dtype=np.float32):

@@ -244,14 +244,11 @@ class Lstm:
 
     Rows are packed (see :class:`Packing`): sorted by length (stably) once
     per batch, step ``t`` updates only the leading rows whose length
-    exceeds ``t``, and each row reads out its final state.  Padded steps
-    are never computed, so padded content cannot influence the output or
-    the gradients.  ``forward`` takes its input either padded,
-    ``(batch, steps, input_size)``, or already packed, ``(rows,
-    input_size)`` in ``Packing.of(lengths)``'s row order; ``backward``
-    returns the input gradient in the same layout (zero at padded steps).
-    Both layouts run the one recurrence over the same packed values, so
-    they give the same bits.
+    exceeds ``t``, and each row reads out its final state.  ``forward``
+    takes its input packed, ``(rows, input_size)`` with one row per real
+    step in ``Packing.of(lengths)``'s order, and ``backward`` returns the
+    input gradient in that same layout.  Padded steps have no row, so
+    they are never computed.
 
     A training forward (``cache=True``) keeps ``[x_t, h_{t-1}]``, the gate
     activations and ``c_t`` of every computed step for ``backward``:
@@ -262,8 +259,8 @@ class Lstm:
     step's ``h`` and ``c``, and leaves nothing for ``backward``; it never
     needs more than a training forward of the same batch.  Both take their
     memory from one block that the layer keeps and only ever grows, and
-    both give the same output bits.  An inference forward over packed input
-    reads it where it is and takes no block space for it.
+    both give the same output bits.  An inference forward reads its input
+    where it is and takes no block space for it.
 
     With ``input_grad`` False, ``backward`` returns None and builds no input
     gradient, for a layer whose input is frozen.  Each step still takes its
@@ -299,23 +296,18 @@ class Lstm:
         self._block: np.ndarray | None = None
 
     def forward(self, seq: np.ndarray, lengths: np.ndarray, cache: bool = True) -> np.ndarray:
-        if seq.ndim not in (2, 3) or seq.shape[-1] != self.input_size:
+        if seq.ndim != 2 or seq.shape[1] != self.input_size:
             raise ValueError(
-                f"{self.name}: sequence shape {seq.shape} does not match "
-                f"input size {self.input_size}"
+                f"{self.name}: input shape {seq.shape} is not packed (rows, {self.input_size})"
             )
-        packed = seq.ndim == 2
         lengths = np.asarray(lengths, dtype=np.int64)
-        batch = lengths.size if packed else seq.shape[0]
-        if lengths.shape != (batch,):
-            raise ValueError(f"{self.name}: lengths shape {lengths.shape} != ({batch},)")
-        if np.any(lengths < 1) or (not packed and np.any(lengths > seq.shape[1])):
-            bound = "be >= 1" if packed else f"lie in [1, {seq.shape[1]}]"
-            raise ValueError(f"{self.name}: lengths must {bound}")
+        if lengths.ndim != 1 or np.any(lengths < 1):
+            raise ValueError(f"{self.name}: lengths must be one value >= 1 per batch row")
+        batch = lengths.size
         packing = Packing.of(lengths)
         order, active, offsets = packing
         rows = int(offsets[-1])
-        if packed and seq.shape[0] != rows:
+        if seq.shape[0] != rows:
             raise ValueError(f"{self.name}: packed input has {seq.shape[0]} rows, "
                              f"but the lengths sum to {rows}")
         self._cache = None  # release the previous batch's cache before building this one
@@ -334,19 +326,11 @@ class Lstm:
             start = offsets
             xh, gates, cell = self._carve(dtype, (rows, n_in + H), (rows, 4 * H), (rows, H))
             x, h_store = xh[:, :n_in], xh[:, n_in:]
+            x[...] = seq
         else:
             start = np.zeros_like(offsets)
-            if packed:
-                x = np.ascontiguousarray(seq, dtype)
-                gates, h_store, cell = self._carve(dtype, (rows, 4 * H), (batch, H), (batch, H))
-            else:
-                x, gates, h_store, cell = self._carve(
-                    dtype, (rows, n_in), (rows, 4 * H), (batch, H), (batch, H))
-        if not packed:
-            for t, n in enumerate(active):
-                x[offsets[t]:offsets[t + 1]] = seq[order[:n], t]
-        elif cache:
-            x[...] = seq
+            x = np.ascontiguousarray(seq, dtype)
+            gates, h_store, cell = self._carve(dtype, (rows, 4 * H), (batch, H), (batch, H))
         if rows:
             h_store[: active[0]] = 0  # h_{-1}
         np.matmul(x, W[:n_in], out=gates)
@@ -369,8 +353,7 @@ class Lstm:
             h_store[start[t + 1]:start[t + 1] + n_next] = h[:n_next]
             out[order[n_next:n]] = h[n_next:]
         if cache:
-            self._cache = {"packing": packing, "W": W, "xh": xh, "gates": gates, "cell": cell,
-                           "seq_shape": seq.shape}
+            self._cache = {"packing": packing, "W": W, "xh": xh, "gates": gates, "cell": cell}
         require_finite(out, self.name)
         return out
 
@@ -396,8 +379,7 @@ class Lstm:
         if cache is None:
             raise RuntimeError(f"{self.name}: backward needs the state of a training forward, "
                                "and the last forward kept none")
-        packing, W = cache["packing"], cache["W"]
-        order, active, offsets = packing
+        (order, active, offsets), W = cache["packing"], cache["W"]
         xh, gates, cell = cache["xh"], cache["gates"], cache["cell"]
         n_in, H = self.input_size, self.hidden_size
         dtype = dout.dtype
@@ -437,11 +419,7 @@ class Lstm:
             p.grad += grad
         for p, grad in zip(self._b_fused, np.split(db, 4)):
             p.grad += grad
-        if dx is None or len(cache["seq_shape"]) == 2:
-            return dx
-        dseq = np.zeros(cache["seq_shape"], dtype=dtype)  # zero at padded steps
-        dseq[packing.positions()] = dx
-        return dseq
+        return dx
 
     def params(self) -> list[Parameter]:
         return [self.W[g] for g in self.GATES] + [self.b[g] for g in self.GATES]
@@ -454,12 +432,12 @@ class OneHotDense:
     in ``[0, num_ids)`` selects a learned row.  Ids are not
     differentiable, so ``backward`` only accumulates parameter grads.
 
-    ``forward(ids)`` projects every id and keeps its shape.  Given the
-    ``lengths`` of 2-d rows of ids, it projects only each row's first
-    ``length`` ids and returns them packed, ``(rows, width)`` in
-    ``Packing.of(lengths)``'s order, as :class:`Lstm` takes its input.
-    ``backward`` then scatters the gradient in row-major position order, the
-    order the full-width layout sums it in, so both give the same bits.
+    ``forward(ids, lengths)`` takes 2-d rows of ids and each row's length,
+    projects only each row's first ``length`` ids and returns them packed,
+    ``(rows, width)`` in ``Packing.of(lengths)``'s order, as :class:`Lstm`
+    takes its input.  ``backward`` scatters the gradient in row-major
+    position order, the order ``np.add.at`` over the full-width ids sums it
+    in, so the two give the same bits.
     """
 
     def __init__(self, num_ids: int, width: int, rng: np.random.Generator | None,
@@ -471,13 +449,17 @@ class OneHotDense:
         self._ids: np.ndarray | None = None
         self._rowmajor: np.ndarray | None = None  # packed rows in row-major position order
 
-    def forward(self, ids: np.ndarray, lengths: np.ndarray | None = None) -> np.ndarray:
+    def forward(self, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         ids = np.asarray(ids)
-        self._rowmajor = None
-        if lengths is not None:
-            rows, steps = Packing.of(lengths).positions()
-            self._rowmajor = np.argsort(rows * ids.shape[1] + steps)
-            ids = ids[rows, steps]
+        lengths = np.asarray(lengths, dtype=np.int64)
+        if ids.ndim != 2 or lengths.shape != (ids.shape[0],):
+            raise ValueError(f"{self.name}: lengths shape {lengths.shape} does not give "
+                             f"one length per row of ids {ids.shape}")
+        if np.any(lengths < 1) or np.any(lengths > ids.shape[1]):
+            raise ValueError(f"{self.name}: lengths must lie in [1, {ids.shape[1]}]")
+        rows, steps = Packing.of(lengths).positions()
+        self._rowmajor = np.argsort(rows * ids.shape[1] + steps)
+        ids = ids[rows, steps]
         if ids.size and (ids.min() < 0 or ids.max() >= self.num_ids):
             raise ValueError(f"{self.name}: ids out of range [0, {self.num_ids})")
         self._ids = ids
@@ -486,11 +468,9 @@ class OneHotDense:
         return out
 
     def backward(self, dout: np.ndarray) -> None:
-        ids = self._ids
-        if self._rowmajor is not None:
-            ids, dout = ids[self._rowmajor], dout[self._rowmajor]
-        np.add.at(self.W.grad, ids, dout)
-        self.b.grad += dout.reshape(-1, dout.shape[-1]).sum(axis=0)
+        dout = dout[self._rowmajor]
+        np.add.at(self.W.grad, self._ids[self._rowmajor], dout)
+        self.b.grad += dout.sum(axis=0)
         return None
 
     def params(self) -> list[Parameter]:

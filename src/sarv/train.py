@@ -4,7 +4,7 @@ Encoded records are stored as fixed-size ``.npy`` shards, each one
 structured record array (:func:`sarv.corpus.record_dtype`) with its
 sha256 in a manifest; the loader reads and checks one shard at a time,
 so only one shard is ever resident.  Every pass over the records
-(train, frozen train-accuracy, eval) is ``load_shards`` ->
+(train, frozen train-accuracy, eval) is :class:`ShardReader` ->
 :func:`sarv.corpus.batches` -> model, and a batch is a slice of a shard
 array; the scoring passes go through :func:`sarv.models.scored_batches`.
 The choices :class:`TrainConfig` checks (``OPTIMIZERS``, ``SCHEDULES``,
@@ -317,10 +317,6 @@ class ShardReader:
             del records
 
 
-def load_shards(manifest: ShardManifest) -> ShardReader:
-    return ShardReader(manifest)
-
-
 # ---------------------------------------------------------------------------
 # Optimizers and schedules
 # ---------------------------------------------------------------------------
@@ -481,7 +477,7 @@ def _eval_confusion(
     num_classes = model.spec.num_classes
     names = LabelScheme.for_num_classes(num_classes).classes
     cm: ConfusionMatrix | None = None
-    for batch, preds, _ in scored_batches(model, load_shards(manifest), emb_matrix, batch_size,
+    for batch, preds, _ in scored_batches(model, ShardReader(manifest), emb_matrix, batch_size,
                                           where):
         part = confusion(preds, batch["y"], num_classes=num_classes, class_names=names)
         cm = part if cm is None else cm.merged(part)
@@ -534,7 +530,7 @@ def train_loop(
             lr = plateau.lr
         loss_sum = 0.0
         n_batches = 0
-        for batch_no, batch in enumerate(batches(load_shards(train_manifest), cfg.batch_size)):
+        for batch_no, batch in enumerate(batches(ShardReader(train_manifest), cfg.batch_size)):
             if cfg.lr_schedule == "exp" and cfg.exp_step_unit == "batch":
                 lr = lr_exp_decay(global_step)
             try:

@@ -2,10 +2,13 @@
 
 This is the straightforward formulation the fused layer replaced: four
 separate gate matmuls over ``[x_t, h_{t-1}]`` at every step of the
-padded sequence, with each row's readout taken at its last real step
-and its gradient injected there.  It shares parameter names and layout
-with :class:`sarv.nn.Lstm`, so ``copy_params`` can mirror one into the
-other.
+padded ``(batch, steps, input)`` sequence, with each row's readout taken
+at its last real step and its gradient injected there.  The oracle stays
+padded while :class:`sarv.nn.Lstm` takes packed input only, so tests pack
+the padded sequence for the layer (``Packing.of(lengths).positions()``)
+and scatter its input gradient back before comparing.  It shares
+parameter names and layout with :class:`sarv.nn.Lstm`, so its
+constructor copies the layer's weights.
 """
 
 from __future__ import annotations

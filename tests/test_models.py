@@ -27,8 +27,8 @@ from sarv.models import (
     model_loss_fn,
     save_model,
 )
-from sarv.nn import (Dense, grad_check, one_hot, save_checkpoint, softmax, softmax_xent_grad,
-                     zero_grads)
+from sarv.nn import (Dense, Packing, grad_check, one_hot, save_checkpoint, softmax,
+                     softmax_xent_grad, zero_grads)
 
 from conftest import (
     TINY_EMBED_DIM,
@@ -336,21 +336,32 @@ def _padded_char_preset_pass(model, batch, emb, targets):
     """A char preset's forward and backward through the padded layouts.
 
     The char projection runs over every position of each distinct char row,
-    the word LSTM takes the padded ``(batch, max_len, ·)`` concatenation,
-    and the char gradient is summed over every slot of the batch.
+    the word LSTM's input is the padded ``(batch, max_len, ·)`` concatenation,
+    and the char gradient is summed over every slot of the batch.  Each LSTM
+    gets its padded input packed and gives its gradient back packed, which is
+    scattered into the padded layout, zero at padded steps.
     """
-    spec = model.spec
+    spec, proj = model.spec, model.char_proj
     b, max_len, cap = batch["c"].shape
     rows, inverse = _distinct_rows(batch["c"].reshape(b * max_len, cap))
-    char_h = model.char_lstm.forward(model.char_proj.forward(rows), _char_lengths(rows))
+    char_lengths = _char_lengths(rows)
+    char_at = Packing.of(char_lengths).positions()
+    full = proj.W.value[rows] + proj.b.value
+    char_h = model.char_lstm.forward(full[char_at], char_lengths)
     x = np.concatenate([emb[batch["t"]], char_h[inverse].reshape(b, max_len, -1)], axis=2)
+    lengths = np.maximum(batch["len"], 1)
+    word_at = Packing.of(lengths).positions()
     (head,) = model.layers
-    probs = softmax(head.forward(model.word_lstm.forward(x, np.maximum(batch["len"], 1))))
-    d = model.word_lstm.backward(head.backward(softmax_xent_grad(probs, targets)))
+    probs = softmax(head.forward(model.word_lstm.forward(x[word_at], lengths)))
+    d = np.zeros_like(x)
+    d[word_at] = model.word_lstm.backward(head.backward(softmax_xent_grad(probs, targets)))
     dchar_h = d[:, :, spec.embed_dim:].reshape(-1, spec.char_lstm_size)
     drows = np.zeros((len(rows), spec.char_lstm_size), dchar_h.dtype)
     np.add.at(drows, inverse, dchar_h)
-    model.char_proj.backward(model.char_lstm.backward(drows))
+    dfull = np.zeros_like(full)
+    dfull[char_at] = model.char_lstm.backward(drows)
+    np.add.at(proj.W.grad, rows, dfull)
+    proj.b.grad += dfull.reshape(-1, dfull.shape[-1]).sum(axis=0)
     return probs
 
 

@@ -295,6 +295,18 @@ def test_dropout_gradient_matches_finite_differences():
 # ---------------------------------------------------------------------------
 
 
+def _pack(seq, lengths):
+    """The real steps of padded ``seq`` in the LSTM's packed layout."""
+    return seq[Packing.of(lengths).positions()]
+
+
+def _unpack(packed, lengths, steps):
+    """Packed rows back in the padded ``(batch, steps, ·)`` layout, zero at padded steps."""
+    seq = np.zeros((len(lengths), steps, packed.shape[1]), packed.dtype)
+    seq[Packing.of(lengths).positions()] = packed
+    return seq
+
+
 def test_lstm_single_step_matches_hand_computation():
     lstm = Lstm(1, 1, RNG(0), dtype=np.float64)
     wx = {"i": 0.6, "f": 0.4, "g": 0.8, "o": -0.3}
@@ -303,7 +315,7 @@ def test_lstm_single_step_matches_hand_computation():
         lstm.W[gate].value[...] = [[wx[gate]], [0.2]]  # recurrent weight unused at t=0
         lstm.b[gate].value[...] = bias[gate]
     x = 0.5
-    out = lstm.forward(np.array([[[x]]]), np.array([1]))
+    out = lstm.forward(np.array([[x]]), np.array([1]))
 
     sig = lambda v: 1.0 / (1.0 + math.exp(-v))  # noqa: E731
     i = sig(x * wx["i"] + bias["i"])
@@ -321,8 +333,8 @@ def test_lstm_forget_bias_initialized_to_one():
 
 def test_lstm_gradients_match_finite_differences():
     lstm = Lstm(4, 5, RNG(20), dtype=np.float64)
-    seq = RNG(21).normal(size=(2, 3, 4))
     lengths = np.array([2, 3])
+    seq = _pack(RNG(21).normal(size=(2, 3, 4)), lengths)
     R = RNG(22).normal(size=(2, 5))
 
     def loss():
@@ -337,44 +349,15 @@ def test_lstm_gradients_match_finite_differences():
     assert max_rel_err(dseq, numeric_grad(loss, seq, h=1e-5)) < 1e-5
 
 
-def test_lstm_padded_steps_cannot_influence_output_or_grads():
-    lstm = Lstm(3, 4, RNG(30), dtype=np.float64)
-    seq = RNG(31).normal(size=(2, 5, 3))
-    lengths = np.array([2, 4])
-    R = np.ones((2, 4))
-
-    out = lstm.forward(seq, lengths)
-    lstm.backward(R)
-    dseq = lstm.backward(R)  # fresh call for the input gradient only
-
-    tampered = seq.copy()
-    tampered[0, 2:] = 99.0  # rows beyond each length
-    tampered[1, 4:] = -99.0
-    np.testing.assert_array_equal(lstm.forward(tampered, lengths), out)
-
-    assert not dseq[0, 2:].any()
-    assert not dseq[1, 4:].any()
-
-
-def test_lstm_readout_position_tracks_lengths():
-    lstm = Lstm(2, 3, RNG(40), dtype=np.float64)
-    seq = RNG(41).normal(size=(1, 4, 2))
-    short = lstm.forward(seq[:, :2], np.array([2]))
-    padded = lstm.forward(seq, np.array([2]))
-    np.testing.assert_allclose(padded, short, atol=1e-15)
-
-
 def test_lstm_validates_lengths_and_shapes():
     lstm = Lstm(2, 3, RNG(0))
-    seq = np.zeros((2, 4, 2), dtype=np.float32)
+    seq = np.zeros((2, 2), dtype=np.float32)
+    with pytest.raises(ValueError, match=">= 1"):
+        lstm.forward(seq, np.array([2, 0]))
+    with pytest.raises(ValueError, match=">= 1"):
+        lstm.forward(seq, np.array([[1], [1]]))
     with pytest.raises(ValueError):
-        lstm.forward(seq, np.array([0, 1]))
-    with pytest.raises(ValueError):
-        lstm.forward(seq, np.array([1, 5]))
-    with pytest.raises(ValueError):
-        lstm.forward(seq, np.array([1]))
-    with pytest.raises(ValueError):
-        lstm.forward(np.zeros((2, 4, 3), dtype=np.float32), np.array([1, 1]))
+        lstm.forward(np.zeros((2, 3), dtype=np.float32), np.array([1, 1]))
 
 
 # Fused, packed LSTM against the per-gate, unpacked float64 oracle; the
@@ -398,9 +381,10 @@ def _oracle_case(dtype, lengths, seed=70):
 
 
 def _run(lstm, seq, lengths, dout):
+    """Output, padded input gradient and parameter gradients of one pass over padded ``seq``."""
     zero_grads(lstm.params())
-    out = lstm.forward(seq, lengths)
-    dseq = lstm.backward(dout)
+    out = lstm.forward(_pack(seq, lengths), lengths)
+    dseq = _unpack(lstm.backward(dout), lengths, seq.shape[1])
     return out, dseq, {p.name.split(".")[-1]: p.grad.copy() for p in lstm.params()}
 
 
@@ -435,7 +419,7 @@ def test_lstm_rows_permute_with_the_batch(dtype):
 
 def test_lstm_backward_twice_gives_identical_results():
     lstm, seq, lengths, dout = _oracle_case(np.float64, ORACLE_LENGTHS["mixed"])
-    lstm.forward(seq, lengths)
+    lstm.forward(_pack(seq, lengths), lengths)
     zero_grads(lstm.params())
     first = lstm.backward(dout)
     first_grads = [p.grad.copy() for p in lstm.params()]
@@ -448,8 +432,8 @@ def test_lstm_backward_twice_gives_identical_results():
 
 def test_lstm_does_not_hold_the_previous_batch_while_running_the_next():
     lstm = Lstm(50, 100, RNG(80), dtype=np.float32)
-    seq = RNG(81).normal(size=(256, 15, 50)).astype(np.float32)
     lengths = np.full(256, 15)
+    seq = _pack(RNG(81).normal(size=(256, 15, 50)).astype(np.float32), lengths)
     dout = np.ones((256, 100), dtype=np.float32)
 
     def peak_of_one_pass():
@@ -474,15 +458,16 @@ def test_lstm_inference_forward_gives_the_training_forwards_bits(dtype):
     lengths = RNG(84).integers(1, 16, size=64)
     lengths[:5] = 1
     for rows in (slice(None), slice(0, 1), slice(5, 6), slice(0, 0)):
-        want = lstm.forward(seq[rows], lengths[rows])
-        got = lstm.forward(seq[rows], lengths[rows], cache=False)
+        packed = _pack(seq[rows], lengths[rows])
+        want = lstm.forward(packed, lengths[rows])
+        got = lstm.forward(packed, lengths[rows], cache=False)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
 
 def test_lstm_inference_forward_peaks_at_three_quarters_of_a_training_forward():
-    seq = RNG(81).normal(size=(256, 15, 50)).astype(np.float32)
     lengths = np.full(256, 15)
+    seq = _pack(RNG(81).normal(size=(256, 15, 50)).astype(np.float32), lengths)
 
     def peak(cache):
         lstm = Lstm(50, 100, RNG(80), dtype=np.float32)
@@ -499,8 +484,8 @@ def test_lstm_inference_forward_peaks_at_three_quarters_of_a_training_forward():
 
 def test_lstm_backward_without_a_training_forward_names_the_layer():
     lstm = Lstm(3, 4, RNG(0), dtype=np.float64, name="word_lstm")
-    seq = RNG(1).normal(size=(2, 3, 3))
     lengths = np.array([3, 1])
+    seq = _pack(RNG(1).normal(size=(2, 3, 3)), lengths)
     dout = np.ones((2, 4))
     with pytest.raises(RuntimeError, match="word_lstm"):
         lstm.backward(dout)  # no forward yet
@@ -523,7 +508,7 @@ def test_a_layer_without_an_input_gradient_accumulates_the_same_parameter_gradie
     grads = {}
     for input_grad in (True, False):
         layer = make(input_grad)
-        args = (x[:, 0],) if isinstance(layer, Dense) else (x, lengths)
+        args = (x[:, 0],) if isinstance(layer, Dense) else (_pack(x, lengths), lengths)
         layer.forward(*args)
         dx = layer.backward(dout)
         assert (dx is None) == (not input_grad)
@@ -532,53 +517,17 @@ def test_a_layer_without_an_input_gradient_accumulates_the_same_parameter_gradie
         assert with_dx.tobytes() == without.tobytes()
 
 
-def _packed(seq, lengths):
-    """``seq``'s real steps in the packed layout, gathered one step at a time."""
-    order, active, _ = Packing.of(lengths)
-    return np.concatenate([seq[order[:n], t] for t, n in enumerate(active)])
-
-
 def test_packing_positions_name_each_packed_rows_batch_row_and_step():
     seq = RNG(95).normal(size=(9, 7, 2))
     for lengths in ([1, 7, 3, 7, 2, 5, 1, 6, 4], [3] * 9, [1] * 9):
-        rows, steps = Packing.of(lengths).positions()
-        np.testing.assert_array_equal(seq[rows, steps], _packed(seq, np.array(lengths)))
+        packing = Packing.of(lengths)
+        order, active, _ = packing
+        rows, steps = packing.positions()
+        step_by_step = np.concatenate([seq[order[:n], t] for t, n in enumerate(active)])
+        np.testing.assert_array_equal(seq[rows, steps], step_by_step)
         assert len(rows) == sum(lengths)
     rows, steps = Packing.of(np.zeros(0, np.int64)).positions()
     assert rows.shape == steps.shape == (0,)
-
-
-# A realistic size too, so BLAS takes its blocked paths on both layouts.
-PACKED_CASES = {"small": (5, 4, [1, 6, 3, 6, 2, 4, 1, 5]), "word_lstm": (100, 100, None)}
-
-
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("input_grad", [True, False])
-@pytest.mark.parametrize("case", sorted(PACKED_CASES))
-def test_lstm_packed_input_gives_the_padded_calls_bits(case, input_grad, dtype):
-    n_in, hidden, lengths = PACKED_CASES[case]
-    rng = RNG(96)
-    if lengths is None:
-        lengths = rng.integers(1, 16, size=256)
-        lengths[:3] = [1, 15, 15]
-    lengths = np.array(lengths)
-    lstm = Lstm(n_in, hidden, rng, dtype=dtype, input_grad=input_grad)
-    seq = rng.normal(size=(len(lengths), lengths.max(), n_in)).astype(dtype)
-    dout = rng.normal(size=(len(lengths), hidden)).astype(dtype)
-    packed = _packed(seq, lengths)
-
-    want_out, want_dseq, want_grads = _run(lstm, seq, lengths, dout)
-    out, dpacked, grads = _run(lstm, packed, lengths, dout)
-    assert out.tobytes() == want_out.tobytes()
-    for name, want in want_grads.items():
-        assert grads[name].tobytes() == want.tobytes(), name
-    if input_grad:
-        assert dpacked.shape == packed.shape and dpacked.dtype == dtype
-        assert dpacked.tobytes() == _packed(want_dseq, lengths).tobytes()
-    else:
-        assert dpacked is None and want_dseq is None
-    for layout in (packed, seq):
-        assert lstm.forward(layout, lengths, cache=False).tobytes() == want_out.tobytes()
 
 
 def test_lstm_packed_input_must_hold_one_row_per_real_step():
@@ -586,10 +535,8 @@ def test_lstm_packed_input_must_hold_one_row_per_real_step():
     lengths = np.array([2, 1])
     with pytest.raises(ValueError, match="lengths sum to 3"):
         lstm.forward(np.zeros((4, 2), np.float32), lengths)
-    with pytest.raises(ValueError, match=">= 1"):
-        lstm.forward(np.zeros((2, 2), np.float32), np.array([2, 0]))
-    with pytest.raises(ValueError):
-        lstm.forward(np.zeros((3, 5), np.float32), lengths)
+    with pytest.raises(ValueError, match="lstm: input shape .* is not packed"):
+        lstm.forward(np.zeros((2, 2, 2), np.float32), lengths)  # the padded layout
     assert lstm.forward(np.zeros((3, 2), np.float32), lengths).shape == (2, 3)
 
 
@@ -600,22 +547,31 @@ def test_lstm_packed_input_must_hold_one_row_per_real_step():
 
 def test_onehot_dense_is_table_lookup_plus_bias():
     layer = OneHotDense(7, 4, RNG(50), dtype=np.float64)
-    ids = np.array([[0, 3], [6, 3]])
-    out = layer.forward(ids)
-    np.testing.assert_array_equal(out, layer.W.value[ids] + layer.b.value)
+    ids = np.array([[0, 3, 5], [6, 3, 1]])
+    lengths = np.array([2, 3])
+    out = layer.forward(ids, lengths)
+    np.testing.assert_array_equal(out, _pack(layer.W.value[ids] + layer.b.value, lengths))
     with pytest.raises(ValueError):
-        layer.forward(np.array([7]))
+        layer.forward(np.array([[7]]), [1])
     with pytest.raises(ValueError):
-        layer.forward(np.array([-1]))
+        layer.forward(np.array([[-1]]), [1])
+    with pytest.raises(ValueError, match="onehot: lengths shape"):
+        layer.forward(np.zeros((5, 3), np.int64), [1, 1, 1])  # fewer lengths than rows
+    with pytest.raises(ValueError, match="onehot: lengths shape"):
+        layer.forward(ids[0], [2])  # ids must be rows
+    with pytest.raises(ValueError, match=r"onehot: lengths must lie in \[1, 3\]"):
+        layer.forward(ids, [2, 4])  # past the row width
+    with pytest.raises(ValueError, match=r"onehot: lengths must lie in \[1, 3\]"):
+        layer.forward(ids, [0, 3])
 
 
 def test_onehot_dense_gradients_accumulate_duplicates():
     layer = OneHotDense(5, 2, RNG(51), dtype=np.float64)
-    ids = np.array([1, 1, 4])
+    ids = np.array([[1], [1], [4]])
     R = RNG(52).normal(size=(3, 2))
 
     def loss():
-        return float((layer.forward(ids) * R).sum())
+        return float((layer.forward(ids, [1, 1, 1]) * R).sum())
 
     loss()
     zero_grads(layer.params())
@@ -646,13 +602,15 @@ def test_onehot_dense_with_lengths_projects_and_scatters_only_real_positions(dty
     packed_grads = [p.grad.copy() for p in layer.params()]
     assert not packed_grads[0][61].any()
 
-    dfull = np.zeros(full.shape, dtype)  # the full-width layout: zero at padded positions
+    # The full-width layout's scatter: zero gradient at padded positions,
+    # summed over every position in row-major order.
+    dfull = np.zeros(full.shape, dtype)
     dfull[rows, steps] = dout
-    layer.forward(ids)
-    zero_grads(layer.params())
-    layer.backward(dfull)
-    for p, got in zip(layer.params(), packed_grads):
-        assert got.tobytes() == p.grad.tobytes(), p.name
+    want_W = np.zeros_like(layer.W.value)
+    np.add.at(want_W, ids, dfull)
+    want_b = dfull.reshape(-1, dfull.shape[-1]).sum(axis=0)
+    for want, got in zip((want_W, want_b), packed_grads):
+        assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,10 @@ from sarv.train import (
     PlateauScheduler,
     ShardInfo,
     ShardManifest,
+    ShardReader,
     TrainConfig,
     adam_step,
     batches,
-    load_shards,
     lr_exp_decay,
     sgd_step,
     split_indices,
@@ -55,7 +55,7 @@ from conftest import (TINY_MAX_LEN, TINY_MAX_WORD_CHARS, stack_sentences, tiny_b
 
 
 def reload(manifest) -> np.ndarray:
-    return np.concatenate(list(load_shards(manifest)))
+    return np.concatenate(list(ShardReader(manifest)))
 
 
 def replace_shard(manifest, index, array, allow_pickle=False):
@@ -195,7 +195,7 @@ def test_shard_hash_mismatch_is_fatal(tmp_path):
     victim.write_bytes(bytes(blob))
     manifest = ShardManifest.load(tmp_path / "data.manifest.json")
     with pytest.raises(DataError) as exc:
-        list(load_shards(manifest))
+        list(ShardReader(manifest))
     assert "hash mismatch" in str(exc.value)
 
 
@@ -204,7 +204,7 @@ def test_shard_missing_file_is_fatal(tmp_path):
     (tmp_path / "data-00000.npy").unlink()
     manifest = ShardManifest.load(tmp_path / "data.manifest.json")
     with pytest.raises(DataError):
-        list(load_shards(manifest))
+        list(ShardReader(manifest))
 
 
 def test_manifest_relocates_with_its_directory(tmp_path):
@@ -241,7 +241,7 @@ def test_shard_reader_holds_one_shard_at_a_time(tmp_path):
     records = tiny_batch(seed=5, n=40)
     manifest = write_shards(records, shard_size=4, out_dir=tmp_path)
     assert len(manifest.shards) == 10
-    reader = load_shards(manifest)
+    reader = ShardReader(manifest)
     seen = list(reader)
     assert [len(s) for s in seen] == [4] * 10  # one record array per shard
     assert np.array_equal(np.concatenate(seen), records)
@@ -253,7 +253,7 @@ def test_abandoned_shard_stream_closes_at_once(tmp_path):
     assert len(manifest.shards) == 3
     threads_before = threading.active_count()
     t0 = time.perf_counter()
-    it = iter(load_shards(manifest))
+    it = iter(ShardReader(manifest))
     next(it)
     it.close()
     assert time.perf_counter() - t0 < 1.0
@@ -264,14 +264,14 @@ def test_batches_chunking(tmp_path):
     stacked = tiny_batch(seed=7, n=23)
     manifest = write_shards(stacked, shard_size=5, out_dir=tmp_path)
     for size in (3, 12):  # batches straddle one shard boundary, or several
-        got = list(batches(load_shards(manifest), size))
+        got = list(batches(ShardReader(manifest), size))
         want = [stacked[i:i + size] for i in range(0, len(stacked), size)]
         assert [len(b) for b in got] == [len(b) for b in want]
         for b, w in zip(got, want):
             assert np.array_equal(b, w)
     assert list(batches(iter([]), 3)) == []
     with pytest.raises(ConfigError):
-        next(batches(load_shards(manifest), 0))
+        next(batches(ShardReader(manifest), 0))
 
 
 def test_shard_with_wrong_layout_is_fatal(tmp_path):
@@ -282,7 +282,7 @@ def test_shard_with_wrong_layout_is_fatal(tmp_path):
         manifest = write_shards(stacked, shard_size=3, out_dir=tmp_path / str(index))
         replace_shard(manifest, index, array)
         with pytest.raises(DataError, match="does not hold the 3 records"):
-            list(load_shards(manifest))
+            list(ShardReader(manifest))
 
 
 class _Tripwire:
@@ -304,7 +304,7 @@ def test_pickled_shard_is_refused_not_loaded(tmp_path):
     replace_shard(manifest, 1, np.array([_Tripwire(), _Tripwire()], dtype=object),
                   allow_pickle=True)
     with pytest.raises(DataError, match="unreadable shard"):
-        list(load_shards(manifest))
+        list(ShardReader(manifest))
     assert TRIPPED == []
 
 
@@ -317,7 +317,7 @@ def test_shard_hash_mismatch_is_reported_before_a_parse_error(tmp_path):
         path = manifest.base_dir / manifest.shards[0].path
         path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(DataError, match="hash mismatch"):
-            list(load_shards(manifest))
+            list(ShardReader(manifest))
     assert TRIPPED == []
 
 
@@ -327,7 +327,7 @@ def test_reading_a_shard_holds_its_array_once(tmp_path):
     manifest = write_shards(records, len(records), tmp_path)
     tracemalloc.start()
     try:
-        (got,) = load_shards(manifest)
+        (got,) = ShardReader(manifest)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -640,11 +640,13 @@ def test_train_loop_separate_eval_manifest(tmp_path):
 def test_train_loop_shard_passes_per_epoch(tmp_path, monkeypatch, with_eval, passes_per_epoch):
     passes = []
 
-    def counting_load_shards(manifest):
-        passes.append(manifest)
-        return load_shards(manifest)
+    read_pass = ShardReader.__iter__
 
-    monkeypatch.setattr("sarv.train.load_shards", counting_load_shards)
+    def counting_pass(reader):
+        passes.append(reader.manifest)
+        return read_pass(reader)
+
+    monkeypatch.setattr(ShardReader, "__iter__", counting_pass)
     train_m, emb = loop_fixtures(tmp_path, n=10)
     eval_m = (write_shards(tiny_batch(seed=30, n=6), 5, tmp_path / "ev", name="test")
               if with_eval else None)
