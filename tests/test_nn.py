@@ -349,6 +349,45 @@ def test_lstm_gradients_match_finite_differences():
     assert max_rel_err(dseq, numeric_grad(loss, seq, h=1e-5)) < 1e-5
 
 
+def test_lstm_padded_steps_cannot_influence_output_or_grads():
+    lstm = Lstm(3, 4, RNG(30), dtype=np.float64)
+    seq = RNG(31).normal(size=(2, 5, 3))
+    lengths = np.array([2, 4])
+    R = np.ones((2, 4))
+
+    def pass_over(padded):
+        zero_grads(lstm.params())
+        out = lstm.forward(_pack(padded, lengths), lengths)
+        dseq = _unpack(lstm.backward(R), lengths, padded.shape[1])
+        return out, dseq, [p.grad.copy() for p in lstm.params()]
+
+    out, dseq, grads = pass_over(seq)
+    tampered = seq.copy()
+    tampered[0, 2:] = 99.0  # rows beyond each length
+    tampered[1, 4:] = -99.0
+    t_out, t_dseq, t_grads = pass_over(tampered)
+    assert t_out.tobytes() == out.tobytes()
+    assert t_dseq.tobytes() == dseq.tobytes()
+    for got, want in zip(t_grads, grads):
+        assert got.tobytes() == want.tobytes()
+
+    assert dseq[0, :2].any() and dseq[1, :4].any()
+    assert not dseq[0, 2:].any()
+    assert not dseq[1, 4:].any()
+
+
+def test_lstm_readout_position_tracks_lengths():
+    lstm = Lstm(2, 3, RNG(40), dtype=np.float64)
+    seq = np.repeat(RNG(41).normal(size=(1, 4, 2)), 2, axis=0)  # two rows, the same steps
+    lengths = np.array([2, 4])
+    both = lstm.forward(_pack(seq, lengths), lengths)
+    short = lstm.forward(seq[0, :2], np.array([2]))
+    full = lstm.forward(seq[1], np.array([4]))
+    np.testing.assert_allclose(both[0], short[0], atol=1e-15)
+    np.testing.assert_allclose(both[1], full[0], atol=1e-15)
+    assert not np.allclose(both[0], both[1])  # each row reads out at its own last step
+
+
 def test_lstm_validates_lengths_and_shapes():
     lstm = Lstm(2, 3, RNG(0))
     seq = np.zeros((2, 2), dtype=np.float32)
@@ -528,6 +567,60 @@ def test_packing_positions_name_each_packed_rows_batch_row_and_step():
         assert len(rows) == sum(lengths)
     rows, steps = Packing.of(np.zeros(0, np.int64)).positions()
     assert rows.shape == steps.shape == (0,)
+
+
+def _padded_call(lstm, seq, lengths, dout):
+    """One pass over padded ``seq`` as the padded call ran it: gather the
+    real steps one step at a time, run the packed recurrence, scatter the
+    input gradient back step by step (zero at padded steps)."""
+    order, active, offsets = Packing.of(lengths)
+    packed = np.concatenate([seq[order[:n], t] for t, n in enumerate(active)])
+    zero_grads(lstm.params())
+    out = lstm.forward(packed, lengths)
+    dx = lstm.backward(dout)
+    dseq = None
+    if dx is not None:
+        dseq = np.zeros(seq.shape, dx.dtype)
+        for t, n in enumerate(active):
+            dseq[order[:n], t] = dx[offsets[t]:offsets[t + 1]]
+    return out, dseq, {p.name.split(".")[-1]: p.grad.copy() for p in lstm.params()}
+
+
+# A realistic size too, so BLAS takes its blocked paths.
+PACKED_CASES = {"small": (5, 4, [1, 6, 3, 6, 2, 4, 1, 5]), "word_lstm": (100, 100, None)}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("input_grad", [True, False])
+@pytest.mark.parametrize("case", sorted(PACKED_CASES))
+def test_lstm_packed_input_gives_the_padded_calls_bits(case, input_grad, dtype):
+    """Packing with ``Packing.positions`` and unpacking the input gradient,
+    as the model does, keeps the bits of the step-by-step padded call."""
+    n_in, hidden, lengths = PACKED_CASES[case]
+    rng = RNG(96)
+    if lengths is None:
+        lengths = rng.integers(1, 16, size=256)
+        lengths[:3] = [1, 15, 15]
+    lengths = np.array(lengths)
+    lstm = Lstm(n_in, hidden, rng, dtype=dtype, input_grad=input_grad)
+    seq = rng.normal(size=(len(lengths), lengths.max(), n_in)).astype(dtype)
+    dout = rng.normal(size=(len(lengths), hidden)).astype(dtype)
+
+    want_out, want_dseq, want_grads = _padded_call(lstm, seq, lengths, dout)
+    zero_grads(lstm.params())
+    packed = _pack(seq, lengths)
+    out = lstm.forward(packed, lengths)
+    dpacked = lstm.backward(dout)
+    assert out.tobytes() == want_out.tobytes()
+    for p in lstm.params():
+        assert p.grad.tobytes() == want_grads[p.name.split(".")[-1]].tobytes(), p.name
+    if input_grad:
+        assert dpacked.shape == packed.shape and dpacked.dtype == dtype
+        dseq = _unpack(dpacked, lengths, seq.shape[1])
+        assert dseq.tobytes() == want_dseq.tobytes()
+    else:
+        assert dpacked is None and want_dseq is None
+    assert lstm.forward(packed, lengths, cache=False).tobytes() == want_out.tobytes()
 
 
 def test_lstm_packed_input_must_hold_one_row_per_real_step():
