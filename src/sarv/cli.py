@@ -321,8 +321,9 @@ def _checked_manifest(path: Path, hashes: dict[str, str], num_classes: int) -> S
 def _embedding_matrix_for(cfg: RunConfig, token_vocab, dtype):
     """``token_vocab``'s rows of the checked embeddings file, and the sha256 of its bytes.
 
-    No usable line is a DataError.  The parsed table is freed on return,
-    so training holds only the matrix.
+    No usable line is a DataError.  The file is parsed straight into the
+    float32 matrix, which is returned as it is, or cast exactly for
+    ``--precision double``; no per-token copy of the vectors is made.
     """
     table = load_embeddings(cfg.embeddings, vocab=token_vocab)
     if not table.loaded_lines:
@@ -375,6 +376,7 @@ def cmd_train(cfg: RunConfig) -> int:
         char_vocab_size=len(encoder.char_vocab) if cfg.preset in CHAR_PRESETS else 0,
     )
     emb, emb_hash = _embedding_matrix_for(cfg, encoder.token_vocab, train_cfg.dtype)
+    del encoder  # training needs none of its vocabularies
     report, _ = train_loop(spec, train_cfg, train_manifest, emb, cfg.out_dir, eval_manifest,
                            emb_hash)
     _write_outputs(cfg, {})

@@ -2,6 +2,9 @@
 
 Word vectors come from a GloVe-format text file and are frozen; any
 token absent from the table (including PAD) maps to the zero vector.
+Loaded for a token vocabulary, as training loads them, each kept vector
+is parsed straight into its row of the one embedding matrix, so no
+per-token copy is ever built.
 Character ids feed the trained character channel, with id 0 reserved
 for char-level padding and unknown characters.
 """
@@ -11,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import io
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,24 +28,51 @@ DEFAULT_MAX_WORD_CHARS = 20
 
 
 class EmbeddingTable:
-    """Immutable token -> dense vector map loaded from GloVe text."""
+    """Token -> dense vector map loaded from GloVe text.
 
-    def __init__(self, dim: int):
+    Loaded without a vocabulary, ``entries`` maps each token to its
+    vector.  Loaded for ``vocab``, the kept vectors live only in
+    ``matrix``: row ``vocab.ids[token]`` holds the token's vector, and
+    row 0 and the rows of tokens the file lacks are zero.  ``entries``
+    is then built from the matrix on first use.
+    """
+
+    def __init__(self, dim: int, vocab: TokenVocab | None = None):
         if dim < 1:
             raise ValueError(f"embedding dim must be >= 1, got {dim}")
         self.dim = dim
-        self.entries: dict[str, np.ndarray] = {}
+        self.vocab = vocab
         self.zero_vector = np.zeros(dim, dtype=np.float32)
         self.zero_vector.flags.writeable = False
         self.loaded_lines = 0
         self.skipped_lines = 0
         self.sha256 = ""  # of the file's bytes, set by load_embeddings
+        if vocab is None:
+            self.matrix = self.found = None
+            self._entries: dict[str, np.ndarray] | None = {}
+        else:
+            self.matrix = np.zeros((len(vocab) + 1, dim), dtype=np.float32)
+            self.found = np.zeros(len(vocab) + 1, dtype=bool)  # rows the file filled
+            self._entries = None
+
+    @property
+    def entries(self) -> dict[str, np.ndarray]:
+        if self._entries is None:
+            ids = np.flatnonzero(self.found)
+            rows = self.matrix[ids]  # one compact copy of the filled rows
+            rows.flags.writeable = False
+            self._entries = dict(zip([self.vocab.tokens[i - 1] for i in ids.tolist()], rows))
+        return self._entries
 
     def __len__(self) -> int:
-        return len(self.entries)
+        if self.vocab is None:
+            return len(self._entries)
+        return int(self.found.sum())
 
     def __contains__(self, token: str) -> bool:
-        return token in self.entries
+        if self.vocab is None:
+            return token in self._entries
+        return bool(self.found[self.vocab.ids.get(token, 0)])
 
 
 # Lines parsed per ``np.loadtxt`` call.  A whole-file parse measured
@@ -61,19 +91,21 @@ def load_embeddings(
     tokens keep the last occurrence.  An unreadable file, or one that is
     not valid UTF-8, is a DataError.
     Every line is checked, but with ``vocab`` only its tokens' vectors
-    are kept; ``loaded_lines`` still counts every well-formed line.
+    are kept, each written straight into its row of ``table.matrix``;
+    ``loaded_lines`` still counts every well-formed line.
 
     Each chunk of ``LOAD_CHUNK_LINES`` lines is parsed by one
     ``np.loadtxt`` call, which also reads the tokens.  A chunk it
     rejects, one whose lines all have some other field count, or one
     whose tokens ``str.split`` would split is parsed again line by line,
     so each malformed line is found and counted as if the whole file
-    were parsed that way.  Kept rows are read-only views of one compact
-    array per chunk.  The same reads feed ``table.sha256``, which equals
-    :func:`embeddings_sha256` of the bytes parsed.
+    were parsed that way.  Without ``vocab``, kept rows are read-only
+    views of one compact array per chunk; with it, the matrix is made
+    read-only once the file is parsed.  The same reads feed
+    ``table.sha256``, which equals :func:`embeddings_sha256` of the bytes
+    parsed.
     """
-    table = EmbeddingTable(dim)
-    keep = None if vocab is None else vocab.ids
+    table = EmbeddingTable(dim, vocab)
     try:
         raw = HashingFileReader(open(path, "rb", buffering=0))
     except OSError as exc:
@@ -82,10 +114,12 @@ def load_embeddings(
     with fh, np.errstate(over="ignore"):  # out-of-range components become inf, then skipped
         try:
             while lines := list(islice(fh, LOAD_CHUNK_LINES)):
-                _load_chunk(table, lines, keep)
+                _load_chunk(table, lines)
         except UnicodeDecodeError as exc:
             raise DataError(f"embeddings {path} is not valid UTF-8 ({exc.reason})") from exc
         table.sha256 = raw.digest.hexdigest()
+    if table.vocab is not None:
+        table.matrix.flags.writeable = False
     return table
 
 
@@ -99,7 +133,7 @@ def embeddings_sha256(path) -> str:
     return reader.digest.hexdigest()
 
 
-def _load_chunk(table: EmbeddingTable, lines: list[str], keep: dict | None) -> None:
+def _load_chunk(table: EmbeddingTable, lines: list[str]) -> None:
     """Check and store one chunk of lines, parsed by one ``np.loadtxt`` call."""
     if all(map(str.isspace, lines)):  # blank lines are not counted as data
         return
@@ -114,27 +148,35 @@ def _load_chunk(table: EmbeddingTable, lines: list[str], keep: dict | None) -> N
         values = np.loadtxt(lines, dtype=np.float32, converters={0: tokens.append},
                             comments=None, ndmin=2, encoding=None)
     except ValueError:
-        _load_lines(table, lines, keep)
+        _load_lines(table, lines)
         return
     # Lines that all have another field count, or a token that str.split
     # would split, are left to the per-line parse too.
     if values.shape[1] != dim + 1 or "\n".join(tokens).split() != tokens:
-        _load_lines(table, lines, keep)
+        _load_lines(table, lines)
         return
     values = values[:, 1:]
     finite = np.isfinite(values).all(axis=1)
     loaded = int(finite.sum())
     table.loaded_lines += loaded
     table.skipped_lines += len(tokens) - loaded
-    if keep is not None:
-        finite &= np.fromiter(map(keep.__contains__, tokens), bool, len(tokens))
-    rows = np.flatnonzero(finite)
-    kept = values[rows]  # one compact copy: entries hold views of its rows
-    kept.flags.writeable = False
-    table.entries.update(zip(map(tokens.__getitem__, rows.tolist()), kept))
+    if table.vocab is None:
+        rows = np.flatnonzero(finite)
+        kept = values[rows]  # one compact copy: entries hold views of its rows
+        kept.flags.writeable = False
+        table._entries.update(zip(map(tokens.__getitem__, rows.tolist()), kept))
+        return
+    ids = np.fromiter(map(table.vocab.ids.get, tokens, repeat(0)), np.intp, len(tokens))
+    # Fancy assignment leaves the winner among repeated ids unspecified, so
+    # each id is written once: rows runs from the chunk's end, and unique's
+    # first index of an id is then its last line.
+    rows = np.flatnonzero(ids * finite)[::-1]
+    ids, last = np.unique(ids[rows], return_index=True)
+    table.matrix[ids] = values[rows[last]]
+    table.found[ids] = True
 
 
-def _load_lines(table: EmbeddingTable, lines: list[str], keep: dict | None) -> None:
+def _load_lines(table: EmbeddingTable, lines: list[str]) -> None:
     """The per-line parse: one ``float()`` per component."""
     dim = table.dim
     for line in lines:
@@ -152,9 +194,12 @@ def _load_lines(table: EmbeddingTable, lines: list[str], keep: dict | None) -> N
             table.skipped_lines += 1
             continue
         table.loaded_lines += 1
-        if keep is None or parts[0] in keep:
+        if table.vocab is None:
             vec.flags.writeable = False
-            table.entries[parts[0]] = vec
+            table._entries[parts[0]] = vec
+        elif row := table.vocab.ids.get(parts[0]):
+            table.matrix[row] = vec
+            table.found[row] = True
 
 
 def lookup(table: EmbeddingTable, token: str) -> np.ndarray:
@@ -290,11 +335,18 @@ def encode_token_ids(sentence: FixedSentence, vocab: TokenVocab) -> np.ndarray:
 def embedding_matrix(
     table: EmbeddingTable, vocab: TokenVocab, dtype=np.float32
 ) -> np.ndarray:
-    """Rows aligned with token ids; row 0 (PAD/OOV) is all zeros."""
-    mat = np.zeros((len(vocab) + 1, table.dim), dtype=dtype)
-    if vocab.tokens:
-        zero = table.zero_vector
-        rows = [table.entries.get(t, zero) for t in vocab.tokens]
-        np.concatenate(rows, out=mat[1:].reshape(-1))  # a view: mat is contiguous
+    """Rows aligned with token ids; row 0 (PAD/OOV) is all zeros.
+
+    For a table loaded for ``vocab`` this is ``table.matrix`` itself in
+    float32, and its exact cast otherwise.  The result is read-only.
+    """
+    if table.vocab == vocab:
+        mat = table.matrix.astype(dtype, copy=False)
+    else:
+        mat = np.zeros((len(vocab) + 1, table.dim), dtype=dtype)
+        if vocab.tokens:
+            zero = table.zero_vector
+            rows = [table.entries.get(t, zero) for t in vocab.tokens]
+            np.concatenate(rows, out=mat[1:].reshape(-1))  # a view: mat is contiguous
     mat.flags.writeable = False
     return mat

@@ -328,11 +328,26 @@ def _check_grads(params: Sequence[Parameter]) -> None:
             raise NumericsError(f"non-finite gradient in parameter {p.name}")
 
 
+def _with_scratch(params: Sequence[Parameter],
+                  count: int) -> Iterator[tuple[Parameter, np.ndarray]]:
+    """Each parameter with a stack of ``count`` scratch arrays of its shape and dtype.
+
+    All are carved from one block, sized for the largest parameter and
+    freed when the step ends, so an optimizer step makes no per-parameter
+    temporaries and holds no memory between steps.
+    """
+    block = np.empty(count * max((p.value.nbytes for p in params), default=0), np.uint8)
+    for p in params:
+        stack = block[: count * p.value.nbytes].view(p.value.dtype)
+        yield p, stack.reshape(count, *p.value.shape)
+
+
 def sgd_step(params: Sequence[Parameter], lr: float) -> None:
     """Plain gradient descent: ``p <- p - lr * g``."""
     _check_grads(params)
-    for p in params:
-        p.value -= lr * p.grad
+    for p, (step,) in _with_scratch(params, 1):
+        np.multiply(p.grad, lr, out=step)
+        p.value -= step
 
 
 class AdamState:
@@ -350,18 +365,34 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """Adam with bias correction."""
+    """Adam with bias correction, computed in place.
+
+    Per parameter: ``m += (1 - beta1) * (g - m)``, ``v += (1 - beta2) *
+    (g * g - v)`` and ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``,
+    each operation rounded as that expression rounds it.
+    """
     _check_grads(params)
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
-    for p in params:
-        g = p.grad
-        m = state.m.setdefault(p.name, np.zeros_like(p.value))
-        v = state.v.setdefault(p.name, np.zeros_like(p.value))
-        m += (1.0 - beta1) * (g - m)
-        v += (1.0 - beta2) * (g * g - v)
-        p.value -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+    for p, (step, denom) in _with_scratch(params, 2):
+        if p.name not in state.m:
+            state.m[p.name], state.v[p.name] = np.zeros_like(p.value), np.zeros_like(p.value)
+        g, m, v = p.grad, state.m[p.name], state.v[p.name]
+        np.subtract(g, m, out=step)
+        step *= 1.0 - beta1
+        m += step
+        np.multiply(g, g, out=step)
+        step -= v
+        step *= 1.0 - beta2
+        v += step
+        np.divide(m, bc1, out=step)
+        step *= lr
+        np.divide(v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step /= denom
+        p.value -= step
 
 
 def lr_exp_decay(
@@ -583,8 +614,10 @@ def train_loop(
     report.final_checkpoint_hash = save_model(
         model, out_dir / "checkpoint_final.bin", emb_matrix, meta
     )
-    if report.best_epoch is None:
-        report.best_checkpoint_hash = report.final_checkpoint_hash
+    if report.best_epoch is None:  # no epoch ran: the best checkpoint is the final one
+        report.best_checkpoint_hash = save_model(
+            model, out_dir / "checkpoint_best.bin", emb_matrix, meta
+        )
     (out_dir / "report.jsonl").write_text(report.to_jsonl(), encoding="utf-8")
     (out_dir / "report.txt").write_text(report.to_text(), encoding="utf-8")
     report.wall_time_s = time.perf_counter() - t0

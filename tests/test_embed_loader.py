@@ -13,6 +13,7 @@ vocabulary's rows and still counts every line.
 from __future__ import annotations
 
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -22,7 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sarv.embed
-from sarv.embed import TokenVocab, load_embeddings
+from sarv.cli import RunConfig, _embedding_matrix_for
+from sarv.embed import TokenVocab, embedding_matrix, load_embeddings
 
 from embed_reference import reference_load
 
@@ -211,3 +213,107 @@ def test_kept_rows_share_a_base_of_kept_rows_only(tmp_path):
         while root.base is not None:
             root = root.base
         assert root.nbytes == len(kept) * vec.nbytes  # never the whole chunk
+
+
+# ---------------------------------------------------------------------------
+# the embedding matrix of a vocabulary-loaded table
+# ---------------------------------------------------------------------------
+
+
+def reference_matrix(path: Path, dim: int, vocab: TokenVocab, dtype) -> np.ndarray:
+    """Row ``vocab.ids[token]`` is the oracle's vector for ``token``; every other row is zero."""
+    entries, _, _ = reference_load(path, dim)
+    mat = np.zeros((len(vocab) + 1, dim), dtype=dtype)
+    for token, vec in entries.items():
+        if token in vocab.ids:
+            mat[vocab.ids[token]] = vec
+    return mat
+
+
+def assert_matrix_matches_reference(path: Path, dim: int, vocab: TokenVocab) -> None:
+    table = load_embeddings(path, dim=dim, vocab=vocab)
+    for dtype in (np.float32, np.float64):
+        mat = embedding_matrix(table, vocab, dtype=dtype)
+        assert mat.dtype == dtype
+        assert mat.tobytes() == reference_matrix(path, dim, vocab, dtype).tobytes()
+        assert not mat[0].any()
+        assert not mat.flags.writeable
+    assert embedding_matrix(table, vocab) is table.matrix  # float32: no copy
+
+
+@given(lines=lines_of(2), chunk=st.integers(1, 6),
+       keep=st.sets(st.sampled_from(TOKENS + ("ناموجود", "b"))))
+@settings(max_examples=200, deadline=None)
+def test_vocabulary_matrix_matches_line_by_line_oracle(lines, chunk, keep):
+    vocab = TokenVocab(tuple(sorted(keep)))
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(sarv.embed, "LOAD_CHUNK_LINES", chunk):
+        path = Path(tmp) / "vec.txt"
+        write(path, lines)
+        assert_matrix_matches_reference(path, dim=2, vocab=vocab)
+
+
+def test_vocabulary_matrix_keeps_the_last_duplicate_inside_and_across_chunks(tmp_path):
+    # Chunks of 8 lines.  "d" repeats only inside the first chunk and "h"
+    # only inside the second; "e" and "f" repeat in every chunk, and the
+    # third chunk has a malformed line, so it is parsed line by line.
+    lines = [f"d {k} {-k}\n" for k in range(5)] + ["e 1 1\n", "f 2 2\n", "g 3 3\n"]
+    lines += ["e 4 4\n", "h 1 1\n", "f 5 5\n", "e 11 12\n", "h 2 2\n"] + clean_lines(3, 2, "v")
+    lines += ["e 6 6\n", "f 7 x\n", "f 8 8\n", "e 9 10\n"]
+    path = tmp_path / "vec.txt"
+    write(path, lines)
+    vocab = TokenVocab(("absent", "d", "e", "f", "h", "v2"))
+    with mock.patch.object(sarv.embed, "LOAD_CHUNK_LINES", 8):
+        assert_matrix_matches_reference(path, dim=2, vocab=vocab)
+        table = load_embeddings(path, dim=2, vocab=vocab)
+    mat = embedding_matrix(table, vocab)
+    expected = {"d": [4, -4], "e": [9, 10], "f": [8, 8], "h": [2, 2], "v2": [2, 2.125]}
+    for token, vec in expected.items():
+        assert mat[vocab.token_id(token)].tolist() == vec, token
+    assert not mat[vocab.token_id("absent")].any() and not mat[0].any()
+    assert (table.loaded_lines, table.skipped_lines) == (len(lines) - 1, 1)
+    assert set(table.entries) == set(expected) and len(table) == len(expected)
+    assert "absent" not in table and "g" not in table
+
+
+def test_vocabulary_matrix_is_parsed_in_place_without_a_copy_per_row(tmp_path):
+    path = tmp_path / "vec.txt"
+    write(path, clean_lines(3 * sarv.embed.LOAD_CHUNK_LINES, 4))
+    vocab = TokenVocab(tuple(f"w{i}" for i in range(0, 3 * sarv.embed.LOAD_CHUNK_LINES, 2)))
+    table = load_embeddings(path, dim=4, vocab=vocab)
+    assert table._entries is None  # no per-token table until entries is asked for
+    mat = embedding_matrix(table, vocab)
+    assert mat is table.matrix and not mat.flags.writeable
+    double = embedding_matrix(table, vocab, dtype=np.float64)
+    assert double.astype(np.float32).tobytes() == mat.tobytes()  # the cast is exact
+    assert not double.flags.writeable and not np.shares_memory(double, mat)
+    # A vocabulary the table was not loaded for gets its rows looked up.
+    other = TokenVocab(("w1", "w2", "w4"))
+    assert embedding_matrix(table, other).tolist() == [[0] * 4, [0] * 4, [2, 2.125, 2.25, 2.375],
+                                                      [4, 4.125, 4.25, 4.375]]
+
+
+def test_cli_vector_load_holds_one_matrix_and_one_chunk(tmp_path):
+    dim, n = 50, 40 * sarv.embed.LOAD_CHUNK_LINES
+    rng = np.random.default_rng(3)
+    lines = [f"واژه{i} " + " ".join(f"{v:.6f}" for v in rng.normal(size=dim)) + "\n"
+             for i in range(n)]
+    path = tmp_path / "vec.txt"
+    write(path, lines)
+    # Three in four lines are kept, and a few vocabulary tokens are absent.
+    vocab = TokenVocab(tuple(f"واژه{i}" for i in range(n) if i % 4) +
+                       tuple(f"غایب{i}" for i in range(100)))
+    cfg = RunConfig(embeddings=str(path))
+    _embedding_matrix_for(cfg, vocab, np.float32)  # warm up imports and caches
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        emb, _ = _embedding_matrix_for(cfg, vocab, np.float32)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    chunk_text = sum(map(len, lines[:sarv.embed.LOAD_CHUNK_LINES])) * 2  # UCS-2 str
+    # The matrix, one chunk's lines and what loadtxt parses them into; not
+    # a second copy of the kept rows.
+    assert peak < emb.nbytes + 4 * chunk_text, (peak, emb.nbytes, chunk_text)

@@ -439,6 +439,72 @@ def test_adam_state_is_per_parameter():
     assert a.value[0] < 1.0 < b.value[0]
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_in_place_steps_give_the_expression_bits(optimizer, dtype):
+    """Each step rounds as the plain numpy expressions of the update do."""
+    rng = np.random.default_rng(5)
+    shapes = [(7, 3), (3,), (4, 12), (1,)]
+    params = [Parameter(f"p{i}", rng.normal(size=s).astype(dtype)) for i, s in enumerate(shapes)]
+    want = [p.value.copy() for p in params]
+    ms = [np.zeros_like(w) for w in want]
+    vs = [np.zeros_like(w) for w in want]
+    state = AdamState()
+    for t in range(1, 6):
+        grads = [rng.normal(size=s).astype(dtype) for s in shapes]
+        for p, g in zip(params, grads):
+            p.grad[...] = g
+        if optimizer == "sgd":
+            sgd_step(params, 0.05)
+            for w, g in zip(want, grads):
+                w -= 0.05 * g
+            continue
+        adam_step(params, 0.01, state)
+        bc1, bc2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+        for w, m, v, g in zip(want, ms, vs, grads):
+            m += (1.0 - 0.9) * (g - m)
+            v += (1.0 - 0.999) * (g * g - v)
+            w -= 0.01 * (m / bc1) / (np.sqrt(v / bc2) + 1e-8)
+    for p, w in zip(params, want):
+        assert p.value.dtype == dtype
+        assert p.value.tobytes() == w.tobytes(), p.name
+    if optimizer == "adam":
+        for p, m, v in zip(params, ms, vs):
+            assert state.m[p.name].tobytes() == m.tobytes()
+            assert state.v[p.name].tobytes() == v.tobytes()
+
+
+@pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+def test_optimizer_step_makes_no_per_parameter_temporaries(optimizer):
+    rng = np.random.default_rng(6)
+    params = [Parameter(f"p{i}", rng.normal(size=s)) for i, s in
+              enumerate([(256, 256), (256,), (64, 256), (3, 256)])]
+    state = AdamState()
+
+    def step() -> None:
+        for p in params:
+            p.grad[...] = 0.5
+        if optimizer == "sgd":
+            sgd_step(params, 0.1)
+        else:
+            adam_step(params, 0.01, state)
+
+    step()  # Adam's moments are allocated on the first step
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        step()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One scratch block: one (sgd) or two (adam) arrays of the largest
+    # parameter's size, freed when the step returns.
+    scratch = (1 if optimizer == "sgd" else 2) * params[0].value.nbytes
+    assert peak - start < scratch + 32 * 1024, (peak - start, scratch)
+    assert current - start < 4 * 1024
+
+
 # ---------------------------------------------------------------------------
 # schedules
 # ---------------------------------------------------------------------------
@@ -552,6 +618,9 @@ def test_train_loop_zero_epochs_still_writes_final(tmp_path):
     assert report.best_epoch is None
     assert report.best_checkpoint_hash == report.final_checkpoint_hash != ""
     assert (tmp_path / "run" / "checkpoint_final.bin").exists()
+    best = tmp_path / "run" / "checkpoint_best.bin"
+    assert best.exists()
+    assert hashlib.sha256(best.read_bytes()).hexdigest() == report.best_checkpoint_hash
     assert (tmp_path / "run" / "report.jsonl").read_text(encoding="utf-8") == ""
 
 
