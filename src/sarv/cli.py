@@ -14,18 +14,20 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, fields
-from itertools import groupby
+from itertools import groupby, islice
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from sarv import textproc
 from sarv.corpus import (CorpusReader, Encoder, LabelScheme, check_hashes, encode_corpus,
-                         split_lines, to_json_lines)
+                         open_binary, text_lines, to_json_lines)
 from sarv.embed import embedding_matrix, embeddings_sha256, load_embeddings
 from sarv.errors import ConfigError, DataError, NumericsError, SarvError
 from sarv.models import (CHAR_PRESETS, EMBEDDINGS_HASH_KEY, OPTIMIZERS, PRECISIONS, PRESETS,
                          SCHEDULES, ModelSpec, load_model, scored_batches)
-from sarv.textproc import MAX_LEN, TOKENIZE_CHUNK, NormConfig, load_stopwords, tokenize_many
+from sarv.textproc import MAX_LEN, NormConfig, load_stopwords
 
 # ``predict`` never trains, scores a manifest or reads an INI file, so the
 # trainer, the metrics and configparser are imported only by the commands
@@ -266,8 +268,8 @@ def cmd_preprocess(cfg: RunConfig) -> int:
     _report_skipped(skipped)
     encoder.save(cfg.out_dir)
     with open(Path(cfg.out_dir) / "encoded.jsonl", "w", encoding="utf-8") as fh:
-        for start in range(0, len(encoded), TOKENIZE_CHUNK):
-            fh.write(to_json_lines(encoded[start:start + TOKENIZE_CHUNK]))
+        for start in range(0, len(encoded), textproc.TOKENIZE_CHUNK):
+            fh.write(to_json_lines(encoded[start:start + textproc.TOKENIZE_CHUNK]))
     _write_outputs(cfg, {"histogram.txt": _histogram_text(hist)})
     if not len(encoded):
         print("warning: empty corpus, wrote 0 records", file=sys.stderr)
@@ -280,8 +282,10 @@ def cmd_shard(cfg: RunConfig) -> int:
     from sarv.train import split_indices, undersample_indices, write_shards
 
     _require(cfg, "corpus", "out_dir")
-    if cfg.shard_size < 1:  # refused before anything is read or written
+    if cfg.shard_size < 1:  # both refused before anything is read or written
         raise ConfigError(f"shard_size must be >= 1, got {cfg.shard_size}")
+    if not 0.0 < cfg.split < 1.0:
+        raise ConfigError(f"split fraction must be in (0, 1), got {cfg.split}")
     encoded, encoder, _, skipped = _encode_corpus(cfg)
     _report_skipped(skipped)
     # Both splits are positions into the one record array; each shard is
@@ -358,6 +362,8 @@ def cmd_train(cfg: RunConfig) -> int:
     from sarv.train import TrainConfig, train_loop
 
     _require(cfg, "embeddings", "out_dir")
+    source = {f.metadata.get("train_field", name): name for name, f in _FIELDS.items()}
+    train_cfg = TrainConfig(**{f.name: getattr(cfg, source[f.name]) for f in fields(TrainConfig)})
     shard_dir = Path(cfg.shard_dir or cfg.out_dir)
     encoder = Encoder.load(shard_dir)
     hashes = encoder.hashes()
@@ -366,8 +372,6 @@ def cmd_train(cfg: RunConfig) -> int:
     eval_manifest = (_checked_manifest(test_path, hashes, cfg.classes)
                      if test_path.exists() else None)
 
-    source = {f.metadata.get("train_field", name): name for name, f in _FIELDS.items()}
-    train_cfg = TrainConfig(**{f.name: getattr(cfg, source[f.name]) for f in fields(TrainConfig)})
     spec = ModelSpec(
         preset=cfg.preset,
         num_classes=cfg.classes,
@@ -402,54 +406,61 @@ def cmd_eval(cfg: RunConfig) -> int:
     return 0
 
 
-def _read_input(cfg: RunConfig) -> str:
-    """The text to score: ``--input``, or else stdin, as strict UTF-8.
-
-    Invalid UTF-8 is a DataError naming the input and the offset of its
-    first bad byte.  A stdin with no byte stream under it (a test's
-    ``io.StringIO``) is read as the text it already is.
-    """
-    if cfg.input_path:
-        name = f"input {cfg.input_path}"
-        try:
-            data = Path(cfg.input_path).read_bytes()
-        except OSError as exc:
-            raise DataError(f"cannot read {name}: {exc}") from exc
-    else:
-        name = "standard input"
-        stream = getattr(sys.stdin, "buffer", None)
-        if stream is None:
-            return sys.stdin.read()
-        data = stream.read()
+@contextmanager
+def _replaced_on_success(path: Path):
+    """A text file written under a temporary name, renamed to ``path`` if the block succeeds."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
     try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{name} is not valid UTF-8 at byte {exc.start}") from exc
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
 
 
 def cmd_predict(cfg: RunConfig) -> int:
+    """Label each non-blank line of ``--input`` or stdin, ``TOKENIZE_CHUNK`` lines at a time.
+
+    Each batch's rows go to stdout as it is scored; ``predictions.tsv``
+    appears only once the whole input is scored.
+    """
     _require(cfg, "checkpoint", "embeddings", "shard_dir")
+    if not cfg.input_path and sys.stdin is None:
+        raise ConfigError("standard input is closed; pass --input")
     encoder = Encoder.load(cfg.shard_dir)
     model, emb = _load_checkpoint(cfg, encoder, encoder.hashes())
     scheme = LabelScheme.for_num_classes(model.spec.num_classes)
-    given = split_lines(_read_input(cfg))
-    if given[-1] == "":  # what follows the last line end (or empty input) is no line
-        given.pop()
-    lines = [ln for ln in given if ln.strip()]
-    seqs = tokenize_many(lines, encoder.norm)
-    if len(given) > len(lines):
-        print(f"warning: dropped {len(given) - len(lines)} blank input line(s)", file=sys.stderr)
-    tokenless = sum(not seq for seq in seqs)
+    name = f"input {cfg.input_path}" if cfg.input_path else "standard input"
+    # stdin is left open: main() may be called again in the same process.
+    source = open_binary(cfg.input_path, name) if cfg.input_path else nullcontext(sys.stdin.buffer)
+    blank = tokenless = 0
+
+    def encoded(lines):
+        nonlocal blank, tokenless
+        while chunk := list(islice(lines, textproc.TOKENIZE_CHUNK)):
+            texts = [line for line in chunk if line.strip()]
+            blank += len(chunk) - len(texts)
+            records = encoder.encode_texts(texts, 0, MAX_LEN)
+            tokenless += int((records["len"] == 0).sum())
+            yield records
+
+    sink = (_replaced_on_success(Path(cfg.out_dir) / "predictions.tsv") if cfg.out_dir
+            else nullcontext())
+    with source as fh, sink as out:
+        for _, labels, probs in scored_batches(model, encoded(text_lines(fh, name)), emb,
+                                               cfg.batch_size, "predict"):
+            rows = "".join("\t".join([scheme.classes[y]] + [f"{p:.6f}" for p in row]) + "\n"
+                           for y, row in zip(labels, probs))
+            sys.stdout.write(rows)
+            if out is not None:
+                out.write(rows)
+    if blank:
+        print(f"warning: dropped {blank} blank input line(s)", file=sys.stderr)
     if tokenless:
         print(f"warning: {tokenless} input line(s) normalised to no token", file=sys.stderr)
-    records = encoder.encode_many(seqs, [0] * len(seqs), MAX_LEN)
-    scored = scored_batches(model, [records], emb, cfg.batch_size, "predict")
-    text = "".join(
-        "\t".join([scheme.classes[y]] + [f"{p:.6f}" for p in row]) + "\n"
-        for _, labels, probs in scored for y, row in zip(labels, probs)
-    )
-    sys.stdout.write(text)
-    _write_outputs(cfg, {"predictions.tsv": text})
+    _write_outputs(cfg, {})
     return 0
 
 

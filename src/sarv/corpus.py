@@ -6,14 +6,16 @@ keys.  An encoded record is fixed-length token ids, per-token char ids,
 true length, and class label, stored as one row of a structured array
 (:func:`record_dtype`) from the encoder to the model.  An
 :class:`Encoder` holds the normaliser and vocabularies a shard directory
-was encoded with and encodes token sequences straight into that record
-array; its hashes are checked against what manifests and checkpoints
-recorded.  :class:`CorpusReader` and :func:`encode_corpus` stream a
-corpus file into a record array one chunk of reviews at a time.
+was encoded with and encodes raw texts straight into that record array;
+its hashes are checked against what manifests and checkpoints recorded.
+:func:`text_lines` reads the lines of a byte stream (a corpus file,
+``predict``'s ``--input`` or standard input) a block at a time, and
+:class:`CorpusReader` and :func:`encode_corpus` stream a corpus file
+through it into a record array one chunk of reviews at a time.
 :func:`encode_sentence` encodes one review as an :class:`EncodedSentence`
-tuple, the reference ``Encoder.encode_many`` is tested against.
+tuple, the reference ``Encoder.encode_texts`` is tested against.
 :func:`batches` cuts a stream of record arrays (the shards of a manifest,
-or ``predict``'s one array) into fixed-size batches.
+or ``predict``'s chunks) into fixed-size batches.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from itertools import chain, islice
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from sarv.embed import (CharVocab, TokenVocab, build_char_vocab, build_token_voc
                         encode_token_ids, parse_char_vocab, parse_token_vocab,
                         serialize_char_vocab, serialize_token_vocab, text_hash)
 from sarv.errors import ConfigError, DataError
-from sarv.textproc import (MAX_LEN, PAD, FixedSentence, LengthHistogram, NormConfig, TokenTable,
+from sarv.textproc import (MAX_LEN, FixedSentence, LengthHistogram, NormConfig, TokenTable,
                            load_stopwords)
 
 BINARY_CLASSES = ("negative", "positive")
@@ -101,7 +103,7 @@ def _infer_format(path: Path) -> str:
     raise ConfigError(f"cannot infer corpus format from {path.name!r}; pass fmt explicitly")
 
 
-# Bytes per read of a corpus file.
+# Bytes per read of a corpus file or of predict's input.
 READ_BYTES = 1 << 16
 
 
@@ -135,19 +137,21 @@ class CorpusReader:
     def __iter__(self) -> Iterator[RawRecord]:
         self.skipped = []
         bad = 0
-        lines = _text_lines(self.path)
-        if self.fmt == "jsonl":
-            rows = _parse_jsonl(lines, *self.columns)
-        else:
-            rows = _parse_delimited(lines, "," if self.fmt == "csv" else "\t", self.path,
-                                    *self.columns)
-        for row in rows:
-            if type(row) is RawRecord:
-                yield row
-                continue
-            bad += 1
-            if bad <= self.max_bad_rows + 1:  # with a threshold of 0 the error still has a first
-                self.skipped.append(row)
+        name = f"corpus {self.path}"
+        with open_binary(self.path, name) as fh:
+            lines = text_lines(fh, name)
+            if self.fmt == "jsonl":
+                rows = _parse_jsonl(lines, *self.columns)
+            else:
+                rows = _parse_delimited(lines, "," if self.fmt == "csv" else "\t", self.path,
+                                        *self.columns)
+            for row in rows:
+                if type(row) is RawRecord:
+                    yield row
+                    continue
+                bad += 1
+                if bad <= self.max_bad_rows + 1:  # threshold 0 still names a first
+                    self.skipped.append(row)
         if bad > self.max_bad_rows:
             first = self.skipped[0]
             raise DataError(f"{bad} malformed rows exceed threshold {self.max_bad_rows}; "
@@ -172,49 +176,45 @@ def read_corpus(
     return records, reader.skipped
 
 
-def _text_lines(path: Path) -> Iterator[str]:
-    """The lines of a UTF-8 file, each with its line end, read ``READ_BYTES`` at a time.
-
-    Lines end at "\n", "\r\n" or "\r", as ``open(newline="")`` splits them.
-    Invalid UTF-8 is a DataError naming the file offset of its first byte.
-    """
+def open_binary(path, name: str) -> BinaryIO:
+    """``path`` opened for reading bytes; an OSError is a DataError naming ``name``."""
     try:
-        fh = open(path, "rb")
+        return open(path, "rb")
     except OSError as exc:
-        raise DataError(f"cannot read corpus {path}: {exc}") from exc
-    with fh:
-        offset, pending, tail = 0, b"", []  # bytes decoded, bytes not yet, text after the cut
-        while True:
-            try:
-                block = fh.read(READ_BYTES)
-            except OSError as exc:
-                raise DataError(f"cannot read corpus {path}: {exc}") from exc
-            data = pending + block
-            try:
-                text, used = codecs.utf_8_decode(data, "strict", not block)
-            except UnicodeDecodeError as exc:
-                raise DataError(f"corpus {path} is not valid UTF-8 at byte {offset + exc.start}"
-                                ) from exc
-            offset, pending = offset + used, data[used:]
-            if not block:
-                yield from io.StringIO("".join(tail) + text, newline="")
-                return
-            # Cut after the last line end, but not after a final "\r": the next
-            # read may start with the "\n" of its "\r\n".
-            cut = max(text.rfind("\n"), text.rfind("\r", 0, len(text) - 1)) + 1
-            if cut:
-                yield from io.StringIO("".join(tail) + text[:cut], newline="")
-                tail = []
-            tail.append(text[cut:])
+        raise DataError(f"cannot read {name}: {exc}") from exc
 
 
-def split_lines(text: str) -> list[str]:
-    """``text`` split at line ends only: "\n", "\r\n" and "\r".
+def text_lines(stream: BinaryIO, name: str) -> Iterator[str]:
+    """The lines of a UTF-8 byte stream, each with its line end, read ``READ_BYTES`` at a time.
 
-    Unlike ``str.splitlines`` it does not break at U+2028/2029, "\x0b",
-    "\x0c", "\x1c"-"\x1e" or "\x85", which may sit inside a record.
+    Lines end at "\n", "\r\n" or "\r", as ``open(newline="")`` splits them,
+    never at the other separators ``str.splitlines`` breaks at.  A read
+    error or invalid UTF-8 (by the offset of its first byte) is a DataError
+    naming ``name``: ``corpus <path>``, ``input <path>`` or ``standard
+    input``.  The caller closes the stream.
     """
-    return io.StringIO(text, newline=None).read().split("\n")
+    offset, pending, tail = 0, b"", []  # bytes decoded, bytes not yet, text after the cut
+    while True:
+        try:
+            block = stream.read(READ_BYTES)
+        except OSError as exc:
+            raise DataError(f"cannot read {name}: {exc}") from exc
+        data = pending + block
+        try:
+            text, used = codecs.utf_8_decode(data, "strict", not block)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{name} is not valid UTF-8 at byte {offset + exc.start}") from exc
+        offset, pending = offset + used, data[used:]
+        if not block:
+            yield from io.StringIO("".join(tail) + text, newline="")
+            return
+        # Cut after the last line end, but not after a final "\r": the next
+        # read may start with the "\n" of its "\r\n".
+        cut = max(text.rfind("\n"), text.rfind("\r", 0, len(text) - 1)) + 1
+        if cut:
+            yield from io.StringIO("".join(tail) + text[:cut], newline="")
+            tail = []
+        tail.append(text[cut:])
 
 
 def _parse_jsonl(lines, text_col, label_col, category_col) -> Iterator[RawRecord | SkippedRow]:
@@ -380,7 +380,7 @@ ENCODER_HASH_KEYS = ("vocab_hash", "char_vocab_hash", "norm_config_hash")
 class Encoder:
     """The normaliser and vocabularies one shard directory was encoded with.
 
-    ``encode_many`` turns token sequences into a record array, and
+    ``encode_texts`` turns raw texts into a record array, and
     :func:`encode_corpus` builds an encoder from a corpus and encodes it
     chunk by chunk.  ``save``/``load`` own the directory's
     ``vocab.tsv``, ``chars.tsv`` and ``stopwords.txt`` (the folded
@@ -426,25 +426,22 @@ class Encoder:
     def _hashes(self, vocab_hash: str, char_vocab_hash: str) -> dict[str, str]:
         return dict(zip(ENCODER_HASH_KEYS, (vocab_hash, char_vocab_hash, self.norm.config_hash())))
 
-    def encode_many(self, seqs: Sequence[Sequence[str]], labels: Sequence[int],
-                    max_len: int) -> np.ndarray:
-        """Token sequences and their labels as one record array of ``max_len`` slots, in order.
+    def encode_texts(self, texts: Sequence[str], labels: Sequence[int] | int,
+                     max_len: int) -> np.ndarray:
+        """Raw review texts and their labels as one record array of ``max_len`` slots, in order.
 
-        Each sequence keeps its first ``max_len`` tokens and the rest of its
-        slots are PAD, so row ``i`` holds the fields of
-        ``encode_sentence(unify_length(seqs[i], max_len), ...)``.  Each distinct
-        token is looked up once: every token becomes the number of its row
-        in a table of distinct tokens (row 0 is PAD), and each slot's token
-        id and char row are gathered from that table.
+        Row ``i`` holds the fields of ``encode_sentence(unify_length(
+        tokenize(normalize(texts[i], self.norm)), max_len), ...)``; ``labels``
+        is one label per text or one for all.  The texts are numbered in one
+        :class:`TokenTable`, so each distinct token is looked up once, and each
+        slot's token id and char row are gathered from that table.
         """
         if max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {max_len}")
-        tokens = [PAD, *dict.fromkeys(chain.from_iterable(seqs))]
-        number = {t: i for i, t in enumerate(tokens)}
-        numbered = [list(map(number.__getitem__, seq)) for seq in seqs]
-        slots, lengths = _slot_numbers(numbered, max_len)
-        out = np.zeros(len(seqs), record_dtype(max_len, self.char_vocab.max_word_chars))
-        _fill(out, slots, lengths, labels, *self._tables(tokens, max_len))
+        table = TokenTable(self.norm)
+        slots, lengths = _slot_numbers(table.number_many(texts), max_len)
+        out = np.zeros(len(texts), record_dtype(max_len, self.char_vocab.max_word_chars))
+        _fill(out, slots, lengths, labels, *self._tables(table.tokens, max_len))
         return out
 
     def _tables(self, tokens: Sequence[str], max_len: int) -> tuple[np.ndarray, np.ndarray]:
@@ -519,8 +516,8 @@ def encode_corpus(records: Iterable[RawRecord], norm: NormConfig, scheme: LabelS
     of its first ``max_len`` tokens in one :class:`TokenTable` are kept.
     Both vocabularies come from that table once the records run out; then
     one record array is allocated and filled chunk by chunk.  The result
-    equals ``encode_many`` over ``tokenize_many`` of every text, with the
-    vocabularies built from those token lists.
+    equals ``encode_texts`` of every text by an encoder whose vocabularies
+    are built from the texts' tokens.
     """
     table = TokenTable(norm)
     chunks = []  # (slot numbers, true lengths, labels) per chunk

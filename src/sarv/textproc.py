@@ -10,9 +10,9 @@ steps into one pass gives the same string, because each step maps one
 character on its own over disjoint sets (see ``_strip_chars``).  All
 functions here are pure and safe to apply across records in parallel.
 :func:`normalize` is the per-review reference; :class:`TokenTable` gives
-the same tokens for a corpus, chunk by chunk, by running the character
-steps over many reviews at once, and :func:`tokenize_many` is its
-list-of-tokens form.
+the same tokens, as numbers into its table of distinct tokens, for a
+corpus or ``predict``'s input, chunk by chunk, by running the character
+steps over many reviews at once.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from typing import Iterable, Sequence
 MAX_LEN = 15
 
 # Reviews per chunk: the character steps run once over this many reviews
-# joined by "\n", and ``shard``/``preprocess`` read, tokenize and encode a
-# corpus this many reviews at a time.
+# joined by "\n", ``shard``/``preprocess`` read, tokenize and encode a
+# corpus this many reviews at a time, and ``predict`` its input.
 TOKENIZE_CHUNK = 1024
 
 # Padding symbol for sentence slots beyond the true length.  The empty
@@ -264,17 +264,6 @@ class TokenTable:
             tokens += new
             out += [[i for i in map(number.__getitem__, seq) if i is not None] for seq in seqs]
         return out
-
-
-def tokenize_many(texts: Sequence[str], cfg: NormConfig) -> list[list[str]]:
-    """``list(tokenize(normalize(t, cfg)).tokens)`` for each text, in order.
-
-    Runs :class:`TokenTable`'s chunked path, so every occurrence of a token
-    is the same ``str`` object and a corpus holds each token once.
-    """
-    table = TokenTable(cfg)
-    tokens = table.tokens
-    return [list(map(tokens.__getitem__, seq)) for seq in table.number_many(texts)]
 
 
 def unify_length(seq: TokenSeq | Sequence[str], max_len: int = MAX_LEN) -> FixedSentence:

@@ -70,6 +70,8 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if not 0.0 < self.plateau_factor < 1.0:
             raise ConfigError(f"plateau_factor must be in (0, 1), got {self.plateau_factor}")
+        if self.plateau_patience < 1:
+            raise ConfigError(f"plateau_patience must be >= 1, got {self.plateau_patience}")
         stop = self.stop_at_train_accuracy
         if stop is not None and not 0.0 <= stop <= 1.0:
             raise ConfigError(f"stop_at_train_accuracy must be in [0, 1], got {stop}")

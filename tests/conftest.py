@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 from importlib import resources
 from pathlib import Path
 
@@ -107,6 +108,11 @@ def encode_rows(rows, classes: int, stopwords=frozenset()):
 
 def emb_matrix_for(token_vocab, dtype=np.float32) -> np.ndarray:
     return embedding_matrix(load_embeddings(bundled_embedding_path()), token_vocab, dtype=dtype)
+
+
+def byte_stdin(data: bytes) -> io.TextIOWrapper:
+    """A text stdin over ``data``, with the byte buffer a terminal or pipe gives it."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape")
 
 
 def write_corpus_tsv(path, rows) -> Path:

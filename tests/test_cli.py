@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import configparser
 import hashlib
-import io
 import json
 import os
 import re
@@ -40,6 +39,7 @@ from conftest import (
     FILLERS,
     REVIEWS_TSV,
     bundled_embedding_path,
+    byte_stdin,
     emb_matrix_for,
     separable_rows,
     stack_sentences,
@@ -51,6 +51,7 @@ def invoke(capsys, *argv):
     code = main([str(a) for a in argv])
     cap = capsys.readouterr()
     return code, cap.out, cap.err
+
 
 
 @pytest.fixture()
@@ -205,6 +206,22 @@ def test_shard_size_below_one_writes_nothing(size, tmp_path, capsys):
         assert "config error" in stderr and "shard_size" in stderr
     assert not absent.exists()
     assert list(empty.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, word", [
+    (["shard", "--split", "1.5"], "split fraction must be in (0, 1), got 1.5"),
+    (["shard", "--split", "0"], "split fraction must be in (0, 1), got 0.0"),
+    (["train", "--lr-schedule", "constant", "--plateau-patience", "0"],
+     "plateau_patience must be >= 1, got 0"),
+])
+def test_bad_split_or_patience_is_refused_before_any_input_is_read(argv, word, tmp_path, capsys):
+    out, missing = tmp_path / "out", tmp_path / "missing"  # no input file exists
+    inputs = {"shard": ["--corpus", missing / "c.tsv"],
+              "train": ["--shard-dir", missing, "--embeddings", missing / "v.txt"]}[argv[0]]
+    code, stdout, stderr = invoke(capsys, *argv, *inputs, "--out-dir", out)
+    assert (code, stdout) == (1, "")
+    assert stderr == f"sarv: config error: {word}\n"
+    assert not out.exists()
 
 
 def test_shard_rus_flag_balances_train_split(tmp_path, capsys):
@@ -878,7 +895,7 @@ def test_eval_and_predict_embed_at_checkpoint_precision(trained, tmp_path, capsy
     common = ["--checkpoint", run / "checkpoint_final.bin", "--shard-dir", shards,
               "--embeddings", bundled_embedding_path()]
     assert invoke(capsys, "eval", *common)[0] == 0
-    monkeypatch.setattr("sys.stdin", io.StringIO("عالی\n"))
+    monkeypatch.setattr("sys.stdin", byte_stdin("عالی\n".encode("utf-8")))
     assert invoke(capsys, "predict", *common)[0] == 0
     assert used
     for emb in used:
@@ -908,13 +925,30 @@ def test_predict_from_file_and_stdin(trained, tmp_path, capsys, monkeypatch):
     assert lines[1].split("\t")[0] == "negative"
     assert (tmp_path / "pred" / "predictions.tsv").read_text("utf-8") == stdout
 
-    monkeypatch.setattr("sys.stdin", io.StringIO("عالی\n"))
+    stdin = byte_stdin("عالی\n".encode("utf-8"))
+    monkeypatch.setattr("sys.stdin", stdin)
     code, stdout, _ = invoke(
         capsys, "predict", "--checkpoint", run / "checkpoint_best.bin",
         "--shard-dir", shards, "--embeddings", bundled_embedding_path(),
     )
     assert code == 0
     assert stdout.splitlines()[0].split("\t")[0] == "positive"
+    assert not stdin.buffer.closed  # main() may be called again in the same process
+
+
+def test_predict_refuses_a_closed_stdin(trained, tmp_path, capsys, monkeypatch):
+    _, shards, run = trained
+    argv = ("predict", "--checkpoint", run / "checkpoint_best.bin", "--shard-dir", shards,
+            "--embeddings", bundled_embedding_path(), "--out-dir", tmp_path / "pred")
+    monkeypatch.setattr("sys.stdin", None)  # as `sarv predict ... <&-` starts
+    code, stdout, stderr = invoke(capsys, *argv)
+    assert (code, stdout) == (1, "")
+    assert stderr == "sarv: config error: standard input is closed; pass --input\n"
+    assert not (tmp_path / "pred").exists()
+    inp = tmp_path / "lines.txt"
+    inp.write_text("عالی\n", encoding="utf-8")
+    code, stdout, _ = invoke(capsys, *argv, "--input", inp)
+    assert code == 0 and stdout.split("\t")[0] == "positive"
 
 
 def test_predict_splits_input_only_at_line_ends(trained, tmp_path, capsys, monkeypatch):
@@ -925,7 +959,7 @@ def test_predict_splits_input_only_at_line_ends(trained, tmp_path, capsys, monke
     inp.write_bytes("واقعا عالی\u2028بود\x1cخوب\r\nافتضاح\x85بود\rبد\n".encode("utf-8"))
     code, from_file, _ = invoke(capsys, *argv, "--input", inp)
     assert code == 0
-    monkeypatch.setattr("sys.stdin", io.StringIO(inp.read_bytes().decode("utf-8")))
+    monkeypatch.setattr("sys.stdin", byte_stdin(inp.read_bytes()))
     code, from_stdin, _ = invoke(capsys, *argv)
     assert code == 0
     # Three line ends ("\r\n", "\r", "\n"), so three records, not the six
@@ -947,8 +981,7 @@ def test_predict_refuses_invalid_utf8_naming_the_input_and_byte(source, trained,
         argv += ["--input", inp]
         name = f"input {inp}"
     else:  # the bytes under a text stdin, as a terminal or pipe gives them
-        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8",
-                                                          errors="surrogateescape"))
+        monkeypatch.setattr("sys.stdin", byte_stdin(data))
         name = "standard input"
     code, stdout, err = invoke(capsys, *argv)
     assert (code, stdout) == (2, "")
@@ -1059,8 +1092,10 @@ def test_predict_scores_in_batches_of_the_configured_size(trained, tmp_path, cap
 
     encoder = Encoder.load(shards)
     model, emb, _ = load_model(ckpt, len(encoder.token_vocab))
-    seqs = [tokenize(normalize(ln, encoder.norm)).tokens for ln in lines]
-    labels, probs = model.predict(encoder.encode_many(seqs, [0] * len(seqs), MAX_LEN), emb)
+    encoded = [encode_sentence(unify_length(tokenize(normalize(ln, encoder.norm)), MAX_LEN),
+                               encoder.token_vocab, encoder.char_vocab, label=0)
+               for ln in lines]
+    labels, probs = model.predict(stack_sentences(encoded, encoder.char_vocab.max_word_chars), emb)
     assert stdout == "".join(
         "\t".join([("negative", "positive")[y]] + [f"{p:.6f}" for p in row]) + "\n"
         for y, row in zip(labels, probs)
@@ -1113,7 +1148,7 @@ def test_embeddings_of_the_wrong_dimension_exit_two(command, trained, tmp_path, 
         "eval": ["eval", "--checkpoint", run / "checkpoint_best.bin", "--shard-dir", shards],
         "predict": ["predict", "--checkpoint", run / "checkpoint_best.bin", "--shard-dir", shards],
     }[command]
-    monkeypatch.setattr("sys.stdin", io.StringIO("عالی\n"))
+    monkeypatch.setattr("sys.stdin", byte_stdin("عالی\n".encode("utf-8")))
     code, stdout, err = invoke(capsys, *argv, "--embeddings", wide)
     assert code == 2
     assert stdout == ""
@@ -1136,7 +1171,7 @@ def test_eval_and_predict_refuse_embeddings_the_checkpoint_was_not_trained_on(
             ln.split()[0] + " " + " ".join(f"{float(v) + 0.5:.6f}" for v in ln.split()[1:]) + "\n"
             for ln in bundled_embedding_path().read_text("utf-8").splitlines() if ln.strip()
         ), encoding="utf-8")
-    monkeypatch.setattr("sys.stdin", io.StringIO("عالی\n"))
+    monkeypatch.setattr("sys.stdin", byte_stdin("عالی\n".encode("utf-8")))
     code, stdout, err = invoke(capsys, command, "--checkpoint", run / "checkpoint_best.bin",
                                "--shard-dir", shards, "--embeddings", vectors)
     assert code == 2
@@ -1156,6 +1191,6 @@ def test_eval_and_predict_read_the_stored_matrix_without_parsing(trained, capsys
               "--embeddings", bundled_embedding_path()]
     code, stdout, _ = invoke(capsys, "eval", *common)
     assert code == 0 and "accuracy" in stdout
-    monkeypatch.setattr("sys.stdin", io.StringIO("عالی\n"))
+    monkeypatch.setattr("sys.stdin", byte_stdin("عالی\n".encode("utf-8")))
     code, stdout, _ = invoke(capsys, "predict", *common)
     assert code == 0 and stdout.split("\t")[0] == "positive"

@@ -16,7 +16,7 @@ from sarv.corpus import (
 )
 from sarv.embed import build_char_vocab, build_token_vocab
 from sarv.errors import ConfigError, DataError
-from sarv.textproc import (MAX_LEN, NormConfig, length_histogram, tokenize, tokenize_many,
+from sarv.textproc import (MAX_LEN, NormConfig, TokenTable, length_histogram, tokenize,
                            unify_length)
 
 from conftest import REVIEWS_TSV, stack_sentences
@@ -242,7 +242,7 @@ def test_encoder_round_trip_and_check(tmp_path):
     fixed = unify_length(["خوب", "بد"])
     want = stack_sentences([encode_sentence(fixed, token_vocab, char_vocab, 1)],
                            char_vocab.max_word_chars)
-    assert back.encode_many([["خوب", "بد"]], [1], MAX_LEN).tobytes() == want.tobytes()
+    assert back.encode_texts(["خوب بد"], [1], MAX_LEN).tobytes() == want.tobytes()
     for key in hashes:
         empty = {**hashes, key: ""}
         missing = {k: v for k, v in hashes.items() if k != key}
@@ -262,10 +262,11 @@ def test_encoder_round_trip_and_check(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_tokenize_many_keeps_pretruncation_sequence():
+def test_token_table_keeps_pretruncation_sequence():
     norm = NormConfig(stopwords=frozenset())
-    [seq] = tokenize_many([" ".join(["خوب"] * 20)], norm)
+    text = " ".join(["خوب"] * 20)
+    [seq] = TokenTable(norm).number_many([text])
     assert len(seq) == 20
     assert length_histogram([seq]).counts == {20: 1}
-    [rec] = Encoder(norm, *make_vocabs("خوب")).encode_many([seq], [1], MAX_LEN)
+    [rec] = Encoder(norm, *make_vocabs("خوب")).encode_texts([text], [1], MAX_LEN)
     assert rec["len"] == MAX_LEN == 15

@@ -3,9 +3,10 @@
 ``shard`` and ``preprocess`` read, tokenize and encode a corpus
 ``TOKENIZE_CHUNK`` reviews at a time, reading the file ``READ_BYTES`` at a
 time.  These tests pin that neither size shows in any artifact or error,
-that the result equals the whole-corpus path (``read_corpus`` ->
-``tokenize_many`` -> vocabularies -> ``encode_many``), and that ``shard``
-holds about one record array, not several copies of the corpus.
+that the result equals the per-review path (``read_corpus`` -> ``normalize``
+-> ``tokenize`` -> vocabularies -> ``unify_length`` -> ``encode_sentence``),
+and that ``shard`` holds about one record array, not several copies of the
+corpus.
 """
 
 from __future__ import annotations
@@ -21,13 +22,13 @@ import pytest
 import sarv.corpus
 import sarv.textproc
 from sarv.cli import main
-from sarv.corpus import (CorpusReader, Encoder, LabelScheme, encode_corpus, read_corpus,
-                         record_dtype)
+from sarv.corpus import (CorpusReader, Encoder, LabelScheme, encode_corpus, encode_sentence,
+                         read_corpus, record_dtype)
 from sarv.embed import build_char_vocab, build_token_vocab
 from sarv.errors import DataError
-from sarv.textproc import MAX_LEN, NormConfig, length_histogram, tokenize_many
+from sarv.textproc import MAX_LEN, NormConfig, length_histogram, normalize, tokenize, unify_length
 
-from conftest import separable_rows
+from conftest import separable_rows, stack_sentences
 
 FORMATS = ("csv", "tsv", "jsonl")
 # (reviews per chunk, bytes per read): block ends fall inside multi-byte
@@ -111,14 +112,17 @@ def test_artifacts_do_not_depend_on_chunk_or_read_size(fmt, chunk, read_bytes, c
 
 @pytest.mark.parametrize("chunk, read_bytes", SIZES)
 @pytest.mark.parametrize("fmt", FORMATS)
-def test_encode_corpus_equals_the_whole_corpus_path(fmt, chunk, read_bytes, corpora, monkeypatch):
+def test_encode_corpus_equals_the_per_review_path(fmt, chunk, read_bytes, corpora, monkeypatch):
     norm = NormConfig.default()
     scheme = LabelScheme.for_num_classes(2)
     records, skipped = read_corpus(corpora[fmt])
     assert len(records) == 40 and any("\n" in r.text for r in records)
-    seqs = tokenize_many([r.text for r in records], norm)
+    seqs = [tokenize(normalize(r.text, norm)) for r in records]
     encoder = Encoder(norm, build_token_vocab(seqs), build_char_vocab(seqs))
-    want = encoder.encode_many(seqs, [scheme.label_index(r.label) for r in records], MAX_LEN)
+    want = stack_sentences(
+        [encode_sentence(unify_length(seq, MAX_LEN), encoder.token_vocab, encoder.char_vocab,
+                         scheme.label_index(r.label)) for seq, r in zip(seqs, records)],
+        encoder.char_vocab.max_word_chars)
 
     monkeypatch.setattr(sarv.textproc, "TOKENIZE_CHUNK", chunk)
     monkeypatch.setattr(sarv.corpus, "READ_BYTES", read_bytes)

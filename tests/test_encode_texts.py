@@ -1,11 +1,12 @@
 """The text front end's fast paths against their slow forms.
 
-``tokenize_many`` normalises reviews in chunks joined by "\n"; it must
-give every review the tokens ``tokenize(normalize(...))`` gives it alone.
-``encode_many`` encodes each distinct token once and gathers the record
-array from that table; from token sequences and a slot count it must
-give the same bytes as stacking one ``encode_sentence(unify_length(...))``
-per review, and refuse ids the record layout cannot hold.  The character
+``TokenTable`` normalises reviews in chunks joined by "\n"; it must give
+every review the tokens ``tokenize(normalize(...))`` gives it alone.
+``Encoder.encode_texts`` numbers raw texts in one ``TokenTable``, encodes
+each distinct token once and gathers the record array from that table;
+from texts and a slot count it must give the same bytes as stacking one
+``encode_sentence(unify_length(tokenize(normalize(...))))`` per review, and
+refuse ids the record layout cannot hold.  The character
 steps run as two regex passes whose space class learns punctuation as
 texts hold it; they must give what ``text_reference.reference_strip``
 gives one character at a time, on every code point, whatever the order
@@ -28,8 +29,8 @@ import sarv.textproc
 from sarv.corpus import Encoder, encode_sentence, record_dtype
 from sarv.embed import CharVocab, TokenVocab
 from sarv.errors import DataError
-from sarv.textproc import (MAX_LEN, NormConfig, _strip_chars, bundled_stopwords, fold_persian,
-                           normalize, tokenize, tokenize_many, unify_length)
+from sarv.textproc import (MAX_LEN, NormConfig, TokenTable, _strip_chars, bundled_stopwords,
+                           fold_persian, normalize, tokenize, unify_length)
 
 from conftest import stack_sentences
 from text_reference import FOLDS, ZWNJ, is_diacritic, reference_strip, strip_char
@@ -56,67 +57,74 @@ texts = st.lists(
 @pytest.mark.parametrize("chunk", [1, 2, 3, sarv.textproc.TOKENIZE_CHUNK])
 @given(texts=texts, stopwords=st.booleans())
 @settings(max_examples=150, deadline=None)
-def test_tokenize_many_equals_tokenize_normalize(chunk, texts, stopwords):
+def test_token_table_equals_tokenize_normalize(chunk, texts, stopwords):
     # The bundled list, plus words that only match once casefolded.
     cfg = NormConfig(stopwords=bundled_stopwords() | {"ß", "σ", "é"}) if stopwords else NormConfig()
     want = [list(tokenize(normalize(t, cfg)).tokens) for t in texts]
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sarv.textproc, "TOKENIZE_CHUNK", chunk)
-        got = tokenize_many(texts, cfg)
+        table = TokenTable(cfg)
+        got = [[table.tokens[i] for i in seq] for seq in table.number_many(texts)]
     assert got == want
     tokens = [t for seq in got for t in seq]
     assert len({id(t) for t in tokens}) == len(set(tokens))  # one object per distinct token
 
 
+# What reviews put between their words: spaces, line ends, punctuation, digits.
+SEPARATORS = (" ", "\n", "\r\n", "، ", "!", " 42 ", "\u200c")
+
+
 @st.composite
 def corpora(draw):
-    """(encoder, token sequences, slot count, labels), with words repeated across and within."""
+    """(encoder, review texts, slot count, labels), with words repeated across and within."""
     width = draw(st.integers(1, 6))  # words are often longer than max_word_chars
     max_len = draw(st.integers(1, MAX_LEN))
     pool = draw(st.lists(words, min_size=1, max_size=12))
     known = draw(st.sets(st.sampled_from(pool)))
     reviews = draw(st.lists(st.lists(st.sampled_from(pool), max_size=max_len + 3),
                             min_size=1, max_size=12))
+    texts = [draw(st.sampled_from(SEPARATORS)).join(r) for r in reviews]
     encoder = Encoder(NormConfig(), TokenVocab(tuple(sorted(known))),
                       CharVocab(tuple(KNOWN), max_word_chars=width))
     labels = draw(st.lists(st.integers(0, 2), min_size=len(reviews), max_size=len(reviews)))
-    return encoder, reviews, max_len, labels
+    return encoder, texts, max_len, labels
 
 
 @given(corpora())
 @settings(max_examples=200, deadline=None)
-def test_encode_many_equals_stacked_encode_sentence(case):
-    encoder, reviews, max_len, labels = case
-    got = encoder.encode_many(reviews, labels, max_len)
-    slow = [encode_sentence(unify_length(r, max_len), encoder.token_vocab, encoder.char_vocab, y)
-            for r, y in zip(reviews, labels)]  # PAD slots and truncation
+def test_encode_texts_equals_stacked_encode_sentence(case):
+    encoder, texts, max_len, labels = case
+    got = encoder.encode_texts(texts, labels, max_len)
+    slow = [encode_sentence(unify_length(tokenize(normalize(t, encoder.norm)), max_len),
+                            encoder.token_vocab, encoder.char_vocab, y)
+            for t, y in zip(texts, labels)]  # PAD slots and truncation
     want = stack_sentences(slow, encoder.char_vocab.max_word_chars)
     assert got.dtype == want.dtype
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 
 
-def test_encode_many_of_nothing_is_an_empty_record_array():
+def test_encode_texts_of_nothing_is_an_empty_record_array():
     encoder = Encoder(NormConfig(), TokenVocab(()), CharVocab(()))
-    got = encoder.encode_many([], [], MAX_LEN)
+    got = encoder.encode_texts([], [], MAX_LEN)
     assert got.shape == (0,)
     assert got.dtype == record_dtype(MAX_LEN, encoder.char_vocab.max_word_chars)
 
 
-def test_encode_many_refuses_char_ids_past_uint16():
+def test_encode_texts_refuses_char_ids_past_uint16():
     chars = tuple(chr(0x10000 + i) for i in range(70_000))  # ids 1..70000
     encoder = Encoder(NormConfig(), TokenVocab(()), CharVocab(chars, max_word_chars=4))
     small, large = chars[0], chars[66_000]
-    ok = encoder.encode_many([[small]], [0], MAX_LEN)
+    ok = encoder.encode_texts([small], [0], MAX_LEN)
     assert ok["c"][0, 0, 0] == 1
     with pytest.raises(DataError, match="do not fit"):
-        encoder.encode_many([[small], [small + large]], [0, 1], MAX_LEN)
+        encoder.encode_texts([small, small + large], [0, 1], MAX_LEN)
 
 
-def test_encode_many_refuses_fewer_than_one_slot():
+def test_encode_texts_refuses_fewer_than_one_slot():
     encoder = Encoder(NormConfig(), TokenVocab(("ب",)), CharVocab(tuple(KNOWN)))
     with pytest.raises(ValueError, match="max_len"):
-        encoder.encode_many([["ب"]], [0], 0)
+        encoder.encode_texts(["ب"], [0], 0)
     with pytest.raises(ValueError, match="max_len"):
         unify_length(["ب"], 0)
 
