@@ -367,7 +367,12 @@ def cmd_train(cfg: RunConfig) -> int:
     shard_dir = Path(cfg.shard_dir or cfg.out_dir)
     encoder = Encoder.load(shard_dir)
     hashes = encoder.hashes()
-    train_manifest = _checked_manifest(shard_dir / "train.manifest.json", hashes, cfg.classes)
+    train_path = shard_dir / "train.manifest.json"
+    train_manifest = _checked_manifest(train_path, hashes, cfg.classes)
+    missing = [k for k in range(cfg.classes) if not train_manifest.class_histogram.get(k)]
+    if missing:  # as from 2-class shards, whose "positive" (1) is the 3-class "neutral"
+        raise DataError(f"manifest {train_path} holds no record of classes {missing}, but "
+                        f"--classes is {cfg.classes}; were the shards written for fewer classes?")
     test_path = shard_dir / "test.manifest.json"
     eval_manifest = (_checked_manifest(test_path, hashes, cfg.classes)
                      if test_path.exists() else None)

@@ -38,7 +38,6 @@ from sarv.nn import (
     Lstm,
     NamedArray,
     OneHotDense,
-    Packing,
     Parameter,
     cross_entropy,
     load_checkpoint,
@@ -170,12 +169,11 @@ class Model:
     ``load_model`` to put the checkpoint's arrays in place.
 
     The LSTM presets gather the word vector (and char feature) of each real
-    word slot only, straight into the word LSTM's packed layout
-    (:class:`sarv.nn.Packing`), so no padded ``(batch, max_len, ·)`` array
-    is built.  The char projection covers only each distinct char row's real
-    positions, and both LSTMs take only that packed layout.  Every gradient
-    is summed in row-major slot order, the order a padded layout would sum
-    it in, minus its zero terms, so forward and backward give the padded
+    word slot only, in row-major slot order, the layout both LSTMs take, so
+    no padded ``(batch, max_len, ·)`` array is built.  The char projection
+    covers only each distinct char row's real positions.  Every gradient is
+    summed in row-major slot order, the order a padded layout would sum it
+    in, minus its zero terms, so forward and backward give the padded
     layout's bits.
     """
 
@@ -184,11 +182,10 @@ class Model:
         self.char_proj: OneHotDense | None = None
         self.char_lstm: Lstm | None = None
         self.word_lstm: Lstm | None = None
-        # Of the last forward: slot -> distinct char row, the number of distinct
-        # char rows, and the slot (row * max_len + step) of each packed word step.
-        self._char_inverse: np.ndarray | None = None
+        # Of the last forward: the number of distinct char rows, and the
+        # distinct char row of each real word slot, in row-major slot order.
         self._char_rows = 0
-        self._word_slots: np.ndarray | None = None
+        self._slot_chars: np.ndarray | None = None
         # Nothing reads the gradient of the frozen word vectors, so the first
         # layer over them returns none.  The char presets' word LSTM returns
         # its whole input gradient, whose char columns feed the char channel.
@@ -252,11 +249,10 @@ class Model:
         else:
             # An all-PAD sentence still runs one LSTM step over the zero vector.
             lengths = np.maximum(batch["len"], 1)
-            rows, steps = Packing.of(lengths).positions()
-            x = emb_matrix[batch["t"][rows, steps]]
+            real = np.arange(batch["t"].shape[1]) < lengths[:, None]
+            x = emb_matrix[batch["t"][real]]
             if self.char_lstm is not None:
-                x = self._append_char_features(x, batch["c"], rows * self.spec.max_len + steps,
-                                               cache)
+                x = self._append_char_features(x, batch["c"], real, cache)
             x = self.word_lstm.forward(x, lengths, cache=cache)
         for layer in self.layers:
             if isinstance(layer, Dropout):
@@ -265,25 +261,25 @@ class Model:
                 x = layer.forward(x)
         return softmax(x)
 
-    def _append_char_features(self, words: np.ndarray, chars: np.ndarray, slots: np.ndarray,
+    def _append_char_features(self, words: np.ndarray, chars: np.ndarray, real: np.ndarray,
                               cache: bool) -> np.ndarray:
-        """The packed word vectors, each beside the char-LSTM feature of its slot.
+        """The word vectors of the real slots, each beside the char-LSTM feature of its slot.
 
-        ``slots`` holds the ``row * max_len + step`` of each packed word.  The
+        ``real`` marks the real slots of the ``(batch, max_len)`` grid.  The
         char channel runs once per distinct char row of all the batch's slots
         (PAD included), over only each row's real positions.
         """
-        self._word_slots = slots
         b, max_len, cap = chars.shape
-        distinct, self._char_inverse = _distinct_rows(chars.reshape(b * max_len, cap))
+        distinct, inverse = _distinct_rows(chars.reshape(b * max_len, cap))
         self._char_rows = len(distinct)
+        self._slot_chars = inverse.reshape(b, max_len)[real]
         lengths = _char_lengths(distinct)
         char_x = self.char_proj.forward(distinct, lengths)
         char_h = self.char_lstm.forward(char_x, lengths, cache=cache)
         x = np.empty((len(words), words.shape[1] + char_h.shape[1]),
                      np.result_type(words.dtype, char_h.dtype))
         x[:, :words.shape[1]] = words
-        x[:, words.shape[1]:] = char_h[self._char_inverse[slots]]
+        x[:, words.shape[1]:] = char_h[self._slot_chars]
         return x
 
     def backward(self, dlogits: np.ndarray) -> None:
@@ -297,17 +293,16 @@ class Model:
             # Only real word slots have a gradient.  They are summed into their
             # distinct rows in row-major slot order, as over the padded layout,
             # whose padded slots only add zeros.
-            rowmajor = np.argsort(self._word_slots)
-            dchar_h = d[rowmajor, self.spec.embed_dim:]
+            dchar_h = d[:, self.spec.embed_dim:]
             drows = np.zeros((self._char_rows, dchar_h.shape[1]), dchar_h.dtype)
-            np.add.at(drows, self._char_inverse[self._word_slots[rowmajor]], dchar_h)
+            np.add.at(drows, self._slot_chars, dchar_h)
             self.char_proj.backward(self.char_lstm.backward(drows))
 
     def predict(self, records: np.ndarray, emb_matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Argmax labels (ties break toward the lowest class index) + probs of a record array.
 
         The one inference entry point: an eval-mode forward whose LSTMs keep
-        no backward cache, only the packed inputs, the hoisted input
+        no backward cache, only their packed inputs, the hoisted input
         projection and one step's ``h`` and ``c``, so ``backward`` cannot
         follow it.  The probabilities equal ``forward(mode="eval")``'s bit for
         bit, and peak memory grows with the number of records passed.
@@ -393,9 +388,10 @@ def load_model(path, num_tokens: int) -> tuple[Model, np.ndarray, dict[str, str]
     """Rebuild a model and its embedding matrix from a checkpoint.
 
     Every parameter shape is checked against the metadata's spec, and the
-    ``embeddings`` array must be ``(num_tokens + 1, embed_dim)``.  The
-    parameters are the checkpoint's arrays themselves (cast only if the
-    stored precision differs), and no random initialisation is drawn.
+    ``embeddings`` array must be ``(num_tokens + 1, embed_dim)``.  Every
+    parameter is filled in place from the checkpoint's array (cast if the
+    stored precision differs), so an LSTM's per-gate views stay views of its
+    fused weights, and no random initialisation is drawn.
     """
     arrays, meta = load_checkpoint(path)
     try:
@@ -426,7 +422,7 @@ def load_model(path, num_tokens: int) -> tuple[Model, np.ndarray, dict[str, str]
             f"checkpoint {path} / model spec mismatch:\n  " + "\n  ".join(mismatches)
         )
     for p in params:
-        p.value = arrays[p.name].astype(dtype, copy=False)
+        p.value[...] = arrays[p.name]
     embeddings = embeddings.astype(dtype, copy=False)
     embeddings.flags.writeable = False
     return model, embeddings, meta

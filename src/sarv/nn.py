@@ -235,32 +235,31 @@ class Lstm:
 
     Gates follow the standard recurrence: ``i, f, o`` sigmoid and
     candidate ``g`` tanh over the concatenated ``[x_t, h_{t-1}]``, with
-    ``c_t = f*c_{t-1} + i*g`` and ``h_t = o*tanh(c_t)``.  Each gate keeps
-    its own ``[input_size + hidden_size, hidden_size]`` weight parameter
-    (the checkpoint layout); ``forward`` concatenates them into one fused
-    weight with columns ``i, f, o, g``, so one ``sigmoid`` call covers
-    the three sigmoid gates.  The input projection of every step is one
-    matmul hoisted out of the time loop.
+    ``c_t = f*c_{t-1} + i*g`` and ``h_t = o*tanh(c_t)``.  One fused
+    ``[input_size + hidden_size, 4 * hidden_size]`` weight and ``4 *
+    hidden_size`` bias (``fused_W``, ``fused_b``) hold columns ``i, f, o,
+    g``, so one ``sigmoid`` call covers the three sigmoid gates.  Each
+    gate's ``Parameter`` (the checkpoint layout) is a column view of them,
+    gradient included.  The input projection of every step is one matmul
+    hoisted out of the time loop.
 
-    Rows are packed (see :class:`Packing`): sorted by length (stably) once
-    per batch, step ``t`` updates only the leading rows whose length
-    exceeds ``t``, and each row reads out its final state.  ``forward``
-    takes its input packed, ``(rows, input_size)`` with one row per real
-    step in ``Packing.of(lengths)``'s order, and ``backward`` returns the
-    input gradient in that same layout.  Padded steps have no row, so
-    they are never computed.
+    ``forward`` takes its input row-major, ``(sum(lengths), input_size)``:
+    each batch row's real steps in order, one row after another, and
+    ``backward`` returns the input gradient in that layout.  Inside, rows
+    are packed (see :class:`Packing`): sorted by length (stably) once per
+    batch, step ``t`` updates only the leading rows whose length exceeds
+    ``t``, and each row reads out its final state.  Padded steps have no
+    row, so they are never computed.
 
     A training forward (``cache=True``) keeps ``[x_t, h_{t-1}]``, the gate
     activations and ``c_t`` of every computed step for ``backward``:
-    ``rows * (input_size + 6 * hidden_size)`` values, where ``rows`` is the
-    number of computed steps summed over the batch.  An inference forward
+    ``rows * (input_size + 6 * hidden_size)`` values.  An inference forward
     (``cache=False``) keeps the packed inputs and the hoisted input
     projection, ``rows * (input_size + 4 * hidden_size)`` values, plus one
     step's ``h`` and ``c``, and leaves nothing for ``backward``; it never
     needs more than a training forward of the same batch.  Both take their
-    memory from one block that the layer keeps and only ever grows, and
-    both give the same output bits.  An inference forward reads its input
-    where it is and takes no block space for it.
+    memory from one block that the layer keeps and only ever grows, gather
+    their input into it one step at a time, and give the same output bits.
 
     With ``input_grad`` False, ``backward`` returns None and builds no input
     gradient, for a layer whose input is frozen.  Each step still takes its
@@ -281,24 +280,27 @@ class Lstm:
         self.hidden_size = hidden_size
         self.input_grad = input_grad
         concat = input_size + hidden_size
-        self.W = {
-            g: Parameter(f"{name}.W_{g}", glorot_uniform(rng, (concat, hidden_size), dtype))
-            for g in self.GATES
-        }
-        self.b = {
-            g: Parameter(f"{name}.b_{g}", np.zeros(hidden_size, dtype=dtype))
-            for g in self.GATES
-        }
+        # Not checkpointed themselves: params() lists the per-gate views.
+        self.fused_W = Parameter(f"{name}.W", np.zeros((concat, 4 * hidden_size), dtype))
+        self.fused_b = Parameter(f"{name}.b", np.zeros(4 * hidden_size, dtype))
+        self.W: dict[str, Parameter] = {}
+        self.b: dict[str, Parameter] = {}
+        for g in self.GATES:  # draws the weights in GATES order
+            at = self.FUSED_ORDER.index(g) * hidden_size
+            cols = slice(at, at + hidden_size)
+            self.W[g] = Parameter(f"{name}.W_{g}", self.fused_W.value[:, cols])
+            self.W[g].grad = self.fused_W.grad[:, cols]
+            self.W[g].value[...] = glorot_uniform(rng, (concat, hidden_size), dtype)
+            self.b[g] = Parameter(f"{name}.b_{g}", self.fused_b.value[cols])
+            self.b[g].grad = self.fused_b.grad[cols]
         self.b["f"].value += self.FORGET_BIAS
-        self._W_fused = [self.W[g] for g in self.FUSED_ORDER]
-        self._b_fused = [self.b[g] for g in self.FUSED_ORDER]
-        self._cache: dict[str, np.ndarray] | None = None
+        self._cache: dict | None = None
         self._block: np.ndarray | None = None
 
     def forward(self, seq: np.ndarray, lengths: np.ndarray, cache: bool = True) -> np.ndarray:
         if seq.ndim != 2 or seq.shape[1] != self.input_size:
             raise ValueError(
-                f"{self.name}: input shape {seq.shape} is not packed (rows, {self.input_size})"
+                f"{self.name}: input shape {seq.shape} is not row-major (rows, {self.input_size})"
             )
         lengths = np.asarray(lengths, dtype=np.int64)
         if lengths.ndim != 1 or np.any(lengths < 1):
@@ -308,13 +310,14 @@ class Lstm:
         order, active, offsets = packing
         rows = int(offsets[-1])
         if seq.shape[0] != rows:
-            raise ValueError(f"{self.name}: packed input has {seq.shape[0]} rows, "
+            raise ValueError(f"{self.name}: input has {seq.shape[0]} rows, "
                              f"but the lengths sum to {rows}")
+        # first[j] + t is the input row of step t of the j-th longest batch row.
+        first = (np.cumsum(lengths) - lengths)[order]
         self._cache = None  # release the previous batch's cache before building this one
 
         n_in, H = self.input_size, self.hidden_size
-        W = np.concatenate([p.value for p in self._W_fused], axis=1)
-        b = np.concatenate([p.value for p in self._b_fused])
+        W, b = self.fused_W.value, self.fused_b.value
         W_h = W[n_in:]
         dtype = np.result_type(seq.dtype, W.dtype)
 
@@ -326,11 +329,12 @@ class Lstm:
             start = offsets
             xh, gates, cell = self._carve(dtype, (rows, n_in + H), (rows, 4 * H), (rows, H))
             x, h_store = xh[:, :n_in], xh[:, n_in:]
-            x[...] = seq
         else:
             start = np.zeros_like(offsets)
-            x = np.ascontiguousarray(seq, dtype)
-            gates, h_store, cell = self._carve(dtype, (rows, 4 * H), (batch, H), (batch, H))
+            x, gates, h_store, cell = self._carve(dtype, (rows, n_in), (rows, 4 * H),
+                                                  (batch, H), (batch, H))
+        for t, n in enumerate(active):
+            x[offsets[t]:offsets[t + 1]] = seq[first[:n] + t]
         if rows:
             h_store[: active[0]] = 0  # h_{-1}
         np.matmul(x, W[:n_in], out=gates)
@@ -353,7 +357,7 @@ class Lstm:
             h_store[start[t + 1]:start[t + 1] + n_next] = h[:n_next]
             out[order[n_next:n]] = h[n_next:]
         if cache:
-            self._cache = {"packing": packing, "W": W, "xh": xh, "gates": gates, "cell": cell}
+            self._cache = dict(packing=packing, first=first, xh=xh, gates=gates, cell=cell)
         require_finite(out, self.name)
         return out
 
@@ -379,13 +383,12 @@ class Lstm:
         if cache is None:
             raise RuntimeError(f"{self.name}: backward needs the state of a training forward, "
                                "and the last forward kept none")
-        (order, active, offsets), W = cache["packing"], cache["W"]
+        (order, active, offsets), first = cache["packing"], cache["first"]
         xh, gates, cell = cache["xh"], cache["gates"], cache["cell"]
+        W = self.fused_W.value
         n_in, H = self.input_size, self.hidden_size
         dtype = dout.dtype
         dx = np.empty((int(offsets[-1]), n_in), dtype=dtype) if self.input_grad else None
-        dW = np.zeros_like(W)
-        db = np.zeros(4 * H, dtype=dtype)
         # Rows are sorted; a row's readout gradient enters at its last step,
         # and the recurrent gradients overwrite the leading rows step by step.
         dh = dout[order]
@@ -409,16 +412,12 @@ class Lstm:
             np.multiply(dh_t * tc, o * (1.0 - o), out=da[:, 2 * H:3 * H])
             np.multiply(dc_t * i, 1.0 - g * g, out=da[:, 3 * H:])
             dc[:n] = dc_t * f
-            dW += xh[s:e].T @ da
-            db += da.sum(axis=0)
+            self.fused_W.grad += xh[s:e].T @ da
+            self.fused_b.grad += da.sum(axis=0)
             dxh = da @ W.T
             if dx is not None:
-                dx[s:e] = dxh[:, :n_in]
+                dx[first[:n] + t] = dxh[:, :n_in]
             dh[:n] = dxh[:, n_in:]
-        for p, grad in zip(self._W_fused, np.split(dW, 4, axis=1)):
-            p.grad += grad
-        for p, grad in zip(self._b_fused, np.split(db, 4)):
-            p.grad += grad
         return dx
 
     def params(self) -> list[Parameter]:
@@ -433,11 +432,11 @@ class OneHotDense:
     differentiable, so ``backward`` only accumulates parameter grads.
 
     ``forward(ids, lengths)`` takes 2-d rows of ids and each row's length,
-    projects only each row's first ``length`` ids and returns them packed,
-    ``(rows, width)`` in ``Packing.of(lengths)``'s order, as :class:`Lstm`
-    takes its input.  ``backward`` scatters the gradient in row-major
-    position order, the order ``np.add.at`` over the full-width ids sums it
-    in, so the two give the same bits.
+    projects only each row's first ``length`` ids and returns them
+    row-major, ``(rows, width)``, as :class:`Lstm` takes its input.
+    ``backward`` scatters the gradient in that row-major order, the order
+    ``np.add.at`` over the full-width ids sums it in, so the two give the
+    same bits.
     """
 
     def __init__(self, num_ids: int, width: int, rng: np.random.Generator | None,
@@ -447,7 +446,6 @@ class OneHotDense:
         self.W = Parameter(f"{name}.W", glorot_uniform(rng, (num_ids, width), dtype))
         self.b = Parameter(f"{name}.b", np.zeros(width, dtype=dtype))
         self._ids: np.ndarray | None = None
-        self._rowmajor: np.ndarray | None = None  # packed rows in row-major position order
 
     def forward(self, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         ids = np.asarray(ids)
@@ -457,9 +455,7 @@ class OneHotDense:
                              f"one length per row of ids {ids.shape}")
         if np.any(lengths < 1) or np.any(lengths > ids.shape[1]):
             raise ValueError(f"{self.name}: lengths must lie in [1, {ids.shape[1]}]")
-        rows, steps = Packing.of(lengths).positions()
-        self._rowmajor = np.argsort(rows * ids.shape[1] + steps)
-        ids = ids[rows, steps]
+        ids = ids[np.arange(ids.shape[1]) < lengths[:, None]]
         if ids.size and (ids.min() < 0 or ids.max() >= self.num_ids):
             raise ValueError(f"{self.name}: ids out of range [0, {self.num_ids})")
         self._ids = ids
@@ -468,8 +464,7 @@ class OneHotDense:
         return out
 
     def backward(self, dout: np.ndarray) -> None:
-        dout = dout[self._rowmajor]
-        np.add.at(self.W.grad, self._ids[self._rowmajor], dout)
+        np.add.at(self.W.grad, self._ids, dout)
         self.b.grad += dout.sum(axis=0)
         return None
 

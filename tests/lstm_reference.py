@@ -4,11 +4,12 @@ This is the straightforward formulation the fused layer replaced: four
 separate gate matmuls over ``[x_t, h_{t-1}]`` at every step of the
 padded ``(batch, steps, input)`` sequence, with each row's readout taken
 at its last real step and its gradient injected there.  The oracle stays
-padded while :class:`sarv.nn.Lstm` takes packed input only, so tests pack
-the padded sequence for the layer (``Packing.of(lengths).positions()``)
-and scatter its input gradient back before comparing.  It shares
-parameter names and layout with :class:`sarv.nn.Lstm`, so its
-constructor copies the layer's weights.
+padded while :class:`sarv.nn.Lstm` takes only the real steps, row-major,
+so tests gather them from the padded sequence with a mask
+(``np.arange(steps) < lengths[:, None]``) and scatter the layer's input
+gradient back through the same mask before comparing.  It shares the
+per-gate parameter names with :class:`sarv.nn.Lstm`, so its constructor
+copies the layer's gate weights.
 """
 
 from __future__ import annotations

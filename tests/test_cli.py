@@ -690,6 +690,26 @@ def test_train_with_fewer_classes_than_the_shards_exits_two(tmp_path, capsys):
     assert not (tmp_path / "run" / "report.jsonl").exists()
 
 
+def test_train_with_more_classes_than_the_shards_exits_two_before_reading_embeddings(
+        tmp_path, capsys, monkeypatch):
+    corpus = write_corpus_tsv(tmp_path / "c.tsv", separable_rows(30, classes=2, seed=4))
+    shards = tmp_path / "shards"
+    assert invoke(capsys, "shard", "--corpus", corpus, "--out-dir", shards, "--classes", 2)[0] == 0
+
+    def no_embeddings(*args, **kwargs):
+        raise AssertionError("train read the embeddings before refusing the class count")
+
+    monkeypatch.setattr(sarv.cli, "load_embeddings", no_embeddings)
+    code, _, stderr = invoke(
+        capsys, "train", "--shard-dir", shards, "--out-dir", tmp_path / "run",
+        "--embeddings", bundled_embedding_path(), "--classes", 3,
+    )
+    assert code == 2
+    assert "data error" in stderr and "train.manifest.json" in stderr
+    assert "no record of classes [2]" in stderr and "--classes is 3" in stderr
+    assert not (tmp_path / "run" / "report.jsonl").exists()
+
+
 def test_eval_of_a_two_class_checkpoint_on_three_class_shards_exits_two(trained, tmp_path,
                                                                         capsys):
     base, _, run = trained

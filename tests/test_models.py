@@ -29,6 +29,7 @@ from sarv.models import (
 )
 from sarv.nn import (Dense, Packing, grad_check, one_hot, save_checkpoint, softmax,
                      softmax_xent_grad, zero_grads)
+from sarv.train import AdamState, adam_step, sgd_step
 
 from conftest import (
     TINY_EMBED_DIM,
@@ -224,10 +225,10 @@ def test_char_dedup_matches_running_every_slot(monkeypatch, dtype, tol):
         return probs, [p.grad.copy() for p in model.params()]
 
     probs, grads = run()
-    assert len(np.unique(model._char_inverse)) == 4  # PAD, a, b, unk out of 16 slots
+    assert model._char_rows == 4  # PAD, a, b, unk out of 16 slots
     monkeypatch.setattr(sarv.models, "_distinct_rows", lambda ids: (ids, np.arange(len(ids))))
     every_probs, every_grads = run()
-    assert len(model._char_inverse) == batch["c"].shape[0] * TINY_MAX_LEN
+    assert model._char_rows == batch["c"].shape[0] * TINY_MAX_LEN
     assert rel_to_max(probs, every_probs) <= tol
     for p, got, want in zip(model.params(), grads, every_grads):
         assert want.any(), p.name
@@ -338,19 +339,20 @@ def _padded_char_preset_pass(model, batch, emb, targets):
     The char projection runs over every position of each distinct char row,
     the word LSTM's input is the padded ``(batch, max_len, ·)`` concatenation,
     and the char gradient is summed over every slot of the batch.  Each LSTM
-    gets its padded input packed and gives its gradient back packed, which is
-    scattered into the padded layout, zero at padded steps.
+    gets the real steps of its padded input, gathered row-major with a mask,
+    and gives its gradient back in that layout, which is scattered into the
+    padded layout, zero at padded steps.
     """
     spec, proj = model.spec, model.char_proj
     b, max_len, cap = batch["c"].shape
     rows, inverse = _distinct_rows(batch["c"].reshape(b * max_len, cap))
     char_lengths = _char_lengths(rows)
-    char_at = Packing.of(char_lengths).positions()
+    char_at = np.arange(cap) < char_lengths[:, None]
     full = proj.W.value[rows] + proj.b.value
     char_h = model.char_lstm.forward(full[char_at], char_lengths)
     x = np.concatenate([emb[batch["t"]], char_h[inverse].reshape(b, max_len, -1)], axis=2)
     lengths = np.maximum(batch["len"], 1)
-    word_at = Packing.of(lengths).positions()
+    word_at = np.arange(max_len) < lengths[:, None]
     (head,) = model.layers
     probs = softmax(head.forward(model.word_lstm.forward(x[word_at], lengths)))
     d = np.zeros_like(x)
@@ -543,6 +545,62 @@ def test_save_load_preserves_single_precision(tmp_path):
     assert back.params()[0].value.dtype == np.float32
     assert back_emb.dtype == np.float32
     np.testing.assert_array_equal(back_emb, emb.astype(np.float32))
+
+
+def _fused_lstms(model):
+    return [lstm for lstm in (model.char_lstm, model.word_lstm) if lstm is not None]
+
+
+def _assert_gates_view_the_fused_arrays(model):
+    for lstm in _fused_lstms(model):
+        for gates, fused in ((lstm.W, lstm.fused_W), (lstm.b, lstm.fused_b)):
+            for p in gates.values():
+                assert np.shares_memory(p.value, fused.value), p.name
+                assert np.shares_memory(p.grad, fused.grad), p.name
+
+
+@pytest.mark.parametrize("preset", ["W2V_LSTM", "CHAR_W2V_LSTM"])
+def test_lstm_gate_parameters_stay_views_of_the_fused_arrays(preset, tmp_path):
+    model = build_model(tiny_spec(preset), rng_seed=21, dtype=np.float32)
+    assert _fused_lstms(model)
+    _assert_gates_view_the_fused_arrays(model)
+    emb = tiny_emb(seed=22, dtype=np.float32)
+    batch = tiny_batch(seed=23, n=6)
+    targets = one_hot(batch["y"], 2, np.float32)
+    params = model.params()
+    adam = AdamState()
+    for step in (lambda: adam_step(params, 0.05, adam), lambda: sgd_step(params, 0.5)):
+        zero_grads(params)
+        probs = model.forward(batch, emb, mode="train")
+        model.backward(softmax_xent_grad(probs, targets))
+        step()
+        _assert_gates_view_the_fused_arrays(model)
+        path = tmp_path / "model.bin"
+        save_model(model, path, emb)
+        back, back_emb, _ = load_model(path, TINY_VOCAB)
+        _assert_gates_view_the_fused_arrays(back)
+        want = model.forward(batch, emb, mode="train")
+        assert back.forward(batch, back_emb, mode="train").tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("preset, lstms", [
+    ("W2V_LSTM", 1), ("CHAR_W2V_LSTM", 2), ("CHAR_W2V_LSTM_RUS", 2),
+])
+def test_a_forward_packs_each_batch_once_per_lstm(preset, lstms, monkeypatch):
+    calls = []
+    of = Packing.of.__func__
+
+    def counted(cls, lengths):
+        calls.append(len(lengths))
+        return of(cls, lengths)
+
+    monkeypatch.setattr(Packing, "of", classmethod(counted))
+    model = build_model(tiny_spec(preset), rng_seed=24, dtype=np.float64)
+    batch, emb = tiny_batch(seed=25, n=5), tiny_emb(seed=26)
+    model.forward(batch, emb, mode="train")
+    assert len(calls) == lstms
+    model.predict(batch, emb)
+    assert len(calls) == 2 * lstms
 
 
 def test_embeddings_are_stored_after_the_parameters_and_are_not_a_parameter(tmp_path):

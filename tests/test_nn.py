@@ -50,18 +50,20 @@ RNG = lambda s: np.random.default_rng(s)  # noqa: E731
 
 
 def numeric_grad(f, arr, h=1e-6):
-    """Central finite differences of scalar ``f()`` w.r.t. ``arr`` in place."""
-    g = np.zeros_like(arr)
-    flat = arr.reshape(-1)
-    gflat = g.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
+    """Central finite differences of scalar ``f()`` w.r.t. ``arr`` in place.
+
+    Each entry is perturbed through ``arr`` itself, so a non-contiguous view
+    (an LSTM gate's columns of the fused weight) is perturbed where it lives.
+    """
+    g = np.zeros(arr.shape)
+    for i in np.ndindex(arr.shape):
+        orig = arr[i]
+        arr[i] = orig + h
         lp = f()
-        flat[i] = orig - h
+        arr[i] = orig - h
         lm = f()
-        flat[i] = orig
-        gflat[i] = (lp - lm) / (2.0 * h)
+        arr[i] = orig
+        g[i] = (lp - lm) / (2.0 * h)
     return g
 
 
@@ -295,15 +297,20 @@ def test_dropout_gradient_matches_finite_differences():
 # ---------------------------------------------------------------------------
 
 
-def _pack(seq, lengths):
-    """The real steps of padded ``seq`` in the LSTM's packed layout."""
-    return seq[Packing.of(lengths).positions()]
+def _real(lengths, steps):
+    """The ``(batch, steps)`` mask of each row's real steps."""
+    return np.arange(steps) < np.asarray(lengths)[:, None]
 
 
-def _unpack(packed, lengths, steps):
-    """Packed rows back in the padded ``(batch, steps, ·)`` layout, zero at padded steps."""
-    seq = np.zeros((len(lengths), steps, packed.shape[1]), packed.dtype)
-    seq[Packing.of(lengths).positions()] = packed
+def _rowmajor(seq, lengths):
+    """The real steps of padded ``seq``, row-major, as the LSTM takes its input."""
+    return seq[_real(lengths, seq.shape[1])]
+
+
+def _pad(rows, lengths, steps):
+    """Row-major rows back in the padded ``(batch, steps, ·)`` layout, zero at padded steps."""
+    seq = np.zeros((len(lengths), steps, rows.shape[1]), rows.dtype)
+    seq[_real(lengths, steps)] = rows
     return seq
 
 
@@ -334,7 +341,7 @@ def test_lstm_forget_bias_initialized_to_one():
 def test_lstm_gradients_match_finite_differences():
     lstm = Lstm(4, 5, RNG(20), dtype=np.float64)
     lengths = np.array([2, 3])
-    seq = _pack(RNG(21).normal(size=(2, 3, 4)), lengths)
+    seq = _rowmajor(RNG(21).normal(size=(2, 3, 4)), lengths)
     R = RNG(22).normal(size=(2, 5))
 
     def loss():
@@ -357,8 +364,8 @@ def test_lstm_padded_steps_cannot_influence_output_or_grads():
 
     def pass_over(padded):
         zero_grads(lstm.params())
-        out = lstm.forward(_pack(padded, lengths), lengths)
-        dseq = _unpack(lstm.backward(R), lengths, padded.shape[1])
+        out = lstm.forward(_rowmajor(padded, lengths), lengths)
+        dseq = _pad(lstm.backward(R), lengths, padded.shape[1])
         return out, dseq, [p.grad.copy() for p in lstm.params()]
 
     out, dseq, grads = pass_over(seq)
@@ -380,7 +387,7 @@ def test_lstm_readout_position_tracks_lengths():
     lstm = Lstm(2, 3, RNG(40), dtype=np.float64)
     seq = np.repeat(RNG(41).normal(size=(1, 4, 2)), 2, axis=0)  # two rows, the same steps
     lengths = np.array([2, 4])
-    both = lstm.forward(_pack(seq, lengths), lengths)
+    both = lstm.forward(_rowmajor(seq, lengths), lengths)
     short = lstm.forward(seq[0, :2], np.array([2]))
     full = lstm.forward(seq[1], np.array([4]))
     np.testing.assert_allclose(both[0], short[0], atol=1e-15)
@@ -422,8 +429,8 @@ def _oracle_case(dtype, lengths, seed=70):
 def _run(lstm, seq, lengths, dout):
     """Output, padded input gradient and parameter gradients of one pass over padded ``seq``."""
     zero_grads(lstm.params())
-    out = lstm.forward(_pack(seq, lengths), lengths)
-    dseq = _unpack(lstm.backward(dout), lengths, seq.shape[1])
+    out = lstm.forward(_rowmajor(seq, lengths), lengths)
+    dseq = _pad(lstm.backward(dout), lengths, seq.shape[1])
     return out, dseq, {p.name.split(".")[-1]: p.grad.copy() for p in lstm.params()}
 
 
@@ -458,7 +465,7 @@ def test_lstm_rows_permute_with_the_batch(dtype):
 
 def test_lstm_backward_twice_gives_identical_results():
     lstm, seq, lengths, dout = _oracle_case(np.float64, ORACLE_LENGTHS["mixed"])
-    lstm.forward(_pack(seq, lengths), lengths)
+    lstm.forward(_rowmajor(seq, lengths), lengths)
     zero_grads(lstm.params())
     first = lstm.backward(dout)
     first_grads = [p.grad.copy() for p in lstm.params()]
@@ -472,7 +479,7 @@ def test_lstm_backward_twice_gives_identical_results():
 def test_lstm_does_not_hold_the_previous_batch_while_running_the_next():
     lstm = Lstm(50, 100, RNG(80), dtype=np.float32)
     lengths = np.full(256, 15)
-    seq = _pack(RNG(81).normal(size=(256, 15, 50)).astype(np.float32), lengths)
+    seq = _rowmajor(RNG(81).normal(size=(256, 15, 50)).astype(np.float32), lengths)
     dout = np.ones((256, 100), dtype=np.float32)
 
     def peak_of_one_pass():
@@ -497,16 +504,16 @@ def test_lstm_inference_forward_gives_the_training_forwards_bits(dtype):
     lengths = RNG(84).integers(1, 16, size=64)
     lengths[:5] = 1
     for rows in (slice(None), slice(0, 1), slice(5, 6), slice(0, 0)):
-        packed = _pack(seq[rows], lengths[rows])
-        want = lstm.forward(packed, lengths[rows])
-        got = lstm.forward(packed, lengths[rows], cache=False)
+        real = _rowmajor(seq[rows], lengths[rows])
+        want = lstm.forward(real, lengths[rows])
+        got = lstm.forward(real, lengths[rows], cache=False)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
 
 def test_lstm_inference_forward_peaks_at_three_quarters_of_a_training_forward():
     lengths = np.full(256, 15)
-    seq = _pack(RNG(81).normal(size=(256, 15, 50)).astype(np.float32), lengths)
+    seq = _rowmajor(RNG(81).normal(size=(256, 15, 50)).astype(np.float32), lengths)
 
     def peak(cache):
         lstm = Lstm(50, 100, RNG(80), dtype=np.float32)
@@ -524,7 +531,7 @@ def test_lstm_inference_forward_peaks_at_three_quarters_of_a_training_forward():
 def test_lstm_backward_without_a_training_forward_names_the_layer():
     lstm = Lstm(3, 4, RNG(0), dtype=np.float64, name="word_lstm")
     lengths = np.array([3, 1])
-    seq = _pack(RNG(1).normal(size=(2, 3, 3)), lengths)
+    seq = _rowmajor(RNG(1).normal(size=(2, 3, 3)), lengths)
     dout = np.ones((2, 4))
     with pytest.raises(RuntimeError, match="word_lstm"):
         lstm.backward(dout)  # no forward yet
@@ -547,7 +554,7 @@ def test_a_layer_without_an_input_gradient_accumulates_the_same_parameter_gradie
     grads = {}
     for input_grad in (True, False):
         layer = make(input_grad)
-        args = (x[:, 0],) if isinstance(layer, Dense) else (_pack(x, lengths), lengths)
+        args = (x[:, 0],) if isinstance(layer, Dense) else (_rowmajor(x, lengths), lengths)
         layer.forward(*args)
         dx = layer.backward(dout)
         assert (dx is None) == (not input_grad)
@@ -570,19 +577,20 @@ def test_packing_positions_name_each_packed_rows_batch_row_and_step():
 
 
 def _padded_call(lstm, seq, lengths, dout):
-    """One pass over padded ``seq`` as the padded call ran it: gather the
-    real steps one step at a time, run the packed recurrence, scatter the
-    input gradient back step by step (zero at padded steps)."""
-    order, active, offsets = Packing.of(lengths)
-    packed = np.concatenate([seq[order[:n], t] for t, n in enumerate(active)])
+    """One pass over padded ``seq`` as the padded call ran it: the batch rows
+    sorted by descending length (stably, here), so the rows of step ``t`` are
+    the leading rows of ``seq[:, t]`` and the layer keeps the row order, the
+    recurrence run over them, and the input gradient scattered back (zero at
+    padded steps) and unsorted."""
+    order = np.argsort(-lengths, kind="stable")
     zero_grads(lstm.params())
-    out = lstm.forward(packed, lengths)
-    dx = lstm.backward(dout)
+    out = np.empty((len(lengths), lstm.hidden_size), seq.dtype)
+    out[order] = lstm.forward(_rowmajor(seq[order], lengths[order]), lengths[order])
+    dx = lstm.backward(dout[order])
     dseq = None
     if dx is not None:
-        dseq = np.zeros(seq.shape, dx.dtype)
-        for t, n in enumerate(active):
-            dseq[order[:n], t] = dx[offsets[t]:offsets[t + 1]]
+        dseq = np.empty(seq.shape, dx.dtype)
+        dseq[order] = _pad(dx, lengths[order], seq.shape[1])
     return out, dseq, {p.name.split(".")[-1]: p.grad.copy() for p in lstm.params()}
 
 
@@ -593,9 +601,10 @@ PACKED_CASES = {"small": (5, 4, [1, 6, 3, 6, 2, 4, 1, 5]), "word_lstm": (100, 10
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("input_grad", [True, False])
 @pytest.mark.parametrize("case", sorted(PACKED_CASES))
-def test_lstm_packed_input_gives_the_padded_calls_bits(case, input_grad, dtype):
-    """Packing with ``Packing.positions`` and unpacking the input gradient,
-    as the model does, keeps the bits of the step-by-step padded call."""
+def test_lstm_rowmajor_input_gives_the_padded_calls_bits(case, input_grad, dtype):
+    """Gathering the real steps row-major with a mask and scattering the
+    input gradient back, as the model does, keeps the bits of the padded
+    call over a length-sorted batch."""
     n_in, hidden, lengths = PACKED_CASES[case]
     rng = RNG(96)
     if lengths is None:
@@ -608,27 +617,27 @@ def test_lstm_packed_input_gives_the_padded_calls_bits(case, input_grad, dtype):
 
     want_out, want_dseq, want_grads = _padded_call(lstm, seq, lengths, dout)
     zero_grads(lstm.params())
-    packed = _pack(seq, lengths)
-    out = lstm.forward(packed, lengths)
-    dpacked = lstm.backward(dout)
+    real = _rowmajor(seq, lengths)
+    out = lstm.forward(real, lengths)
+    dreal = lstm.backward(dout)
     assert out.tobytes() == want_out.tobytes()
     for p in lstm.params():
         assert p.grad.tobytes() == want_grads[p.name.split(".")[-1]].tobytes(), p.name
     if input_grad:
-        assert dpacked.shape == packed.shape and dpacked.dtype == dtype
-        dseq = _unpack(dpacked, lengths, seq.shape[1])
+        assert dreal.shape == real.shape and dreal.dtype == dtype
+        dseq = _pad(dreal, lengths, seq.shape[1])
         assert dseq.tobytes() == want_dseq.tobytes()
     else:
-        assert dpacked is None and want_dseq is None
-    assert lstm.forward(packed, lengths, cache=False).tobytes() == want_out.tobytes()
+        assert dreal is None and want_dseq is None
+    assert lstm.forward(real, lengths, cache=False).tobytes() == want_out.tobytes()
 
 
-def test_lstm_packed_input_must_hold_one_row_per_real_step():
+def test_lstm_input_must_hold_one_row_per_real_step():
     lstm = Lstm(2, 3, RNG(0))
     lengths = np.array([2, 1])
     with pytest.raises(ValueError, match="lengths sum to 3"):
         lstm.forward(np.zeros((4, 2), np.float32), lengths)
-    with pytest.raises(ValueError, match="lstm: input shape .* is not packed"):
+    with pytest.raises(ValueError, match=r"lstm: input shape .* is not row-major \(rows, 2\)"):
         lstm.forward(np.zeros((2, 2, 2), np.float32), lengths)  # the padded layout
     assert lstm.forward(np.zeros((3, 2), np.float32), lengths).shape == (2, 3)
 
@@ -643,7 +652,7 @@ def test_onehot_dense_is_table_lookup_plus_bias():
     ids = np.array([[0, 3, 5], [6, 3, 1]])
     lengths = np.array([2, 3])
     out = layer.forward(ids, lengths)
-    np.testing.assert_array_equal(out, _pack(layer.W.value[ids] + layer.b.value, lengths))
+    np.testing.assert_array_equal(out, _rowmajor(layer.W.value[ids] + layer.b.value, lengths))
     with pytest.raises(ValueError):
         layer.forward(np.array([[7]]), [1])
     with pytest.raises(ValueError):
@@ -684,25 +693,25 @@ def test_onehot_dense_with_lengths_projects_and_scatters_only_real_positions(dty
     lengths = rng.integers(1, 21, size=3000)
     ids = rng.integers(1, 61, size=(3000, 20)).astype(np.uint16)
     ids[np.arange(20) >= lengths[:, None]] = 61
-    rows, steps = Packing.of(lengths).positions()
+    real = _real(lengths, 20)
 
     out = layer.forward(ids, lengths)
     full = layer.W.value[ids] + layer.b.value
-    assert out.tobytes() == full[rows, steps].tobytes()
+    assert out.tobytes() == full[real].tobytes()
     dout = rng.normal(size=out.shape).astype(dtype)
     zero_grads(layer.params())
     assert layer.backward(dout) is None
-    packed_grads = [p.grad.copy() for p in layer.params()]
-    assert not packed_grads[0][61].any()
+    grads = [p.grad.copy() for p in layer.params()]
+    assert not grads[0][61].any()
 
     # The full-width layout's scatter: zero gradient at padded positions,
     # summed over every position in row-major order.
     dfull = np.zeros(full.shape, dtype)
-    dfull[rows, steps] = dout
+    dfull[real] = dout
     want_W = np.zeros_like(layer.W.value)
     np.add.at(want_W, ids, dfull)
     want_b = dfull.reshape(-1, dfull.shape[-1]).sum(axis=0)
-    for want, got in zip((want_W, want_b), packed_grads):
+    for want, got in zip((want_W, want_b), grads):
         assert got.tobytes() == want.tobytes()
 
 
