@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from itertools import groupby, islice
 from pathlib import Path
@@ -22,11 +22,12 @@ from typing import TYPE_CHECKING
 
 from sarv import textproc
 from sarv.corpus import (CorpusReader, Encoder, LabelScheme, check_hashes, encode_corpus,
-                         open_binary, text_lines, to_json_lines)
+                         text_lines, to_json_lines)
 from sarv.embed import embedding_matrix, embeddings_sha256, load_embeddings
 from sarv.errors import ConfigError, DataError, NumericsError, SarvError
 from sarv.models import (CHAR_PRESETS, EMBEDDINGS_HASH_KEY, OPTIMIZERS, PRECISIONS, PRESETS,
                          SCHEDULES, ModelSpec, load_model, scored_batches)
+from sarv.nn import open_binary, replaced_on_success
 from sarv.textproc import MAX_LEN, NormConfig, load_stopwords
 
 # ``predict`` never trains, scores a manifest or reads an INI file, so the
@@ -343,8 +344,8 @@ def _load_checkpoint(cfg: RunConfig, encoder: Encoder, hashes: dict[str, str]):
     """Checkpoint -> (model, the embedding matrix it stores).
 
     The checkpoint must have been trained on the shard directory of
-    ``encoder`` (whose ``hashes()`` are ``hashes``) and on the
-    ``--embeddings`` file, whose bytes are hashed, not parsed.
+    ``encoder``, whose hashes ``Encoder.load`` returned as ``hashes``, and
+    on the ``--embeddings`` file, whose bytes are hashed, not parsed.
     """
     model, emb, meta = load_model(cfg.checkpoint, len(encoder.token_vocab))
     check_hashes(hashes, meta, f"checkpoint {cfg.checkpoint}")
@@ -365,8 +366,7 @@ def cmd_train(cfg: RunConfig) -> int:
     source = {f.metadata.get("train_field", name): name for name, f in _FIELDS.items()}
     train_cfg = TrainConfig(**{f.name: getattr(cfg, source[f.name]) for f in fields(TrainConfig)})
     shard_dir = Path(cfg.shard_dir or cfg.out_dir)
-    encoder = Encoder.load(shard_dir)
-    hashes = encoder.hashes()
+    encoder, hashes = Encoder.load(shard_dir)
     train_path = shard_dir / "train.manifest.json"
     train_manifest = _checked_manifest(train_path, hashes, cfg.classes)
     missing = [k for k in range(cfg.classes) if not train_manifest.class_histogram.get(k)]
@@ -400,8 +400,7 @@ def cmd_eval(cfg: RunConfig) -> int:
 
     _require(cfg, "checkpoint", "embeddings")
     shard_dir = Path(cfg.shard_dir or cfg.out_dir or ".")
-    encoder = Encoder.load(shard_dir)
-    hashes = encoder.hashes()
+    encoder, hashes = Encoder.load(shard_dir)
     model, emb = _load_checkpoint(cfg, encoder, hashes)
     manifest_path = Path(cfg.manifest) if cfg.manifest else shard_dir / "test.manifest.json"
     manifest = _checked_manifest(manifest_path, hashes, model.spec.num_classes)
@@ -409,20 +408,6 @@ def cmd_eval(cfg: RunConfig) -> int:
     sys.stdout.write(report.to_text())
     _write_outputs(cfg, {"metrics.txt": report.to_text(), "metrics.json": report.to_json() + "\n"})
     return 0
-
-
-@contextmanager
-def _replaced_on_success(path: Path):
-    """A text file written under a temporary name, renamed to ``path`` if the block succeeds."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            yield fh
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    os.replace(tmp, path)
 
 
 def cmd_predict(cfg: RunConfig) -> int:
@@ -434,8 +419,8 @@ def cmd_predict(cfg: RunConfig) -> int:
     _require(cfg, "checkpoint", "embeddings", "shard_dir")
     if not cfg.input_path and sys.stdin is None:
         raise ConfigError("standard input is closed; pass --input")
-    encoder = Encoder.load(cfg.shard_dir)
-    model, emb = _load_checkpoint(cfg, encoder, encoder.hashes())
+    encoder, hashes = Encoder.load(cfg.shard_dir)
+    model, emb = _load_checkpoint(cfg, encoder, hashes)
     scheme = LabelScheme.for_num_classes(model.spec.num_classes)
     name = f"input {cfg.input_path}" if cfg.input_path else "standard input"
     # stdin is left open: main() may be called again in the same process.
@@ -451,8 +436,10 @@ def cmd_predict(cfg: RunConfig) -> int:
             tokenless += int((records["len"] == 0).sum())
             yield records
 
-    sink = (_replaced_on_success(Path(cfg.out_dir) / "predictions.tsv") if cfg.out_dir
-            else nullcontext())
+    sink = nullcontext()
+    if cfg.out_dir:
+        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
+        sink = replaced_on_success(Path(cfg.out_dir) / "predictions.tsv")
     with source as fh, sink as out:
         for _, labels, probs in scored_batches(model, encoded(text_lines(fh, name)), emb,
                                                cfg.batch_size, "predict"):
@@ -460,7 +447,7 @@ def cmd_predict(cfg: RunConfig) -> int:
                            for y, row in zip(labels, probs))
             sys.stdout.write(rows)
             if out is not None:
-                out.write(rows)
+                out.write(rows.encode("utf-8"))
     if blank:
         print(f"warning: dropped {blank} blank input line(s)", file=sys.stderr)
     if tokenless:

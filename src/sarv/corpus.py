@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+import hashlib
 import io
 import json
 from collections import Counter
@@ -35,8 +36,9 @@ import numpy as np
 from sarv import textproc
 from sarv.embed import (CharVocab, TokenVocab, build_char_vocab, build_token_vocab, encode_chars,
                         encode_token_ids, parse_char_vocab, parse_token_vocab,
-                        serialize_char_vocab, serialize_token_vocab, text_hash)
+                        serialize_char_vocab, serialize_token_vocab)
 from sarv.errors import ConfigError, DataError
+from sarv.nn import open_binary
 from sarv.textproc import (MAX_LEN, FixedSentence, LengthHistogram, NormConfig, TokenTable,
                            load_stopwords)
 
@@ -174,14 +176,6 @@ def read_corpus(
     reader = CorpusReader(path, fmt, text_col, label_col, category_col, max_bad_rows)
     records = list(reader)
     return records, reader.skipped
-
-
-def open_binary(path, name: str) -> BinaryIO:
-    """``path`` opened for reading bytes; an OSError is a DataError naming ``name``."""
-    try:
-        return open(path, "rb")
-    except OSError as exc:
-        raise DataError(f"cannot read {name}: {exc}") from exc
 
 
 def text_lines(stream: BinaryIO, name: str) -> Iterator[str]:
@@ -384,9 +378,11 @@ class Encoder:
     :func:`encode_corpus` builds an encoder from a corpus and encodes it
     chunk by chunk.  ``save``/``load`` own the directory's
     ``vocab.tsv``, ``chars.tsv`` and ``stopwords.txt`` (the folded
-    stopword set, sorted, one per line); :func:`check_hashes` of
-    ``hashes()`` refuses a manifest or checkpoint recorded against any
-    other encoder.
+    stopword set, sorted, one per line), and each returns the encoder's
+    hashes: the sha256 of the bytes of ``vocab.tsv`` and ``chars.tsv`` it
+    wrote or read, and ``norm.config_hash()``.  :func:`check_hashes` of
+    them refuses a manifest or checkpoint recorded against any other
+    encoder.
     """
 
     norm: NormConfig
@@ -394,7 +390,7 @@ class Encoder:
     char_vocab: CharVocab
 
     def save(self, out_dir) -> dict[str, str]:
-        """Write the encoder's files; return ``hashes()``, taken from the texts written."""
+        """Write the encoder's files; return its hashes, taken from the bytes written."""
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         files = {
@@ -402,29 +398,37 @@ class Encoder:
             "chars.tsv": serialize_char_vocab(self.char_vocab),
             "stopwords.txt": "".join(w + "\n" for w in sorted(self.norm.stopwords)),
         }
-        for name, text in files.items():
-            (out_dir / name).write_text(text, encoding="utf-8")
-        return self._hashes(text_hash(files["vocab.tsv"]), text_hash(files["chars.tsv"]))
+        data = {name: text.encode("utf-8") for name, text in files.items()}
+        for name, blob in data.items():
+            (out_dir / name).write_bytes(blob)
+        return self._hashes(data["vocab.tsv"], data["chars.tsv"])
 
     @classmethod
-    def load(cls, shard_dir) -> "Encoder":
+    def load(cls, shard_dir) -> tuple["Encoder", dict[str, str]]:
+        """The encoder saved in ``shard_dir``, and its hashes, taken from the bytes read.
+
+        A missing file, or one that is not strict UTF-8 or does not parse,
+        is a DataError.
+        """
         shard_dir = Path(shard_dir)
         try:
-            token_vocab = parse_token_vocab((shard_dir / "vocab.tsv").read_text("utf-8"))
-            char_vocab = parse_char_vocab((shard_dir / "chars.tsv").read_text("utf-8"))
+            vocab = (shard_dir / "vocab.tsv").read_bytes()
+            chars = (shard_dir / "chars.tsv").read_bytes()
+            token_vocab = parse_token_vocab(vocab.decode("utf-8"))
+            char_vocab = parse_char_vocab(chars.decode("utf-8"))
             stopwords = load_stopwords(shard_dir / "stopwords.txt")
         except OSError as exc:
             raise DataError(f"missing encoder file in {shard_dir}: {exc}") from exc
         except ValueError as exc:  # includes UnicodeDecodeError
             raise DataError(f"corrupt encoder file in {shard_dir}: {exc}") from exc
-        return cls(NormConfig(stopwords=stopwords), token_vocab, char_vocab)
+        encoder = cls(NormConfig(stopwords=stopwords), token_vocab, char_vocab)
+        return encoder, encoder._hashes(vocab, chars)
 
-    def hashes(self) -> dict[str, str]:
-        """This encoder's value for each of ``ENCODER_HASH_KEYS``."""
-        return self._hashes(self.token_vocab.vocab_hash(), self.char_vocab.vocab_hash())
-
-    def _hashes(self, vocab_hash: str, char_vocab_hash: str) -> dict[str, str]:
-        return dict(zip(ENCODER_HASH_KEYS, (vocab_hash, char_vocab_hash, self.norm.config_hash())))
+    def _hashes(self, vocab: bytes, chars: bytes) -> dict[str, str]:
+        """Each of ``ENCODER_HASH_KEYS``, from the bytes of ``vocab.tsv`` and ``chars.tsv``."""
+        return dict(zip(ENCODER_HASH_KEYS, (hashlib.sha256(vocab).hexdigest(),
+                                            hashlib.sha256(chars).hexdigest(),
+                                            self.norm.config_hash())))
 
     def encode_texts(self, texts: Sequence[str], labels: Sequence[int] | int,
                      max_len: int) -> np.ndarray:
@@ -470,9 +474,9 @@ class Encoder:
 def check_hashes(found: Mapping[str, str], recorded: Mapping[str, str], source: str) -> None:
     """Raise DataError unless ``recorded`` holds each of ``found``'s encoder hashes.
 
-    ``found`` is ``Encoder.hashes()`` of the shard directory's encoder,
-    computed once per command; a missing or empty recorded hash is a
-    mismatch too.
+    ``found`` is the hashes ``Encoder.load`` returned for the shard
+    directory's encoder, taken once per command; a missing or empty
+    recorded hash is a mismatch too.
     """
     for key, value in found.items():
         want = recorded.get(key) or ""

@@ -11,7 +11,6 @@ for char-level padding and unknown characters.
 
 from __future__ import annotations
 
-import hashlib
 import io
 from dataclasses import dataclass, field
 from itertools import islice, repeat
@@ -20,7 +19,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from sarv.errors import DataError
-from sarv.nn import HashingFileReader
+from sarv.nn import read_checked
 from sarv.textproc import PAD, FixedSentence, TokenSeq
 
 DEFAULT_DIM = 50
@@ -101,23 +100,24 @@ def load_embeddings(
     so each malformed line is found and counted as if the whole file
     were parsed that way.  Without ``vocab``, kept rows are read-only
     views of one compact array per chunk; with it, the matrix is made
-    read-only once the file is parsed.  The same reads feed
-    ``table.sha256``, which equals :func:`embeddings_sha256` of the bytes
-    parsed.
+    read-only once the file is parsed.  The file is read through
+    :func:`sarv.nn.read_checked`, so the same reads feed ``table.sha256``,
+    which equals :func:`embeddings_sha256` of the bytes parsed.
     """
     table = EmbeddingTable(dim, vocab)
-    try:
-        raw = HashingFileReader(open(path, "rb", buffering=0))
-    except OSError as exc:
-        raise DataError(f"cannot read embeddings {path}: {exc}") from exc
-    fh = io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8")
-    with fh, np.errstate(over="ignore"):  # out-of-range components become inf, then skipped
+
+    def parse(reader) -> None:
+        fh = io.TextIOWrapper(io.BufferedReader(reader), encoding="utf-8")
         try:
-            while lines := list(islice(fh, LOAD_CHUNK_LINES)):
-                _load_chunk(table, lines)
+            with np.errstate(over="ignore"):  # out-of-range components become inf, then skipped
+                while lines := list(islice(fh, LOAD_CHUNK_LINES)):
+                    _load_chunk(table, lines)
         except UnicodeDecodeError as exc:
             raise DataError(f"embeddings {path} is not valid UTF-8 ({exc.reason})") from exc
-        table.sha256 = raw.digest.hexdigest()
+        finally:
+            fh.detach().detach()  # closing the wrappers would close the reader read_checked owns
+
+    _, table.sha256 = read_checked(path, f"embeddings {path}", parse)
     if table.vocab is not None:
         table.matrix.flags.writeable = False
     return table
@@ -125,12 +125,7 @@ def load_embeddings(
 
 def embeddings_sha256(path) -> str:
     """sha256 of an embeddings file's bytes; an unreadable file is a DataError."""
-    try:
-        with HashingFileReader(open(path, "rb", buffering=0)) as reader:
-            reader.read_rest()
-    except OSError as exc:
-        raise DataError(f"cannot read embeddings {path}: {exc}") from exc
-    return reader.digest.hexdigest()
+    return read_checked(path, f"embeddings {path}", lambda reader: None)[1]
 
 
 def _load_chunk(table: EmbeddingTable, lines: list[str]) -> None:
@@ -223,9 +218,6 @@ class CharVocab:
     def __len__(self) -> int:
         return len(self.chars)
 
-    def vocab_hash(self) -> str:
-        return text_hash(serialize_char_vocab(self))
-
 
 def build_char_vocab(
     corpus: Iterable[TokenSeq | Sequence[str]], max_word_chars: int = DEFAULT_MAX_WORD_CHARS
@@ -252,11 +244,6 @@ def encode_chars(token: str, vocab: CharVocab) -> np.ndarray:
     for i, ch in enumerate(token[: vocab.max_word_chars]):
         out[i] = vocab.ids.get(ch, 0)
     return out
-
-
-def text_hash(text: str) -> str:
-    """sha256 of ``text`` as UTF-8: what manifests and checkpoints record of a vocabulary file."""
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def serialize_char_vocab(vocab: CharVocab) -> str:
@@ -300,9 +287,6 @@ class TokenVocab:
         if token == PAD:
             return 0
         return self.ids.get(token, 0)
-
-    def vocab_hash(self) -> str:
-        return text_hash(serialize_token_vocab(self))
 
 
 def build_token_vocab(corpus: Iterable[TokenSeq | Sequence[str]]) -> TokenVocab:

@@ -14,9 +14,12 @@ from __future__ import annotations
 
 import hashlib
 import io
+import math
 import os
 import struct
-from typing import Callable, NamedTuple, Sequence
+from contextlib import contextmanager
+from pathlib import Path
+from typing import BinaryIO, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -223,11 +226,6 @@ class Packing(NamedTuple):
         order = np.argsort(-lengths, kind="stable")
         active = np.count_nonzero(lengths > np.arange(lengths.max(initial=0))[:, None], axis=1)
         return cls(order, active, np.concatenate([[0], np.cumsum(active)]))
-
-    def positions(self) -> tuple[np.ndarray, np.ndarray]:
-        """(batch row, step) of every packed row."""
-        steps = np.repeat(np.arange(len(self.active)), self.active)
-        return self.order[np.arange(len(steps)) - self.offsets[steps]], steps
 
 
 class Lstm:
@@ -567,37 +565,30 @@ def save_checkpoint(path, arrays: Sequence[Parameter | NamedArray], meta: dict[s
 
     Each piece goes straight to the file and into the hash, so no copy of
     the whole checkpoint is built in memory.  The checkpoint and its
-    side-car are written under temporary names (``.tmp`` appended) and
-    then renamed over the old pair, so a save that fails or is killed
-    mid-write leaves the previous checkpoint loadable.  One window remains:
-    between the two renames, the new checkpoint sits beside the old
-    side-car, and loading it then fails on the hash.
+    side-car are each written through :func:`replaced_on_success`, so a
+    save that fails or is killed mid-write leaves the previous pair.  Both
+    renames follow the last write: the checkpoint's, then the side-car's.
+    Between the two, the new checkpoint sits beside the old side-car, and
+    loading it then fails on the hash.
     """
     path = str(path)
-    manifest = path + ".manifest.txt"
-    digest = hashlib.sha256()
-    try:
-        with open(path + ".tmp", "wb") as fh:
-
-            def emit(data) -> None:
-                fh.write(data)
-                digest.update(data)
-
-            emit(CHECKPOINT_MAGIC)
-            emit(struct.pack("<I", len(meta)))
-            for key in sorted(meta):
-                kb, vb = key.encode("utf-8"), str(meta[key]).encode("utf-8")
-                emit(struct.pack("<H", len(kb)) + kb)
-                emit(struct.pack("<I", len(vb)) + vb)
-            emit(struct.pack("<I", len(arrays)))
-            for p in arrays:
-                nb = p.name.encode("utf-8")
-                code = 8 if p.value.dtype == np.float64 else 4
-                emit(struct.pack("<H", len(nb)) + nb)
-                emit(struct.pack(f"<BB{p.value.ndim}I", code, p.value.ndim, *p.value.shape))
-                values = np.ascontiguousarray(p.value, dtype=_DTYPE_CODES[code])
-                emit(values.reshape(-1).view(np.uint8))
-        hexdigest = digest.hexdigest()
+    with replaced_on_success(path + ".manifest.txt") as side_car, \
+            replaced_on_success(path) as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<I", len(meta)))
+        for key in sorted(meta):
+            kb, vb = key.encode("utf-8"), str(meta[key]).encode("utf-8")
+            fh.write(struct.pack("<H", len(kb)) + kb)
+            fh.write(struct.pack("<I", len(vb)) + vb)
+        fh.write(struct.pack("<I", len(arrays)))
+        for p in arrays:
+            nb = p.name.encode("utf-8")
+            code = 8 if p.value.dtype == np.float64 else 4
+            fh.write(struct.pack("<H", len(nb)) + nb)
+            fh.write(struct.pack(f"<BB{p.value.ndim}I", code, p.value.ndim, *p.value.shape))
+            values = np.ascontiguousarray(p.value, dtype=_DTYPE_CODES[code])
+            fh.write(values.reshape(-1).view(np.uint8))
+        hexdigest = fh.digest.hexdigest()
         lines = [f"format {CHECKPOINT_MAGIC.decode()}"]
         lines += [f"meta {k}={meta[k]}" for k in sorted(meta)]
         lines += [
@@ -606,52 +597,94 @@ def save_checkpoint(path, arrays: Sequence[Parameter | NamedArray], meta: dict[s
             for p in arrays
         ]
         lines.append(f"sha256 {hexdigest}")
-        with open(manifest + ".tmp", "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except BaseException:
-        for leftover in (path + ".tmp", manifest + ".tmp"):
-            if os.path.exists(leftover):
-                os.unlink(leftover)
-        raise
-    os.replace(path + ".tmp", path)
-    os.replace(manifest + ".tmp", manifest)
+        side_car.write(("\n".join(lines) + "\n").encode("utf-8"))
     return hexdigest
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    """Read a checkpoint after checking its bytes against the side-car's sha256.
+    """Read a checkpoint through :func:`read_checked`, against the side-car's sha256.
 
-    Each array is read from the file straight into its own buffer, and every
-    byte read also feeds the hash, so the file is never held whole.  A hash
-    mismatch is reported before anything the parse found wrong, and a
-    malformed body is a DataError.
+    Each array is read from the file straight into its own buffer, so the
+    file is never held whole.  A side-car that is missing is a DataError,
+    and one without a ``sha256`` line is a hash mismatch.
     """
     try:
         with open(str(path) + ".manifest.txt", "r", encoding="utf-8") as fh:
             manifest = fh.read()
     except OSError as exc:
         raise DataError(f"checkpoint manifest missing for {path}: {exc}") from exc
-    recorded = None
+    recorded = ""
     for line in manifest.splitlines():
         if line.startswith("sha256 "):
             recorded = line.split(" ", 1)[1].strip()
+    parsed, _ = read_checked(path, f"checkpoint {path}",
+                             lambda reader: _parse_checkpoint(path, reader), recorded)
+    return parsed
+
+
+def open_binary(path, name: str) -> BinaryIO:
+    """``path`` opened for reading bytes; an OSError is a DataError naming ``name``."""
     try:
-        reader = HashingFileReader(open(path, "rb"))
+        return open(path, "rb")
     except OSError as exc:
-        raise DataError(f"cannot read checkpoint {path}: {exc}") from exc
-    with reader:
+        raise DataError(f"cannot read {name}: {exc}") from exc
+
+
+def read_checked(path, name: str, parse: Callable[[HashingFileReader], object],
+                 sha256: str | None = None) -> tuple[object, str]:
+    """``parse`` of the file at ``path``, and the sha256 of all its bytes.
+
+    ``parse`` reads from a :class:`HashingFileReader` and leaves it open;
+    what it leaves unread is hashed after it.  ``name`` is the file's kind
+    and path, such as ``shard <path>``, which the errors raised here name.
+    An unreadable file is a DataError.  With ``sha256``, a different digest
+    is reported before anything the parse raised.  A DataError from
+    ``parse`` passes through; its ``ValueError`` or ``struct.error`` (short
+    data, bad UTF-8 or header) is a DataError calling the file malformed.
+    """
+    with HashingFileReader(open_binary(path, name)) as reader:
         try:
-            parsed, error = _parse_checkpoint(path, reader), None
-        except (DataError, struct.error, ValueError) as exc:  # ValueError: bad UTF-8, short data
+            parsed, error = parse(reader), None
+        except (DataError, ValueError, struct.error) as exc:
             parsed, error = None, exc
         reader.read_rest()
-    if recorded != reader.digest.hexdigest():
-        raise DataError(f"checkpoint hash mismatch for {path}")
+    digest = reader.digest.hexdigest()
+    if sha256 is not None and digest != sha256:
+        raise DataError(f"{name}: hash mismatch")
     if isinstance(error, DataError):
         raise error
     if error is not None:
-        raise DataError(f"{path} is a malformed checkpoint: {error}") from error
-    return parsed
+        raise DataError(f"malformed {name}: {error}") from error
+    return parsed, digest
+
+
+class HashingFileWriter:
+    """A binary file whose writes also feed a sha256."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.digest = hashlib.sha256()
+
+    def write(self, data) -> None:
+        self._fh.write(data)
+        self.digest.update(data)
+
+
+@contextmanager
+def replaced_on_success(path) -> Iterator[HashingFileWriter]:
+    """Write ``path`` under a temporary name (``.tmp`` appended), renamed to ``path`` on success.
+
+    The block writes bytes through a :class:`HashingFileWriter`.  If it
+    raises, the temporary file is removed and ``path`` is left as it was.
+    """
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield HashingFileWriter(fh)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
 
 
 # Bytes per read when hashing the rest of a file.  Reads below malloc's mmap
@@ -662,8 +695,9 @@ HASH_READ_BYTES = 1 << 16
 class HashingFileReader(io.RawIOBase):
     """An unbuffered binary file whose reads feed a sha256 and count down ``left``.
 
-    Checkpoints, shards and embeddings files are read through it, so a file is
-    hashed as it is parsed and never held whole.  No ``read`` asks for more than is left.
+    :func:`read_checked` reads every checkpoint, shard and embeddings file
+    through it, so a file is hashed as it is parsed and never held whole.
+    No ``read`` asks for more than is left.
     """
 
     def __init__(self, fh):
@@ -690,14 +724,18 @@ class HashingFileReader(io.RawIOBase):
         super().close()
 
     def read_array(self, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-        """The next ``shape`` values of ``dtype``, read into a new array."""
+        """The next ``shape`` values of ``dtype``, read into a new array.
+
+        A shape that would run past the end is refused before anything is
+        allocated, so a corrupt shape cannot ask for more memory than the file holds.
+        """
+        size = math.prod(shape) * np.dtype(dtype).itemsize
+        if size > self.left:
+            raise ValueError(f"array of {size} bytes runs past the end ({self.left} left)")
         out = np.empty(shape, dtype)
-        raw = out.reshape(-1).view(np.uint8)
-        if raw.size > self.left:
-            raise ValueError(f"array of {raw.size} bytes runs past the end ({self.left} left)")
-        n = self.readinto(raw)
-        if n < raw.size:
-            raise ValueError(f"array data ends after {n} of {raw.size} bytes")
+        n = self.readinto(out.reshape(-1).view(np.uint8))
+        if n < size:
+            raise ValueError(f"array data ends after {n} of {size} bytes")
         return out
 
     def read_rest(self) -> None:

@@ -16,7 +16,6 @@ deterministic under a fixed seed.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import math
@@ -34,8 +33,8 @@ from sarv.errors import ConfigError, DataError, NumericsError
 from sarv.metrics import ConfusionMatrix, confusion, metrics
 from sarv.models import (EMBEDDINGS_HASH_KEY, OPTIMIZERS, PRECISIONS, SCHEDULES, Model,
                          ModelSpec, build_model, save_model, scored_batches)
-from sarv.nn import (HashingFileReader, Parameter, cross_entropy, one_hot, softmax_xent_grad,
-                     zero_grads)
+from sarv.nn import (HashingFileReader, Parameter, cross_entropy, one_hot, read_checked,
+                     replaced_on_success, softmax_xent_grad, zero_grads)
 from sarv.textproc import MAX_LEN
 
 
@@ -209,7 +208,9 @@ def write_shards(
     order, as if ``records[rows]`` had been passed.  Each shard file holds
     the bytes ``np.save`` writes.  It is gathered, written and hashed
     ``TOKENIZE_CHUNK`` records at a time into one reused buffer, so writing
-    holds no more than that many records beyond the input.
+    holds no more than that many records beyond the input.  Each shard is
+    written through :func:`sarv.nn.replaced_on_success`, so a write that
+    fails leaves no partial shard; the manifest is written after the last.
     """
     if shard_size < 1:
         raise ConfigError(f"shard_size must be >= 1, got {shard_size}")
@@ -228,20 +229,17 @@ def write_shards(
         np.lib.format.write_array_header_1_0(header, {
             "descr": np.lib.format.dtype_to_descr(records.dtype), "fortran_order": False,
             "shape": (len(shard_rows),)})
-        digest = hashlib.sha256(header.getvalue())
         rel = f"{name}-{len(shards):05d}.npy"
-        with open(out_dir / rel, "wb") as fh:
+        with replaced_on_success(out_dir / rel) as fh:
             fh.write(header.getvalue())
             for at in range(0, len(shard_rows), textproc.TOKENIZE_CHUNK):
                 idx = shard_rows[at:at + textproc.TOKENIZE_CHUNK]
                 # "wrap" gathers straight into the buffer, where the default "raise"
                 # gathers into a temporary first; the rows were checked above.
                 chunk = np.take(records, idx, out=buffer[:len(idx)], mode="wrap")
-                data = chunk.view(np.uint8)  # the gathered rows' own bytes
-                fh.write(data)
-                digest.update(data)
+                fh.write(chunk.view(np.uint8))  # the gathered rows' own bytes
                 histogram.update(chunk["y"].tolist())
-        shards.append(ShardInfo(rel, len(shard_rows), digest.hexdigest()))
+        shards.append(ShardInfo(rel, len(shard_rows), fh.digest.hexdigest()))
     max_len, max_word_chars = records.dtype["c"].shape
     manifest = ShardManifest(
         shards=shards,
@@ -259,30 +257,15 @@ def write_shards(
 
 
 def _read_shard(manifest: ShardManifest, info: ShardInfo) -> np.ndarray:
-    """A shard's records, read from the file straight into their array.
+    """A shard's records, read through :func:`read_checked` straight into their array.
 
     The ``.npy`` header's layout is checked against the manifest before the
     array is allocated, so a pickled shard is refused without being loaded.
-    Every byte read also feeds the hash, and, as for checkpoints, a hash
-    mismatch is reported before anything the parse found wrong.
     """
     path = (manifest.base_dir or Path(".")) / info.path
-    try:
-        reader = HashingFileReader(open(path, "rb"))
-    except OSError as exc:
-        raise DataError(f"missing shard {path}: {exc}") from exc
-    with reader:
-        try:
-            records, error = _parse_shard(path, reader, (info.count,), manifest.dtype), None
-        except (DataError, ValueError) as exc:  # ValueError: bad magic or header, short data
-            records, error = None, exc
-        reader.read_rest()
-    if reader.digest.hexdigest() != info.sha256:
-        raise DataError(f"corrupt shard (hash mismatch): {path}")
-    if isinstance(error, DataError):
-        raise error
-    if error is not None:
-        raise DataError(f"unreadable shard {path}: {error}") from error
+    records, _ = read_checked(path, f"shard {path}",
+                              lambda reader: _parse_shard(path, reader, (info.count,),
+                                                          manifest.dtype), info.sha256)
     return records
 
 

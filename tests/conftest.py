@@ -181,6 +181,20 @@ def tiny_batch(seed: int, n: int = 2, classes: int = 2) -> np.ndarray:
     return stack_sentences(tiny_records(seed, n, classes), TINY_MAX_WORD_CHARS)
 
 
+class Tripwire:
+    """Unpickling this object would call ``_trip``, which records it in ``TRIPPED``."""
+
+    def __reduce__(self):
+        return _trip, ()
+
+
+TRIPPED = []
+
+
+def _trip():
+    TRIPPED.append(True)
+
+
 def tiny_emb(seed: int, dtype=np.float64) -> np.ndarray:
     rng = np.random.default_rng(seed)
     mat = rng.normal(scale=0.5, size=(TINY_VOCAB + 1, TINY_EMBED_DIM)).astype(dtype)

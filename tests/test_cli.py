@@ -600,7 +600,8 @@ def trained(tmp_path_factory):
 def _poisoned_checkpoint(trained, path):
     """The trained checkpoint with one NaN in the head's weights, saved under ``path``."""
     _, shards, run = trained
-    model, emb, meta = load_model(run / "checkpoint_final.bin", len(Encoder.load(shards).token_vocab))
+    encoder, _ = Encoder.load(shards)
+    model, emb, meta = load_model(run / "checkpoint_final.bin", len(encoder.token_vocab))
     head = model.layers[-1]
     head.W.value = head.W.value.copy()
     head.W.value[0, 0] = np.nan
@@ -656,14 +657,15 @@ def test_each_command_hashes_the_encoder_once(command, trained, tmp_path, capsys
     import sarv.embed
 
     _, shards, run = trained
-    calls = []
-    serialize = sarv.embed.serialize_token_vocab
+    calls, serialized = [], []
+    hashes = Encoder._hashes
 
-    def counted(vocab):
+    def counted(self, vocab, chars):
         calls.append(len(vocab))
-        return serialize(vocab)
+        return hashes(self, vocab, chars)
 
-    monkeypatch.setattr(sarv.embed, "serialize_token_vocab", counted)
+    monkeypatch.setattr(Encoder, "_hashes", counted)
+    monkeypatch.setattr(sarv.embed, "serialize_token_vocab", serialized.append)
     lines = tmp_path / "lines.txt"
     lines.write_text("واقعا عالی بود\n", encoding="utf-8")
     common = ["--shard-dir", shards, "--embeddings", bundled_embedding_path()]
@@ -675,6 +677,7 @@ def test_each_command_hashes_the_encoder_once(command, trained, tmp_path, capsys
     code, _, _ = invoke(capsys, command, *common, *argv)
     assert code == 0
     assert len(calls) == 1  # train and eval check two artifacts against the one hash
+    assert serialized == []  # taken from the bytes read, never from a re-serialised vocabulary
 
 
 def test_train_with_fewer_classes_than_the_shards_exits_two(tmp_path, capsys):
@@ -852,6 +855,30 @@ def test_mismatched_shard_dir_exits_two(case, word, trained, other_shards, tmp_p
     code, stdout, stderr = invoke(capsys, *argv)
     assert code == 2, stdout
     assert word in stderr
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "predict"])
+def test_a_vocab_file_rewritten_with_crlf_line_ends_exits_two(command, trained, tmp_path, capsys):
+    # The rewritten file parses to the same vocabulary, but its bytes are not
+    # those the manifests and the checkpoint recorded.
+    _, shards, run = trained
+    crlf = tmp_path / "shards"
+    shutil.copytree(shards, crlf)
+    vocab = crlf / "vocab.tsv"
+    vocab.write_bytes(vocab.read_bytes().replace(b"\n", b"\r\n"))
+    assert (parse_token_vocab(vocab.read_bytes().decode("utf-8"))
+            == parse_token_vocab((shards / "vocab.tsv").read_text("utf-8")))
+    lines = tmp_path / "lines.txt"
+    lines.write_text("واقعا عالی بود\n", encoding="utf-8")
+    common = ["--shard-dir", crlf, "--embeddings", bundled_embedding_path()]
+    argv = {
+        "train": ["--out-dir", tmp_path / "run", "--preset", "W2V_SOFTMAX", "--epochs", 1],
+        "eval": ["--checkpoint", run / "checkpoint_final.bin"],
+        "predict": ["--checkpoint", run / "checkpoint_final.bin", "--input", lines],
+    }[command]
+    code, stdout, stderr = invoke(capsys, command, *common, *argv)
+    assert (code, stdout) == (2, "")
+    assert "mismatch: vocab_hash" in stderr
 
 
 def test_predict_normalizes_with_shard_stopwords(tmp_path, capsys):
@@ -1110,7 +1137,7 @@ def test_predict_scores_in_batches_of_the_configured_size(trained, tmp_path, cap
     assert code == 0
     assert rows == [4, 4, 3]
 
-    encoder = Encoder.load(shards)
+    encoder, _ = Encoder.load(shards)
     model, emb, _ = load_model(ckpt, len(encoder.token_vocab))
     encoded = [encode_sentence(unify_length(tokenize(normalize(ln, encoder.norm)), MAX_LEN),
                                encoder.token_vocab, encoder.char_vocab, label=0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -14,7 +15,8 @@ from sarv.corpus import (
     encode_sentence,
     read_corpus,
 )
-from sarv.embed import build_char_vocab, build_token_vocab
+from sarv.embed import (build_char_vocab, build_token_vocab, serialize_char_vocab,
+                        serialize_token_vocab)
 from sarv.errors import ConfigError, DataError
 from sarv.textproc import (MAX_LEN, NormConfig, TokenTable, length_histogram, tokenize,
                            unify_length)
@@ -232,13 +234,15 @@ def test_encoder_round_trip_and_check(tmp_path):
     encoder = Encoder(norm, token_vocab, char_vocab)
     hashes = encoder.save(tmp_path)
     assert (tmp_path / "stopwords.txt").read_text("utf-8") == "very\nکتاب\n"
-    back = Encoder.load(tmp_path)
-    assert hashes == encoder.hashes()
-    assert hashes["vocab_hash"] == token_vocab.vocab_hash()
-    assert hashes["char_vocab_hash"] == char_vocab.vocab_hash()
+    for name, text, key in (("vocab.tsv", serialize_token_vocab(token_vocab), "vocab_hash"),
+                            ("chars.tsv", serialize_char_vocab(char_vocab), "char_vocab_hash")):
+        assert (tmp_path / name).read_bytes() == text.encode("utf-8")
+        assert hashes[key] == hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert hashes["norm_config_hash"] == norm.config_hash()
+    back, back_hashes = Encoder.load(tmp_path)
     assert back == encoder
-    assert back.hashes() == hashes
-    check_hashes(back.hashes(), hashes, "manifest")
+    assert back_hashes == hashes
+    check_hashes(back_hashes, hashes, "manifest")
     fixed = unify_length(["خوب", "بد"])
     want = stack_sentences([encode_sentence(fixed, token_vocab, char_vocab, 1)],
                            char_vocab.max_word_chars)
@@ -248,13 +252,26 @@ def test_encoder_round_trip_and_check(tmp_path):
         missing = {k: v for k, v in hashes.items() if k != key}
         for recorded in (empty, missing):
             with pytest.raises(DataError, match="mismatch"):
-                check_hashes(back.hashes(), recorded, "manifest")
+                check_hashes(back_hashes, recorded, "manifest")
     (tmp_path / "chars.tsv").write_text("x\t7\n", encoding="utf-8")
     with pytest.raises(DataError, match="corrupt"):
         Encoder.load(tmp_path)
     (tmp_path / "vocab.tsv").unlink()
     with pytest.raises(DataError, match="missing"):
         Encoder.load(tmp_path)
+
+
+def test_a_vocab_file_with_crlf_line_ends_parses_alike_but_hashes_apart(tmp_path):
+    token_vocab, char_vocab = make_vocabs("خوب بد کتاب")
+    encoder = Encoder(NormConfig(stopwords=frozenset()), token_vocab, char_vocab)
+    hashes = encoder.save(tmp_path)
+    vocab = tmp_path / "vocab.tsv"
+    vocab.write_bytes(vocab.read_bytes().replace(b"\n", b"\r\n"))
+    back, back_hashes = Encoder.load(tmp_path)
+    assert back == encoder
+    assert back_hashes == {**hashes, "vocab_hash": hashlib.sha256(vocab.read_bytes()).hexdigest()}
+    with pytest.raises(DataError, match="mismatch: vocab_hash"):
+        check_hashes(back_hashes, hashes, "manifest")
 
 
 # ---------------------------------------------------------------------------

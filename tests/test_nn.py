@@ -26,7 +26,6 @@ from sarv.nn import (
     Lstm,
     NamedArray,
     OneHotDense,
-    Packing,
     Parameter,
     Relu,
     Sigmoid,
@@ -563,19 +562,6 @@ def test_a_layer_without_an_input_gradient_accumulates_the_same_parameter_gradie
         assert with_dx.tobytes() == without.tobytes()
 
 
-def test_packing_positions_name_each_packed_rows_batch_row_and_step():
-    seq = RNG(95).normal(size=(9, 7, 2))
-    for lengths in ([1, 7, 3, 7, 2, 5, 1, 6, 4], [3] * 9, [1] * 9):
-        packing = Packing.of(lengths)
-        order, active, _ = packing
-        rows, steps = packing.positions()
-        step_by_step = np.concatenate([seq[order[:n], t] for t, n in enumerate(active)])
-        np.testing.assert_array_equal(seq[rows, steps], step_by_step)
-        assert len(rows) == sum(lengths)
-    rows, steps = Packing.of(np.zeros(0, np.int64)).positions()
-    assert rows.shape == steps.shape == (0,)
-
-
 def _padded_call(lstm, seq, lengths, dout):
     """One pass over padded ``seq`` as the padded call ran it: the batch rows
     sorted by descending length (stably, here), so the rows of step ``t`` are
@@ -862,34 +848,6 @@ def test_checkpoint_missing_manifest(tmp_path):
     save_checkpoint(path, make_params(), {})
     (tmp_path / "model.bin.manifest.txt").unlink()
     with pytest.raises(DataError):
-        load_checkpoint(path)
-
-
-def test_checkpoint_hash_mismatch_is_reported_before_a_parse_error(tmp_path):
-    path = tmp_path / "model.bin"
-    save_checkpoint(path, make_params(), {"k": "v"})
-    path.write_bytes(path.read_bytes()[:-5])  # the body no longer parses, and the side-car is stale
-    with pytest.raises(DataError, match="hash mismatch"):
-        load_checkpoint(path)
-
-
-def test_checkpoint_missing_file_is_a_data_error(tmp_path):
-    path = tmp_path / "model.bin"
-    save_checkpoint(path, make_params(), {})
-    path.unlink()
-    with pytest.raises(DataError, match="cannot read checkpoint"):
-        load_checkpoint(path)
-
-
-@pytest.mark.parametrize("cut", [3, 40, 85])
-def test_checkpoint_short_body_with_a_matching_hash_is_malformed(tmp_path, cut):
-    path = tmp_path / "model.bin"
-    save_checkpoint(path, make_params(), {"k": "v"})
-    blob = path.read_bytes()[:-cut]  # inside the last array, the first array, the metadata
-    path.write_bytes(blob)
-    (tmp_path / "model.bin.manifest.txt").write_text(
-        f"sha256 {hashlib.sha256(blob).hexdigest()}\n", encoding="utf-8")
-    with pytest.raises(DataError, match="malformed checkpoint"):
         load_checkpoint(path)
 
 

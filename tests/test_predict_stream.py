@@ -85,7 +85,7 @@ def test_output_equals_the_per_review_path(trained, given, tmp_path, capsys):
     kept = [ln for ln in lines if ln.strip()]
     assert stderr == (f"warning: dropped {len(lines) - len(kept)} blank input line(s)\n"
                       f"warning: {kept.count('!!! 123')} input line(s) normalised to no token\n")
-    encoder = Encoder.load(shards)
+    encoder, _ = Encoder.load(shards)
     model, emb, _ = load_model(ckpt, len(encoder.token_vocab))
     encoded = [encode_sentence(unify_length(tokenize(normalize(ln, encoder.norm)), MAX_LEN),
                                encoder.token_vocab, encoder.char_vocab, label=0) for ln in kept]
