@@ -302,10 +302,11 @@ class Model:
         """Argmax labels (ties break toward the lowest class index) + probs of a record array.
 
         The one inference entry point: an eval-mode forward whose LSTMs keep
-        no backward cache, only their packed inputs, the hoisted input
-        projection and one step's ``h`` and ``c``, so ``backward`` cannot
-        follow it.  The probabilities equal ``forward(mode="eval")``'s bit for
-        bit, and peak memory grows with the number of records passed.
+        no backward cache, only one step's inputs, gates, ``h`` and ``c``, so
+        ``backward`` cannot follow it.  The probabilities equal
+        ``forward(mode="eval")``'s bit for bit.  Peak memory grows with the
+        number of records passed, through the gathered inputs of their real
+        slots; the LSTMs add one step's worth.
         """
         probs = self.forward(records, emb_matrix, mode="eval", cache=False)
         return np.argmax(probs, axis=1), probs

@@ -224,7 +224,8 @@ class Packing(NamedTuple):
     def of(cls, lengths: np.ndarray) -> "Packing":
         lengths = np.asarray(lengths, dtype=np.int64)
         order = np.argsort(-lengths, kind="stable")
-        active = np.count_nonzero(lengths > np.arange(lengths.max(initial=0))[:, None], axis=1)
+        # active[t] counts the rows longer than t: all but those of length <= t.
+        active = len(lengths) - np.cumsum(np.bincount(lengths))[:-1]
         return cls(order, active, np.concatenate([[0], np.cumsum(active)]))
 
 
@@ -238,8 +239,8 @@ class Lstm:
     hidden_size`` bias (``fused_W``, ``fused_b``) hold columns ``i, f, o,
     g``, so one ``sigmoid`` call covers the three sigmoid gates.  Each
     gate's ``Parameter`` (the checkpoint layout) is a column view of them,
-    gradient included.  The input projection of every step is one matmul
-    hoisted out of the time loop.
+    gradient included.  Each step projects its own inputs inside the time
+    loop: ``x_t @ W[:input_size]``, then the bias, then ``h_{t-1} @ W_h``.
 
     ``forward`` takes its input row-major, ``(sum(lengths), input_size)``:
     each batch row's real steps in order, one row after another, and
@@ -252,12 +253,13 @@ class Lstm:
     A training forward (``cache=True``) keeps ``[x_t, h_{t-1}]``, the gate
     activations and ``c_t`` of every computed step for ``backward``:
     ``rows * (input_size + 6 * hidden_size)`` values.  An inference forward
-    (``cache=False``) keeps the packed inputs and the hoisted input
-    projection, ``rows * (input_size + 4 * hidden_size)`` values, plus one
-    step's ``h`` and ``c``, and leaves nothing for ``backward``; it never
-    needs more than a training forward of the same batch.  Both take their
-    memory from one block that the layer keeps and only ever grows, gather
-    their input into it one step at a time, and give the same output bits.
+    (``cache=False``) keeps one step: its inputs and gates, ``batch *
+    (input_size + 4 * hidden_size)`` values, plus its ``h`` and ``c``, and
+    leaves nothing for ``backward``.  Its memory does not grow with the
+    number of steps.  Both take their memory from one block that the layer
+    keeps and only ever grows, gather their input into it one step at a
+    time, and run the same products on the same rows at every step, so they
+    give the same output bits.
 
     With ``input_grad`` False, ``backward`` returns None and builds no input
     gradient, for a layer whose input is frozen.  Each step still takes its
@@ -319,27 +321,27 @@ class Lstm:
         W_h = W[n_in:]
         dtype = np.result_type(seq.dtype, W.dtype)
 
-        # Step t reads h_{t-1} from, and writes c_t to, the rows of h_store and
-        # cell that start at start[t].  A training forward keeps every step's
-        # rows, step-major, with h_{t-1} beside x_t in xh = [x_t, h_{t-1}]; an
-        # inference forward overwrites one step-sized slot of each.
+        # Step t reads x_t and h_{t-1} from, and writes its gates and c_t to,
+        # the rows of x, h_store, gates and cell that start at start[t].  A
+        # training forward keeps every step's rows, step-major, with h_{t-1}
+        # beside x_t in xh = [x_t, h_{t-1}]; an inference forward overwrites
+        # one step-sized slot of each.
         if cache:
             start = offsets
             xh, gates, cell = self._carve(dtype, (rows, n_in + H), (rows, 4 * H), (rows, H))
             x, h_store = xh[:, :n_in], xh[:, n_in:]
         else:
             start = np.zeros_like(offsets)
-            x, gates, h_store, cell = self._carve(dtype, (rows, n_in), (rows, 4 * H),
+            x, gates, h_store, cell = self._carve(dtype, (batch, n_in), (batch, 4 * H),
                                                   (batch, H), (batch, H))
-        for t, n in enumerate(active):
-            x[offsets[t]:offsets[t + 1]] = seq[first[:n] + t]
         if rows:
             h_store[: active[0]] = 0  # h_{-1}
-        np.matmul(x, W[:n_in], out=gates)
-        gates += b
         out = np.empty((batch, H), dtype=dtype)
         for t, n in enumerate(active):
-            a = gates[offsets[t]:offsets[t + 1]]
+            x_t = x[start[t]:start[t] + n]
+            x_t[...] = seq[first[:n] + t]
+            a = np.matmul(x_t, W[:n_in], out=gates[start[t]:start[t] + n])
+            a += b
             if t:
                 a += h_store[start[t]:start[t] + n] @ W_h
             a[:, : 3 * H] = sigmoid(a[:, : 3 * H])
