@@ -25,8 +25,8 @@ from sarv.corpus import (CorpusReader, Encoder, LabelScheme, check_hashes, encod
                          text_lines, to_json_lines)
 from sarv.embed import embedding_matrix, embeddings_sha256, load_embeddings
 from sarv.errors import ConfigError, DataError, NumericsError, SarvError
-from sarv.models import (CHAR_PRESETS, EMBEDDINGS_HASH_KEY, OPTIMIZERS, PRECISIONS, PRESETS,
-                         SCHEDULES, ModelSpec, load_model, scored_batches)
+from sarv.models import (EMBEDDINGS_HASH_KEY, OPTIMIZERS, PRECISIONS, PRESETS, SCHEDULES,
+                         ModelSpec, load_model, scored_batches)
 from sarv.nn import open_binary, replaced_on_success
 from sarv.textproc import MAX_LEN, NormConfig, load_stopwords
 
@@ -38,37 +38,15 @@ if TYPE_CHECKING:
 
 SEED_ENV_VAR = "SARV_SEED"
 
-# Training hyperparameters each preset starts from; a config file or
-# flag overrides any of them.
-PRESET_TRAIN_DEFAULTS: dict[str, dict] = {
-    "W2V_SOFTMAX": {"optimizer": "sgd", "lr": 0.003, "lr_schedule": "constant"},
-    "W2V_MLP_SIGMOID": {"optimizer": "adam", "lr": 0.001, "lr_schedule": "plateau"},
-    "W2V_MLP_RELU_LRDECAY": {"optimizer": "adam", "lr": 0.001, "lr_schedule": "exp"},
-    "W2V_MLP_RELU_LRDECAY_DROPOUT": {
-        "optimizer": "adam", "lr": 0.001, "lr_schedule": "exp", "dropout": 0.25,
-    },
-    "W2V_LSTM": {"optimizer": "adam", "lr": 0.001, "lr_schedule": "plateau"},
-    "CHAR_W2V_LSTM_RUS": {
-        "optimizer": "adam", "lr": 0.001, "lr_schedule": "plateau", "rus": True,
-    },
-    "CHAR_W2V_LSTM": {"optimizer": "adam", "lr": 0.001, "lr_schedule": "plateau"},
-}
-
-
 # Field annotation -> parser of a flag or INI value; str fields keep the raw
 # string and bool fields are switches.
 _ARG_TYPES = {"int": int, "float": float, "float | None": float}
 
 
-def _opt(section: str, flag: str, default, *, train_field: str = "", **argparse_kwargs):
-    """A ``RunConfig`` field with its INI section, its flag and the flag's argparse keywords.
-
-    ``train_field`` names the ``TrainConfig`` field it feeds when the names differ.
-    """
-    metadata = {"section": section, "flag": flag, "argparse": argparse_kwargs}
-    if train_field:
-        metadata["train_field"] = train_field
-    return field(default=default, metadata=metadata)
+def _opt(section: str, flag: str, default, **argparse_kwargs):
+    """A ``RunConfig`` field with its INI section, its flag and the flag's argparse keywords."""
+    return field(default=default,
+                 metadata={"section": section, "flag": flag, "argparse": argparse_kwargs})
 
 
 @dataclass
@@ -80,7 +58,8 @@ class RunConfig:
     """
 
     seed: int = _opt("run", "--seed", 0, help=f"rng seed (falls back to ${SEED_ENV_VAR})")
-    preset: str = _opt("run", "--preset", "W2V_SOFTMAX", choices=PRESETS, help="model preset")
+    preset: str = _opt("run", "--preset", "W2V_SOFTMAX", choices=tuple(PRESETS),
+                        help="model preset")
     classes: int = _opt("run", "--classes", 2, choices=(2, 3))
     precision: str = _opt("run", "--precision", "single", choices=PRECISIONS)
 
@@ -104,7 +83,7 @@ class RunConfig:
     rus: bool = _opt("shard", "--rus", False, help="random-undersample the train split")
 
     optimizer: str = _opt("train", "--optimizer", "adam", choices=OPTIMIZERS)
-    lr: float = _opt("train", "--lr", 0.001, train_field="base_lr",
+    lr: float = _opt("train", "--lr", 0.001,
                      help="base learning rate (ignored by --lr-schedule exp)")
     lr_schedule: str = _opt("train", "--lr-schedule", "constant", choices=SCHEDULES)
     epochs: int = _opt("train", "--epochs", 1)
@@ -163,7 +142,7 @@ def config_from_ini(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"malformed config {path}: {exc}") from exc
@@ -185,8 +164,8 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     merged = {name: f.default for name, f in _FIELDS.items()}
     preset = flag_values.get("preset", file_values.get("preset", merged["preset"]))
     if preset not in PRESETS:
-        raise ConfigError(f"unknown preset {preset!r}; choose from {PRESETS}")
-    merged.update(PRESET_TRAIN_DEFAULTS[preset])
+        raise ConfigError(f"unknown preset {preset!r}; choose from {tuple(PRESETS)}")
+    merged.update(PRESETS[preset].train)
     merged["preset"] = preset
     merged.update(file_values)
     if "seed" not in flag_values and "seed" not in file_values:
@@ -363,8 +342,7 @@ def cmd_train(cfg: RunConfig) -> int:
     from sarv.train import TrainConfig, train_loop
 
     _require(cfg, "embeddings", "out_dir")
-    source = {f.metadata.get("train_field", name): name for name, f in _FIELDS.items()}
-    train_cfg = TrainConfig(**{f.name: getattr(cfg, source[f.name]) for f in fields(TrainConfig)})
+    train_cfg = TrainConfig(**{f.name: getattr(cfg, f.name) for f in fields(TrainConfig)})
     shard_dir = Path(cfg.shard_dir or cfg.out_dir)
     encoder, hashes = Encoder.load(shard_dir)
     train_path = shard_dir / "train.manifest.json"
@@ -382,7 +360,7 @@ def cmd_train(cfg: RunConfig) -> int:
         num_classes=cfg.classes,
         dropout_rate=cfg.dropout,
         max_word_chars=train_manifest.max_word_chars,
-        char_vocab_size=len(encoder.char_vocab) if cfg.preset in CHAR_PRESETS else 0,
+        char_vocab_size=len(encoder.char_vocab) if PRESETS[cfg.preset].char_channel else 0,
     )
     emb, emb_hash = _embedding_matrix_for(cfg, encoder.token_vocab, train_cfg.dtype)
     del encoder  # training needs none of its vocabularies

@@ -1,19 +1,21 @@
 """The seven classifier presets: one model class, one forward/backward path.
 
-Every preset consumes a batch of records (a structured array, see
-:func:`sarv.corpus.record_dtype`) plus a frozen embedding matrix and
-produces per-class probabilities through the same pipeline; a preset
-only chooses which stages it has:
+``PRESETS`` is the one table of presets.  Each :class:`Preset` record
+holds the stages its model builds, the training defaults it starts from
+and the F1 the paper reports for it.  Every preset consumes a batch of
+records (a structured array, see :func:`sarv.corpus.record_dtype`) plus
+a frozen embedding matrix and produces per-class probabilities through
+the same pipeline; a record only chooses which stages it has:
 
-1. char channel (``CHAR_W2V_LSTM[_RUS]``): a character LSTM turns each
-   token's char ids into a learned word feature, concatenated with the
-   word vector.  The ``_RUS`` variant shares the architecture; random
-   under-sampling happens at data preparation time.
-2. word LSTM (``W2V_LSTM`` and the char presets), last-real-step hidden
-   state; every other preset flattens the 15x50 input instead.
-3. dense chain: ``W2V_MLP_*`` run ``hidden_sizes`` dense layers with
-   sigmoid or relu (and dropout after every hidden activation in the
-   ``_DROPOUT`` preset); ``W2V_SOFTMAX`` has none.
+1. char channel (``char_channel``): a character LSTM turns each token's
+   char ids into a learned word feature, concatenated with the word
+   vector.  Two presets share this architecture; the one whose training
+   defaults set ``rus`` random-undersamples at data preparation time.
+2. word LSTM (``word_lstm``), last-real-step hidden state; without it
+   the 15x50 input is flattened instead.
+3. dense chain (``hidden``): ``hidden_sizes`` dense layers with the named
+   activation, and with ``dropout`` a dropout after every hidden
+   activation; an empty ``hidden`` builds none.
 4. ``head``: a dense layer to class logits, then softmax.
 
 :func:`scored_batches` scores a stream of record arrays batch by batch
@@ -47,18 +49,52 @@ from sarv.nn import (
     zero_grads,
 )
 
-PRESETS = (
-    "W2V_SOFTMAX",
-    "W2V_MLP_SIGMOID",
-    "W2V_MLP_RELU_LRDECAY",
-    "W2V_MLP_RELU_LRDECAY_DROPOUT",
-    "W2V_LSTM",
-    "CHAR_W2V_LSTM_RUS",
-    "CHAR_W2V_LSTM",
-)
 
-MLP_PRESETS = ("W2V_MLP_SIGMOID", "W2V_MLP_RELU_LRDECAY", "W2V_MLP_RELU_LRDECAY_DROPOUT")
-CHAR_PRESETS = ("CHAR_W2V_LSTM_RUS", "CHAR_W2V_LSTM")
+@dataclass(frozen=True)
+class Preset:
+    """One preset: the stages ``Model`` builds, its training defaults and its paper F1.
+
+    ``char_channel`` feeds the word LSTM, so it comes with ``word_lstm``.
+    ``hidden`` names the dense chain's activation (a key of
+    ``sarv.nn.ACTIVATIONS``), or is empty for no dense chain; ``dropout``
+    follows each of its activations with a ``Dropout``.  ``train`` holds the
+    ``RunConfig`` values the preset starts from; a config file or flag
+    overrides any of them.  ``reference_f1`` was reported on the full
+    100k-review corpus, which desk-scale runs will not reproduce; where two
+    figures were published, both are kept.
+    """
+
+    train: dict
+    reference_f1: str
+    char_channel: bool = False
+    word_lstm: bool = False
+    hidden: str = ""
+    dropout: bool = False
+
+
+PRESETS = {
+    "W2V_SOFTMAX": Preset(
+        reference_f1="63.1",
+        train={"optimizer": "sgd", "lr": 0.003, "lr_schedule": "constant"}),
+    "W2V_MLP_SIGMOID": Preset(
+        hidden="sigmoid", reference_f1="72",
+        train={"optimizer": "adam", "lr": 0.001, "lr_schedule": "plateau"}),
+    "W2V_MLP_RELU_LRDECAY": Preset(
+        hidden="relu", reference_f1="72.1 (also reported as 72.01)",
+        train={"optimizer": "adam", "lr": 0.001, "lr_schedule": "exp"}),
+    "W2V_MLP_RELU_LRDECAY_DROPOUT": Preset(
+        hidden="relu", dropout=True, reference_f1="71.8 (also reported as 72.01)",
+        train={"optimizer": "adam", "lr": 0.001, "lr_schedule": "exp", "dropout": 0.25}),
+    "W2V_LSTM": Preset(
+        word_lstm=True, reference_f1="75.7 (also reported as 75.07)",
+        train={"optimizer": "adam", "lr": 0.001, "lr_schedule": "plateau"}),
+    "CHAR_W2V_LSTM_RUS": Preset(
+        char_channel=True, word_lstm=True, reference_f1="73.9",
+        train={"optimizer": "adam", "lr": 0.001, "lr_schedule": "plateau", "rus": True}),
+    "CHAR_W2V_LSTM": Preset(
+        char_channel=True, word_lstm=True, reference_f1="78.3",
+        train={"optimizer": "adam", "lr": 0.001, "lr_schedule": "plateau"}),
+}
 
 # The training choices ``sarv.train.TrainConfig`` accepts.  They live here
 # so the CLI can offer them as flag choices without importing the trainer.
@@ -70,19 +106,6 @@ PRECISIONS = ("single", "double")
 # metadata key holding the sha256 of the file it was built from.
 EMBEDDINGS_ARRAY = "embeddings"
 EMBEDDINGS_HASH_KEY = "embeddings_sha256"
-
-# F1 reported for these configurations on the full 100k-review corpus.
-# Desk-scale runs will not reproduce them; where two figures were
-# published for the same configuration, both are kept.
-REFERENCE_F1 = {
-    "W2V_SOFTMAX": "63.1",
-    "W2V_MLP_SIGMOID": "72",
-    "W2V_MLP_RELU_LRDECAY": "72.1 (also reported as 72.01)",
-    "W2V_MLP_RELU_LRDECAY_DROPOUT": "71.8 (also reported as 72.01)",
-    "W2V_LSTM": "75.7 (also reported as 75.07)",
-    "CHAR_W2V_LSTM_RUS": "73.9",
-    "CHAR_W2V_LSTM": "78.3",
-}
 
 
 @dataclass(frozen=True)
@@ -103,7 +126,7 @@ class ModelSpec:
 
     def __post_init__(self) -> None:
         if self.preset not in PRESETS:
-            raise ConfigError(f"unknown preset {self.preset!r}; choose from {PRESETS}")
+            raise ConfigError(f"unknown preset {self.preset!r}; choose from {tuple(PRESETS)}")
         if self.num_classes not in (2, 3):
             raise ConfigError(f"num_classes must be 2 or 3, got {self.num_classes}")
         sizes = (
@@ -189,8 +212,9 @@ class Model:
         # Nothing reads the gradient of the frozen word vectors, so the first
         # layer over them returns none.  The char presets' word LSTM returns
         # its whole input gradient, whose char columns feed the char channel.
+        preset = PRESETS[spec.preset]
         word_dim = spec.embed_dim
-        if spec.preset in CHAR_PRESETS:
+        if preset.char_channel:
             self.char_proj = OneHotDense(
                 spec.char_vocab_size + 1, spec.char_embed_width, rng, dtype, name="char_proj"
             )
@@ -198,22 +222,22 @@ class Model:
                 spec.char_embed_width, spec.char_lstm_size, rng, dtype, name="char_lstm"
             )
             word_dim += spec.char_lstm_size
-        if spec.preset == "W2V_LSTM" or self.char_lstm is not None:
+        if preset.word_lstm:
             self.word_lstm = Lstm(word_dim, spec.word_lstm_size, rng, dtype, name="word_lstm",
-                                  input_grad=self.char_lstm is not None)
+                                  input_grad=preset.char_channel)
             prev = spec.word_lstm_size
         else:
             prev = spec.max_len * spec.embed_dim
         self.layers: list = []
-        grad_below = self.word_lstm is not None  # a layer below the next dense reads its input grad
-        if spec.preset in MLP_PRESETS:
-            activation = ACTIVATIONS["sigmoid" if spec.preset == "W2V_MLP_SIGMOID" else "relu"]
+        grad_below = preset.word_lstm  # a layer below the next dense reads its input grad
+        if preset.hidden:
+            activation = ACTIVATIONS[preset.hidden]
             for i, size in enumerate(spec.hidden_sizes):
                 self.layers.append(Dense(prev, size, rng, dtype, name=f"dense{i}",
                                          input_grad=grad_below))
                 grad_below = True
                 self.layers.append(activation())
-                if spec.preset == "W2V_MLP_RELU_LRDECAY_DROPOUT":
+                if preset.dropout:
                     self.layers.append(Dropout(spec.dropout_rate))
                 prev = size
         self.layers.append(Dense(prev, spec.num_classes, rng, dtype, name="head",

@@ -607,14 +607,17 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
     """Read a checkpoint through :func:`read_checked`, against the side-car's sha256.
 
     Each array is read from the file straight into its own buffer, so the
-    file is never held whole.  A side-car that is missing is a DataError,
-    and one without a ``sha256`` line is a hash mismatch.
+    file is never held whole.  A side-car that is missing or not UTF-8 is a
+    DataError, and one without a ``sha256`` line is a hash mismatch.
     """
+    sidecar = str(path) + ".manifest.txt"
     try:
-        with open(str(path) + ".manifest.txt", "r", encoding="utf-8") as fh:
+        with open(sidecar, "r", encoding="utf-8") as fh:
             manifest = fh.read()
     except OSError as exc:
         raise DataError(f"checkpoint manifest missing for {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"checkpoint manifest {sidecar} is not UTF-8: {exc}") from exc
     recorded = ""
     for line in manifest.splitlines():
         if line.startswith("sha256 "):

@@ -40,8 +40,10 @@ from sarv.textproc import MAX_LEN
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """Training settings; each field is the ``sarv.cli.RunConfig`` field of the same name."""
+
     optimizer: str = "adam"
-    base_lr: float = 0.001
+    lr: float = 0.001
     lr_schedule: str = "constant"
     plateau_factor: float = 0.9
     plateau_patience: int = 27
@@ -61,8 +63,8 @@ class TrainConfig:
             raise ConfigError(f"precision must be one of {PRECISIONS}, got {self.precision!r}")
         if self.exp_step_unit not in ("epoch", "batch"):
             raise ConfigError(f"exp_step_unit must be 'epoch' or 'batch', got {self.exp_step_unit!r}")
-        if not (self.base_lr > 0 and math.isfinite(self.base_lr)):
-            raise ConfigError(f"base_lr must be finite and > 0, got {self.base_lr}")
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
@@ -313,26 +315,11 @@ def _check_grads(params: Sequence[Parameter]) -> None:
             raise NumericsError(f"non-finite gradient in parameter {p.name}")
 
 
-def _with_scratch(params: Sequence[Parameter],
-                  count: int) -> Iterator[tuple[Parameter, np.ndarray]]:
-    """Each parameter with a stack of ``count`` scratch arrays of its shape and dtype.
-
-    All are carved from one block, sized for the largest parameter and
-    freed when the step ends, so an optimizer step makes no per-parameter
-    temporaries and holds no memory between steps.
-    """
-    block = np.empty(count * max((p.value.nbytes for p in params), default=0), np.uint8)
-    for p in params:
-        stack = block[: count * p.value.nbytes].view(p.value.dtype)
-        yield p, stack.reshape(count, *p.value.shape)
-
-
 def sgd_step(params: Sequence[Parameter], lr: float) -> None:
     """Plain gradient descent: ``p <- p - lr * g``."""
     _check_grads(params)
-    for p, (step,) in _with_scratch(params, 1):
-        np.multiply(p.grad, lr, out=step)
-        p.value -= step
+    for p in params:
+        p.value -= np.multiply(p.grad, lr)
 
 
 class AdamState:
@@ -360,10 +347,11 @@ def adam_step(
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
-    for p, (step, denom) in _with_scratch(params, 2):
+    for p in params:
         if p.name not in state.m:
             state.m[p.name], state.v[p.name] = np.zeros_like(p.value), np.zeros_like(p.value)
         g, m, v = p.grad, state.m[p.name], state.v[p.name]
+        step, denom = np.empty_like(p.value), np.empty_like(p.value)
         np.subtract(g, m, out=step)
         step *= 1.0 - beta1
         m += step
@@ -530,7 +518,7 @@ def train_loop(
     params = model.params()
     emb_matrix = emb_matrix.astype(cfg.dtype, copy=False)
     adam = AdamState()
-    plateau = PlateauScheduler(cfg.base_lr, cfg.plateau_factor, cfg.plateau_patience)
+    plateau = PlateauScheduler(cfg.lr, cfg.plateau_factor, cfg.plateau_patience)
     meta = {"seed": str(cfg.seed), EMBEDDINGS_HASH_KEY: embeddings_sha256,
             **train_manifest.encoder_hashes}
 
@@ -539,7 +527,7 @@ def train_loop(
     global_step = 0
     for epoch in range(cfg.epochs):
         if cfg.lr_schedule == "constant":
-            lr = cfg.base_lr
+            lr = cfg.lr
         elif cfg.lr_schedule == "exp":
             lr = lr_exp_decay(epoch if cfg.exp_step_unit == "epoch" else global_step)
         else:

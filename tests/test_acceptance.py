@@ -18,7 +18,6 @@ from sarv.cli import main
 from sarv.corpus import RawRecord
 from sarv.metrics import confusion, metrics
 from sarv.models import (
-    CHAR_PRESETS,
     PRESETS,
     ModelSpec,
     build_model,
@@ -157,7 +156,7 @@ def _op_cases(seed: int):
 
 
 def _preset_case(preset: str, seed: int):
-    classes = 3 if preset in CHAR_PRESETS else 2
+    classes = 3 if PRESETS[preset].char_channel else 2
     needs_margin = "RELU" in preset
     model = build_model(tiny_spec(preset, classes), rng_seed=seed, dtype=np.float64)
     records = tiny_batch(seed=seed + 1000, n=2, classes=classes)
@@ -262,10 +261,10 @@ def test_criterion_04_presets_overfit_separable_corpus(tmp_path):
             manifest = write_shards(encoded, 64, out, name="train")
             spec = ModelSpec(
                 preset=preset, num_classes=classes,
-                char_vocab_size=len(char_vocab) if preset in CHAR_PRESETS else 0,
+                char_vocab_size=len(char_vocab) if PRESETS[preset].char_channel else 0,
             )
             cfg = TrainConfig(
-                optimizer="adam", base_lr=0.01, batch_size=64, epochs=200,
+                optimizer="adam", lr=0.01, batch_size=64, epochs=200,
                 seed=0, stop_at_train_accuracy=1.0,
             )
             t0 = time.perf_counter()
@@ -309,7 +308,7 @@ def test_criterion_05_lstm_beats_softmax_on_token_order(tmp_path):
     for preset in ("W2V_SOFTMAX", "W2V_LSTM"):
         out = tmp_path / preset
         manifest = write_shards(train, 2000, out, name="train")
-        cfg = TrainConfig(optimizer="adam", base_lr=0.003, batch_size=256, epochs=40, seed=3)
+        cfg = TrainConfig(optimizer="adam", lr=0.003, batch_size=256, epochs=40, seed=3)
         _, model = train_loop(ModelSpec(preset=preset, num_classes=2), cfg, manifest, emb, out / "run")
         labels, _ = model.predict(test, emb.astype(np.float32))
         cm = confusion(labels, test["y"], num_classes=2)

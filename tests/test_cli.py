@@ -19,7 +19,6 @@ import pytest
 
 import sarv.cli
 from sarv.cli import (
-    PRESET_TRAIN_DEFAULTS,
     RunConfig,
     build_parser,
     config_from_ini,
@@ -30,7 +29,7 @@ from sarv.cli import (
 from sarv.corpus import Encoder, RawRecord, encode_sentence
 from sarv.embed import parse_char_vocab, parse_token_vocab
 from sarv.errors import ConfigError
-from sarv.models import Model, load_model, save_model
+from sarv.models import PRESETS, Model, load_model, save_model
 from sarv.nn import Parameter, load_checkpoint, save_checkpoint
 from sarv.textproc import MAX_LEN, NormConfig, normalize, tokenize, unify_length
 from sarv.train import ShardManifest
@@ -287,6 +286,14 @@ def test_config_rejects_bad_values(tmp_path):
         config_from_ini(path)
 
 
+def test_config_file_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.ini"
+    path.write_bytes(b"[run]\nseed = 5\xff\n")
+    code, _, stderr = invoke(capsys, "stats", "--config", path, "--corpus", REVIEWS_TSV)
+    assert code == 1, stderr
+    assert stderr.startswith("sarv: config error: ") and str(path) in stderr
+
+
 def test_flags_override_config_file(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text("[run]\nseed = 5\n\n[train]\nepochs = 3\nlr = 0.01\n", encoding="utf-8")
@@ -311,13 +318,9 @@ def test_preset_defaults_apply_then_yield(tmp_path):
 
 
 def test_all_presets_have_train_defaults():
-    assert set(PRESET_TRAIN_DEFAULTS) == {
-        "W2V_SOFTMAX", "W2V_MLP_SIGMOID", "W2V_MLP_RELU_LRDECAY",
-        "W2V_MLP_RELU_LRDECAY_DROPOUT", "W2V_LSTM", "CHAR_W2V_LSTM_RUS", "CHAR_W2V_LSTM",
-    }
-    assert PRESET_TRAIN_DEFAULTS["W2V_MLP_RELU_LRDECAY"]["lr_schedule"] == "exp"
-    assert PRESET_TRAIN_DEFAULTS["W2V_MLP_RELU_LRDECAY_DROPOUT"]["dropout"] == 0.25
-    assert PRESET_TRAIN_DEFAULTS["CHAR_W2V_LSTM_RUS"]["rus"] is True
+    assert PRESETS["W2V_MLP_RELU_LRDECAY"].train["lr_schedule"] == "exp"
+    assert PRESETS["W2V_MLP_RELU_LRDECAY_DROPOUT"].train["dropout"] == 0.25
+    assert PRESETS["CHAR_W2V_LSTM_RUS"].train["rus"] is True
 
 
 def test_env_seed_fallback(monkeypatch):
@@ -818,6 +821,26 @@ def test_malformed_checkpoint_exits_two(case, trained, tmp_path, capsys):
         code, stdout, stderr = invoke(capsys, *argv)
         assert code == 2, (argv[0], stdout, stderr)
         assert "data error" in stderr and "checkpoint" in stderr
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_checkpoint_side_car_not_utf8_exits_two(command, trained, tmp_path, capsys):
+    _, shards, run = trained
+    ckpt = tmp_path / "model.bin"
+    shutil.copyfile(run / "checkpoint_best.bin", ckpt)
+    sidecar = tmp_path / "model.bin.manifest.txt"
+    text = bytearray((run / "checkpoint_best.bin.manifest.txt").read_bytes())
+    text[0] = 0xFF
+    sidecar.write_bytes(bytes(text))
+    lines = tmp_path / "lines.txt"
+    lines.write_text("واقعا عالی بود\n", encoding="utf-8")
+    argv = [command, "--checkpoint", ckpt, "--shard-dir", shards,
+            "--embeddings", bundled_embedding_path()]
+    if command == "predict":
+        argv += ["--input", lines]
+    code, stdout, stderr = invoke(capsys, *argv)
+    assert code == 2, (stdout, stderr)
+    assert stderr.startswith("sarv: data error: ") and str(sidecar) in stderr
 
 
 @pytest.mark.parametrize("case, word", [

@@ -12,13 +12,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sarv.cli import build_parser, resolve_config
 from sarv.corpus import EncodedSentence, record_dtype
 from sarv.errors import ConfigError, DataError
 from sarv.models import (
-    CHAR_PRESETS,
-    MLP_PRESETS,
     PRESETS,
-    REFERENCE_F1,
     ModelSpec,
     _char_lengths,
     _distinct_rows,
@@ -27,8 +25,8 @@ from sarv.models import (
     model_loss_fn,
     save_model,
 )
-from sarv.nn import (Dense, Packing, grad_check, one_hot, save_checkpoint, softmax,
-                     softmax_xent_grad, zero_grads)
+from sarv.nn import (ACTIVATIONS, Dense, Dropout, Packing, grad_check, one_hot,
+                     save_checkpoint, softmax, softmax_xent_grad, zero_grads)
 from sarv.train import AdamState, adam_step, sgd_step
 
 from conftest import (
@@ -61,9 +59,21 @@ def dense_params(i, o):
 
 def test_preset_list_is_complete():
     assert len(PRESETS) == 7
-    assert set(MLP_PRESETS) < set(PRESETS)
-    assert set(CHAR_PRESETS) < set(PRESETS)
-    assert set(REFERENCE_F1) == set(PRESETS)
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_each_preset_record_is_what_model_builds_and_train_starts_from(preset):
+    record = PRESETS[preset]
+    model = build_model(tiny_spec(preset), rng_seed=0)
+    assert (model.char_proj is not None) == (model.char_lstm is not None) == record.char_channel
+    assert (model.word_lstm is not None) == record.word_lstm
+    stage = [] if not record.hidden else (
+        [Dense, ACTIVATIONS[record.hidden]] + [Dropout] * record.dropout)
+    assert [type(layer) for layer in model.layers] == (
+        stage * len(model.spec.hidden_sizes) + [Dense])
+    assert model.layers[-1].name == "head"
+    cfg = resolve_config(build_parser().parse_args(["train", "--preset", preset]))
+    assert {name: getattr(cfg, name) for name in record.train} == record.train
 
 
 def test_spec_validation():
@@ -433,7 +443,7 @@ def test_only_the_char_presets_compute_an_input_gradient_below_the_dense_chain(p
     assert [layer.input_grad for layer in dense] == [model.word_lstm is not None] + [True] * (
         len(dense) - 1)
     if model.word_lstm is not None:
-        assert model.word_lstm.input_grad == (preset in CHAR_PRESETS)
+        assert model.word_lstm.input_grad == PRESETS[preset].char_channel
 
 
 def test_predict_breaks_ties_toward_lowest_class():
@@ -473,7 +483,7 @@ def test_dropout_preset_train_mode_is_stochastic_eval_is_not():
 
 @pytest.mark.parametrize("preset", PRESETS)
 def test_preset_gradients_match_finite_differences(preset):
-    classes = 3 if preset in CHAR_PRESETS else 2
+    classes = 3 if PRESETS[preset].char_channel else 2
     needs_margin = "RELU" in preset
     seed = 0
     while True:

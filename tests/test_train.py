@@ -84,8 +84,8 @@ def test_train_config_validation():
     with pytest.raises(ConfigError):
         TrainConfig(exp_step_unit="minute")
     for lr in (0.0, float("nan"), float("inf")):
-        with pytest.raises(ConfigError, match="base_lr"):
-            TrainConfig(base_lr=lr)
+        with pytest.raises(ConfigError, match="lr"):
+            TrainConfig(lr=lr)
     with pytest.raises(ConfigError):
         TrainConfig(batch_size=0)
     with pytest.raises(ConfigError):
@@ -463,8 +463,9 @@ def test_optimizer_step_makes_no_per_parameter_temporaries(optimizer):
         current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # One scratch block: one (sgd) or two (adam) arrays of the largest
-    # parameter's size, freed when the step returns.
+    # Each parameter's temporaries, one (sgd) or two (adam) arrays of its
+    # size, are dropped as the loop moves on: the peak is about the largest
+    # parameter's, and nothing outlives the step.
     scratch = (1 if optimizer == "sgd" else 2) * params[0].value.nbytes
     assert peak - start < scratch + 32 * 1024, (peak - start, scratch)
     assert current - start < 4 * 1024
@@ -591,7 +592,7 @@ def test_train_loop_zero_epochs_still_writes_final(tmp_path):
 
 def test_train_loop_is_deterministic(tmp_path):
     spec = tiny_spec("W2V_LSTM")
-    cfg = TrainConfig(optimizer="adam", base_lr=0.01, epochs=2, batch_size=4, seed=7)
+    cfg = TrainConfig(optimizer="adam", lr=0.01, epochs=2, batch_size=4, seed=7)
     manifest, emb = loop_fixtures(tmp_path)
     r1, _ = train_loop(spec, cfg, manifest, emb, tmp_path / "run1")
     r2, _ = train_loop(spec, cfg, manifest, emb, tmp_path / "run2")
@@ -614,7 +615,7 @@ def test_train_loop_seed_changes_outcome(tmp_path):
 
 def test_train_loop_reports_trainable_progress(tmp_path):
     manifest, emb = loop_fixtures(tmp_path, n=16)
-    cfg = TrainConfig(optimizer="adam", base_lr=0.02, epochs=3, batch_size=4, precision="double")
+    cfg = TrainConfig(optimizer="adam", lr=0.02, epochs=3, batch_size=4, precision="double")
     report, model = train_loop(tiny_spec("W2V_SOFTMAX"), cfg, manifest, emb, tmp_path / "run")
     assert len(report.epochs) == 3
     assert [e.epoch for e in report.epochs] == [0, 1, 2]
