@@ -529,9 +529,9 @@ def grad_check(
 
 
 # ---------------------------------------------------------------------------
-# Checkpoint format: versioned binary container + plain-text manifest.
+# Checkpoint format: one versioned binary file that ends in its own sha256.
 #
-#   magic   8 bytes  b"SARVCKP1"
+#   magic   8 bytes  b"SARVCKP2"
 #   u32     number of metadata entries
 #   entry   u16 key length, key utf-8, u32 value length, value utf-8
 #   u32     number of arrays
@@ -539,6 +539,7 @@ def grad_check(
 #           u8  dtype code (4 = little-endian float32, 8 = float64)
 #           u8  ndim, then u32 per dimension
 #           raw row-major little-endian values
+#   digest  32 bytes: the sha256 of every byte before it
 #
 # A model checkpoint (``sarv.models.save_model``) holds the parameters in
 # pipeline order, then one array named ``embeddings``: the frozen
@@ -547,11 +548,12 @@ def grad_check(
 # records ``embeddings_sha256``, the sha256 of the embeddings file the
 # matrix was built from.
 #
-# The side-car "<file>.manifest.txt" lists names/shapes/dtypes plus the
-# sha256 of the binary file.
+# Format SARVCKP1 had no digest and kept its sha256 in a side-car file; it
+# is refused by name.
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_MAGIC = b"SARVCKP1"
+CHECKPOINT_MAGIC = b"SARVCKP2"
+_V1_MAGIC = b"SARVCKP1"
 _DTYPE_CODES = {4: np.dtype("<f4"), 8: np.dtype("<f8")}
 
 
@@ -563,19 +565,14 @@ class NamedArray(NamedTuple):
 
 
 def save_checkpoint(path, arrays: Sequence[Parameter | NamedArray], meta: dict[str, str]) -> str:
-    """Write arrays and metadata; returns the content hash.
+    """Write arrays and metadata, then their sha256; returns the sha256 of the whole file.
 
     Each piece goes straight to the file and into the hash, so no copy of
-    the whole checkpoint is built in memory.  The checkpoint and its
-    side-car are each written through :func:`replaced_on_success`, so a
-    save that fails or is killed mid-write leaves the previous pair.  Both
-    renames follow the last write: the checkpoint's, then the side-car's.
-    Between the two, the new checkpoint sits beside the old side-car, and
-    loading it then fails on the hash.
+    the whole checkpoint is built in memory.  The file is written through
+    :func:`replaced_on_success`, so a save that fails or is killed before
+    its one rename leaves the previous checkpoint.
     """
-    path = str(path)
-    with replaced_on_success(path + ".manifest.txt") as side_car, \
-            replaced_on_success(path) as fh:
+    with replaced_on_success(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(meta)))
         for key in sorted(meta):
@@ -590,40 +587,24 @@ def save_checkpoint(path, arrays: Sequence[Parameter | NamedArray], meta: dict[s
             fh.write(struct.pack(f"<BB{p.value.ndim}I", code, p.value.ndim, *p.value.shape))
             values = np.ascontiguousarray(p.value, dtype=_DTYPE_CODES[code])
             fh.write(values.reshape(-1).view(np.uint8))
-        hexdigest = fh.digest.hexdigest()
-        lines = [f"format {CHECKPOINT_MAGIC.decode()}"]
-        lines += [f"meta {k}={meta[k]}" for k in sorted(meta)]
-        lines += [
-            f"param {p.name} shape={','.join(map(str, p.value.shape))} "
-            f"dtype=float{64 if p.value.dtype == np.float64 else 32}"
-            for p in arrays
-        ]
-        lines.append(f"sha256 {hexdigest}")
-        side_car.write(("\n".join(lines) + "\n").encode("utf-8"))
-    return hexdigest
+        fh.write(fh.digest.digest())
+    return fh.digest.hexdigest()
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict[str, str]]:
-    """Read a checkpoint through :func:`read_checked`, against the side-car's sha256.
+    """Read a checkpoint through :func:`read_checked`, against the sha256 it ends in.
 
     Each array is read from the file straight into its own buffer, so the
-    file is never held whole.  A side-car that is missing or not UTF-8 is a
-    DataError, and one without a ``sha256`` line is a hash mismatch.
+    file is never held whole.  A ``SARVCKP1`` checkpoint is refused by its
+    magic before the hash is checked: comparing 8 bytes parses nothing.
     """
-    sidecar = str(path) + ".manifest.txt"
-    try:
-        with open(sidecar, "r", encoding="utf-8") as fh:
-            manifest = fh.read()
-    except OSError as exc:
-        raise DataError(f"checkpoint manifest missing for {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"checkpoint manifest {sidecar} is not UTF-8: {exc}") from exc
-    recorded = ""
-    for line in manifest.splitlines():
-        if line.startswith("sha256 "):
-            recorded = line.split(" ", 1)[1].strip()
-    parsed, _ = read_checked(path, f"checkpoint {path}",
-                             lambda reader: _parse_checkpoint(path, reader), recorded)
+    name = f"checkpoint {path}"
+    with open_binary(path, name) as fh:
+        if fh.read(len(_V1_MAGIC)) == _V1_MAGIC:
+            raise DataError(f"{name} has format {_V1_MAGIC.decode()}, which this version no "
+                            "longer reads; re-run `sarv train` to write it again")
+    parsed, _ = read_checked(path, name, lambda reader: _parse_checkpoint(path, reader),
+                             trailed=True)
     return parsed
 
 
@@ -636,24 +617,29 @@ def open_binary(path, name: str) -> BinaryIO:
 
 
 def read_checked(path, name: str, parse: Callable[[HashingFileReader], object],
-                 sha256: str | None = None) -> tuple[object, str]:
-    """``parse`` of the file at ``path``, and the sha256 of all its bytes.
+                 sha256: str | None = None, trailed: bool = False) -> tuple[object, str]:
+    """``parse`` of the file at ``path``, and the sha256 of the bytes it hashed.
 
     ``parse`` reads from a :class:`HashingFileReader` and leaves it open;
     what it leaves unread is hashed after it.  ``name`` is the file's kind
     and path, such as ``shard <path>``, which the errors raised here name.
-    An unreadable file is a DataError.  With ``sha256``, a different digest
-    is reported before anything the parse raised.  A DataError from
-    ``parse`` passes through; its ``ValueError`` or ``struct.error`` (short
-    data, bad UTF-8 or header) is a DataError calling the file malformed.
+    An unreadable file is a DataError.  The recorded digest is ``sha256``,
+    or with ``trailed`` the file's last 32 bytes, which are neither parsed
+    nor hashed.  A different digest is reported before anything the parse
+    raised.  A DataError from ``parse`` passes through; its ``ValueError``
+    or ``struct.error`` (short data, bad UTF-8 or header) is a DataError
+    calling the file malformed.
     """
-    with HashingFileReader(open_binary(path, name)) as reader:
+    trailer = hashlib.sha256().digest_size if trailed else 0
+    with HashingFileReader(open_binary(path, name), trailer) as reader:
         try:
             parsed, error = parse(reader), None
         except (DataError, ValueError, struct.error) as exc:
             parsed, error = None, exc
-        reader.read_rest()
+        recorded = reader.read_rest()
     digest = reader.digest.hexdigest()
+    if trailed:
+        sha256 = recorded.hex()
     if sha256 is not None and digest != sha256:
         raise DataError(f"{name}: hash mismatch")
     if isinstance(error, DataError):
@@ -680,16 +666,17 @@ def replaced_on_success(path) -> Iterator[HashingFileWriter]:
     """Write ``path`` under a temporary name (``.tmp`` appended), renamed to ``path`` on success.
 
     The block writes bytes through a :class:`HashingFileWriter`.  If it
-    raises, the temporary file is removed and ``path`` is left as it was.
+    or the rename raises, the temporary file is removed and ``path`` is
+    left as it was.
     """
     tmp = Path(f"{path}.tmp")
     try:
         with open(tmp, "wb") as fh:
             yield HashingFileWriter(fh)
+        os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    os.replace(tmp, path)
 
 
 # Bytes per read when hashing the rest of a file.  Reads below malloc's mmap
@@ -702,21 +689,25 @@ class HashingFileReader(io.RawIOBase):
 
     :func:`read_checked` reads every checkpoint, shard and embeddings file
     through it, so a file is hashed as it is parsed and never held whole.
-    No ``read`` asks for more than is left.
+    The file's last ``trailer`` bytes are not counted in ``left``: no read
+    reaches them, whatever size of buffer it fills, and only
+    :meth:`read_rest` returns them, unhashed.
     """
 
-    def __init__(self, fh):
+    def __init__(self, fh, trailer: int = 0):
         self._fh = fh
-        self.left = os.fstat(fh.fileno()).st_size
+        self._trailer = trailer
+        self.left = max(os.fstat(fh.fileno()).st_size - trailer, 0)
         self.digest = hashlib.sha256()
 
     def readable(self) -> bool:
         return True
 
     def readinto(self, buffer) -> int | None:
-        n = self._fh.readinto(buffer)
+        view = memoryview(buffer)[: self.left]
+        n = self._fh.readinto(view)
         if n:
-            self.digest.update(memoryview(buffer)[:n])
+            self.digest.update(view[:n])
             self.left -= n
         return n
 
@@ -743,11 +734,12 @@ class HashingFileReader(io.RawIOBase):
             raise ValueError(f"array data ends after {n} of {size} bytes")
         return out
 
-    def read_rest(self) -> None:
-        """Read the rest of the file into the hash, ``HASH_READ_BYTES`` at a time."""
+    def read_rest(self) -> bytes:
+        """Hash the rest of the file, ``HASH_READ_BYTES`` at a time; return the trailer."""
         buffer = bytearray(HASH_READ_BYTES)
         while self.readinto(buffer):
             pass
+        return self._fh.read(self._trailer)
 
 
 def _parse_checkpoint(path, reader: HashingFileReader) -> tuple[dict, dict]:

@@ -366,6 +366,7 @@ def adam_step(
         denom += eps
         step /= denom
         p.value -= step
+        del step, denom  # before the next parameter's are made
 
 
 def lr_exp_decay(

@@ -84,6 +84,32 @@ def order_rows(n: int, seed: int) -> list[RawRecord]:
     return rows
 
 
+# Letters of the marker words of ``spelling_rows``: a stem over STEM_LETTERS,
+# then a class's suffix.  No such word is in the bundled vectors.
+STEM_LETTERS = "زطظذضص"
+SPELLED_SUFFIX = {"negative": "ثث", "neutral": "غغ", "positive": "ژژ"}
+
+
+def spelling_rows(n: int, classes: int, seed: int) -> list[RawRecord]:
+    """Label = the suffix of the one marker word, which has no word vector.
+
+    Each record holds 3-8 fillers and one marker: a random 2-4 letter stem
+    plus its class's suffix.  To the word channel every marker is the zero
+    vector, so only the characters carry the label.
+    """
+    rng = np.random.default_rng(seed)
+    scheme = LabelScheme.for_num_classes(classes)
+    rows = []
+    for _ in range(n):
+        name = scheme.classes[int(rng.integers(classes))]
+        stem = "".join(STEM_LETTERS[int(rng.integers(len(STEM_LETTERS)))]
+                       for _ in range(int(rng.integers(2, 5))))
+        toks = [FILLERS[int(rng.integers(len(FILLERS)))] for _ in range(int(rng.integers(3, 9)))]
+        toks.insert(int(rng.integers(len(toks) + 1)), stem + SPELLED_SUFFIX[name])
+        rows.append(RawRecord(" ".join(toks), name))
+    return rows
+
+
 def stack_sentences(sentences, max_word_chars: int) -> np.ndarray:
     """``encode_sentence`` outputs stacked into one record array (``MAX_LEN`` slots if none)."""
     max_len = len(sentences[0].token_ids) if sentences else MAX_LEN

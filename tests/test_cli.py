@@ -792,7 +792,7 @@ def test_eval_rejects_checkpoint_from_other_vocab(trained, other_shards, capsys)
     "missing_embeddings", "missing_embeddings_hash",
 ])
 def test_malformed_checkpoint_exits_two(case, trained, tmp_path, capsys):
-    # Each checkpoint matches its side-car's sha256, so only the parse can refuse it.
+    # Each checkpoint ends in the sha256 of its body, so only the parse can refuse it.
     _, shards, run = trained
     ckpt = tmp_path / "model.bin"
     arrays, meta = load_checkpoint(run / "checkpoint_final.bin")
@@ -808,12 +808,8 @@ def test_malformed_checkpoint_exits_two(case, trained, tmp_path, capsys):
         del meta["embeddings_sha256"]
     save_checkpoint(ckpt, [Parameter(name, value) for name, value in arrays.items()], meta)
     if case == "truncated_body":
-        body = ckpt.read_bytes()[:-40]
-        ckpt.write_bytes(body)
-        sidecar = tmp_path / "model.bin.manifest.txt"
-        kept = [ln for ln in sidecar.read_text("utf-8").splitlines() if not ln.startswith("sha256 ")]
-        sidecar.write_text("\n".join(kept + [f"sha256 {hashlib.sha256(body).hexdigest()}"]) + "\n",
-                           encoding="utf-8")
+        body = ckpt.read_bytes()[:-32][:-40]
+        ckpt.write_bytes(body + hashlib.sha256(body).digest())
     lines = tmp_path / "lines.txt"
     lines.write_text("واقعا عالی بود\n", encoding="utf-8")
     common = ["--checkpoint", ckpt, "--shard-dir", shards, "--embeddings", bundled_embedding_path()]
@@ -824,14 +820,11 @@ def test_malformed_checkpoint_exits_two(case, trained, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["eval", "predict"])
-def test_checkpoint_side_car_not_utf8_exits_two(command, trained, tmp_path, capsys):
+def test_a_format_1_checkpoint_is_refused_by_name(command, trained, tmp_path, capsys):
+    # SARVCKP1 held the same bytes after its magic, with no digest at the end.
     _, shards, run = trained
     ckpt = tmp_path / "model.bin"
-    shutil.copyfile(run / "checkpoint_best.bin", ckpt)
-    sidecar = tmp_path / "model.bin.manifest.txt"
-    text = bytearray((run / "checkpoint_best.bin.manifest.txt").read_bytes())
-    text[0] = 0xFF
-    sidecar.write_bytes(bytes(text))
+    ckpt.write_bytes(b"SARVCKP1" + (run / "checkpoint_best.bin").read_bytes()[8:-32])
     lines = tmp_path / "lines.txt"
     lines.write_text("واقعا عالی بود\n", encoding="utf-8")
     argv = [command, "--checkpoint", ckpt, "--shard-dir", shards,
@@ -840,7 +833,8 @@ def test_checkpoint_side_car_not_utf8_exits_two(command, trained, tmp_path, caps
         argv += ["--input", lines]
     code, stdout, stderr = invoke(capsys, *argv)
     assert code == 2, (stdout, stderr)
-    assert stderr.startswith("sarv: data error: ") and str(sidecar) in stderr
+    assert stderr.startswith(f"sarv: data error: checkpoint {ckpt} has format SARVCKP1")
+    assert "re-run `sarv train`" in stderr and "hash mismatch" not in stderr
 
 
 @pytest.mark.parametrize("case, word", [

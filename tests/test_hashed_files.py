@@ -1,11 +1,12 @@
 """The one policy for files checked against a recorded sha256, and the writer behind them.
 
-``load_checkpoint`` checks a checkpoint against its side-car's sha256 and
-``ShardReader`` each shard against its manifest's; both go through
-``sarv.nn.read_checked``.  One table drives both readers: each case damages
-the file, with the recorded hash left stale or updated to the damaged
-bytes, and names what the error must say.  Shards and checkpoints are
-written through ``sarv.nn.replaced_on_success``.
+``load_checkpoint`` checks a checkpoint against the sha256 its last 32
+bytes record and ``ShardReader`` each shard against its manifest's; both
+go through ``sarv.nn.read_checked``.  One table drives both readers: each
+case damages the hashed bytes (a checkpoint's body, before its digest),
+with the recorded hash left stale or updated to the damaged bytes, and
+names what the error must say.  Shards and checkpoints are written
+through ``sarv.nn.replaced_on_success``.
 """
 
 from __future__ import annotations
@@ -28,27 +29,34 @@ from conftest import TRIPPED, Tripwire, tiny_batch
 
 
 def _checkpoint(tmp_path):
-    """(path, a setter of the recorded sha256, the load) of a small checkpoint."""
+    """(path, its hashed bytes, their recorded sha256, a writer of both, the load) of a checkpoint.
+
+    The hashed bytes are the body, and the writer appends the recorded
+    sha256 to the body it is given, as the trailer.
+    """
     rng = np.random.default_rng(80)
     path = tmp_path / "model.bin"
     save_checkpoint(path, [Parameter("layer0.W", rng.normal(size=(3, 2)).astype(np.float32)),
                            Parameter("layer0.b", rng.normal(size=(2,)))], {"k": "v"})
+    blob = path.read_bytes()
 
-    def record(sha256):
-        (tmp_path / "model.bin.manifest.txt").write_text(f"sha256 {sha256}\n", encoding="utf-8")
+    def write(body, sha256):
+        path.write_bytes(body + bytes.fromhex(sha256))
 
-    return path, record, lambda: load_checkpoint(path)
+    return path, blob[:-32], blob[-32:].hex(), write, lambda: load_checkpoint(path)
 
 
 def _shard(tmp_path):
-    """(path, a setter of the recorded sha256, the read) of a one-shard manifest."""
+    """(path, its bytes, their recorded sha256, a writer of both, the read) of one shard."""
     manifest = write_shards(tiny_batch(seed=10, n=2), shard_size=2, out_dir=tmp_path)
     info = manifest.shards[0]
+    path = manifest.base_dir / info.path
 
-    def record(sha256):
+    def write(blob, sha256):
+        path.write_bytes(blob)
         manifest.shards[0] = ShardInfo(info.path, info.count, sha256)
 
-    return manifest.base_dir / info.path, record, lambda: list(ShardReader(manifest))
+    return path, path.read_bytes(), info.sha256, write, lambda: list(ShardReader(manifest))
 
 
 def _huge_shape(blob: bytes) -> bytes:
@@ -91,14 +99,12 @@ CASES = [
     "checkpoint-matching-hash-huge-shape",
 ])
 def test_a_damaged_file_is_refused_with_the_hash_first(kind, damage, rehash, message, tmp_path):
-    path, record, read = READERS[kind](tmp_path)
+    path, blob, recorded, write, read = READERS[kind](tmp_path)
     if damage is None:
         path.unlink()
     else:
-        blob = damage(path.read_bytes())
-        path.write_bytes(blob)
-        if rehash:
-            record(hashlib.sha256(blob).hexdigest())
+        blob = damage(blob)
+        write(blob, hashlib.sha256(blob).hexdigest() if rehash else recorded)
     with pytest.raises(DataError, match="^" + re.escape(message.format(path=path))):
         read()
     assert TRIPPED == []

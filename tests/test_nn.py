@@ -848,8 +848,26 @@ def test_a_save_that_fails_mid_write_leaves_the_previous_checkpoint(tmp_path):
     for p in params:
         assert arrays[p.name].tobytes() == p.value.tobytes()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
-    assert sorted(os.listdir(tmp_path)) == ["checkpoint_best.bin",
-                                            "checkpoint_best.bin.manifest.txt"]
+    assert sorted(os.listdir(tmp_path)) == ["checkpoint_best.bin"]
+
+
+def test_a_save_whose_rename_fails_leaves_the_previous_checkpoint_and_no_temporary(
+        tmp_path, monkeypatch):
+    path = tmp_path / "checkpoint_best.bin"
+    params = make_params()
+    digest = save_checkpoint(path, params, {"epoch": "0"})
+
+    def failing_replace(src, dst):
+        raise OSError("Operation not permitted")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="not permitted"):
+        save_checkpoint(path, params, {"epoch": "1"})
+    monkeypatch.undo()
+    _, meta = load_checkpoint(path)
+    assert meta == {"epoch": "0"}
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    assert sorted(os.listdir(tmp_path)) == ["checkpoint_best.bin"]
 
 
 def test_checkpoint_bytes_do_not_depend_on_meta_insertion_order(tmp_path):
@@ -870,39 +888,29 @@ def test_checkpoint_tamper_detection(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_missing_manifest(tmp_path):
-    path = tmp_path / "model.bin"
-    save_checkpoint(path, make_params(), {})
-    (tmp_path / "model.bin.manifest.txt").unlink()
-    with pytest.raises(DataError):
-        load_checkpoint(path)
-
-
 def test_checkpoint_rejects_bad_magic(tmp_path):
     path = tmp_path / "model.bin"
     blob = b"NOTACKPT" + b"\x00" * 16
-    path.write_bytes(blob)
-    # a matching side-car, so the hash check passes and the magic check is reached
-    (tmp_path / "model.bin.manifest.txt").write_text(
-        f"sha256 {hashlib.sha256(blob).hexdigest()}\n", encoding="utf-8"
-    )
+    # a matching digest, so the hash check passes and the magic check is reached
+    path.write_bytes(blob + hashlib.sha256(blob).digest())
     with pytest.raises(DataError, match="bad magic"):
         load_checkpoint(path)
 
 
-def test_checkpoint_manifest_lists_params(tmp_path):
+def test_checkpoint_ends_in_its_sha256_and_loads_its_arrays_in_order(tmp_path):
     path = tmp_path / "model.bin"
     digest = save_checkpoint(path, make_params(), {"k": "v"})
-    manifest = (tmp_path / "model.bin.manifest.txt").read_text(encoding="utf-8")
-    assert f"format {CHECKPOINT_MAGIC.decode()}" in manifest
-    assert "param layer0.W shape=3,2 dtype=float32" in manifest
-    assert "param layer0.b shape=2 dtype=float64" in manifest
-    assert f"sha256 {digest}" in manifest
-
+    blob = path.read_bytes()
+    assert blob.startswith(CHECKPOINT_MAGIC)
+    assert blob[-32:] == hashlib.sha256(blob[:-32]).digest()
+    assert digest == hashlib.sha256(blob).hexdigest()
+    arrays, _ = load_checkpoint(path)
+    assert [(name, a.shape, a.dtype) for name, a in arrays.items()] == [
+        ("layer0.W", (3, 2), np.float32), ("layer0.b", (2,), np.float64)]
 
 
 def blob_checkpoint(params, meta) -> bytes:
-    """The checkpoint bytes as the whole-blob writer built them: the streaming writer's oracle."""
+    """The checkpoint bytes built as one blob, digest last: the streaming writer's oracle."""
     blob = bytearray()
     blob += CHECKPOINT_MAGIC
     blob += struct.pack("<I", len(meta))
@@ -919,6 +927,7 @@ def blob_checkpoint(params, meta) -> bytes:
         for dim in p.value.shape:
             blob += struct.pack("<I", dim)
         blob += np.ascontiguousarray(p.value, dtype="<f8" if code == 8 else "<f4").tobytes()
+    blob += hashlib.sha256(blob).digest()
     return bytes(blob)
 
 

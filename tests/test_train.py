@@ -439,11 +439,14 @@ def test_in_place_steps_give_the_expression_bits(optimizer, dtype):
             assert state.v[p.name].tobytes() == v.tobytes()
 
 
+@pytest.mark.parametrize("shapes", [
+    [(256, 256), (256,), (64, 256), (3, 256)],
+    [(64, 256), (256,), (3, 256), (256, 256), (200, 256)],  # the largest is not first
+], ids=["largest-first", "largest-late"])
 @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
-def test_optimizer_step_makes_no_per_parameter_temporaries(optimizer):
+def test_optimizer_step_peak_is_the_largest_parameters_temporaries(optimizer, shapes):
     rng = np.random.default_rng(6)
-    params = [Parameter(f"p{i}", rng.normal(size=s)) for i, s in
-              enumerate([(256, 256), (256,), (64, 256), (3, 256)])]
+    params = [Parameter(f"p{i}", rng.normal(size=s)) for i, s in enumerate(shapes)]
     state = AdamState()
 
     def step() -> None:
@@ -464,9 +467,9 @@ def test_optimizer_step_makes_no_per_parameter_temporaries(optimizer):
     finally:
         tracemalloc.stop()
     # Each parameter's temporaries, one (sgd) or two (adam) arrays of its
-    # size, are dropped as the loop moves on: the peak is about the largest
-    # parameter's, and nothing outlives the step.
-    scratch = (1 if optimizer == "sgd" else 2) * params[0].value.nbytes
+    # size, are dropped before the next parameter's are made: the peak is
+    # about the largest parameter's, and nothing outlives the step.
+    scratch = (1 if optimizer == "sgd" else 2) * max(p.value.nbytes for p in params)
     assert peak - start < scratch + 32 * 1024, (peak - start, scratch)
     assert current - start < 4 * 1024
 
