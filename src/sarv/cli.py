@@ -214,10 +214,11 @@ def _corpus_args(cfg: RunConfig) -> dict:
 
 
 def _encode_corpus(cfg: RunConfig):
-    """Corpus file -> (encoded records, encoder, histogram, skipped).
+    """Corpus file -> (``corpus.EncodedCorpus``, encoder, histogram, skipped).
 
-    The corpus is read, tokenized and encoded ``TOKENIZE_CHUNK`` reviews at
-    a time (``corpus.encode_corpus``).
+    The corpus is read, tokenized and numbered ``TOKENIZE_CHUNK`` reviews at
+    a time (``corpus.encode_corpus``); records are gathered from the
+    encoding only as they are written.
     """
     if cfg.stopwords:
         try:
@@ -249,7 +250,8 @@ def cmd_preprocess(cfg: RunConfig) -> int:
     encoder.save(cfg.out_dir)
     with open(Path(cfg.out_dir) / "encoded.jsonl", "w", encoding="utf-8") as fh:
         for start in range(0, len(encoded), textproc.TOKENIZE_CHUNK):
-            fh.write(to_json_lines(encoded[start:start + textproc.TOKENIZE_CHUNK]))
+            rows = range(start, min(start + textproc.TOKENIZE_CHUNK, len(encoded)))
+            fh.write(to_json_lines(encoded.take(rows)))
     _write_outputs(cfg, {"histogram.txt": _histogram_text(hist)})
     if not len(encoded):
         print("warning: empty corpus, wrote 0 records", file=sys.stderr)
@@ -268,11 +270,11 @@ def cmd_shard(cfg: RunConfig) -> int:
         raise ConfigError(f"split fraction must be in (0, 1), got {cfg.split}")
     encoded, encoder, _, skipped = _encode_corpus(cfg)
     _report_skipped(skipped)
-    # Both splits are positions into the one record array; each shard is
-    # gathered from it as it is written.
+    # Both splits are positions into the one encoding; each shard's records
+    # are gathered from it as they are written.
     train, test = split_indices(len(encoded), cfg.split, cfg.seed)
     if cfg.rus:
-        train = train[undersample_indices(encoded["y"][train], cfg.seed, cfg.classes)]
+        train = train[undersample_indices(encoded.labels[train], cfg.seed, cfg.classes)]
     hashes = encoder.save(cfg.out_dir)
     for name, rows in (("train", train), ("test", test)):
         manifest = write_shards(

@@ -11,7 +11,9 @@ its hashes are checked against what manifests and checkpoints recorded.
 :func:`text_lines` reads the lines of a byte stream (a corpus file,
 ``predict``'s ``--input`` or standard input) a block at a time, and
 :class:`CorpusReader` and :func:`encode_corpus` stream a corpus file
-through it into a record array one chunk of reviews at a time.
+through it one chunk of reviews at a time into an :class:`EncodedCorpus`:
+each review's slot numbers into per-token tables, from which its record
+is gathered only when it is written.
 :func:`encode_sentence` encodes one review as an :class:`EncodedSentence`
 tuple, the reference ``Encoder.encode_texts`` is tested against.
 :func:`batches` cuts a stream of record arrays (the shards of a manifest,
@@ -306,9 +308,10 @@ def to_json_lines(records: np.ndarray) -> str:
     chars = records["c"]
     widths = char_widths(chars)
     lines = []
-    for t, c, w, n, y in zip(records["t"].tolist(), chars.tolist(), widths.tolist(),
+    # One record's char rows at a time become lists: a chunk's at once hold ~4 KB per record.
+    for t, c, w, n, y in zip(records["t"].tolist(), chars, widths.tolist(),
                              records["len"].tolist(), records["y"].tolist()):
-        rows = [row[:k] for row, k in zip(c, w)]
+        rows = [row[:k] for row, k in zip(c.tolist(), w)]
         lines.append(_json_line(t, rows, n, y) + "\n")
     return "".join(lines)
 
@@ -452,23 +455,30 @@ class Encoder:
         """Each token's id and char row, in the dtypes of ``max_len``-slot records.
 
         PAD gets id 0 and the all-zero char row.  An id too large for the
-        record layout is a DataError.
+        record layout is a DataError.  The char rows are looked up by code
+        point from the characters the tokens' first ``max_word_chars`` hold.
         """
         width = self.char_vocab.max_word_chars
-        token_ids = np.array([self.token_vocab.token_id(t) for t in tokens], dtype=np.int64)
-        char_id = self.char_vocab.ids.get
-        widths = np.fromiter((min(len(t), width) for t in tokens), dtype=np.intp,
-                             count=len(tokens))
-        char_ids = np.zeros((len(tokens), width), dtype=np.int64)
-        char_ids[np.arange(width) < widths[:, None]] = [
-            char_id(ch, 0) for t in tokens for ch in t[:width]]
         dtype = record_dtype(max_len, width)
-        for name, table in (("t", token_ids), ("c", char_ids)):
+        token_ids = [self.token_vocab.token_id(t) for t in tokens]
+        char_id = self.char_vocab.ids.get
+        used = {ch: char_id(ch, 0) for ch in set("".join(t[:width] for t in tokens))}
+        largest_ids = {"t": max(token_ids, default=0), "c": max(used.values(), default=0)}
+        for name, largest in largest_ids.items():
             limit = np.iinfo(dtype[name].base).max
-            if table.size and table.max() > limit:
+            if largest > limit:
                 raise DataError(f"records do not fit {max_len} slots x {width} chars: "
-                                f"{name} id {table.max()} exceeds {limit}")
-        return token_ids.astype(dtype["t"].base), char_ids.astype(dtype["c"].base)
+                                f"{name} id {largest} exceeds {limit}")
+        by_code = np.zeros(max(map(ord, used), default=0) + 1, dtype["c"].base)
+        by_code[list(map(ord, used))] = list(used.values())
+        # A fixed-width string array truncates each token to its first `width`
+        # characters and pads it with code 0.
+        codes = np.array(tokens, dtype=f"<U{width}").view(np.uint32).reshape(len(tokens), width)
+        char_rows = by_code[codes]
+        if "\x00" in used:  # a NUL character and the padding share code 0
+            widths = np.fromiter(map(len, tokens), dtype=np.intp, count=len(tokens))
+            char_rows[np.arange(width) >= widths[:, None]] = 0
+        return np.array(token_ids, dtype["t"].base), char_rows
 
 
 def check_hashes(found: Mapping[str, str], recorded: Mapping[str, str], source: str) -> None:
@@ -506,25 +516,79 @@ def _fill(out: np.ndarray, slots: np.ndarray, lengths: np.ndarray, labels,
           token_ids: np.ndarray, char_rows: np.ndarray) -> None:
     """Write records into ``out``: each slot's token id and char row come from its table row."""
     out["y"] = labels
-    out["len"] = np.minimum(lengths, slots.shape[1])
-    out["t"] = token_ids[slots]
-    out["c"] = char_rows[slots]
+    out["len"] = np.minimum(lengths, slots.shape[-1])
+    token_ids.take(slots, out=out["t"])
+    # A field of a record array is not contiguous, so a gather into it goes
+    # through a contiguous temporary: one slot's char rows at a time keeps that
+    # to 1/max_len of the records' char ids.
+    chars = out["c"]
+    for j in range(slots.shape[-1]):
+        char_rows.take(slots[..., j], axis=0, out=chars[..., j, :])
+
+
+@dataclass(frozen=True, eq=False)
+class EncodedCorpus:
+    """A corpus's records, kept as each review's slot numbers and two per-token tables.
+
+    Review ``i`` is ``labels[i]``, its true length ``lengths[i]`` (before
+    truncation) and ``slots[i]``, the numbers of its first ``max_len``
+    tokens (0-padded) into ``token_ids`` and ``char_rows``, which hold each
+    numbered token's id and char row in the record dtype's field types.
+    That is 68 bytes per review, where a record is 668.  ``take`` gathers
+    the records of any row order, and ``np.take`` of an encoding calls it,
+    so :func:`sarv.train.write_shards` writes from an encoding as from a
+    record array.
+    """
+
+    slots: np.ndarray  # int32 (reviews, max_len)
+    lengths: np.ndarray  # int32 (reviews,)
+    labels: np.ndarray  # int32 (reviews,)
+    token_ids: np.ndarray  # (numbered tokens,) of the record's "t" type
+    char_rows: np.ndarray  # (numbered tokens, max_word_chars) of the record's "c" type
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The record layout ``take`` gathers."""
+        return record_dtype(self.slots.shape[1], self.char_rows.shape[1])
+
+    def take(self, indices, axis=None, out: np.ndarray | None = None,
+             mode: str = "raise") -> np.ndarray:
+        """The records at ``indices``, in that order, into ``out`` if given.
+
+        Equals ``np.take(records, indices, axis, out, mode)`` of the record
+        array this encodes, of which ``axis`` 0 (or None) is the only one.
+        """
+        if axis not in (None, 0):
+            raise ValueError(f"an encoded corpus has only axis 0, not {axis}")
+        indices = np.asarray(indices)
+        if out is None:
+            out = np.empty(indices.shape, self.dtype)
+        _fill(out, self.slots.take(indices, axis=0, mode=mode),
+              self.lengths.take(indices, mode=mode), self.labels.take(indices, mode=mode),
+              self.token_ids, self.char_rows)
+        return out
 
 
 def encode_corpus(records: Iterable[RawRecord], norm: NormConfig, scheme: LabelScheme,
-                  max_len: int = MAX_LEN) -> tuple[np.ndarray, Encoder, LengthHistogram]:
-    """Raw records -> (record array, the encoder built from them, length histogram).
+                  max_len: int = MAX_LEN) -> tuple[EncodedCorpus, Encoder, LengthHistogram]:
+    """Raw records -> (their encoding, the encoder built from them, length histogram).
 
     The records are taken, tokenized and dropped ``TOKENIZE_CHUNK`` at a
     time.  Of each review only its label, its true length and the numbers
     of its first ``max_len`` tokens in one :class:`TokenTable` are kept.
-    Both vocabularies come from that table once the records run out; then
-    one record array is allocated and filled chunk by chunk.  The result
-    equals ``encode_texts`` of every text by an encoder whose vocabularies
-    are built from the texts' tokens.
+    Both vocabularies come from that table once the records run out, and
+    then each numbered token's id and char row.  No record is built here:
+    ``encoding.take(rows)`` gathers those of ``rows``, and
+    ``encoding.take(np.arange(len(encoding)))`` equals ``encode_texts`` of
+    every text by an encoder whose vocabularies are built from the texts'
+    tokens.
     """
     table = TokenTable(norm)
-    chunks = []  # (slot numbers, true lengths, labels) per chunk
+    # (slot numbers, true lengths, labels) per chunk, after an empty one for an empty corpus
+    chunks = [(*_slot_numbers([], max_len), np.zeros(0, dtype=np.int32))]
     histogram: Counter[int] = Counter()
     records = iter(records)
     while chunk := list(islice(records, textproc.TOKENIZE_CHUNK)):
@@ -533,13 +597,9 @@ def encode_corpus(records: Iterable[RawRecord], norm: NormConfig, scheme: LabelS
         slots, lengths = _slot_numbers(numbered, max_len)
         histogram.update(lengths.tolist())
         chunks.append((slots, lengths, labels))
+    slots, lengths, labels = map(np.concatenate, zip(*chunks))
+    del chunks
     vocab_tokens = [table.tokens[1:]]
     encoder = Encoder(norm, build_token_vocab(vocab_tokens), build_char_vocab(vocab_tokens))
-    token_ids, char_rows = encoder._tables(table.tokens, max_len)
-    out = np.zeros(sum(len(labels) for *_, labels in chunks),
-                   record_dtype(max_len, encoder.char_vocab.max_word_chars))
-    start = 0
-    for slots, lengths, labels in chunks:
-        _fill(out[start:start + len(labels)], slots, lengths, labels, token_ids, char_rows)
-        start += len(labels)
-    return out, encoder, LengthHistogram(dict(histogram))
+    encoded = EncodedCorpus(slots, lengths, labels, *encoder._tables(table.tokens, max_len))
+    return encoded, encoder, LengthHistogram(dict(histogram))

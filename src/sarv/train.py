@@ -28,7 +28,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from sarv import textproc
-from sarv.corpus import ENCODER_HASH_KEYS, LabelScheme, batches, record_dtype
+from sarv.corpus import ENCODER_HASH_KEYS, EncodedCorpus, LabelScheme, batches, record_dtype
 from sarv.errors import ConfigError, DataError, NumericsError
 from sarv.metrics import ConfusionMatrix, confusion, metrics
 from sarv.models import (EMBEDDINGS_HASH_KEY, OPTIMIZERS, PRECISIONS, SCHEDULES, Model,
@@ -196,7 +196,7 @@ class ShardManifest:
 
 
 def write_shards(
-    records: np.ndarray,
+    records: np.ndarray | EncodedCorpus,
     shard_size: int,
     out_dir,
     name: str = "data",
@@ -204,15 +204,17 @@ def write_shards(
     split_seed: int | None = None,
     rows: np.ndarray | None = None,
 ) -> ShardManifest:
-    """Save a record array as ``shard_size``-row ``.npy`` record arrays plus a manifest.
+    """Save records as ``shard_size``-row ``.npy`` record arrays plus a manifest.
 
-    With ``rows``, the records at those positions are written, in that
-    order, as if ``records[rows]`` had been passed.  Each shard file holds
-    the bytes ``np.save`` writes.  It is gathered, written and hashed
-    ``TOKENIZE_CHUNK`` records at a time into one reused buffer, so writing
-    holds no more than that many records beyond the input.  Each shard is
-    written through :func:`sarv.nn.replaced_on_success`, so a write that
-    fails leaves no partial shard; the manifest is written after the last.
+    ``records`` is a record array or an :class:`sarv.corpus.EncodedCorpus`,
+    whose records are built only here.  With ``rows``, the records at those
+    positions are written, in that order, as if ``records[rows]`` had been
+    passed.  Each shard file holds the bytes ``np.save`` writes.  It is
+    gathered (``np.take``, which calls an encoding's own ``take``), written
+    and hashed ``TOKENIZE_CHUNK`` records at a time into one reused buffer,
+    so writing holds no more than that many records beyond the input.  Each
+    shard is written through :func:`sarv.nn.replaced_on_success`, so a write
+    that fails leaves no partial shard; the manifest is written after the last.
     """
     if shard_size < 1:
         raise ConfigError(f"shard_size must be >= 1, got {shard_size}")

@@ -4,9 +4,9 @@
 ``TOKENIZE_CHUNK`` reviews at a time, reading the file ``READ_BYTES`` at a
 time.  These tests pin that neither size shows in any artifact or error,
 that the result equals the per-review path (``read_corpus`` -> ``normalize``
--> ``tokenize`` -> vocabularies -> ``unify_length`` -> ``encode_sentence``),
-and that ``shard`` holds about one record array, not several copies of the
-corpus.
+-> ``tokenize`` -> vocabularies -> ``unify_length`` -> ``encode_sentence``)
+in any row order, and that ``shard`` and ``preprocess`` hold well under one
+record array: records are gathered only a chunk at a time, as written.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import io
 import json
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import sarv.corpus
@@ -27,6 +28,7 @@ from sarv.corpus import (CorpusReader, Encoder, LabelScheme, encode_corpus, enco
 from sarv.embed import build_char_vocab, build_token_vocab
 from sarv.errors import DataError
 from sarv.textproc import MAX_LEN, NormConfig, length_histogram, normalize, tokenize, unify_length
+from sarv.train import split_indices, undersample_indices
 
 from conftest import separable_rows, stack_sentences
 
@@ -127,11 +129,21 @@ def test_encode_corpus_equals_the_per_review_path(fmt, chunk, read_bytes, corpor
     monkeypatch.setattr(sarv.textproc, "TOKENIZE_CHUNK", chunk)
     monkeypatch.setattr(sarv.corpus, "READ_BYTES", read_bytes)
     reader = CorpusReader(corpora[fmt])
-    got, got_encoder, histogram = encode_corpus(reader, norm, scheme)
+    encoded, got_encoder, histogram = encode_corpus(reader, norm, scheme)
+    got = encoded.take(np.arange(len(encoded)))
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert got_encoder == encoder
     assert histogram == length_histogram(seqs)
     assert reader.skipped == skipped and skipped
+    # Shuffled row orders, as `shard` writes its splits and their undersampled train rows.
+    train, test = split_indices(len(encoded), 0.8, seed=chunk)
+    rus = train[undersample_indices(encoded.labels[train], seed=chunk, num_classes=2)]
+    for rows in (train, test, rus, rus - len(encoded)):
+        assert encoded.take(rows).tobytes() == got[rows].tobytes()
+        # the gather `write_shards` makes, into a reused buffer
+        buffer = np.empty(len(rows) + 3, got.dtype)
+        gathered = np.take(encoded, rows, out=buffer[:len(rows)], mode="wrap")
+        assert gathered.base is buffer and gathered.tobytes() == got[rows].tobytes()
 
 
 @pytest.mark.parametrize("chunk, read_bytes", SIZES)
@@ -188,12 +200,15 @@ def test_an_over_long_field_is_a_data_error_naming_its_line(tmp_path, capsys):
         assert "data error" in err and "line 3: field larger than field limit" in err, command
 
 
-def test_shard_holds_about_one_record_array(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["shard", "preprocess"])
+def test_peak_is_well_under_one_record_array(command, tmp_path, capsys):
     rows = 20_000
     path = tmp_path / "big.tsv"
     lines = ["text\tlabel"] + [f"{r.text}\t{r.label}" for r in separable_rows(rows, 2, seed=6)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    argv = ["shard", "--corpus", str(path), "--shard-size", "500", "--seed", "2"]
+    argv = [command, "--corpus", str(path)]
+    if command == "shard":
+        argv += ["--shard-size", "500", "--seed", "2"]
     assert main(argv + ["--out-dir", str(tmp_path / "warm")]) == 0  # imports and caches
     tracemalloc.start()
     try:
@@ -204,6 +219,6 @@ def test_shard_holds_about_one_record_array(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     record_bytes = rows * record_dtype(MAX_LEN, 20).itemsize
-    # The record array, each review's 15 slot numbers and one chunk of text;
-    # not the raw corpus, the split copies or a whole-corpus gather.
-    assert peak < 1.3 * record_bytes, (peak, record_bytes)
+    # Each review's 15 slot numbers, the per-token tables and one chunk of text
+    # and of records; not the record array, the raw corpus or a split copy.
+    assert peak < 0.5 * record_bytes, (peak, record_bytes)

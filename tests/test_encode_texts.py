@@ -121,6 +121,19 @@ def test_encode_texts_refuses_char_ids_past_uint16():
         encoder.encode_texts([small, small + large], [0, 1], MAX_LEN)
 
 
+def test_encode_texts_tells_a_nul_character_from_char_padding():
+    # A NUL survives normalisation, and its code point is the padding's.
+    encoder = Encoder(NormConfig(), TokenVocab(("ب\x00",)),
+                      CharVocab(("\x00", "ب", "😀"), max_word_chars=4))
+    texts = ["ب\x00 \x00 😀ب\x00\x00ب", "\x00\x00\x00\x00\x00 ب"]
+    got = encoder.encode_texts(texts, [0, 1], MAX_LEN)
+    slow = [encode_sentence(unify_length(tokenize(normalize(t, encoder.norm)), MAX_LEN),
+                            encoder.token_vocab, encoder.char_vocab, y)
+            for t, y in zip(texts, [0, 1])]
+    assert got.tobytes() == stack_sentences(slow, 4).tobytes()
+    assert got["c"][0, :3].tolist() == [[2, 1, 0, 0], [1, 0, 0, 0], [3, 2, 1, 1]]
+
+
 def test_encode_texts_refuses_fewer_than_one_slot():
     encoder = Encoder(NormConfig(), TokenVocab(("ب",)), CharVocab(tuple(KNOWN)))
     with pytest.raises(ValueError, match="max_len"):
