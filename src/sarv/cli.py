@@ -12,6 +12,7 @@ error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from contextlib import nullcontext
@@ -49,19 +50,22 @@ def _opt(section: str, flag: str, default, **argparse_kwargs):
                  metadata={"section": section, "flag": flag, "argparse": argparse_kwargs})
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Union of pipeline settings; round-trips losslessly through INI.
 
     Each field is declared once: its metadata gives its INI section and its
-    flag, and field order is the INI emission order.
+    flag, and field order is the INI emission order.  Every value is checked
+    on construction, from whichever source it came, so a bad one is a
+    ConfigError before any command reads its input.  ``train_loop`` takes
+    this record as it is.
     """
 
     seed: int = _opt("run", "--seed", 0, help=f"rng seed (falls back to ${SEED_ENV_VAR})")
     preset: str = _opt("run", "--preset", "W2V_SOFTMAX", choices=tuple(PRESETS),
                         help="model preset")
     classes: int = _opt("run", "--classes", 2, choices=(2, 3))
-    precision: str = _opt("run", "--precision", "single", choices=PRECISIONS)
+    precision: str = _opt("run", "--precision", "single", choices=tuple(PRECISIONS))
 
     corpus: str = _opt("paths", "--corpus", "", help="corpus file (csv/tsv/jsonl)")
     embeddings: str = _opt("paths", "--embeddings", "", help="GloVe-format word vector file")
@@ -93,6 +97,32 @@ class RunConfig:
     plateau_patience: int = _opt("train", "--plateau-patience", 27)
     exp_step_unit: str = _opt("train", "--exp-step-unit", "epoch", choices=("epoch", "batch"))
     stop_at_train_accuracy: float | None = _opt("train", "--stop-at-train-accuracy", None)
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            choices = f.metadata["argparse"].get("choices")
+            value = getattr(self, f.name)
+            # A default is valid: ``fmt``'s empty one means "infer from the file name".
+            if choices and value not in choices and value != f.default:
+                raise ConfigError(f"{f.name} must be one of {tuple(choices)}, got {value!r}")
+        stop = self.stop_at_train_accuracy
+        for bad, message in (
+            (self.seed < 0, f"seed must be >= 0, got {self.seed}"),
+            (not 0.0 < self.split < 1.0, f"split fraction must be in (0, 1), got {self.split}"),
+            (self.shard_size < 1, f"shard_size must be >= 1, got {self.shard_size}"),
+            (not (self.lr > 0 and math.isfinite(self.lr)),
+             f"lr must be finite and > 0, got {self.lr}"),
+            (self.epochs < 0, f"epochs must be >= 0, got {self.epochs}"),
+            (self.batch_size < 1, f"batch_size must be >= 1, got {self.batch_size}"),
+            (not 0.0 < self.plateau_factor < 1.0,
+             f"plateau_factor must be in (0, 1), got {self.plateau_factor}"),
+            (self.plateau_patience < 1,
+             f"plateau_patience must be >= 1, got {self.plateau_patience}"),
+            (stop is not None and not 0.0 <= stop <= 1.0,
+             f"stop_at_train_accuracy must be in [0, 1], got {stop}"),
+        ):
+            if bad:
+                raise ConfigError(message)
 
 
 _FIELDS = {f.name: f for f in fields(RunConfig)}
@@ -163,9 +193,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     file_values = config_from_ini(args.config) if getattr(args, "config", None) else {}
     merged = {name: f.default for name, f in _FIELDS.items()}
     preset = flag_values.get("preset", file_values.get("preset", merged["preset"]))
-    if preset not in PRESETS:
-        raise ConfigError(f"unknown preset {preset!r}; choose from {tuple(PRESETS)}")
-    merged.update(PRESETS[preset].train)
+    merged.update(PRESETS[preset].train if preset in PRESETS else {})  # RunConfig refuses it
     merged["preset"] = preset
     merged.update(file_values)
     if "seed" not in flag_values and "seed" not in file_values:
@@ -264,10 +292,6 @@ def cmd_shard(cfg: RunConfig) -> int:
     from sarv.train import split_indices, undersample_indices, write_shards
 
     _require(cfg, "corpus", "out_dir")
-    if cfg.shard_size < 1:  # both refused before anything is read or written
-        raise ConfigError(f"shard_size must be >= 1, got {cfg.shard_size}")
-    if not 0.0 < cfg.split < 1.0:
-        raise ConfigError(f"split fraction must be in (0, 1), got {cfg.split}")
     encoded, encoder, _, skipped = _encode_corpus(cfg)
     _report_skipped(skipped)
     # Both splits are positions into the one encoding; each shard's records
@@ -341,10 +365,9 @@ def _load_checkpoint(cfg: RunConfig, encoder: Encoder, hashes: dict[str, str]):
 
 
 def cmd_train(cfg: RunConfig) -> int:
-    from sarv.train import TrainConfig, train_loop
+    from sarv.train import train_loop
 
     _require(cfg, "embeddings", "out_dir")
-    train_cfg = TrainConfig(**{f.name: getattr(cfg, f.name) for f in fields(TrainConfig)})
     shard_dir = Path(cfg.shard_dir or cfg.out_dir)
     encoder, hashes = Encoder.load(shard_dir)
     train_path = shard_dir / "train.manifest.json"
@@ -364,10 +387,9 @@ def cmd_train(cfg: RunConfig) -> int:
         max_word_chars=train_manifest.max_word_chars,
         char_vocab_size=len(encoder.char_vocab) if PRESETS[cfg.preset].char_channel else 0,
     )
-    emb, emb_hash = _embedding_matrix_for(cfg, encoder.token_vocab, train_cfg.dtype)
+    emb, emb_hash = _embedding_matrix_for(cfg, encoder.token_vocab, PRECISIONS[cfg.precision])
     del encoder  # training needs none of its vocabularies
-    report, _ = train_loop(spec, train_cfg, train_manifest, emb, cfg.out_dir, eval_manifest,
-                           emb_hash)
+    report, _ = train_loop(spec, cfg, train_manifest, emb, cfg.out_dir, eval_manifest, emb_hash)
     _write_outputs(cfg, {})
     sys.stdout.write(report.to_text())
     print(f"wall_time_s {report.wall_time_s:.3f}")

@@ -96,11 +96,12 @@ PRESETS = {
         train={"optimizer": "adam", "lr": 0.001, "lr_schedule": "plateau"}),
 }
 
-# The training choices ``sarv.train.TrainConfig`` accepts.  They live here
-# so the CLI can offer them as flag choices without importing the trainer.
+# The training choices ``sarv.cli.RunConfig`` accepts.  ``PRECISIONS`` maps
+# each precision to its dtype, which training, ``save_model`` and
+# ``load_model`` all read.
 OPTIMIZERS = ("sgd", "adam")
 SCHEDULES = ("constant", "exp", "plateau")
-PRECISIONS = ("single", "double")
+PRECISIONS = {"single": np.float32, "double": np.float64}
 
 # The checkpoint array holding the frozen word-vector matrix, and the
 # metadata key holding the sha256 of the file it was built from.
@@ -403,7 +404,7 @@ def save_model(
     """Write the parameters, then the frozen ``embeddings`` matrix at the model's precision."""
     dtype = model.params()[0].value.dtype
     meta = model.spec.to_meta()
-    meta["precision"] = "double" if dtype == np.float64 else "single"
+    meta["precision"] = {np.dtype(t): name for name, t in PRECISIONS.items()}[dtype]
     meta.update(extra_meta or {})
     frozen = NamedArray(EMBEDDINGS_ARRAY, embeddings.astype(dtype, copy=False))
     return save_checkpoint(path, [*model.params(), frozen], meta)
@@ -421,9 +422,9 @@ def load_model(path, num_tokens: int) -> tuple[Model, np.ndarray, dict[str, str]
     arrays, meta = load_checkpoint(path)
     try:
         spec = ModelSpec.from_meta(meta)
+        dtype = PRECISIONS[meta["precision"]]
     except (KeyError, ValueError, ConfigError) as exc:
         raise DataError(f"checkpoint {path} has bad or missing metadata: {exc!r}") from exc
-    dtype = np.float64 if meta.get("precision") == "double" else np.float32
     model = Model(spec, None, dtype)
     embeddings = arrays.pop(EMBEDDINGS_ARRAY, None)
     want = (num_tokens + 1, spec.embed_dim)

@@ -7,9 +7,9 @@ so only one shard is ever resident.  Every pass over the records
 (train, frozen train-accuracy, eval) is :class:`ShardReader` ->
 :func:`sarv.corpus.batches` -> model, and a batch is a slice of a shard
 array; the scoring passes go through :func:`sarv.models.scored_batches`.
-The choices :class:`TrainConfig` checks (``OPTIMIZERS``, ``SCHEDULES``,
-``PRECISIONS``) live in :mod:`sarv.models`, so ``sarv predict`` can
-build its flags without importing this module.
+:func:`train_loop` takes the :class:`sarv.cli.RunConfig` the command line
+resolved, which has checked every value; this module names it only for
+type checking, so ``sarv predict`` and ``--help`` never import the trainer.
 Training is single-writer over the model parameters and fully
 deterministic under a fixed seed.
 """
@@ -23,7 +23,7 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -31,55 +31,14 @@ from sarv import textproc
 from sarv.corpus import ENCODER_HASH_KEYS, EncodedCorpus, LabelScheme, batches, record_dtype
 from sarv.errors import ConfigError, DataError, NumericsError
 from sarv.metrics import ConfusionMatrix, confusion, metrics
-from sarv.models import (EMBEDDINGS_HASH_KEY, OPTIMIZERS, PRECISIONS, SCHEDULES, Model,
-                         ModelSpec, build_model, save_model, scored_batches)
+from sarv.models import (EMBEDDINGS_HASH_KEY, PRECISIONS, Model, ModelSpec, build_model,
+                         save_model, scored_batches)
 from sarv.nn import (HashingFileReader, Parameter, cross_entropy, one_hot, read_checked,
                      replaced_on_success, softmax_xent_grad, zero_grads)
 from sarv.textproc import MAX_LEN
 
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Training settings; each field is the ``sarv.cli.RunConfig`` field of the same name."""
-
-    optimizer: str = "adam"
-    lr: float = 0.001
-    lr_schedule: str = "constant"
-    plateau_factor: float = 0.9
-    plateau_patience: int = 27
-    exp_step_unit: str = "epoch"
-    batch_size: int = 512
-    epochs: int = 1
-    seed: int = 0
-    precision: str = "single"
-    stop_at_train_accuracy: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.optimizer not in OPTIMIZERS:
-            raise ConfigError(f"optimizer must be one of {OPTIMIZERS}, got {self.optimizer!r}")
-        if self.lr_schedule not in SCHEDULES:
-            raise ConfigError(f"lr_schedule must be one of {SCHEDULES}, got {self.lr_schedule!r}")
-        if self.precision not in PRECISIONS:
-            raise ConfigError(f"precision must be one of {PRECISIONS}, got {self.precision!r}")
-        if self.exp_step_unit not in ("epoch", "batch"):
-            raise ConfigError(f"exp_step_unit must be 'epoch' or 'batch', got {self.exp_step_unit!r}")
-        if not (self.lr > 0 and math.isfinite(self.lr)):
-            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if not 0.0 < self.plateau_factor < 1.0:
-            raise ConfigError(f"plateau_factor must be in (0, 1), got {self.plateau_factor}")
-        if self.plateau_patience < 1:
-            raise ConfigError(f"plateau_patience must be >= 1, got {self.plateau_patience}")
-        stop = self.stop_at_train_accuracy
-        if stop is not None and not 0.0 <= stop <= 1.0:
-            raise ConfigError(f"stop_at_train_accuracy must be in [0, 1], got {stop}")
-
-    @property
-    def dtype(self):
-        return np.float64 if self.precision == "double" else np.float32
+if TYPE_CHECKING:
+    from sarv.cli import RunConfig
 
 
 def split_indices(n: int, fraction: float = 0.8, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -291,7 +250,8 @@ class ShardReader:
 
     One shard is read and checked at a time, and dropped before the next
     is read, so a pass holds at most one shard in memory.
-    ``max_resident`` records the high-water mark for instrumentation.
+    ``max_resident`` is 0 before the first shard is read and 1 after it; it
+    measures nothing, and is kept because the bench's tracer reports it.
     """
 
     def __init__(self, manifest: ShardManifest):
@@ -495,7 +455,7 @@ def _eval_confusion(
 
 def train_loop(
     model_spec: ModelSpec,
-    cfg: TrainConfig,
+    cfg: RunConfig,
     train_manifest: ShardManifest,
     emb_matrix: np.ndarray,
     out_dir,
@@ -504,6 +464,7 @@ def train_loop(
 ) -> tuple[TrainReport, Model]:
     """Run the full optimization loop and persist checkpoints + report.
 
+    ``cfg`` supplies the seed, the precision and the training settings.
     Per epoch: stream train shards into batches, forward/backward/step
     under the scheduled lr, then score the train split (frozen pass) and
     the eval split.  The best-by-eval-accuracy checkpoint and the final
@@ -515,11 +476,12 @@ def train_loop(
     t0 = time.perf_counter()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    dtype = PRECISIONS[cfg.precision]
     init_ss, dropout_ss = np.random.SeedSequence(cfg.seed).spawn(2)
-    model = build_model(model_spec, np.random.default_rng(init_ss), dtype=cfg.dtype)
+    model = build_model(model_spec, np.random.default_rng(init_ss), dtype=dtype)
     dropout_rng = np.random.default_rng(dropout_ss)
     params = model.params()
-    emb_matrix = emb_matrix.astype(cfg.dtype, copy=False)
+    emb_matrix = emb_matrix.astype(dtype, copy=False)
     adam = AdamState()
     plateau = PlateauScheduler(cfg.lr, cfg.plateau_factor, cfg.plateau_patience)
     meta = {"seed": str(cfg.seed), EMBEDDINGS_HASH_KEY: embeddings_sha256,
@@ -543,7 +505,7 @@ def train_loop(
             try:
                 zero_grads(params)
                 probs = model.forward(batch, emb_matrix, mode="train", rng=dropout_rng)
-                targets = one_hot(batch["y"], model_spec.num_classes, cfg.dtype)
+                targets = one_hot(batch["y"], model_spec.num_classes, dtype)
                 loss = cross_entropy(probs, targets)
                 model.backward(softmax_xent_grad(probs, targets))
                 if cfg.optimizer == "sgd":

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from sarv.embed import (
     load_embeddings,
 )
 from sarv.models import ModelSpec
-from sarv.nn import Dropout, Relu
+from sarv.nn import HASH_READ_BYTES, Dropout, Relu
 from sarv.textproc import MAX_LEN, NormConfig, normalize, tokenize, unify_length
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -205,6 +206,28 @@ def tiny_records(seed: int, n: int = 2, classes: int = 2) -> list[EncodedSentenc
 def tiny_batch(seed: int, n: int = 2, classes: int = 2) -> np.ndarray:
     """``tiny_records`` stacked into one record array."""
     return stack_sentences(tiny_records(seed, n, classes), TINY_MAX_WORD_CHARS)
+
+
+# What reading one shard allocates besides its records: the final hashing
+# buffer of ``read_checked`` and the open file and header objects.
+SHARD_READ_SLACK = HASH_READ_BYTES + (64 << 10)
+
+
+def pass_peak_bytes(shards) -> int:
+    """tracemalloc's peak over one pass through ``shards`` by a consumer that drops each one.
+
+    Only the shards the reader itself holds count: a ``for`` loop's variable
+    would keep the last shard alive while the next one is read.
+    """
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        for shard in shards:
+            del shard
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 class Tripwire:

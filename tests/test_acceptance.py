@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sarv.cli import main
+from sarv.cli import RunConfig, main
 from sarv.corpus import RawRecord
 from sarv.metrics import confusion, metrics
 from sarv.models import (
@@ -39,7 +39,6 @@ from sarv.nn import (
 from sarv.textproc import MAX_LEN, NormConfig, normalize, tokenize, unify_length
 from sarv.train import (
     ShardReader,
-    TrainConfig,
     lr_exp_decay,
     split_indices,
     train_loop,
@@ -49,11 +48,13 @@ from sarv.train import (
 
 from conftest import (
     REVIEWS_TSV,
+    SHARD_READ_SLACK,
     bundled_embedding_path,
     SPELLED_SUFFIX,
     emb_matrix_for,
     encode_rows,
     order_rows,
+    pass_peak_bytes,
     relu_margin,
     separable_rows,
     spelling_rows,
@@ -265,7 +266,7 @@ def test_criterion_04_presets_overfit_separable_corpus(tmp_path):
                 preset=preset, num_classes=classes,
                 char_vocab_size=len(char_vocab) if PRESETS[preset].char_channel else 0,
             )
-            cfg = TrainConfig(
+            cfg = RunConfig(
                 optimizer="adam", lr=0.01, batch_size=64, epochs=200,
                 seed=0, stop_at_train_accuracy=1.0,
             )
@@ -310,7 +311,7 @@ def test_criterion_05_lstm_beats_softmax_on_token_order(tmp_path):
     for preset in ("W2V_SOFTMAX", "W2V_LSTM"):
         out = tmp_path / preset
         manifest = write_shards(train, 2000, out, name="train")
-        cfg = TrainConfig(optimizer="adam", lr=0.003, batch_size=256, epochs=40, seed=3)
+        cfg = RunConfig(optimizer="adam", lr=0.003, batch_size=256, epochs=40, seed=3)
         _, model = train_loop(ModelSpec(preset=preset, num_classes=2), cfg, manifest, emb, out / "run")
         labels, _ = model.predict(test, emb.astype(np.float32))
         cm = confusion(labels, test["y"], num_classes=2)
@@ -343,7 +344,7 @@ def test_char_channel_reads_labels_spelled_only_in_words_without_vectors(classes
         manifest = write_shards(train, 2000, out, name="train")
         spec = ModelSpec(preset=preset, num_classes=classes,
                          char_vocab_size=len(char_vocab) if PRESETS[preset].char_channel else 0)
-        cfg = TrainConfig(optimizer="adam", lr=0.003, batch_size=256, epochs=15, seed=3)
+        cfg = RunConfig(optimizer="adam", lr=0.003, batch_size=256, epochs=15, seed=3)
         _, model = train_loop(spec, cfg, manifest, emb, out / "run")
         labels, _ = model.predict(test, emb.astype(np.float32))
         scores[preset] = metrics(confusion(labels, test["y"], num_classes=classes)).macro_f1
@@ -400,16 +401,18 @@ def test_criterion_08_shard_round_trip(tmp_path):
     records = tiny_batch(seed=80, n=10_000, classes=3)
     first = write_shards(records, 1_000, tmp_path / "a", name="data")
     assert len(first.shards) == 10
-    reader = ShardReader(first)
-    reloaded = np.concatenate(list(reader))
+    reloaded = np.concatenate(list(ShardReader(first)))
     assert np.array_equal(reloaded, records), "reload is not record-identical"
-    assert reader.max_resident <= 2, f"loader held {reader.max_resident} shards"
+    shard_bytes = 1_000 * records.dtype.itemsize
+    peak = pass_peak_bytes(ShardReader(first))
+    assert peak <= 2 * shard_bytes + SHARD_READ_SLACK, (
+        f"a pass peaked at {peak} bytes, {peak / shard_bytes:.2f} shards")
     second = write_shards(reloaded, 1_000, tmp_path / "b", name="data")
     assert [s.sha256 for s in first.shards] == [s.sha256 for s in second.shards]
     _passed(
         8,
-        "10,000 records -> 10 shards, reload bit-identical (sha256 equality), "
-        f"max {reader.max_resident} <= 2 shards resident",
+        "10,000 records -> 10 shards, reload bit-identical (sha256 equality), a pass "
+        f"peaks at {peak / shard_bytes:.2f} shards <= 2 shards + {SHARD_READ_SLACK} bytes",
     )
 
 

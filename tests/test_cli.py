@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import sarv.cli
+import sarv.models
 from sarv.cli import (
     RunConfig,
     build_parser,
@@ -29,7 +30,7 @@ from sarv.cli import (
 from sarv.corpus import Encoder, RawRecord, encode_sentence
 from sarv.embed import parse_char_vocab, parse_token_vocab
 from sarv.errors import ConfigError
-from sarv.models import PRESETS, Model, load_model, save_model
+from sarv.models import PRECISIONS, PRESETS, Model, load_model, save_model
 from sarv.nn import Parameter, load_checkpoint, save_checkpoint
 from sarv.textproc import MAX_LEN, NormConfig, normalize, tokenize, unify_length
 from sarv.train import ShardManifest
@@ -270,6 +271,84 @@ def test_config_ini_round_trip_is_fixed_point(tmp_path):
     rebuilt = replace(RunConfig(), **values)
     assert config_to_ini(rebuilt) == ini
     assert rebuilt == cfg
+
+
+def test_run_config_validation():
+    RunConfig()  # defaults are valid, the empty "infer" --format among them
+    with pytest.raises(ConfigError):
+        RunConfig(optimizer="rmsprop")
+    with pytest.raises(ConfigError):
+        RunConfig(lr_schedule="cosine")
+    with pytest.raises(ConfigError):
+        RunConfig(precision="half")
+    with pytest.raises(ConfigError):
+        RunConfig(exp_step_unit="minute")
+    for lr in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="lr"):
+            RunConfig(lr=lr)
+    with pytest.raises(ConfigError):
+        RunConfig(batch_size=0)
+    with pytest.raises(ConfigError):
+        RunConfig(epochs=-1)
+    with pytest.raises(ConfigError):
+        RunConfig(plateau_factor=1.0)
+    for acc in (float("nan"), -0.1, 1.5, 5.0):
+        with pytest.raises(ConfigError, match="stop_at_train_accuracy"):
+            RunConfig(stop_at_train_accuracy=acc)
+    RunConfig(stop_at_train_accuracy=0.0)
+    RunConfig(stop_at_train_accuracy=1.0)
+    for kwargs, word in (({"seed": -1}, "seed"), ({"classes": 4}, "classes"),
+                         ({"fmt": "xml"}, "fmt"), ({"preset": "W2V_GRU"}, "preset"),
+                         ({"shard_size": 0}, "shard_size"), ({"split": 1.0}, "split"),
+                         ({"split": float("nan")}, "split")):
+        with pytest.raises(ConfigError, match=word):
+            RunConfig(**kwargs)
+    RunConfig(seed=0, fmt="jsonl", classes=3)
+    assert PRECISIONS == {"single": np.float32, "double": np.float64}
+
+
+@pytest.mark.parametrize("name, table_name", [
+    ("optimizer", "OPTIMIZERS"), ("lr_schedule", "SCHEDULES"), ("precision", "PRECISIONS")])
+def test_run_config_takes_exactly_its_choices(name, table_name):
+    # The flag offers the names of sarv.models' table as choices; RunConfig checks the same ones.
+    choices = tuple(getattr(sarv.cli, table_name))
+    assert getattr(sarv.cli, table_name) is getattr(sarv.models, table_name)
+    assert sarv.cli._FIELDS[name].metadata["argparse"]["choices"] == choices
+    for value in choices:
+        assert getattr(RunConfig(**{name: value}), name) == value
+    for bad in ("", "bogus", choices[0].upper(), f" {choices[0]}"):
+        with pytest.raises(ConfigError, match=name):
+            RunConfig(**{name: bad})
+
+
+@pytest.mark.parametrize("command, setting, word", [
+    ("train", "ini:[run]\nclasses = 4\n", "classes must be one of (2, 3), got 4"),
+    ("shard", "flag:--seed -1", "seed must be >= 0, got -1"),
+    ("train", "env:-1", "seed must be >= 0, got -1"),
+    ("predict", "ini:[train]\noptimizer = rmsprop\n",
+     "optimizer must be one of ('sgd', 'adam'), got 'rmsprop'"),
+], ids=["train-ini-classes", "shard-flag-seed", "train-env-seed", "predict-ini-optimizer"])
+def test_a_bad_value_from_any_source_exits_one_before_any_input_is_read(
+        command, setting, word, tmp_path, capsys, monkeypatch):
+    source, value = setting.split(":", 1)
+    out, missing = tmp_path / "out", tmp_path / "missing"  # no input file exists
+    argv = [command, *{
+        "shard": ["--corpus", missing / "c.tsv"],
+        "train": ["--shard-dir", missing, "--embeddings", missing / "v.txt"],
+        "predict": ["--shard-dir", missing, "--embeddings", missing / "v.txt",
+                    "--checkpoint", missing / "m.bin", "--input", missing / "in.txt"],
+    }[command], "--out-dir", out]
+    if source == "ini":
+        (tmp_path / "run.ini").write_text(value, encoding="utf-8")
+        argv += ["--config", tmp_path / "run.ini"]
+    elif source == "flag":
+        argv += value.split()
+    else:
+        monkeypatch.setenv("SARV_SEED", value)
+    code, stdout, stderr = invoke(capsys, *argv)
+    assert (code, stdout) == (1, "")
+    assert stderr == f"sarv: config error: {word}\n"  # one line: no traceback
+    assert not out.exists()
 
 
 def test_config_rejects_unknown_keys(tmp_path):
@@ -788,8 +867,8 @@ def test_eval_rejects_checkpoint_from_other_vocab(trained, other_shards, capsys)
 
 
 @pytest.mark.parametrize("case", [
-    "missing_meta_key", "non_integer_classes", "unknown_preset", "truncated_body",
-    "missing_embeddings", "missing_embeddings_hash",
+    "missing_meta_key", "non_integer_classes", "unknown_preset", "unknown_precision",
+    "truncated_body", "missing_embeddings", "missing_embeddings_hash",
 ])
 def test_malformed_checkpoint_exits_two(case, trained, tmp_path, capsys):
     # Each checkpoint ends in the sha256 of its body, so only the parse can refuse it.
@@ -802,6 +881,8 @@ def test_malformed_checkpoint_exits_two(case, trained, tmp_path, capsys):
         meta["num_classes"] = "two"
     elif case == "unknown_preset":
         meta["preset"] = "W2V_TRANSFORMER"
+    elif case == "unknown_precision":  # once loaded as float32
+        meta["precision"] = "half"
     elif case == "missing_embeddings":
         del arrays["embeddings"]
     elif case == "missing_embeddings_hash":
@@ -817,6 +898,8 @@ def test_malformed_checkpoint_exits_two(case, trained, tmp_path, capsys):
         code, stdout, stderr = invoke(capsys, *argv)
         assert code == 2, (argv[0], stdout, stderr)
         assert "data error" in stderr and "checkpoint" in stderr
+        if case == "unknown_precision":
+            assert "bad or missing metadata: KeyError('half')" in stderr
 
 
 @pytest.mark.parametrize("command", ["eval", "predict"])

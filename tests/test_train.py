@@ -2,8 +2,8 @@
 
 SGD is checked against the closed-form contraction on a quadratic bowl,
 Adam against a textbook reference implementation written here, and the
-shard reader against byte-for-byte reload plus a residency high-water
-mark.
+shard reader against byte-for-byte reload plus a tracemalloc peak over a
+pass.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import sarv.models
-import sarv.train
+from sarv.cli import RunConfig
 from sarv.corpus import encode_sentence, record_dtype
 from sarv.embed import build_char_vocab, build_token_vocab
 from sarv.errors import ConfigError, DataError, NumericsError
@@ -37,7 +36,6 @@ from sarv.train import (
     ShardInfo,
     ShardManifest,
     ShardReader,
-    TrainConfig,
     adam_step,
     batches,
     lr_exp_decay,
@@ -50,8 +48,8 @@ from sarv.train import (
 
 from sarv.textproc import MAX_LEN, TOKENIZE_CHUNK, tokenize, unify_length
 
-from conftest import (TINY_MAX_LEN, TINY_MAX_WORD_CHARS, TRIPPED, Tripwire, stack_sentences,
-                      tiny_batch, tiny_emb, tiny_spec)
+from conftest import (SHARD_READ_SLACK, TINY_MAX_LEN, TINY_MAX_WORD_CHARS, TRIPPED, Tripwire,
+                      pass_peak_bytes, stack_sentences, tiny_batch, tiny_emb, tiny_spec)
 
 
 def reload(manifest) -> np.ndarray:
@@ -69,49 +67,8 @@ def replace_shard(manifest, index, array, allow_pickle=False):
 
 
 # ---------------------------------------------------------------------------
-# config + split
+# split
 # ---------------------------------------------------------------------------
-
-
-def test_train_config_validation():
-    TrainConfig()  # defaults are valid
-    with pytest.raises(ConfigError):
-        TrainConfig(optimizer="rmsprop")
-    with pytest.raises(ConfigError):
-        TrainConfig(lr_schedule="cosine")
-    with pytest.raises(ConfigError):
-        TrainConfig(precision="half")
-    with pytest.raises(ConfigError):
-        TrainConfig(exp_step_unit="minute")
-    for lr in (0.0, float("nan"), float("inf")):
-        with pytest.raises(ConfigError, match="lr"):
-            TrainConfig(lr=lr)
-    with pytest.raises(ConfigError):
-        TrainConfig(batch_size=0)
-    with pytest.raises(ConfigError):
-        TrainConfig(epochs=-1)
-    with pytest.raises(ConfigError):
-        TrainConfig(plateau_factor=1.0)
-    for acc in (float("nan"), -0.1, 1.5, 5.0):
-        with pytest.raises(ConfigError, match="stop_at_train_accuracy"):
-            TrainConfig(stop_at_train_accuracy=acc)
-    TrainConfig(stop_at_train_accuracy=0.0)
-    TrainConfig(stop_at_train_accuracy=1.0)
-    assert TrainConfig(precision="double").dtype == np.float64
-    assert TrainConfig(precision="single").dtype == np.float32
-
-
-@pytest.mark.parametrize("name, tuple_name", [
-    ("optimizer", "OPTIMIZERS"), ("lr_schedule", "SCHEDULES"), ("precision", "PRECISIONS")])
-def test_train_config_takes_exactly_its_choice_tuples(name, tuple_name):
-    # The CLI offers the tuples of sarv.models as flag choices; the trainer checks the same ones.
-    choices = getattr(sarv.train, tuple_name)
-    assert choices is getattr(sarv.models, tuple_name)
-    for value in choices:
-        assert getattr(TrainConfig(**{name: value}), name) == value
-    for bad in ("", "bogus", choices[0].upper(), f" {choices[0]}"):
-        with pytest.raises(ConfigError, match=name):
-            TrainConfig(**{name: bad})
 
 
 def test_split_eight_two():
@@ -237,7 +194,11 @@ def test_shard_reader_holds_one_shard_at_a_time(tmp_path):
     seen = list(reader)
     assert [len(s) for s in seen] == [4] * 10  # one record array per shard
     assert np.array_equal(np.concatenate(seen), records)
-    assert reader.max_resident == 1
+    # Shards of 2,000 records, so that each outweighs the reader's own buffers.
+    big = write_shards(np.resize(records, 20_000), shard_size=2_000, out_dir=tmp_path / "big")
+    assert len(big.shards) == 10
+    shard_bytes = 2_000 * records.dtype.itemsize
+    assert pass_peak_bytes(ShardReader(big)) <= shard_bytes + SHARD_READ_SLACK
 
 
 def test_abandoned_shard_stream_closes_at_once(tmp_path):
@@ -581,7 +542,7 @@ def loop_fixtures(tmp_path, n=12, seed=0):
 
 def test_train_loop_zero_epochs_still_writes_final(tmp_path):
     manifest, emb = loop_fixtures(tmp_path)
-    cfg = TrainConfig(epochs=0, batch_size=4, precision="double")
+    cfg = RunConfig(epochs=0, batch_size=4, precision="double")
     report, model = train_loop(tiny_spec("W2V_SOFTMAX"), cfg, manifest, emb, tmp_path / "run")
     assert report.epochs == []
     assert report.best_epoch is None
@@ -595,7 +556,7 @@ def test_train_loop_zero_epochs_still_writes_final(tmp_path):
 
 def test_train_loop_is_deterministic(tmp_path):
     spec = tiny_spec("W2V_LSTM")
-    cfg = TrainConfig(optimizer="adam", lr=0.01, epochs=2, batch_size=4, seed=7)
+    cfg = RunConfig(optimizer="adam", lr=0.01, epochs=2, batch_size=4, seed=7)
     manifest, emb = loop_fixtures(tmp_path)
     r1, _ = train_loop(spec, cfg, manifest, emb, tmp_path / "run1")
     r2, _ = train_loop(spec, cfg, manifest, emb, tmp_path / "run2")
@@ -611,14 +572,14 @@ def test_train_loop_is_deterministic(tmp_path):
 def test_train_loop_seed_changes_outcome(tmp_path):
     spec = tiny_spec("W2V_SOFTMAX")
     manifest, emb = loop_fixtures(tmp_path)
-    r1, _ = train_loop(spec, TrainConfig(epochs=1, seed=1, batch_size=4), manifest, emb, tmp_path / "a")
-    r2, _ = train_loop(spec, TrainConfig(epochs=1, seed=2, batch_size=4), manifest, emb, tmp_path / "b")
+    r1, _ = train_loop(spec, RunConfig(epochs=1, seed=1, batch_size=4), manifest, emb, tmp_path / "a")
+    r2, _ = train_loop(spec, RunConfig(epochs=1, seed=2, batch_size=4), manifest, emb, tmp_path / "b")
     assert r1.final_checkpoint_hash != r2.final_checkpoint_hash
 
 
 def test_train_loop_reports_trainable_progress(tmp_path):
     manifest, emb = loop_fixtures(tmp_path, n=16)
-    cfg = TrainConfig(optimizer="adam", lr=0.02, epochs=3, batch_size=4, precision="double")
+    cfg = RunConfig(optimizer="adam", lr=0.02, epochs=3, batch_size=4, precision="double")
     report, model = train_loop(tiny_spec("W2V_SOFTMAX"), cfg, manifest, emb, tmp_path / "run")
     assert len(report.epochs) == 3
     assert [e.epoch for e in report.epochs] == [0, 1, 2]
@@ -635,7 +596,7 @@ def test_train_loop_final_train_accuracy_is_reproducible(tmp_path):
     from sarv.train import _eval_confusion
 
     manifest, emb = loop_fixtures(tmp_path, n=10)
-    cfg = TrainConfig(epochs=2, batch_size=4, precision="double")
+    cfg = RunConfig(epochs=2, batch_size=4, precision="double")
     report, model = train_loop(tiny_spec("W2V_SOFTMAX"), cfg, manifest, emb, tmp_path / "run")
     acc = _metrics(_eval_confusion(model, manifest, emb, cfg.batch_size)).accuracy
     assert acc == pytest.approx(report.epochs[-1].train_accuracy, abs=1e-12)
@@ -643,7 +604,7 @@ def test_train_loop_final_train_accuracy_is_reproducible(tmp_path):
 
 def test_train_loop_early_stop_on_train_accuracy(tmp_path):
     manifest, emb = loop_fixtures(tmp_path)
-    cfg = TrainConfig(epochs=50, batch_size=4, stop_at_train_accuracy=0.0)
+    cfg = RunConfig(epochs=50, batch_size=4, stop_at_train_accuracy=0.0)
     report, _ = train_loop(tiny_spec("W2V_SOFTMAX"), cfg, manifest, emb, tmp_path / "run")
     assert len(report.epochs) == 1  # threshold 0 satisfied after the first epoch
 
@@ -653,7 +614,7 @@ def test_train_loop_numerics_error_names_epoch_and_batch(tmp_path):
     manifest, _ = loop_fixtures(tmp_path)
     bad_emb = tiny_emb(seed=9, dtype=np.float64)
     bad_emb[1, 0] = np.inf
-    cfg = TrainConfig(epochs=1, batch_size=4)
+    cfg = RunConfig(epochs=1, batch_size=4)
     with pytest.raises(NumericsError) as exc:
         train_loop(tiny_spec("W2V_SOFTMAX"), cfg, manifest, bad_emb, tmp_path / "run")
     assert "epoch 0 batch" in str(exc.value)
@@ -665,7 +626,7 @@ def test_train_loop_separate_eval_manifest(tmp_path):
     train_m = write_shards(train_records, 5, tmp_path / "tr", name="train")
     eval_m = write_shards(eval_records, 5, tmp_path / "ev", name="test")
     emb = tiny_emb(seed=22, dtype=np.float64)
-    cfg = TrainConfig(epochs=2, batch_size=4, precision="double")
+    cfg = RunConfig(epochs=2, batch_size=4, precision="double")
     report, model = train_loop(
         tiny_spec("W2V_SOFTMAX"), cfg, train_m, emb, tmp_path / "run", eval_manifest=eval_m
     )
@@ -688,7 +649,7 @@ def test_train_loop_shard_passes_per_epoch(tmp_path, monkeypatch, with_eval, pas
     train_m, emb = loop_fixtures(tmp_path, n=10)
     eval_m = (write_shards(tiny_batch(seed=30, n=6), 5, tmp_path / "ev", name="test")
               if with_eval else None)
-    cfg = TrainConfig(epochs=2, batch_size=4, precision="double")
+    cfg = RunConfig(epochs=2, batch_size=4, precision="double")
     train_loop(tiny_spec("W2V_SOFTMAX"), cfg, train_m, emb, tmp_path / "run", eval_manifest=eval_m)
     assert len(passes) == 2 * passes_per_epoch
     report = (tmp_path / "run" / "report.jsonl").read_text("utf-8")
