@@ -16,7 +16,7 @@ import math
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from itertools import groupby, islice
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -108,12 +108,14 @@ class RunConfig:
         stop = self.stop_at_train_accuracy
         for bad, message in (
             (self.seed < 0, f"seed must be >= 0, got {self.seed}"),
+            (self.max_bad_rows < 0, f"max_bad_rows must be >= 0, got {self.max_bad_rows}"),
             (not 0.0 < self.split < 1.0, f"split fraction must be in (0, 1), got {self.split}"),
             (self.shard_size < 1, f"shard_size must be >= 1, got {self.shard_size}"),
             (not (self.lr > 0 and math.isfinite(self.lr)),
              f"lr must be finite and > 0, got {self.lr}"),
             (self.epochs < 0, f"epochs must be >= 0, got {self.epochs}"),
             (self.batch_size < 1, f"batch_size must be >= 1, got {self.batch_size}"),
+            (not 0.0 <= self.dropout < 1.0, f"dropout must be in [0, 1), got {self.dropout}"),
             (not 0.0 < self.plateau_factor < 1.0,
              f"plateau_factor must be in (0, 1), got {self.plateau_factor}"),
             (self.plateau_patience < 1,
@@ -309,22 +311,23 @@ def cmd_shard(cfg: RunConfig) -> int:
             split_seed=cfg.seed,
             encoder_hashes=hashes,
             rows=rows,
+            num_classes=cfg.classes,
         )
         print(f"{name}: {manifest.total} records in {len(manifest.shards)} shard(s)")
     _write_outputs(cfg, {})
     return 0
 
 
-def _checked_manifest(path: Path, hashes: dict[str, str], num_classes: int) -> ShardManifest:
-    """The manifest at ``path``, by the encoder of ``hashes``, with labels below ``num_classes``."""
+def _checked_manifest(path: Path, hashes: dict[str, str],
+                      num_classes: int | None = None) -> ShardManifest:
+    """The manifest at ``path``, by the encoder of ``hashes``, for ``num_classes`` if given."""
     from sarv.train import ShardManifest
 
     manifest = ShardManifest.load(path)
     check_hashes(hashes, manifest.encoder_hashes, f"manifest {path}")
-    outside = sorted(k for k in manifest.class_histogram if not 0 <= k < num_classes)
-    if outside:
-        raise DataError(f"manifest {path} holds labels {outside}, but the model has "
-                        f"{num_classes} classes (labels 0..{num_classes - 1})")
+    if num_classes is not None and manifest.num_classes != num_classes:
+        raise DataError(f"manifest {path} was written for {manifest.num_classes} classes, "
+                        f"but the model has {num_classes} classes")
     return manifest
 
 
@@ -370,12 +373,9 @@ def cmd_train(cfg: RunConfig) -> int:
     _require(cfg, "embeddings", "out_dir")
     shard_dir = Path(cfg.shard_dir or cfg.out_dir)
     encoder, hashes = Encoder.load(shard_dir)
-    train_path = shard_dir / "train.manifest.json"
-    train_manifest = _checked_manifest(train_path, hashes, cfg.classes)
-    missing = [k for k in range(cfg.classes) if not train_manifest.class_histogram.get(k)]
-    if missing:  # as from 2-class shards, whose "positive" (1) is the 3-class "neutral"
-        raise DataError(f"manifest {train_path} holds no record of classes {missing}, but "
-                        f"--classes is {cfg.classes}; were the shards written for fewer classes?")
+    train_manifest = _checked_manifest(shard_dir / "train.manifest.json", hashes)
+    # The shards' class count is the model's, and resolved.ini records it.
+    cfg = replace(cfg, classes=train_manifest.num_classes)
     test_path = shard_dir / "test.manifest.json"
     eval_manifest = (_checked_manifest(test_path, hashes, cfg.classes)
                      if test_path.exists() else None)
@@ -509,27 +509,27 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("preprocess", help="normalize, tokenize, and encode a corpus")
-    _add_flags(p, *_CORPUS_FLAGS, "stopwords", "classes", "out_dir", "seed")
+    _add_flags(p, *_CORPUS_FLAGS, "stopwords", "classes", "out_dir")
 
     p = sub.add_parser("shard", help="split a corpus and write train/test shards")
     _add_flags(p, *_CORPUS_FLAGS, "stopwords", "classes", "split", "shard_size",
                "rus", "seed", "out_dir", "preset")
 
     p = sub.add_parser("train", help="train a preset on prepared shards")
-    _add_flags(p, "embeddings", "shard_dir", "out_dir", "preset", "classes", "epochs",
+    _add_flags(p, "embeddings", "shard_dir", "out_dir", "preset", "epochs",
                "batch_size", "lr", "lr_schedule", "dropout", "optimizer", "seed",
                "precision", "exp_step_unit", "plateau_factor", "plateau_patience",
                "stop_at_train_accuracy")
 
     p = sub.add_parser("eval", help="score a checkpoint against a shard manifest")
     _add_flags(p, "checkpoint", "manifest", "shard_dir", "embeddings", "batch_size",
-               "out_dir", "seed")
+               "out_dir")
 
     p = sub.add_parser("predict", help="classify raw text lines")
-    _add_flags(p, "checkpoint", "shard_dir", "embeddings", "input_path", "out_dir", "seed")
+    _add_flags(p, "checkpoint", "shard_dir", "embeddings", "input_path", "out_dir")
 
     p = sub.add_parser("stats", help="per-category label counts for a corpus")
-    _add_flags(p, *_CORPUS_FLAGS, "classes", "out_dir", "seed")
+    _add_flags(p, *_CORPUS_FLAGS, "classes", "out_dir")
     return parser
 
 

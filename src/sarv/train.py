@@ -57,7 +57,7 @@ def split_indices(n: int, fraction: float = 0.8, seed: int = 0) -> tuple[np.ndar
 # ---------------------------------------------------------------------------
 
 
-MANIFEST_VERSION = 2
+MANIFEST_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,7 @@ class ShardManifest:
     shard_size: int
     class_histogram: dict[int, int]
     max_word_chars: int
+    num_classes: int  # of the label scheme the shards were written for
     max_len: int = MAX_LEN
     encoder_hashes: dict[str, str] = field(default_factory=dict)
     split_seed: int | None = None
@@ -93,10 +94,16 @@ class ShardManifest:
 
     def validate(self) -> None:
         if sum(s.count for s in self.shards) != self.total:
-            raise DataError("manifest shard counts do not sum to total")
+            raise DataError("shard counts do not sum to total")
         for s in self.shards[:-1]:
             if s.count != self.shard_size:
                 raise DataError(f"non-final shard {s.path} holds {s.count} != {self.shard_size}")
+        if self.num_classes not in (2, 3):
+            raise DataError(f"num_classes is {self.num_classes}, not 2 or 3")
+        outside = sorted(k for k in self.class_histogram if not 0 <= k < self.num_classes)
+        if outside:
+            raise DataError(f"class_histogram holds labels {outside}, but num_classes is "
+                            f"{self.num_classes} (labels 0..{self.num_classes - 1})")
 
     def save(self, path) -> None:
         text = json.dumps(
@@ -106,6 +113,7 @@ class ShardManifest:
                 "shard_size": self.shard_size,
                 "max_len": self.max_len,
                 "max_word_chars": self.max_word_chars,
+                "num_classes": self.num_classes,
                 "class_histogram": {str(k): v for k, v in sorted(self.class_histogram.items())},
                 **self.encoder_hashes,
                 "split_seed": self.split_seed,
@@ -141,16 +149,17 @@ class ShardManifest:
                 class_histogram={int(k): _typed(obj["class_histogram"], k, int)
                                  for k in obj["class_histogram"]},
                 max_word_chars=_typed(obj, "max_word_chars", int),
+                num_classes=_typed(obj, "num_classes", int),
                 max_len=_typed(obj, "max_len", int),
                 encoder_hashes={k: _typed(obj, k, str) for k in ENCODER_HASH_KEYS if k in obj},
                 split_seed=obj.get("split_seed"),
                 base_dir=path.parent,
             )
+            manifest.validate()
         except KeyError as exc:
             raise DataError(f"malformed manifest {path}: missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, DataError) as exc:
             raise DataError(f"malformed manifest {path}: {exc}") from exc
-        manifest.validate()
         return manifest
 
 
@@ -162,13 +171,17 @@ def write_shards(
     encoder_hashes: dict[str, str] | None = None,
     split_seed: int | None = None,
     rows: np.ndarray | None = None,
+    *,
+    num_classes: int,
 ) -> ShardManifest:
     """Save records as ``shard_size``-row ``.npy`` record arrays plus a manifest.
 
     ``records`` is a record array or an :class:`sarv.corpus.EncodedCorpus`,
-    whose records are built only here.  With ``rows``, the records at those
-    positions are written, in that order, as if ``records[rows]`` had been
-    passed.  Each shard file holds the bytes ``np.save`` writes.  It is
+    whose records are built only here.  ``num_classes`` is the size of the
+    label scheme the labels were drawn from; the manifest records it, since
+    a split may hold no record of some class.  With ``rows``, the records at
+    those positions are written, in that order, as if ``records[rows]`` had
+    been passed.  Each shard file holds the bytes ``np.save`` writes.  It is
     gathered (``np.take``, which calls an encoding's own ``take``), written
     and hashed ``TOKENIZE_CHUNK`` records at a time into one reused buffer,
     so writing holds no more than that many records beyond the input.  Each
@@ -210,11 +223,13 @@ def write_shards(
         shard_size=shard_size,
         class_histogram=dict(sorted(histogram.items())),
         max_word_chars=max_word_chars,
+        num_classes=num_classes,
         max_len=max_len,
         encoder_hashes=dict(encoder_hashes or {}),
         split_seed=split_seed,
         base_dir=out_dir,
     )
+    manifest.validate()  # a label outside the scheme is refused before the manifest exists
     manifest.save(out_dir / f"{name}.manifest.json")
     return manifest
 

@@ -261,7 +261,7 @@ def test_criterion_04_presets_overfit_separable_corpus(tmp_path):
             encoded, token_vocab, char_vocab = encode_rows(rows, classes)
             emb = emb_matrix_for(token_vocab)
             out = tmp_path / f"{preset}-{classes}"
-            manifest = write_shards(encoded, 64, out, name="train")
+            manifest = write_shards(encoded, 64, out, name="train", num_classes=classes)
             spec = ModelSpec(
                 preset=preset, num_classes=classes,
                 char_vocab_size=len(char_vocab) if PRESETS[preset].char_channel else 0,
@@ -310,7 +310,7 @@ def test_criterion_05_lstm_beats_softmax_on_token_order(tmp_path):
     scores = {}
     for preset in ("W2V_SOFTMAX", "W2V_LSTM"):
         out = tmp_path / preset
-        manifest = write_shards(train, 2000, out, name="train")
+        manifest = write_shards(train, 2000, out, name="train", num_classes=2)
         cfg = RunConfig(optimizer="adam", lr=0.003, batch_size=256, epochs=40, seed=3)
         _, model = train_loop(ModelSpec(preset=preset, num_classes=2), cfg, manifest, emb, out / "run")
         labels, _ = model.predict(test, emb.astype(np.float32))
@@ -341,7 +341,7 @@ def test_char_channel_reads_labels_spelled_only_in_words_without_vectors(classes
     scores = {}
     for preset in ("W2V_LSTM", "CHAR_W2V_LSTM"):
         out = tmp_path / preset
-        manifest = write_shards(train, 2000, out, name="train")
+        manifest = write_shards(train, 2000, out, name="train", num_classes=classes)
         spec = ModelSpec(preset=preset, num_classes=classes,
                          char_vocab_size=len(char_vocab) if PRESETS[preset].char_channel else 0)
         cfg = RunConfig(optimizer="adam", lr=0.003, batch_size=256, epochs=15, seed=3)
@@ -399,7 +399,7 @@ def test_criterion_07_random_undersampling():
 
 def test_criterion_08_shard_round_trip(tmp_path):
     records = tiny_batch(seed=80, n=10_000, classes=3)
-    first = write_shards(records, 1_000, tmp_path / "a", name="data")
+    first = write_shards(records, 1_000, tmp_path / "a", name="data", num_classes=3)
     assert len(first.shards) == 10
     reloaded = np.concatenate(list(ShardReader(first)))
     assert np.array_equal(reloaded, records), "reload is not record-identical"
@@ -407,7 +407,7 @@ def test_criterion_08_shard_round_trip(tmp_path):
     peak = pass_peak_bytes(ShardReader(first))
     assert peak <= 2 * shard_bytes + SHARD_READ_SLACK, (
         f"a pass peaked at {peak} bytes, {peak / shard_bytes:.2f} shards")
-    second = write_shards(reloaded, 1_000, tmp_path / "b", name="data")
+    second = write_shards(reloaded, 1_000, tmp_path / "b", name="data", num_classes=3)
     assert [s.sha256 for s in first.shards] == [s.sha256 for s in second.shards]
     _passed(
         8,

@@ -107,13 +107,13 @@ PINNED: dict[str, dict[str, str]] = {
         "stopwords.txt": "6a1550db5921f9904ddbbebb9a07a7fa59fe5e59921df8d87ec4a9b59a9a48ef",
         "test-00000.npy": "51595215d4c1fc7e7f7c4fc336dbe0f0f7e7418caf212bcfd16afd75713aa7dd",
         "test-00001.npy": "7217568c404a76fe734b12d65e425339239160a65e3fb0a649f6d39f6c505d44",
-        "test.manifest.json": "fe3e7f0eb27ce9bbc2ca0384bb5906a33afea2535b2571bebac9ef114efe14ca",
+        "test.manifest.json": "4246480f47ea3bf5eed723c1cbc3d3e626e4058b752ac159e5c75fb42e4b2aeb",
         "train-00000.npy": "88e2f08aef8dedef5c140190b89ceed4f182bf9aff32656bc08604263b58014a",
         "train-00001.npy": "d7e8e3a085034f84cc598ad59c265d56147758807abace901a7ce8edab6d7326",
         "train-00002.npy": "9a56d6816a42b6b943d7d1a4f08db24b892fd1c226049ff00eecad975e923f3d",
         "train-00003.npy": "bd9e0043ee2ef6d85a6883513a228c1a62c2cbd04ec68d7e94df719ca3bf3ed3",
         "train-00004.npy": "d9be2971b7ab666f7b0860606ac8adef56b7cb6b2b779c18956fc6f007d6f8b6",
-        "train.manifest.json": "d3bf95662223482d07122db9c98bffd8fac56cdab242df0498f035dc1511d4dd",
+        "train.manifest.json": "187f7acc2d534a560501bb4de0ec54624c07c8d9d44c884551ad9c3e15e617db",
         "vocab.tsv": "fa593ac6b7adf648f8d5f10459e6880851c5607f2de86a28f4aadf39be33acf9"
     },
     "noisy-shard-rus": {
@@ -121,12 +121,12 @@ PINNED: dict[str, dict[str, str]] = {
         "stopwords.txt": "6a1550db5921f9904ddbbebb9a07a7fa59fe5e59921df8d87ec4a9b59a9a48ef",
         "test-00000.npy": "a854abc7f03d3816a46d49ba76ab4e89992a77420eb849edae21647540596607",
         "test-00001.npy": "9ef6b1808282cff44bb075371aadf1d2f5af3a7adbd130a2cfcc6cc2dd63b1fb",
-        "test.manifest.json": "f8439739253131b92e29627e5a99fcf7ad7828e4c85c755492278ccd0a4f1a66",
+        "test.manifest.json": "522cd279d8c57aa08b7b960cffe930adb429c03467927646db9639c6d33e2e74",
         "train-00000.npy": "ade6b95cc96475fb64f948d15c2c87f4b8b53bca60ec9c60cd25f3dd27a95d80",
         "train-00001.npy": "403c9fc31553706fd34dc7eda383b7699f69e5e5260eb99873b472b8c61e156e",
         "train-00002.npy": "c75e250c8772ff80ae848100ab6c70468e9d40f6f1a32249d76daa075b06b809",
         "train-00003.npy": "c24bf18dd2ec50530a9ce0bfafee8d0284001009e8480775b4162561bbb494ba",
-        "train.manifest.json": "13da42e46056840e95f2b84f5a3769069ff70863eccc672cef0254378b3c0616",
+        "train.manifest.json": "6171ed3406c412f8978e16ac7038628030ed2533890e36873419bd641def42b0",
         "vocab.tsv": "fa593ac6b7adf648f8d5f10459e6880851c5607f2de86a28f4aadf39be33acf9"
     },
     "reviews-preprocess": {
@@ -147,20 +147,20 @@ PINNED: dict[str, dict[str, str]] = {
         "chars.tsv": "46920d63da7d6d2777623c4cd07872d17127ddc6cbd7a25d750457e189f463cf",
         "stopwords.txt": "6a1550db5921f9904ddbbebb9a07a7fa59fe5e59921df8d87ec4a9b59a9a48ef",
         "test-00000.npy": "c549136eb867371e3235bcc6565e5b13cde7d83f1b9ec7e3966c75df2411ca70",
-        "test.manifest.json": "2e20f656796c3bebbd2f250fcb930936a7497afb62bfe676de814710d4316384",
+        "test.manifest.json": "9936491000db3223c08fcf593ef51e28a59e95e4cb371a9b0f816c3bd79d76e6",
         "train-00000.npy": "b6d631f154d60f37316045e2bb57ca20fbc29f2234ce7d7466e5853224da58d1",
         "train-00001.npy": "30c4a423ae6e91933f66ecfbf72ee9f922ca1552aaa7a6676820e964764313fb",
-        "train.manifest.json": "fef0f6e0f923030a58fcbe0874c6185793b2793c1132c47cea8eab81ef654414",
+        "train.manifest.json": "8a64737a2c993387f7b70590b98e01a6449e3b0df483ba1f186dc50bc56a03e4",
         "vocab.tsv": "5f0730353a95522d32da718efd00bfad39722c29dfd01257f938a29fa01f7712"
     },
     "reviews-shard-rus": {
         "chars.tsv": "46920d63da7d6d2777623c4cd07872d17127ddc6cbd7a25d750457e189f463cf",
         "stopwords.txt": "6a1550db5921f9904ddbbebb9a07a7fa59fe5e59921df8d87ec4a9b59a9a48ef",
         "test-00000.npy": "c549136eb867371e3235bcc6565e5b13cde7d83f1b9ec7e3966c75df2411ca70",
-        "test.manifest.json": "2e20f656796c3bebbd2f250fcb930936a7497afb62bfe676de814710d4316384",
+        "test.manifest.json": "9936491000db3223c08fcf593ef51e28a59e95e4cb371a9b0f816c3bd79d76e6",
         "train-00000.npy": "30c4a423ae6e91933f66ecfbf72ee9f922ca1552aaa7a6676820e964764313fb",
         "train-00001.npy": "fb8e477e520f8ce5a01d395444296aff1c2bf64b627f4257d01125836fbcca82",
-        "train.manifest.json": "a87db72907bca971b949422fc05f98455e7f67f97eb6660cc2d28b37d02485c4",
+        "train.manifest.json": "d60f79696a2e467bc1064129872500b698fb22c2185eab229a536d63d297793d",
         "vocab.tsv": "5f0730353a95522d32da718efd00bfad39722c29dfd01257f938a29fa01f7712"
     }
 }

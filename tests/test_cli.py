@@ -300,10 +300,12 @@ def test_run_config_validation():
     for kwargs, word in (({"seed": -1}, "seed"), ({"classes": 4}, "classes"),
                          ({"fmt": "xml"}, "fmt"), ({"preset": "W2V_GRU"}, "preset"),
                          ({"shard_size": 0}, "shard_size"), ({"split": 1.0}, "split"),
-                         ({"split": float("nan")}, "split")):
+                         ({"split": float("nan")}, "split"), ({"dropout": 1.0}, "dropout"),
+                         ({"dropout": -0.1}, "dropout"), ({"dropout": float("nan")}, "dropout"),
+                         ({"max_bad_rows": -1}, "max_bad_rows")):
         with pytest.raises(ConfigError, match=word):
             RunConfig(**kwargs)
-    RunConfig(seed=0, fmt="jsonl", classes=3)
+    RunConfig(seed=0, fmt="jsonl", classes=3, dropout=0.0, max_bad_rows=0)
     assert PRECISIONS == {"single": np.float32, "double": np.float64}
 
 
@@ -327,13 +329,16 @@ def test_run_config_takes_exactly_its_choices(name, table_name):
     ("train", "env:-1", "seed must be >= 0, got -1"),
     ("predict", "ini:[train]\noptimizer = rmsprop\n",
      "optimizer must be one of ('sgd', 'adam'), got 'rmsprop'"),
-], ids=["train-ini-classes", "shard-flag-seed", "train-env-seed", "predict-ini-optimizer"])
+    ("train", "flag:--dropout 1.5", "dropout must be in [0, 1), got 1.5"),
+    ("shard", "flag:--max-bad-rows -1", "max_bad_rows must be >= 0, got -1"),
+], ids=["train-ini-classes", "shard-flag-seed", "train-env-seed", "predict-ini-optimizer",
+        "train-flag-dropout", "shard-flag-max-bad-rows"])
 def test_a_bad_value_from_any_source_exits_one_before_any_input_is_read(
         command, setting, word, tmp_path, capsys, monkeypatch):
     source, value = setting.split(":", 1)
     out, missing = tmp_path / "out", tmp_path / "missing"  # no input file exists
     argv = [command, *{
-        "shard": ["--corpus", missing / "c.tsv"],
+        "shard": ["--corpus", missing / "c.tsv", "--stopwords", missing / "stop.txt"],
         "train": ["--shard-dir", missing, "--embeddings", missing / "v.txt"],
         "predict": ["--shard-dir", missing, "--embeddings", missing / "v.txt",
                     "--checkpoint", missing / "m.bin", "--input", missing / "in.txt"],
@@ -430,13 +435,13 @@ def test_invalid_env_seed_is_config_error(monkeypatch, tmp_path, capsys):
 
 _CORPUS_OPTIONS = {"--corpus", "--format", "--text-col", "--label-col", "--category-col",
                    "--max-bad-rows"}
-_COMMON_OPTIONS = {"-h", "--help", "--config", "--out-dir", "--seed"}
+_COMMON_OPTIONS = {"-h", "--help", "--config", "--out-dir"}
 CLI_OPTIONS = {
     "preprocess": _COMMON_OPTIONS | _CORPUS_OPTIONS | {"--stopwords", "--classes"},
     "shard": _COMMON_OPTIONS | _CORPUS_OPTIONS | {
-        "--stopwords", "--classes", "--split", "--shard-size", "--rus", "--preset"},
+        "--stopwords", "--classes", "--split", "--shard-size", "--rus", "--preset", "--seed"},
     "train": _COMMON_OPTIONS | {
-        "--embeddings", "--shard-dir", "--preset", "--classes", "--epochs", "--batch-size",
+        "--embeddings", "--shard-dir", "--preset", "--seed", "--epochs", "--batch-size",
         "--lr", "--lr-schedule", "--dropout", "--optimizer", "--precision", "--exp-step-unit",
         "--plateau-factor", "--plateau-patience", "--stop-at-train-accuracy"},
     "eval": _COMMON_OPTIONS | {
@@ -491,10 +496,11 @@ def test_resolved_ini_round_trips_through_config_flag(tmp_path, capsys, empty_st
     out = tmp_path / "out"
     code, _, _ = invoke(
         capsys, "preprocess", "--corpus", REVIEWS_TSV, "--out-dir", out,
-        "--stopwords", empty_stopwords, "--seed", "3",
+        "--stopwords", empty_stopwords, "--max-bad-rows", "3",
     )
     assert code == 0
     first = (out / "resolved.ini").read_bytes()
+    assert b"\nmax_bad_rows = 3\n" in first
     code, _, _ = invoke(capsys, "preprocess", "--config", out / "resolved.ini")
     assert code == 0
     assert (out / "resolved.ini").read_bytes() == first
@@ -600,6 +606,9 @@ def _without(obj, key):
     pytest.param(lambda m: {**m, "shards": [{**m["shards"][0], "count": None}]},
                  id="wrong_shard_type"),
     pytest.param(lambda m: {**m, "version": 1}, id="old_version"),
+    pytest.param(lambda m: _without(m, "num_classes"), id="no_class_count"),
+    pytest.param(lambda m: {**m, "num_classes": 4}, id="unsupported_class_count"),
+    pytest.param(lambda m: {**m, "num_classes": True}, id="bool_class_count"),
 ])
 def test_malformed_manifest_exits_two(edit, trained, tmp_path, capsys):
     _, shards, run = trained
@@ -636,6 +645,23 @@ def test_jsonl_shard_dir_asks_to_reshard(trained, tmp_path, capsys):
         code, _, stderr = invoke(capsys, *argv)
         assert code == 2
         assert "version 1" in stderr and "re-run `sarv shard`" in stderr
+
+
+def test_version_2_manifest_asks_to_reshard(trained, tmp_path, capsys):
+    # The layout before manifests recorded their class count.
+    _, shards, run = trained
+    old = tmp_path / "shards"
+    shutil.copytree(shards, old)
+    _edit_manifests(old, lambda m: {**_without(m, "num_classes"), "version": 2})
+    emb = bundled_embedding_path()
+    for argv in (
+        ["train", "--shard-dir", old, "--out-dir", tmp_path / "run", "--embeddings", emb],
+        ["eval", "--checkpoint", run / "checkpoint_final.bin", "--shard-dir", old,
+         "--embeddings", emb],
+    ):
+        code, _, stderr = invoke(capsys, *argv)
+        assert code == 2
+        assert "version 2, not 3" in stderr and "re-run `sarv shard`" in stderr
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
@@ -762,37 +788,96 @@ def test_each_command_hashes_the_encoder_once(command, trained, tmp_path, capsys
     assert serialized == []  # taken from the bytes read, never from a re-serialised vocabulary
 
 
-def test_train_with_fewer_classes_than_the_shards_exits_two(tmp_path, capsys):
-    corpus = write_corpus_tsv(tmp_path / "c.tsv", separable_rows(30, classes=3, seed=4))
-    shards = tmp_path / "shards"
-    assert invoke(capsys, "shard", "--corpus", corpus, "--out-dir", shards, "--classes", 3)[0] == 0
-    code, _, stderr = invoke(
-        capsys, "train", "--shard-dir", shards, "--out-dir", tmp_path / "run",
-        "--embeddings", bundled_embedding_path(), "--classes", 2,
-    )
-    assert code == 2
-    assert "data error" in stderr and "train.manifest.json" in stderr and "2 classes" in stderr
-    assert not (tmp_path / "run" / "report.jsonl").exists()
+@pytest.fixture(scope="module")
+def trained_three(tmp_path_factory):
+    """Shards of a 3-class corpus and a checkpoint trained on them with no class flag."""
+    base = tmp_path_factory.mktemp("cli_train_three")
+    corpus = write_corpus_tsv(base / "corpus.tsv", separable_rows(30, classes=3, seed=4))
+    shards, run = base / "shards", base / "run"
+    assert main(["shard", "--corpus", str(corpus), "--out-dir", str(shards), "--classes", "3",
+                 "--seed", "1"]) == 0
+    assert main(["train", "--shard-dir", str(shards), "--out-dir", str(run),
+                 "--embeddings", str(bundled_embedding_path()), "--batch-size", "8"]) == 0
+    return base, shards, run
 
 
-def test_train_with_more_classes_than_the_shards_exits_two_before_reading_embeddings(
-        tmp_path, capsys, monkeypatch):
-    corpus = write_corpus_tsv(tmp_path / "c.tsv", separable_rows(30, classes=2, seed=4))
-    shards = tmp_path / "shards"
-    assert invoke(capsys, "shard", "--corpus", corpus, "--out-dir", shards, "--classes", 2)[0] == 0
+def test_train_builds_the_class_count_its_shards_record(trained_three):
+    _, shards, run = trained_three
+    assert ShardManifest.load(shards / "train.manifest.json").num_classes == 3
+    encoder, _ = Encoder.load(shards)
+    model, _, _ = load_model(run / "checkpoint_final.bin", len(encoder.token_vocab))
+    assert model.spec.num_classes == 3
+    assert config_from_ini(run / "resolved.ini")["classes"] == 3  # the count trained
+
+
+def test_train_refuses_a_manifest_label_outside_its_class_count_before_reading_embeddings(
+        trained_three, tmp_path, capsys, monkeypatch):
+    _, shards, _ = trained_three
+    tampered = tmp_path / "shards"
+    shutil.copytree(shards, tampered)
+    _edit_manifests(tampered, lambda m: {**m, "num_classes": 2})  # its labels reach 2
 
     def no_embeddings(*args, **kwargs):
         raise AssertionError("train read the embeddings before refusing the class count")
 
     monkeypatch.setattr(sarv.cli, "load_embeddings", no_embeddings)
     code, _, stderr = invoke(
-        capsys, "train", "--shard-dir", shards, "--out-dir", tmp_path / "run",
-        "--embeddings", bundled_embedding_path(), "--classes", 3,
+        capsys, "train", "--shard-dir", tampered, "--out-dir", tmp_path / "run",
+        "--embeddings", bundled_embedding_path(),
     )
     assert code == 2
     assert "data error" in stderr and "train.manifest.json" in stderr
-    assert "no record of classes [2]" in stderr and "--classes is 3" in stderr
+    assert "labels [2]" in stderr and "num_classes is 2" in stderr
+    assert not (tmp_path / "run").exists()
+
+
+def _two_class_shards(trained_three, out, capsys):
+    """2-class shards of ``trained_three``'s texts, so the encoder is the checkpoint's.
+
+    Each neutral review becomes positive, the label that 2-class shards store
+    as 1 and that a 3-class model reads as neutral.
+    """
+    base, _, _ = trained_three
+    lines = (base / "corpus.tsv").read_text("utf-8").splitlines()
+    relabelled = [lines[0]] + [
+        "\t".join([text, "positive" if label == "neutral" else label, cat])
+        for text, label, cat in (ln.split("\t") for ln in lines[1:])
+    ]
+    corpus = out.parent / "two.tsv"
+    corpus.write_text("\n".join(relabelled) + "\n", encoding="utf-8")
+    assert invoke(capsys, "shard", "--corpus", corpus, "--out-dir", out, "--classes", 2,
+                  "--seed", 1)[0] == 0
+    return out
+
+
+def test_train_refuses_a_test_manifest_of_another_class_count(trained_three, tmp_path, capsys):
+    _, shards, _ = trained_three
+    mixed = tmp_path / "shards"
+    shutil.copytree(shards, mixed)
+    two = _two_class_shards(trained_three, tmp_path / "two", capsys)
+    for path in [two / "test.manifest.json", *two.glob("test-*.npy")]:
+        shutil.copy(path, mixed / path.name)
+    code, _, stderr = invoke(
+        capsys, "train", "--shard-dir", mixed, "--out-dir", tmp_path / "run",
+        "--embeddings", bundled_embedding_path(),
+    )
+    assert code == 2
+    assert "test.manifest.json" in stderr and "2 classes" in stderr and "3 classes" in stderr
     assert not (tmp_path / "run" / "report.jsonl").exists()
+
+
+def test_eval_of_a_three_class_checkpoint_on_two_class_shards_exits_two(trained_three,
+                                                                        tmp_path, capsys):
+    _, _, run = trained_three
+    shards = _two_class_shards(trained_three, tmp_path / "shards", capsys)
+    code, stdout, stderr = invoke(
+        capsys, "eval", "--checkpoint", run / "checkpoint_final.bin", "--shard-dir", shards,
+        "--embeddings", bundled_embedding_path(), "--out-dir", tmp_path / "metrics",
+    )
+    assert code == 2, stdout
+    assert "data error" in stderr and "test.manifest.json" in stderr
+    assert "2 classes" in stderr and "3 classes" in stderr
+    assert not (tmp_path / "metrics").exists()
 
 
 def test_eval_of_a_two_class_checkpoint_on_three_class_shards_exits_two(trained, tmp_path,

@@ -48,7 +48,7 @@ def _checkpoint(tmp_path):
 
 def _shard(tmp_path):
     """(path, its bytes, their recorded sha256, a writer of both, the read) of one shard."""
-    manifest = write_shards(tiny_batch(seed=10, n=2), shard_size=2, out_dir=tmp_path)
+    manifest = write_shards(tiny_batch(seed=10, n=2), shard_size=2, out_dir=tmp_path, num_classes=2)
     info = manifest.shards[0]
     path = manifest.base_dir / info.path
 
@@ -123,7 +123,7 @@ def test_a_write_that_fails_part_way_leaves_no_partial_shard(tmp_path, monkeypat
     monkeypatch.setattr(sarv.textproc, "TOKENIZE_CHUNK", 2)
     monkeypatch.setattr(np, "take", failing_take)
     with pytest.raises(OSError, match="No space left"):
-        write_shards(records, shard_size=4, out_dir=tmp_path)
+        write_shards(records, shard_size=4, out_dir=tmp_path, num_classes=2)
     monkeypatch.undo()
     assert sorted(os.listdir(tmp_path)) == ["data-00000.npy"]  # the first shard is whole
     assert np.load(tmp_path / "data-00000.npy").tobytes() == records[:4].tobytes()

@@ -12,6 +12,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import shutil
 import tempfile
 import threading
@@ -105,7 +106,7 @@ def test_split_validation():
 
 def test_write_shards_layout_and_reload(tmp_path):
     records = tiny_batch(seed=0, n=23)
-    manifest = write_shards(records, shard_size=5, out_dir=tmp_path, name="train")
+    manifest = write_shards(records, shard_size=5, out_dir=tmp_path, name="train", num_classes=2)
     assert [s.count for s in manifest.shards] == [5, 5, 5, 5, 3]
     assert [s.path for s in manifest.shards] == [
         f"train-{i:05d}.npy" for i in range(5)
@@ -113,6 +114,7 @@ def test_write_shards_layout_and_reload(tmp_path):
     assert manifest.total == 23
     assert manifest.class_histogram == dict(Counter(records["y"].tolist()))
     assert (tmp_path / "train.manifest.json").exists()
+    assert ShardManifest.load(tmp_path / "train.manifest.json").num_classes == 2
 
     back = reload(ShardManifest.load(tmp_path / "train.manifest.json"))
     assert np.array_equal(back, records)  # order preserved, values identical
@@ -126,7 +128,7 @@ def test_write_shards_holds_one_chunk_beyond_its_input(tmp_path):
     chunk_bytes = TOKENIZE_CHUNK * records.itemsize
     tracemalloc.start()
     try:
-        manifest = write_shards(records, 7_000, tmp_path, rows=rows)
+        manifest = write_shards(records, 7_000, tmp_path, rows=rows, num_classes=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -137,15 +139,15 @@ def test_write_shards_holds_one_chunk_beyond_its_input(tmp_path):
 def test_write_shards_picks_the_rows_indexing_picks(tmp_path):
     records = tiny_batch(seed=5, n=6)
     rows = np.array([5, -1, 0, -6, 2])  # negative rows count from the end, as in records[rows]
-    manifest = write_shards(records, 2, tmp_path / "ok", rows=rows)
+    manifest = write_shards(records, 2, tmp_path / "ok", rows=rows, num_classes=2)
     assert reload(manifest).tobytes() == records[rows].tobytes()
     for bad in ([0, 6], [-7, 1]):
         with pytest.raises(IndexError):
-            write_shards(records, 2, tmp_path / "bad", rows=np.array(bad))
+            write_shards(records, 2, tmp_path / "bad", rows=np.array(bad), num_classes=2)
 
 
 def test_shard_hash_mismatch_is_fatal(tmp_path):
-    write_shards(tiny_batch(seed=2, n=6), shard_size=3, out_dir=tmp_path)
+    write_shards(tiny_batch(seed=2, n=6), shard_size=3, out_dir=tmp_path, num_classes=2)
     victim = tmp_path / "data-00001.npy"
     blob = bytearray(victim.read_bytes())
     blob[-1] ^= 0x01  # one bit of the last record's last char id
@@ -159,7 +161,7 @@ def test_shard_hash_mismatch_is_fatal(tmp_path):
 def test_manifest_relocates_with_its_directory(tmp_path):
     records = tiny_batch(seed=4, n=6)
     src, dst = tmp_path / "a", tmp_path / "b"
-    write_shards(records, shard_size=4, out_dir=src)
+    write_shards(records, shard_size=4, out_dir=src, num_classes=2)
     shutil.move(str(src), str(dst))
     manifest = ShardManifest.load(dst / "data.manifest.json")
     assert np.array_equal(reload(manifest), records)
@@ -168,9 +170,8 @@ def test_manifest_relocates_with_its_directory(tmp_path):
 def test_manifest_validation_rejects_bad_counts():
     good = ShardInfo("x-00000.npy", 5, "0" * 64)
     with pytest.raises(DataError):
-        ShardManifest(
-            shards=[good], total=6, shard_size=5, class_histogram={}, max_word_chars=5
-        ).validate()
+        ShardManifest(shards=[good], total=6, shard_size=5, class_histogram={},
+                      max_word_chars=5, num_classes=2).validate()
     with pytest.raises(DataError):
         ShardManifest(
             shards=[ShardInfo("x-00000.npy", 3, "0" * 64), ShardInfo("x-00001.npy", 2, "0" * 64)],
@@ -178,7 +179,24 @@ def test_manifest_validation_rejects_bad_counts():
             shard_size=5,  # non-final shard must be full
             class_histogram={},
             max_word_chars=5,
+            num_classes=2,
         ).validate()
+
+
+def test_manifest_refuses_labels_outside_its_class_count(tmp_path):
+    for num_classes, histogram, word in ((4, {0: 1}, "num_classes is 4"),
+                                         (2, {0: 1, 2: 1}, "labels [2]")):
+        with pytest.raises(DataError, match=re.escape(word)):
+            ShardManifest(shards=[], total=0, shard_size=5, class_histogram=histogram,
+                          max_word_chars=5, num_classes=num_classes).validate()
+    three = tiny_batch(seed=3, n=9, classes=3)
+    assert 2 in three["y"]
+    with pytest.raises(DataError, match=re.escape("labels [2]")):
+        write_shards(three, shard_size=4, out_dir=tmp_path, num_classes=2)
+    assert not (tmp_path / "data.manifest.json").exists()
+    # A split that holds no record of a class keeps the count it was written for.
+    manifest = write_shards(three[three["y"] < 2], shard_size=4, out_dir=tmp_path, num_classes=3)
+    assert ShardManifest.load(manifest.base_dir / "data.manifest.json").num_classes == 3
 
 
 def test_manifest_load_missing_is_data_error(tmp_path):
@@ -188,21 +206,22 @@ def test_manifest_load_missing_is_data_error(tmp_path):
 
 def test_shard_reader_holds_one_shard_at_a_time(tmp_path):
     records = tiny_batch(seed=5, n=40)
-    manifest = write_shards(records, shard_size=4, out_dir=tmp_path)
+    manifest = write_shards(records, shard_size=4, out_dir=tmp_path, num_classes=2)
     assert len(manifest.shards) == 10
     reader = ShardReader(manifest)
     seen = list(reader)
     assert [len(s) for s in seen] == [4] * 10  # one record array per shard
     assert np.array_equal(np.concatenate(seen), records)
     # Shards of 2,000 records, so that each outweighs the reader's own buffers.
-    big = write_shards(np.resize(records, 20_000), shard_size=2_000, out_dir=tmp_path / "big")
+    big = write_shards(np.resize(records, 20_000), shard_size=2_000, out_dir=tmp_path / "big",
+                       num_classes=2)
     assert len(big.shards) == 10
     shard_bytes = 2_000 * records.dtype.itemsize
     assert pass_peak_bytes(ShardReader(big)) <= shard_bytes + SHARD_READ_SLACK
 
 
 def test_abandoned_shard_stream_closes_at_once(tmp_path):
-    manifest = write_shards(tiny_batch(seed=6, n=12), shard_size=4, out_dir=tmp_path)
+    manifest = write_shards(tiny_batch(seed=6, n=12), shard_size=4, out_dir=tmp_path, num_classes=2)
     assert len(manifest.shards) == 3
     threads_before = threading.active_count()
     t0 = time.perf_counter()
@@ -215,7 +234,7 @@ def test_abandoned_shard_stream_closes_at_once(tmp_path):
 
 def test_batches_chunking(tmp_path):
     stacked = tiny_batch(seed=7, n=23)
-    manifest = write_shards(stacked, shard_size=5, out_dir=tmp_path)
+    manifest = write_shards(stacked, shard_size=5, out_dir=tmp_path, num_classes=2)
     for size in (3, 12):  # batches straddle one shard boundary, or several
         got = list(batches(ShardReader(manifest), size))
         want = [stacked[i:i + size] for i in range(0, len(stacked), size)]
@@ -232,14 +251,14 @@ def test_shard_with_wrong_layout_is_fatal(tmp_path):
     stacked = tiny_batch(seed=8, n=6)
     wider = np.zeros(3, record_dtype(TINY_MAX_LEN, TINY_MAX_WORD_CHARS + 1))
     for index, array in ((0, wider), (1, stacked[3:5])):
-        manifest = write_shards(stacked, shard_size=3, out_dir=tmp_path / str(index))
+        manifest = write_shards(stacked, shard_size=3, out_dir=tmp_path / str(index), num_classes=2)
         replace_shard(manifest, index, array)
         with pytest.raises(DataError, match="does not hold the 3 records"):
             list(ShardReader(manifest))
 
 
 def test_pickled_shard_is_refused_not_loaded(tmp_path):
-    manifest = write_shards(tiny_batch(seed=9, n=4), shard_size=2, out_dir=tmp_path)
+    manifest = write_shards(tiny_batch(seed=9, n=4), shard_size=2, out_dir=tmp_path, num_classes=2)
     replace_shard(manifest, 1, np.array([Tripwire(), Tripwire()], dtype=object),
                   allow_pickle=True)
     with pytest.raises(DataError, match="^malformed shard .*: it holds Python objects"):
@@ -250,7 +269,7 @@ def test_pickled_shard_is_refused_not_loaded(tmp_path):
 def test_reading_a_shard_holds_its_array_once(tmp_path):
     records = np.zeros(20_000, record_dtype(MAX_LEN, 20))
     records["y"] = np.arange(len(records)) % 3
-    manifest = write_shards(records, len(records), tmp_path)
+    manifest = write_shards(records, len(records), tmp_path, num_classes=3)
     tracemalloc.start()
     try:
         (got,) = ShardReader(manifest)
@@ -280,7 +299,7 @@ def test_shard_round_trip_fuzz(sentences, shard_size):
     encoded = [encode_sentence(unify_length(words), token_vocab, char_vocab, label)
                for words, label in sentences]
     with tempfile.TemporaryDirectory() as out:
-        manifest = write_shards(stack_sentences(encoded, 5), shard_size, out)
+        manifest = write_shards(stack_sentences(encoded, 5), shard_size, out, num_classes=3)
         back = reload(ShardManifest.load(Path(out) / "data.manifest.json"))
     assert len(back) == len(encoded)
     for row, enc in zip(back, encoded):
@@ -536,7 +555,8 @@ def test_undersample_missing_class_is_fatal():
 
 def loop_fixtures(tmp_path, n=12, seed=0):
     records = tiny_batch(seed=seed, n=n)
-    manifest = write_shards(records, shard_size=5, out_dir=tmp_path / "shards", name="train")
+    manifest = write_shards(records, shard_size=5, out_dir=tmp_path / "shards", name="train",
+                            num_classes=2)
     return manifest, tiny_emb(seed=seed + 100, dtype=np.float64)
 
 
@@ -623,8 +643,8 @@ def test_train_loop_numerics_error_names_epoch_and_batch(tmp_path):
 def test_train_loop_separate_eval_manifest(tmp_path):
     train_records = tiny_batch(seed=20, n=10)
     eval_records = tiny_batch(seed=21, n=6)
-    train_m = write_shards(train_records, 5, tmp_path / "tr", name="train")
-    eval_m = write_shards(eval_records, 5, tmp_path / "ev", name="test")
+    train_m = write_shards(train_records, 5, tmp_path / "tr", name="train", num_classes=2)
+    eval_m = write_shards(eval_records, 5, tmp_path / "ev", name="test", num_classes=2)
     emb = tiny_emb(seed=22, dtype=np.float64)
     cfg = RunConfig(epochs=2, batch_size=4, precision="double")
     report, model = train_loop(
@@ -647,8 +667,8 @@ def test_train_loop_shard_passes_per_epoch(tmp_path, monkeypatch, with_eval, pas
 
     monkeypatch.setattr(ShardReader, "__iter__", counting_pass)
     train_m, emb = loop_fixtures(tmp_path, n=10)
-    eval_m = (write_shards(tiny_batch(seed=30, n=6), 5, tmp_path / "ev", name="test")
-              if with_eval else None)
+    eval_m = (write_shards(tiny_batch(seed=30, n=6), 5, tmp_path / "ev", name="test",
+                           num_classes=2) if with_eval else None)
     cfg = RunConfig(epochs=2, batch_size=4, precision="double")
     train_loop(tiny_spec("W2V_SOFTMAX"), cfg, train_m, emb, tmp_path / "run", eval_manifest=eval_m)
     assert len(passes) == 2 * passes_per_epoch
