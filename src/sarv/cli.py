@@ -21,9 +21,11 @@ from itertools import groupby, islice
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from sarv import textproc
-from sarv.corpus import (CorpusReader, Encoder, LabelScheme, check_hashes, encode_corpus,
-                         text_lines, to_json_lines)
+from sarv.corpus import (LABEL_SCHEMES, CorpusReader, Encoder, LabelScheme, check_hashes,
+                         encode_corpus, text_lines, to_json_lines)
 from sarv.embed import embedding_matrix, embeddings_sha256, load_embeddings
 from sarv.errors import ConfigError, DataError, NumericsError, SarvError
 from sarv.models import (EMBEDDINGS_HASH_KEY, OPTIMIZERS, PRECISIONS, PRESETS, SCHEDULES,
@@ -64,7 +66,7 @@ class RunConfig:
     seed: int = _opt("run", "--seed", 0, help=f"rng seed (falls back to ${SEED_ENV_VAR})")
     preset: str = _opt("run", "--preset", "W2V_SOFTMAX", choices=tuple(PRESETS),
                         help="model preset")
-    classes: int = _opt("run", "--classes", 2, choices=(2, 3))
+    classes: int = _opt("run", "--classes", 2, choices=tuple(LABEL_SCHEMES))
     precision: str = _opt("run", "--precision", "single", choices=tuple(PRECISIONS))
 
     corpus: str = _opt("paths", "--corpus", "", help="corpus file (csv/tsv/jsonl)")
@@ -244,7 +246,7 @@ def _corpus_args(cfg: RunConfig) -> dict:
 
 
 def _encode_corpus(cfg: RunConfig):
-    """Corpus file -> (``corpus.EncodedCorpus``, encoder, histogram, skipped).
+    """Corpus file -> (``corpus.EncodedCorpus``, encoder, skipped rows).
 
     The corpus is read, tokenized and numbered ``TOKENIZE_CHUNK`` reviews at
     a time (``corpus.encode_corpus``); records are gathered from the
@@ -258,8 +260,8 @@ def _encode_corpus(cfg: RunConfig):
     else:
         norm = NormConfig.default()
     reader = CorpusReader(**_corpus_args(cfg))
-    encoded, encoder, hist = encode_corpus(reader, norm, LabelScheme.for_num_classes(cfg.classes))
-    return encoded, encoder, hist, reader.skipped
+    encoded, encoder = encode_corpus(reader, norm, LabelScheme.for_num_classes(cfg.classes))
+    return encoded, encoder, reader.skipped
 
 
 def _report_skipped(skipped) -> None:
@@ -267,26 +269,29 @@ def _report_skipped(skipped) -> None:
         print(f"warning: skipped line {row.line_no}: {row.reason}", file=sys.stderr)
 
 
-def _histogram_text(hist) -> str:
-    lines = [f"{n}\t{c}" for n, c in hist.counts.items()]
-    lines.append(f"#total\t{hist.total}")
+def _histogram_text(counts) -> str:
+    """``histogram.txt``: each token count some review has and how many have it, then the total."""
+    lines = [f"{n}\t{c}" for n, c in enumerate(counts.tolist()) if c]
+    lines.append(f"#total\t{counts.sum()}")
     return "\n".join(lines) + "\n"
 
 
 def cmd_preprocess(cfg: RunConfig) -> int:
     _require(cfg, "corpus", "out_dir")
-    encoded, encoder, hist, skipped = _encode_corpus(cfg)
+    encoded, encoder, skipped = _encode_corpus(cfg)
     _report_skipped(skipped)
     encoder.save(cfg.out_dir)
-    with open(Path(cfg.out_dir) / "encoded.jsonl", "w", encoding="utf-8") as fh:
+    with replaced_on_success(Path(cfg.out_dir) / "encoded.jsonl") as out:
         for start in range(0, len(encoded), textproc.TOKENIZE_CHUNK):
             rows = range(start, min(start + textproc.TOKENIZE_CHUNK, len(encoded)))
-            fh.write(to_json_lines(encoded.take(rows)))
-    _write_outputs(cfg, {"histogram.txt": _histogram_text(hist)})
+            out.write(to_json_lines(encoded.take(rows)).encode("utf-8"))
+    counts = np.bincount(encoded.lengths)  # reviews by token count before truncation
+    _write_outputs(cfg, {"histogram.txt": _histogram_text(counts)})
     if not len(encoded):
         print("warning: empty corpus, wrote 0 records", file=sys.stderr)
     print(f"records {len(encoded)}")
-    print(f"fraction with <= {MAX_LEN} tokens: {hist.cumulative_fraction(MAX_LEN):.4f}")
+    fraction = counts[:MAX_LEN + 1].sum() / max(len(encoded), 1)
+    print(f"fraction with <= {MAX_LEN} tokens: {fraction:.4f}")
     return 0
 
 
@@ -294,7 +299,7 @@ def cmd_shard(cfg: RunConfig) -> int:
     from sarv.train import split_indices, undersample_indices, write_shards
 
     _require(cfg, "corpus", "out_dir")
-    encoded, encoder, _, skipped = _encode_corpus(cfg)
+    encoded, encoder, skipped = _encode_corpus(cfg)
     _report_skipped(skipped)
     # Both splits are positions into the one encoding; each shard's records
     # are gathered from it as they are written.
@@ -320,11 +325,17 @@ def cmd_shard(cfg: RunConfig) -> int:
 
 def _checked_manifest(path: Path, hashes: dict[str, str],
                       num_classes: int | None = None) -> ShardManifest:
-    """The manifest at ``path``, by the encoder of ``hashes``, for ``num_classes`` if given."""
+    """The manifest at ``path``, by the encoder of ``hashes``, for ``num_classes`` if given.
+
+    A manifest of no records is a DataError, before any command reads its
+    embeddings or builds a model.
+    """
     from sarv.train import ShardManifest
 
     manifest = ShardManifest.load(path)
     check_hashes(hashes, manifest.encoder_hashes, f"manifest {path}")
+    if not manifest.total:
+        raise DataError(f"manifest {path} holds no records")
     if num_classes is not None and manifest.num_classes != num_classes:
         raise DataError(f"manifest {path} was written for {manifest.num_classes} classes, "
                         f"but the model has {num_classes} classes")

@@ -27,7 +27,6 @@ import csv
 import hashlib
 import io
 import json
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from itertools import chain, islice
@@ -41,11 +40,10 @@ from sarv.embed import (CharVocab, TokenVocab, build_char_vocab, build_token_voc
                         serialize_char_vocab, serialize_token_vocab)
 from sarv.errors import ConfigError, DataError
 from sarv.nn import open_binary
-from sarv.textproc import (MAX_LEN, FixedSentence, LengthHistogram, NormConfig, TokenTable,
-                           load_stopwords)
+from sarv.textproc import MAX_LEN, FixedSentence, NormConfig, TokenTable, load_stopwords
 
-BINARY_CLASSES = ("negative", "positive")
-TERNARY_CLASSES = ("negative", "neutral", "positive")
+# Class count -> the ordered class names of its label scheme.
+LABEL_SCHEMES = {2: ("negative", "positive"), 3: ("negative", "neutral", "positive")}
 
 
 @dataclass(frozen=True)
@@ -56,11 +54,9 @@ class LabelScheme:
 
     @classmethod
     def for_num_classes(cls, num_classes: int) -> "LabelScheme":
-        if num_classes == 2:
-            return cls(BINARY_CLASSES)
-        if num_classes == 3:
-            return cls(TERNARY_CLASSES)
-        raise ConfigError(f"num_classes must be 2 or 3, got {num_classes}")
+        if num_classes not in LABEL_SCHEMES:
+            raise ConfigError(f"num_classes must be 2 or 3, got {num_classes}")
+        return cls(LABEL_SCHEMES[num_classes])
 
     @property
     def num_classes(self) -> int:
@@ -440,16 +436,16 @@ class Encoder:
         Row ``i`` holds the fields of ``encode_sentence(unify_length(
         tokenize(normalize(texts[i], self.norm)), max_len), ...)``; ``labels``
         is one label per text or one for all.  The texts are numbered in one
-        :class:`TokenTable`, so each distinct token is looked up once, and each
-        slot's token id and char row are gathered from that table.
+        :class:`TokenTable`, so each distinct token is looked up once, into an
+        :class:`EncodedCorpus` whose ``take`` gathers every record.
         """
         if max_len < 1:
             raise ValueError(f"max_len must be >= 1, got {max_len}")
         table = TokenTable(self.norm)
         slots, lengths = _slot_numbers(table.number_many(texts), max_len)
-        out = np.zeros(len(texts), record_dtype(max_len, self.char_vocab.max_word_chars))
-        _fill(out, slots, lengths, labels, *self._tables(table.tokens, max_len))
-        return out
+        labels = np.broadcast_to(np.asarray(labels, np.int32), lengths.shape)
+        encoded = EncodedCorpus(slots, lengths, labels, *self._tables(table.tokens, max_len))
+        return encoded.take(np.arange(len(encoded)))
 
     def _tables(self, tokens: Sequence[str], max_len: int) -> tuple[np.ndarray, np.ndarray]:
         """Each token's id and char row, in the dtypes of ``max_len``-slot records.
@@ -512,20 +508,6 @@ def _slot_numbers(numbered: Sequence[Sequence[int]], max_len: int) -> tuple[np.n
     return slots, lengths
 
 
-def _fill(out: np.ndarray, slots: np.ndarray, lengths: np.ndarray, labels,
-          token_ids: np.ndarray, char_rows: np.ndarray) -> None:
-    """Write records into ``out``: each slot's token id and char row come from its table row."""
-    out["y"] = labels
-    out["len"] = np.minimum(lengths, slots.shape[-1])
-    token_ids.take(slots, out=out["t"])
-    # A field of a record array is not contiguous, so a gather into it goes
-    # through a contiguous temporary: one slot's char rows at a time keeps that
-    # to 1/max_len of the records' char ids.
-    chars = out["c"]
-    for j in range(slots.shape[-1]):
-        char_rows.take(slots[..., j], axis=0, out=chars[..., j, :])
-
-
 @dataclass(frozen=True, eq=False)
 class EncodedCorpus:
     """A corpus's records, kept as each review's slot numbers and two per-token tables.
@@ -566,15 +548,22 @@ class EncodedCorpus:
         indices = np.asarray(indices)
         if out is None:
             out = np.empty(indices.shape, self.dtype)
-        _fill(out, self.slots.take(indices, axis=0, mode=mode),
-              self.lengths.take(indices, mode=mode), self.labels.take(indices, mode=mode),
-              self.token_ids, self.char_rows)
+        slots = self.slots.take(indices, axis=0, mode=mode)
+        out["y"] = self.labels.take(indices, mode=mode)
+        out["len"] = np.minimum(self.lengths.take(indices, mode=mode), slots.shape[-1])
+        self.token_ids.take(slots, out=out["t"])
+        # A field of a record array is not contiguous, so a gather into it goes
+        # through a contiguous temporary: one slot's char rows at a time keeps that
+        # to 1/max_len of the records' char ids.
+        chars = out["c"]
+        for j in range(slots.shape[-1]):
+            self.char_rows.take(slots[..., j], axis=0, out=chars[..., j, :])
         return out
 
 
 def encode_corpus(records: Iterable[RawRecord], norm: NormConfig, scheme: LabelScheme,
-                  max_len: int = MAX_LEN) -> tuple[EncodedCorpus, Encoder, LengthHistogram]:
-    """Raw records -> (their encoding, the encoder built from them, length histogram).
+                  max_len: int = MAX_LEN) -> tuple[EncodedCorpus, Encoder]:
+    """Raw records -> (their encoding, the encoder built from them).
 
     The records are taken, tokenized and dropped ``TOKENIZE_CHUNK`` at a
     time.  Of each review only its label, its true length and the numbers
@@ -584,22 +573,20 @@ def encode_corpus(records: Iterable[RawRecord], norm: NormConfig, scheme: LabelS
     ``encoding.take(rows)`` gathers those of ``rows``, and
     ``encoding.take(np.arange(len(encoding)))`` equals ``encode_texts`` of
     every text by an encoder whose vocabularies are built from the texts'
-    tokens.
+    tokens.  ``np.bincount(encoding.lengths)`` is the corpus's histogram of
+    token counts before truncation.
     """
     table = TokenTable(norm)
     # (slot numbers, true lengths, labels) per chunk, after an empty one for an empty corpus
     chunks = [(*_slot_numbers([], max_len), np.zeros(0, dtype=np.int32))]
-    histogram: Counter[int] = Counter()
     records = iter(records)
     while chunk := list(islice(records, textproc.TOKENIZE_CHUNK)):
         numbered = table.number_many([rec.text for rec in chunk])
         labels = np.array([scheme.label_index(rec.label) for rec in chunk], dtype=np.int32)
-        slots, lengths = _slot_numbers(numbered, max_len)
-        histogram.update(lengths.tolist())
-        chunks.append((slots, lengths, labels))
+        chunks.append((*_slot_numbers(numbered, max_len), labels))
     slots, lengths, labels = map(np.concatenate, zip(*chunks))
     del chunks
     vocab_tokens = [table.tokens[1:]]
     encoder = Encoder(norm, build_token_vocab(vocab_tokens), build_char_vocab(vocab_tokens))
     encoded = EncodedCorpus(slots, lengths, labels, *encoder._tables(table.tokens, max_len))
-    return encoded, encoder, LengthHistogram(dict(histogram))
+    return encoded, encoder

@@ -31,7 +31,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from sarv.corpus import batches, char_widths
+from sarv.corpus import LABEL_SCHEMES, batches, char_widths
 from sarv.errors import ConfigError, DataError, NumericsError
 from sarv.nn import (
     ACTIVATIONS,
@@ -128,7 +128,7 @@ class ModelSpec:
     def __post_init__(self) -> None:
         if self.preset not in PRESETS:
             raise ConfigError(f"unknown preset {self.preset!r}; choose from {tuple(PRESETS)}")
-        if self.num_classes not in (2, 3):
+        if self.num_classes not in LABEL_SCHEMES:
             raise ConfigError(f"num_classes must be 2 or 3, got {self.num_classes}")
         sizes = (
             self.word_lstm_size, self.char_lstm_size, self.char_embed_width,

@@ -21,7 +21,6 @@ import hashlib
 import re
 import threading
 import unicodedata
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from importlib import resources
@@ -275,33 +274,6 @@ def unify_length(seq: TokenSeq | Sequence[str], max_len: int = MAX_LEN) -> Fixed
         return FixedSentence(tokens=tokens[:max_len], true_length=max_len)
     padded = tokens + (PAD,) * (max_len - len(tokens))
     return FixedSentence(tokens=padded, true_length=len(tokens))
-
-
-class LengthHistogram:
-    """Distribution of pre-truncation sentence lengths."""
-
-    def __init__(self, counts: dict[int, int]):
-        self.counts = dict(sorted(counts.items()))
-        self.total = sum(self.counts.values())
-
-    def cumulative_fraction(self, length: int) -> float:
-        """Fraction of records with at most ``length`` tokens."""
-        if self.total == 0:
-            return 0.0
-        covered = sum(c for n, c in self.counts.items() if n <= length)
-        return covered / self.total
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LengthHistogram) and self.counts == other.counts
-
-    def __repr__(self) -> str:
-        return f"LengthHistogram({self.counts!r})"
-
-
-def length_histogram(corpus: Iterable[TokenSeq | Sequence[str]]) -> LengthHistogram:
-    """Count records by token count before any truncation."""
-    counts: Counter[int] = Counter(map(len, corpus))
-    return LengthHistogram(dict(counts))
 
 
 def load_stopwords(path) -> frozenset[str]:

@@ -28,7 +28,8 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 import numpy as np
 
 from sarv import textproc
-from sarv.corpus import ENCODER_HASH_KEYS, EncodedCorpus, LabelScheme, batches, record_dtype
+from sarv.corpus import (ENCODER_HASH_KEYS, LABEL_SCHEMES, EncodedCorpus, LabelScheme, batches,
+                         record_dtype)
 from sarv.errors import ConfigError, DataError, NumericsError
 from sarv.metrics import ConfusionMatrix, confusion, metrics
 from sarv.models import (EMBEDDINGS_HASH_KEY, PRECISIONS, Model, ModelSpec, build_model,
@@ -98,7 +99,7 @@ class ShardManifest:
         for s in self.shards[:-1]:
             if s.count != self.shard_size:
                 raise DataError(f"non-final shard {s.path} holds {s.count} != {self.shard_size}")
-        if self.num_classes not in (2, 3):
+        if self.num_classes not in LABEL_SCHEMES:
             raise DataError(f"num_classes is {self.num_classes}, not 2 or 3")
         outside = sorted(k for k in self.class_histogram if not 0 <= k < self.num_classes)
         if outside:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import configparser
+import csv
 import hashlib
 import json
 import os
@@ -19,6 +20,7 @@ import pytest
 
 import sarv.cli
 import sarv.models
+import sarv.textproc
 from sarv.cli import (
     RunConfig,
     build_parser,
@@ -29,7 +31,7 @@ from sarv.cli import (
 )
 from sarv.corpus import Encoder, RawRecord, encode_sentence
 from sarv.embed import parse_char_vocab, parse_token_vocab
-from sarv.errors import ConfigError
+from sarv.errors import ConfigError, DataError
 from sarv.models import PRECISIONS, PRESETS, Model, load_model, save_model
 from sarv.nn import Parameter, load_checkpoint, save_checkpoint
 from sarv.textproc import MAX_LEN, NormConfig, normalize, tokenize, unify_length
@@ -122,6 +124,69 @@ def test_preprocess_headerless_integer_columns(tmp_path, capsys):
     )
     assert code == 0
     assert "records 2" in stdout
+
+
+# Words, stopwords, punctuation, digits and Latin letters: not every word is a token.
+NOISY_WORDS = ("کتاب", "خوب", "بد", "گوشی", "از", "و", "این", "!", "،", "۱۲", "abc", "كيفيت")
+
+
+def _histogram_corpus(case: str, tmp_path) -> Path:
+    if case == "fixture":  # reviews of 7 to 52 tokens
+        return REVIEWS_TSV
+    rng = np.random.default_rng(5)
+    texts = {
+        "empty": [],
+        "every_length": [" ".join(["کتاب"] * n) for n in range(31)],
+        "noisy": [" ".join(rng.choice(NOISY_WORDS, size=rng.integers(0, 40))) for _ in range(60)],
+    }[case]
+    return write_corpus_tsv(tmp_path / f"{case}.tsv", [RawRecord(t, "positive") for t in texts])
+
+
+@pytest.mark.parametrize("case", ["empty", "fixture", "every_length", "noisy"])
+def test_preprocess_histogram_is_a_brute_force_count(case, tmp_path, capsys):
+    corpus = _histogram_corpus(case, tmp_path)
+    out = tmp_path / "out"
+    code, stdout, _ = invoke(capsys, "preprocess", "--corpus", corpus, "--out-dir", out)
+    assert code == 0
+    norm = NormConfig.default()  # the stopwords `preprocess` drops by default
+    rows = csv.DictReader(corpus.read_text("utf-8").splitlines(), delimiter="\t")
+    lengths = [len(tokenize(normalize(row["text"], norm))) for row in rows]
+    assert any(n > MAX_LEN for n in lengths) == (case != "empty")
+    counts = Counter(lengths)
+    want = "".join(f"{n}\t{c}\n" for n, c in sorted(counts.items())) + f"#total\t{len(lengths)}\n"
+    assert (out / "histogram.txt").read_text("utf-8") == want
+    fraction = sum(n <= MAX_LEN for n in lengths) / len(lengths) if lengths else 0.0
+    assert f"fraction with <= {MAX_LEN} tokens: {fraction:.4f}\n" in stdout
+    assert (case == "empty") == (fraction == 0.0)
+
+
+def test_a_preprocess_that_fails_part_way_leaves_no_partial_encoded_jsonl(tmp_path, capsys,
+                                                                          monkeypatch):
+    corpus = write_corpus_tsv(tmp_path / "c.tsv", separable_rows(10, classes=2, seed=3))
+    out = tmp_path / "out"
+    to_json_lines, calls = sarv.cli.to_json_lines, []
+
+    def failing_second_chunk(records):
+        calls.append(len(records))
+        if len(calls) == 2:
+            raise DataError("disk full")
+        return to_json_lines(records)
+
+    monkeypatch.setattr(sarv.textproc, "TOKENIZE_CHUNK", 4)
+    monkeypatch.setattr(sarv.cli, "to_json_lines", failing_second_chunk)
+    code, _, stderr = invoke(capsys, "preprocess", "--corpus", corpus, "--out-dir", out)
+    assert (code, calls) == (2, [4, 4]) and "disk full" in stderr
+    assert not [p.name for p in out.iterdir() if p.name.startswith("encoded")]
+    # A failed run leaves an earlier whole output as it was.
+    monkeypatch.setattr(sarv.cli, "to_json_lines", to_json_lines)
+    assert invoke(capsys, "preprocess", "--corpus", corpus, "--out-dir", out)[0] == 0
+    whole = (out / "encoded.jsonl").read_bytes()
+    assert len(whole.splitlines()) == 10
+    calls.clear()
+    monkeypatch.setattr(sarv.cli, "to_json_lines", failing_second_chunk)
+    assert invoke(capsys, "preprocess", "--corpus", corpus, "--out-dir", out)[0] == 2
+    assert (out / "encoded.jsonl").read_bytes() == whole
+    assert [p.name for p in out.iterdir() if p.name.startswith("encoded")] == ["encoded.jsonl"]
 
 
 # ---------------------------------------------------------------------------
@@ -829,6 +894,35 @@ def test_train_refuses_a_manifest_label_outside_its_class_count_before_reading_e
     assert "data error" in stderr and "train.manifest.json" in stderr
     assert "labels [2]" in stderr and "num_classes is 2" in stderr
     assert not (tmp_path / "run").exists()
+
+
+def test_train_refuses_a_manifest_of_no_records_before_reading_embeddings(tmp_path, capsys):
+    corpus = write_corpus_tsv(tmp_path / "one.tsv", separable_rows(1, classes=2, seed=3))
+    shards = tmp_path / "shards"
+    code, stdout, _ = invoke(capsys, "shard", "--corpus", corpus, "--out-dir", shards,
+                             "--split", 0.5)
+    assert code == 0 and "train: 0 records in 0 shard(s)" in stdout
+    for epochs in (1, 0):  # an untrained checkpoint is no answer either
+        code, _, stderr = invoke(
+            capsys, "train", "--shard-dir", shards, "--out-dir", tmp_path / "run",
+            "--embeddings", tmp_path / "no_such_vectors.txt", "--epochs", epochs,
+        )
+        assert code == 2
+        assert "data error" in stderr and "train.manifest.json holds no records" in stderr
+        assert not (tmp_path / "run").exists()
+
+
+def test_eval_refuses_a_manifest_of_no_records(trained, tmp_path, capsys):
+    _, shards, run = trained
+    emptied = tmp_path / "shards"
+    shutil.copytree(shards, emptied)
+    _edit_manifests(emptied, lambda m: {**m, "shards": [], "total": 0, "class_histogram": {}})
+    code, _, stderr = invoke(
+        capsys, "eval", "--checkpoint", run / "checkpoint_final.bin", "--shard-dir", emptied,
+        "--embeddings", bundled_embedding_path(),
+    )
+    assert code == 2
+    assert "data error" in stderr and "test.manifest.json holds no records" in stderr
 
 
 def _two_class_shards(trained_three, out, capsys):

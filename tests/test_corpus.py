@@ -11,15 +11,16 @@ from sarv.corpus import (
     EncodedSentence,
     Encoder,
     LabelScheme,
+    RawRecord,
     check_hashes,
+    encode_corpus,
     encode_sentence,
     read_corpus,
 )
 from sarv.embed import (build_char_vocab, build_token_vocab, serialize_char_vocab,
                         serialize_token_vocab)
 from sarv.errors import ConfigError, DataError
-from sarv.textproc import (MAX_LEN, NormConfig, TokenTable, length_histogram, tokenize,
-                           unify_length)
+from sarv.textproc import MAX_LEN, NormConfig, TokenTable, tokenize, unify_length
 
 from conftest import REVIEWS_TSV, stack_sentences
 
@@ -284,6 +285,7 @@ def test_token_table_keeps_pretruncation_sequence():
     text = " ".join(["خوب"] * 20)
     [seq] = TokenTable(norm).number_many([text])
     assert len(seq) == 20
-    assert length_histogram([seq]).counts == {20: 1}
+    encoded, _ = encode_corpus([RawRecord(text, "positive")], norm, LabelScheme.for_num_classes(2))
+    assert encoded.lengths.tolist() == [20]
     [rec] = Encoder(norm, *make_vocabs("خوب")).encode_texts([text], [1], MAX_LEN)
     assert rec["len"] == MAX_LEN == 15

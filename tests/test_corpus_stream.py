@@ -27,7 +27,7 @@ from sarv.corpus import (CorpusReader, Encoder, LabelScheme, encode_corpus, enco
                          read_corpus, record_dtype)
 from sarv.embed import build_char_vocab, build_token_vocab
 from sarv.errors import DataError
-from sarv.textproc import MAX_LEN, NormConfig, length_histogram, normalize, tokenize, unify_length
+from sarv.textproc import MAX_LEN, NormConfig, normalize, tokenize, unify_length
 from sarv.train import split_indices, undersample_indices
 
 from conftest import separable_rows, stack_sentences
@@ -129,11 +129,11 @@ def test_encode_corpus_equals_the_per_review_path(fmt, chunk, read_bytes, corpor
     monkeypatch.setattr(sarv.textproc, "TOKENIZE_CHUNK", chunk)
     monkeypatch.setattr(sarv.corpus, "READ_BYTES", read_bytes)
     reader = CorpusReader(corpora[fmt])
-    encoded, got_encoder, histogram = encode_corpus(reader, norm, scheme)
+    encoded, got_encoder = encode_corpus(reader, norm, scheme)
     got = encoded.take(np.arange(len(encoded)))
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert got_encoder == encoder
-    assert histogram == length_histogram(seqs)
+    assert encoded.lengths.tolist() == [len(seq) for seq in seqs]  # before truncation
     assert reader.skipped == skipped and skipped
     # Shuffled row orders, as `shard` writes its splits and their undersampled train rows.
     train, test = split_indices(len(encoded), 0.8, seed=chunk)

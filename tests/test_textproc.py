@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import re
 import unicodedata
-from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -20,11 +19,9 @@ from sarv.textproc import (
     MAX_LEN,
     PAD,
     FixedSentence,
-    LengthHistogram,
     NormConfig,
     bundled_stopwords,
     fold_persian,
-    length_histogram,
     load_stopwords,
     normalize,
     tokenize,
@@ -215,28 +212,6 @@ def test_fixed_sentence_validates_pad_layout():
 
 
 # ---------------------------------------------------------------------------
-# histogram
-# ---------------------------------------------------------------------------
-
-
-def test_length_histogram_matches_brute_force():
-    texts = ["خوب", "خوب بد", "خوب بد زشت", "خوب بد", ""]
-    seqs = [tokenize(t) for t in texts]
-    hist = length_histogram(seqs)
-    assert hist.counts == dict(Counter(len(s.tokens) for s in seqs))
-    assert hist.total == 5
-    assert hist.cumulative_fraction(1) == pytest.approx(2 / 5)
-    assert hist.cumulative_fraction(2) == pytest.approx(4 / 5)
-    assert hist.cumulative_fraction(15) == 1.0
-
-
-def test_empty_histogram():
-    hist = length_histogram([])
-    assert hist.total == 0
-    assert hist.cumulative_fraction(15) == 0.0
-
-
-# ---------------------------------------------------------------------------
 # hypothesis fuzz
 # ---------------------------------------------------------------------------
 
@@ -276,15 +251,3 @@ def test_unify_length_invariants(tokens):
     assert fixed.true_length == min(len(tokens), MAX_LEN)
     assert fixed.tokens[: fixed.true_length] == tuple(tokens[: fixed.true_length])
     assert all(t == PAD for t in fixed.tokens[fixed.true_length:])
-
-
-@given(st.lists(st.integers(min_value=0, max_value=30), max_size=50))
-@settings(max_examples=100)
-def test_histogram_cumulative_fraction_brute_force(lengths):
-    seqs = [tokenize(" ".join(["تا"] * n)) for n in lengths]
-    hist = length_histogram(seqs)
-    for q in (0, 1, 5, 15, 30):
-        expected = (
-            sum(1 for n in lengths if n <= q) / len(lengths) if lengths else 0.0
-        )
-        assert hist.cumulative_fraction(q) == pytest.approx(expected)
