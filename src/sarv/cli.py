@@ -306,6 +306,13 @@ def cmd_shard(cfg: RunConfig) -> int:
     train, test = split_indices(len(encoded), cfg.split, cfg.seed)
     if cfg.rus:
         train = train[undersample_indices(encoded.labels[train], cfg.seed, cfg.classes)]
+    if not len(train):  # the test split holds at least one of a corpus's reviews
+        raise DataError(f"the train split of {len(encoded)} review(s) at split {cfg.split} "
+                        f"holds no records; no shard was written")
+    truncated = int((encoded.lengths > MAX_LEN).sum())
+    if truncated:
+        print(f"note: {truncated} review(s) longer than {MAX_LEN} tokens were truncated",
+              file=sys.stderr)
     hashes = encoder.save(cfg.out_dir)
     for name, rows in (("train", train), ("test", test)):
         manifest = write_shards(

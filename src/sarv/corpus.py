@@ -29,7 +29,7 @@ import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -456,10 +456,11 @@ class Encoder:
         """
         width = self.char_vocab.max_word_chars
         dtype = record_dtype(max_len, width)
-        token_ids = [self.token_vocab.token_id(t) for t in tokens]
+        token_ids = np.fromiter(map(self.token_vocab.ids.get, tokens, repeat(0)), np.int64,
+                                len(tokens))
         char_id = self.char_vocab.ids.get
         used = {ch: char_id(ch, 0) for ch in set("".join(t[:width] for t in tokens))}
-        largest_ids = {"t": max(token_ids, default=0), "c": max(used.values(), default=0)}
+        largest_ids = {"t": int(token_ids.max(initial=0)), "c": max(used.values(), default=0)}
         for name, largest in largest_ids.items():
             limit = np.iinfo(dtype[name].base).max
             if largest > limit:
@@ -474,7 +475,7 @@ class Encoder:
         if "\x00" in used:  # a NUL character and the padding share code 0
             widths = np.fromiter(map(len, tokens), dtype=np.intp, count=len(tokens))
             char_rows[np.arange(width) >= widths[:, None]] = 0
-        return np.array(token_ids, dtype["t"].base), char_rows
+        return token_ids.astype(dtype["t"].base), char_rows
 
 
 def check_hashes(found: Mapping[str, str], recorded: Mapping[str, str], source: str) -> None:

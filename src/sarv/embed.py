@@ -270,22 +270,24 @@ def parse_char_vocab(text: str) -> CharVocab:
 
 @dataclass(frozen=True)
 class TokenVocab:
-    """Token ids for shard records; id 0 is shared by PAD and OOV."""
+    """Token ids for shard records; id 0 is shared by PAD and OOV.
+
+    ``ids`` maps each token to its id and never holds PAD, so
+    ``ids.get(token, 0)`` is the id of any token.
+    """
 
     tokens: tuple[str, ...]
     ids: dict[str, int] = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(
-            self, "ids", {t: i + 1 for i, t in enumerate(self.tokens)}
+            self, "ids", {t: i + 1 for i, t in enumerate(self.tokens) if t != PAD}
         )
 
     def __len__(self) -> int:
         return len(self.tokens)
 
     def token_id(self, token: str) -> int:
-        if token == PAD:
-            return 0
         return self.ids.get(token, 0)
 
 

@@ -29,7 +29,7 @@ from sarv.cli import (
     main,
     resolve_config,
 )
-from sarv.corpus import Encoder, RawRecord, encode_sentence
+from sarv.corpus import Encoder, RawRecord, encode_sentence, read_corpus
 from sarv.embed import parse_char_vocab, parse_token_vocab
 from sarv.errors import ConfigError, DataError
 from sarv.models import PRECISIONS, PRESETS, Model, load_model, save_model
@@ -271,6 +271,43 @@ def test_shard_size_below_one_writes_nothing(size, tmp_path, capsys):
         assert "config error" in stderr and "shard_size" in stderr
     assert not absent.exists()
     assert list(empty.iterdir()) == []
+
+
+@pytest.mark.parametrize("rows, split, error", [
+    (1, 0.5, "the train split of 1 review(s) at split 0.5 holds no records"),
+    (3, 0.3, "the train split of 3 review(s) at split 0.3 holds no records"),
+    (0, 0.8, "cannot split an empty corpus"),
+])
+def test_shard_refuses_a_split_of_no_records_and_writes_nothing(rows, split, error, tmp_path,
+                                                                capsys):
+    corpus = write_corpus_tsv(tmp_path / "c.tsv", separable_rows(rows, classes=2, seed=3))
+    absent, existing = tmp_path / "absent", tmp_path / "existing"
+    existing.mkdir()
+    for out in (absent, existing):
+        code, stdout, stderr = invoke(capsys, "shard", "--corpus", corpus, "--out-dir", out,
+                                      "--split", split)
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith(f"sarv: data error: {error}")
+    assert not absent.exists()
+    assert list(existing.iterdir()) == []
+
+
+def test_shard_reports_the_reviews_it_truncated(tmp_path, capsys):
+    records, _ = read_corpus(REVIEWS_TSV)
+    norm = NormConfig.default()
+    longer = sum(len(tokenize(normalize(rec.text, norm))) > MAX_LEN for rec in records)
+    assert 0 < longer < len(records)
+    code, stdout, stderr = invoke(capsys, "shard", "--corpus", REVIEWS_TSV,
+                                  "--out-dir", tmp_path / "long")
+    assert code == 0
+    assert stderr == f"note: {longer} review(s) longer than {MAX_LEN} tokens were truncated\n"
+    train = ShardManifest.load(tmp_path / "long" / "train.manifest.json")
+    test = ShardManifest.load(tmp_path / "long" / "test.manifest.json")
+    assert stdout == (f"train: {train.total} records in 1 shard(s)\n"
+                      f"test: {test.total} records in 1 shard(s)\n")
+    corpus = write_corpus_tsv(tmp_path / "short.tsv", separable_rows(10, classes=2, seed=3))
+    code, _, stderr = invoke(capsys, "shard", "--corpus", corpus, "--out-dir", tmp_path / "short")
+    assert (code, stderr) == (0, "")  # 2-6 tokens each: nothing to report
 
 
 @pytest.mark.parametrize("argv, word", [
@@ -897,11 +934,10 @@ def test_train_refuses_a_manifest_label_outside_its_class_count_before_reading_e
 
 
 def test_train_refuses_a_manifest_of_no_records_before_reading_embeddings(tmp_path, capsys):
-    corpus = write_corpus_tsv(tmp_path / "one.tsv", separable_rows(1, classes=2, seed=3))
+    corpus = write_corpus_tsv(tmp_path / "ten.tsv", separable_rows(10, classes=2, seed=3))
     shards = tmp_path / "shards"
-    code, stdout, _ = invoke(capsys, "shard", "--corpus", corpus, "--out-dir", shards,
-                             "--split", 0.5)
-    assert code == 0 and "train: 0 records in 0 shard(s)" in stdout
+    assert invoke(capsys, "shard", "--corpus", corpus, "--out-dir", shards)[0] == 0
+    _edit_manifests(shards, lambda m: {**m, "shards": [], "total": 0, "class_histogram": {}})
     for epochs in (1, 0):  # an untrained checkpoint is no answer either
         code, _, stderr = invoke(
             capsys, "train", "--shard-dir", shards, "--out-dir", tmp_path / "run",

@@ -222,3 +222,35 @@ def test_peak_is_well_under_one_record_array(command, tmp_path, capsys):
     # Each review's 15 slot numbers, the per-token tables and one chunk of text
     # and of records; not the record array, the raw corpus or a split copy.
     assert peak < 0.5 * record_bytes, (peak, record_bytes)
+
+
+def test_shard_peak_on_long_reviews_is_set_by_one_chunk(tmp_path, capsys):
+    # 20,000 reviews of 15-40 tokens over 5,000 words, the length of the
+    # bench's lstm_long reviews.  Past 256 reviews a chunk's texts and tokens
+    # set the peak, at about 4.5 kB a review; below it the corpus's slot
+    # numbers do.  As a share of the corpus's record bytes the peak is 0.27
+    # at 128 and 256 reviews, 0.34 at 512 and 0.51 at 1024 (tracemalloc,
+    # CPython 3.11.7, NumPy 2.4.6).
+    rng = np.random.default_rng(5)
+    letters = "ابپتثجچحخدذرزسشصضطظعغفقکگلمنوهی"
+    vocab = sorted({"".join(letters[i] for i in rng.integers(0, len(letters), k))
+                    for k in rng.integers(2, 8, 5_500).tolist()})[:5_000]
+    words = rng.integers(0, len(vocab), (20_000, 40)).tolist()
+    lines = ["text\tlabel"] + [
+        " ".join(vocab[i] for i in row[:n]) + ("\tnegative", "\tpositive")[k % 2]
+        for k, (row, n) in enumerate(zip(words, rng.integers(15, 41, 20_000).tolist()))]
+    path = tmp_path / "long.tsv"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    argv = ["shard", "--corpus", str(path), "--seed", "2"]
+    assert main(argv + ["--out-dir", str(tmp_path / "warm")]) == 0  # imports and caches
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        assert main(argv + ["--out-dir", str(tmp_path / "out")]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    record_bytes = 20_000 * record_dtype(MAX_LEN, 20).itemsize
+    assert peak < 0.4 * record_bytes, (peak, record_bytes)

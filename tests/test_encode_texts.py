@@ -121,6 +121,14 @@ def test_encode_texts_refuses_char_ids_past_uint16():
         encoder.encode_texts([small, small + large], [0, 1], MAX_LEN)
 
 
+def test_pad_keeps_id_zero_whatever_the_vocabulary_holds():
+    # A vocabulary file could list the empty token; PAD and its slots stay id 0.
+    encoder = Encoder(NormConfig(), TokenVocab(("", "ب")), CharVocab(tuple(KNOWN)))
+    assert encoder.token_vocab.token_id("") == 0
+    assert encoder._tables(["", "ب"], MAX_LEN)[0].tolist() == [0, 2]
+    assert encoder.encode_texts(["ب"], [0], MAX_LEN)["t"][0].tolist() == [2] + [0] * 14
+
+
 def test_encode_texts_tells_a_nul_character_from_char_padding():
     # A NUL survives normalisation, and its code point is the padding's.
     encoder = Encoder(NormConfig(), TokenVocab(("ب\x00",)),
